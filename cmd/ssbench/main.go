@@ -3,9 +3,7 @@
 // one table per claim-level figure of the paper, plus the routing
 // serving-layer measurements (E9/E10/A5), the engine scale table
 // (E11), the live-topology churn throughput table (E12), and the
-// message-passing cluster convergence/throughput table (E13), and the
-// delta-heartbeat wire-cost comparison (E14), and the flight-recorder
-// overhead A/B (E15).
+// message-passing cluster convergence/throughput table (E13).
 //
 // Usage:
 //
@@ -24,7 +22,7 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "smaller sweeps (seconds instead of minutes)")
 	seed := flag.Int64("seed", 1, "base random seed")
-	only := flag.String("only", "", "run a single experiment (E1..E15, A1..A5)")
+	only := flag.String("only", "", "run a single experiment (E1..E13, A1..A5)")
 	flag.Parse()
 
 	type experiment struct {
@@ -52,9 +50,6 @@ func main() {
 	e12muts, e12batch, e12pkts := 30_000, 200, 10_000
 	e13n := []int{10_000, 30_000, 100_000}
 	e13pkts := 20_000
-	e14n := []int{10_000, 30_000, 100_000}
-	e14pkts, e14idle := 20_000, 64
-	e15n, e15win, e15reps := 10_000, 64, 5
 	if *quick {
 		a1n = []int{12, 24}
 		e1n = []int{16, 32, 64}
@@ -76,9 +71,6 @@ func main() {
 		e12muts, e12pkts = 10_000, 5_000
 		e13n = []int{10_000}
 		e13pkts = 5_000
-		e14n = []int{10_000}
-		e14pkts = 5_000
-		e15n, e15win, e15reps = 2_000, 32, 4
 	}
 
 	experiments := []experiment{
@@ -95,8 +87,6 @@ func main() {
 		{"E11", func() (*bench.Table, error) { return bench.E11Scale(e11n, e11pkts, *seed) }},
 		{"E12", func() (*bench.Table, error) { return bench.E12Churn(e12n, e12muts, e12batch, e12pkts, *seed) }},
 		{"E13", func() (*bench.Table, error) { return bench.E13Cluster(e13n, e13pkts, *seed) }},
-		{"E14", func() (*bench.Table, error) { return bench.E14DeltaWire(e14n, e14pkts, e14idle, *seed) }},
-		{"E15", func() (*bench.Table, error) { return bench.E15TraceOverhead(e15n, e15win, e15reps, *seed) }},
 		{"A1", func() (*bench.Table, error) { return bench.A1Malleability(a1n, *seed) }},
 		{"A2", func() (*bench.Table, error) { return bench.A2NCAEncoding(e2n, *seed) }},
 		{"A3", func() (*bench.Table, error) { return bench.A3Schedulers(e8n, *seed) }},

@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // TestE13ClusterSmoke: the cluster scale table at a CI-friendly size.
 func TestE13ClusterSmoke(t *testing.T) {
@@ -20,79 +17,5 @@ func TestE13ClusterSmoke(t *testing.T) {
 	}
 	if tb.Rows[0][8] != "100.00%" {
 		t.Fatalf("delivery column: %v", tb.Rows[0])
-	}
-}
-
-// TestE14DeltaWireSmoke: the delta-vs-legacy wire comparison at a
-// CI-friendly size, asserting the episode actually got cheaper and
-// that routed delivery stayed perfect under the delta protocol.
-func TestE14DeltaWireSmoke(t *testing.T) {
-	n := 2000
-	if testing.Short() {
-		n = 500
-	}
-	tb, err := E14DeltaWire([]int{n}, 500, 64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 2 {
-		t.Fatalf("rows: %v", tb.Rows)
-	}
-	for _, row := range tb.Rows {
-		if row[6] != "100.00%" {
-			t.Fatalf("delivery column: %v", row)
-		}
-	}
-	var x float64
-	if _, err := fmt.Sscanf(tb.Rows[1][7], "%f", &x); err != nil {
-		t.Fatalf("reduction column: %v", tb.Rows[1])
-	}
-	if x < 5 {
-		t.Fatalf("delta mode only %.1fx cheaper on the wire: %v", x, tb.Rows)
-	}
-}
-
-// TestE15TraceSmoke: the flight-recorder overhead table at a
-// CI-friendly size. The off and on clusters must push identical frame
-// counts through the window (arming the recorder cannot change wire
-// behavior), the disarmed path must sit inside the A/A noise floor,
-// and the armed path must stay within loose sanity bounds. The tight
-// ≤2% disabled-path gate runs at full size via ssbench -only E15 and
-// is recorded in BENCH_pr10.json.
-func TestE15TraceSmoke(t *testing.T) {
-	n, window, reps := 1500, 24, 4
-	if testing.Short() {
-		n, reps = 500, 3
-	}
-	tb, err := E15TraceOverhead(n, window, reps, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 3 {
-		t.Fatalf("rows: %v", tb.Rows)
-	}
-	if tb.Rows[0][2] != tb.Rows[2][2] {
-		t.Fatalf("frame counts diverge between off and on: %v", tb.Rows)
-	}
-	ovh := func(row []string) float64 {
-		var v float64
-		if _, err := fmt.Sscanf(row[4], "%f", &v); err != nil {
-			t.Fatalf("overhead column: %v", row)
-		}
-		return v
-	}
-	// The dedicated CI step runs -short with the package isolated, so
-	// the timing gates can be tight; inside a full `go test ./...` the
-	// suite's other packages compete for cores and only loose sanity
-	// bounds are meaningful.
-	aaTol, onTol := 20.0, 45.0
-	if testing.Short() {
-		aaTol, onTol = 8.0, 30.0
-	}
-	if aa := ovh(tb.Rows[1]); aa > aaTol || aa < -aaTol {
-		t.Fatalf("off A/A noise %.2f%% exceeds the ±%.0f%% tolerance: %v", aa, aaTol, tb.Rows)
-	}
-	if on := ovh(tb.Rows[2]); on > onTol {
-		t.Fatalf("recorder-armed overhead %.2f%% out of sanity bounds (≤%.0f%%): %v", on, onTol, tb.Rows)
 	}
 }

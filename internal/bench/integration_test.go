@@ -3,14 +3,11 @@ package bench
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"silentspan/internal/core"
 	"silentspan/internal/graph"
 	"silentspan/internal/mdst"
 	"silentspan/internal/mst"
-	"silentspan/internal/runtime"
-	"silentspan/internal/switching"
 )
 
 // Integration sweeps: the full distributed pipelines across the graph
@@ -96,40 +93,6 @@ func TestIntegrationMDSTAcrossFamilies(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestIntegrationConcurrentSwitching(t *testing.T) {
-	// The switching rule system under real goroutine concurrency (one
-	// goroutine per node): must reach a legal silent configuration; the
-	// race detector guards the runtime.
-	rng := rand.New(rand.NewSource(5))
-	g := graph.RandomConnected(12, 0.3, rng)
-	net, err := runtime.NewNetwork(g, switching.Algorithm{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.InitArbitrary(rng)
-	res, err := runtime.RunConcurrent(net, 5_000_000, 20*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Silent {
-		t.Fatal("concurrent run not silent")
-	}
-	tr, err := switching.ExtractTree(net, switching.RegOf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := switching.ToAssignment(net, switching.RegOf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Verify(g); err != nil {
-		t.Fatalf("verifier rejects: %v", err)
-	}
-	if tr.Root() != g.MinID() {
-		t.Errorf("root %d, want %d", tr.Root(), g.MinID())
 	}
 }
 

@@ -36,8 +36,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"hash"
-	"hash/fnv"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -91,12 +89,6 @@ type Config struct {
 	// (~1.5·BackoffCap), so a lost frame's delayed repair write cannot
 	// race an already-launched quiet claim (DESIGN.md §13).
 	QuietWindow int
-	// DisableDelta reverts to classic full-state heartbeat frames —
-	// the pre-delta wire behavior, kept for baselines and bisection.
-	DisableDelta bool
-	// DisableBackoff pins the keep-alive gap to HeartbeatEvery — the
-	// pre-cadence behavior, kept for baselines and bisection.
-	DisableBackoff bool
 }
 
 func (c *Config) fill() {
@@ -144,7 +136,7 @@ type Stats struct {
 	StalenessExpiries      int
 	PacketsForwarded       int
 	PacketsDropped         int
-	// Delta-protocol accounting (all zero with DisableDelta).
+	// Delta-protocol accounting.
 	AnchorsSent int
 	DeltasSent  int
 	ResyncsSent int
@@ -243,10 +235,6 @@ type Cluster struct {
 	hbCadence    *ops.Histogram
 	frameBytes   *ops.Histogram
 	ticksToQuiet *ops.Gauge
-
-	// trace, when enabled, folds every register change into a running
-	// hash — the determinism witness.
-	trace hash.Hash64
 
 	// Flight-recorder surface (trace.go): flightCap > 0 arms per-node
 	// rings (joiners get one on admit); departedTr retains retired
@@ -505,20 +493,6 @@ func (c *Cluster) Corrupt(k int, rng *rand.Rand) []graph.NodeID {
 	return victims
 }
 
-// EnableTrace arms the execution-trace hash: every subsequent register
-// change (tick, slot, rendered state) folds into it in slot order.
-func (c *Cluster) EnableTrace() {
-	c.trace = fnv.New64a()
-}
-
-// TraceSum returns the current trace hash (zero when tracing is off).
-func (c *Cluster) TraceSum() uint64 {
-	if c.trace == nil {
-		return 0
-	}
-	return c.trace.Sum64()
-}
-
 // start launches the per-node actor goroutines (lockstep mode). Caller
 // holds memMu (read suffices: the lifecycle fields it writes are only
 // touched by the single coordinator goroutine).
@@ -609,9 +583,6 @@ func (c *Cluster) Tick() {
 		}
 		if nd.changed {
 			changed++
-			if c.trace != nil {
-				fmt.Fprintf(c.trace, "%d:%d:%s;", tick, nd.slot, nd.self)
-			}
 		}
 	}
 	c.changedLast.Store(changed)
@@ -646,18 +617,12 @@ func (c *Cluster) ChangedLastTick() int { return int(c.changedLast.Load()) }
 // keep-alive heartbeats themselves never stop — silence means registers
 // and caches stop changing, not that links go dark.
 func (c *Cluster) RunUntilQuiet(maxTicks, quiet int) (int, bool) {
-	// Clamp the window against the effective keep-alive cadence: with
-	// back-off enabled a quiet sender's gap legitimately grows to
-	// BackoffCap, so a window at or under it could declare quiet while a
-	// lost-keep-alive repair (staleness expiry → rewrite) is still
-	// pending between two backed-off frames.
-	eff := c.cfg.HeartbeatEvery
-	if !c.cfg.DisableBackoff {
-		eff = c.cfg.BackoffCap
-	}
-	if quiet <= eff {
-		quiet = eff + 1
-	}
+	// Clamp the window against the effective keep-alive cadence: a quiet
+	// sender's gap legitimately grows to BackoffCap, so a window at or
+	// under it could declare quiet while a lost-keep-alive repair
+	// (staleness expiry → rewrite) is still pending between two
+	// backed-off frames.
+	quiet = max(quiet, c.cfg.BackoffCap+1)
 	// A new run invalidates the previous run's convergence measurement:
 	// hold 0 until (and unless) this run reaches quiet, so a scrape
 	// during re-stabilization never reports the old run's value.

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -8,6 +10,26 @@ import (
 	"silentspan/internal/graph"
 	"silentspan/internal/routing"
 )
+
+// flightHash folds every flight-recorder ring (each event minus its
+// wall-clock word) and the final registers into one hash: the
+// execution witness — register writes, frames sent, accepted and
+// rejected, detector transitions, and every packet hop, per node, in
+// ring order.
+func flightHash(cl *Cluster) uint64 {
+	h := fnv.New64a()
+	for _, tr := range cl.FlightTraces() {
+		fmt.Fprintf(h, "%d/%d:", tr.Node, tr.Dropped)
+		for _, ev := range tr.Events {
+			ev.Wall = 0
+			fmt.Fprintf(h, "%+v;", ev)
+		}
+	}
+	for _, s := range cl.Snapshot(nil) {
+		fmt.Fprintf(h, "%s;", s)
+	}
+	return h.Sum64()
+}
 
 // traceRun executes one fully seeded cluster run — adversarial init,
 // chaotic transport, packet cohort — and returns the execution-trace
@@ -26,7 +48,7 @@ func traceRun(t *testing.T, seed int64) (uint64, Stats, GatewayStats, FaultStats
 		t.Fatal(err)
 	}
 	defer cl.Stop()
-	cl.EnableTrace()
+	cl.EnableFlightRecorder(0)
 	gw := NewGateway(cl)
 	cl.InitArbitrary(rand.New(rand.NewSource(seed + 2)))
 	for i := 0; i < 5; i++ {
@@ -41,12 +63,13 @@ func traceRun(t *testing.T, seed int64) (uint64, Stats, GatewayStats, FaultStats
 		cl.Tick()
 	}
 	gw.Expire()
-	return cl.TraceSum(), cl.Stats(), gw.Stats(), ft.Stats(), ticks
+	return flightHash(cl), cl.Stats(), gw.Stats(), ft.Stats(), ticks
 }
 
 // TestSeededDeterminism: same seed ⇒ identical cluster execution trace
-// on the channel transport — register-change history, frame counters,
-// fault schedule, packet outcomes, convergence latency, everything.
+// on the channel transport — every node's recorded event history,
+// frame counters, fault schedule, packet outcomes, convergence latency,
+// everything.
 func TestSeededDeterminism(t *testing.T) {
 	h1, s1, g1, f1, t1 := traceRun(t, 42)
 	h2, s2, g2, f2, t2 := traceRun(t, 42)

@@ -218,11 +218,7 @@ func (c *Cluster) sendGoodbye(nd *Node) {
 	}
 	nd.ep.Broadcast(nd.neighbors, data)
 	nd.record(trace.FrameTx, trace.ClassLeave, 0, nd.seq, 0, nd.localTick)
-	nd.stats.FramesSent.Add(int64(len(nd.neighbors)))
-	nd.stats.BytesSent.Add(int64(len(nd.neighbors) * len(data)))
-	if nd.frameBytes != nil {
-		nd.frameBytes.Observe(float64(len(data)))
-	}
+	nd.sent(len(nd.neighbors), data)
 }
 
 // AddEdge brings link {u,v} up in the running cluster and re-rows both

@@ -156,6 +156,35 @@ func TestRejoinAfterCrash(t *testing.T) {
 	}
 }
 
+// TestRouteRightAfterCrash: packets launched in the tick after a crash
+// route through a labeling whose slot space just went unsorted, with
+// every origin's actor looking up coordinates concurrently under the
+// gateway's read lock. Regression for a lazily built identity index on
+// that read path (concurrent map write; the -race matrix runs this
+// package).
+func TestRouteRightAfterCrash(t *testing.T) {
+	g := graph.Complete(8)
+	cl, err := New(g, spanning.Algorithm{}, NewChanTransport(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	gw := NewGateway(cl)
+	cl.InitArbitrary(rand.New(rand.NewSource(11)))
+	converge(t, cl, 4000)
+
+	if err := cl.Crash(5); err != nil {
+		t.Fatal(err)
+	}
+	gw.Launch(routing.UniformPairs(g.Nodes(), 64, rand.New(rand.NewSource(12))))
+	for i := 0; i < 4*g.N() && gw.Outstanding() > 0; i++ {
+		cl.Tick()
+	}
+	if n := gw.Outstanding(); n > 0 {
+		t.Fatalf("%d packets unresolved among the survivors", n)
+	}
+}
+
 // TestSimultaneousJoinLeave: a leave and a join (including a rejoin of
 // the just-departed id) land between the same two ticks; the cluster
 // restabilizes to the spec tree of the final graph.

@@ -416,7 +416,7 @@ func (nd *Node) ingest(data []byte, now uint64, cfg *Config, gw *Gateway) {
 		return
 	}
 	switch f.Kind {
-	case wire.KindHeartbeat, wire.KindDelta:
+	case wire.KindDelta:
 		if f.Alg != nd.codec.Code() {
 			nd.stats.RxRejected.Add(1)
 			return
@@ -431,8 +431,8 @@ func (nd *Node) ingest(data []byte, now uint64, cfg *Config, gw *Gateway) {
 			return
 		}
 		st := f.State
-		anchor := f.Kind == wire.KindDelta && f.BaseSeq == f.Seq
-		if f.Kind == wire.KindDelta && !anchor {
+		anchor := f.BaseSeq == f.Seq
+		if !anchor {
 			switch {
 			case nd.anchorRx[j] != nil && nd.anchorSeqRx[j] == f.BaseSeq:
 				st, err = wire.ApplyDelta(nd.codec, f, nd.anchorRx[j])
@@ -516,20 +516,8 @@ func (nd *Node) ingest(data []byte, now uint64, cfg *Config, gw *Gateway) {
 		// rejoiner's early (low-seq) heartbeats are not dropped as
 		// stragglers and old in-flight frames cannot shadow it.
 		nd.mu.Lock()
-		nd.lastSeq[j] = f.Seq
-		nd.cache[j] = nil
-		nd.lastSeen[j] = 0
-		nd.wasStale[j] = false
-		nd.anchorRx[j] = nil
-		nd.anchorSeqRx[j] = 0
-		nd.lastResync[j] = 0
-		nd.peerAdmin[j] = f.AdminAddr
-		nd.qRx[j] = wire.QuietReport{}
-		nd.qEpoch++
-		nd.epochMirror.Store(nd.qEpoch)
-		nd.qLastAct = now
+		nd.forgetPeerLocked(j, f.Seq, f.AdminAddr)
 		nd.mu.Unlock()
-		nd.stats.NeighborEvictions.Add(1)
 		nd.record(trace.FrameRx, trace.ClassAdvert, f.Src, f.Seq, 0, now)
 	case wire.KindLeave:
 		if f.Alg != nd.codec.Code() {
@@ -548,20 +536,8 @@ func (nd *Node) ingest(data []byte, now uint64, cfg *Config, gw *Gateway) {
 		// Cooperative eviction: drop the leaver's cached register and
 		// anchors now instead of waiting out the staleness TTL.
 		nd.mu.Lock()
-		nd.lastSeq[j] = f.Seq
-		nd.cache[j] = nil
-		nd.lastSeen[j] = 0
-		nd.wasStale[j] = false
-		nd.anchorRx[j] = nil
-		nd.anchorSeqRx[j] = 0
-		nd.lastResync[j] = 0
-		nd.peerAdmin[j] = ""
-		nd.qRx[j] = wire.QuietReport{}
-		nd.qEpoch++
-		nd.epochMirror.Store(nd.qEpoch)
-		nd.qLastAct = now
+		nd.forgetPeerLocked(j, f.Seq, "")
 		nd.mu.Unlock()
-		nd.stats.NeighborEvictions.Add(1)
 		nd.record(trace.FrameRx, trace.ClassLeave, f.Src, f.Seq, 0, now)
 	case wire.KindData:
 		if gw == nil {
@@ -582,6 +558,27 @@ func (nd *Node) ingest(data []byte, now uint64, cfg *Config, gw *Gateway) {
 		nd.mu.Unlock()
 		nd.record(trace.PacketRx, trace.ClassData, f.Src, f.Data.ID, uint64(f.Data.Hops), now)
 	}
+}
+
+// forgetPeerLocked wipes everything cached about neighbor j — register,
+// anchor, resync and detector state — pins its seq filter at seq, and
+// records addr as its ops-plane address. A peer (re)appearing or going
+// away is a membership event: it bumps the write epoch and restarts the
+// local quiet window. Caller holds nd.mu.
+func (nd *Node) forgetPeerLocked(j int, seq uint64, addr string) {
+	nd.lastSeq[j] = seq
+	nd.cache[j] = nil
+	nd.lastSeen[j] = 0
+	nd.wasStale[j] = false
+	nd.anchorRx[j] = nil
+	nd.anchorSeqRx[j] = 0
+	nd.lastResync[j] = 0
+	nd.peerAdmin[j] = addr
+	nd.qRx[j] = wire.QuietReport{}
+	nd.qEpoch++
+	nd.epochMirror.Store(nd.qEpoch)
+	nd.qLastAct = nd.localTick
+	nd.stats.NeighborEvictions.Add(1)
 }
 
 // step evaluates δ once over the staleness-filtered cache view. A
@@ -615,12 +612,12 @@ func (nd *Node) step(now uint64, cfg *Config) {
 			// cluster can go quiet in a non-silent configuration. Past the
 			// startup grace (frames normally land within a tick or two),
 			// pull an anchor outright.
-			if !cfg.DisableDelta && nd.lastSeen[j] == 0 && now > pullAfter {
+			if nd.lastSeen[j] == 0 && now > pullAfter {
 				nd.requestResync(j, nd.neighbors[j], now)
 			}
 		} else {
 			nd.peers[j] = nd.cache[j]
-			if !cfg.DisableDelta && age > pullAfter {
+			if age > pullAfter {
 				nd.requestResync(j, nd.neighbors[j], now)
 			}
 		}
@@ -683,11 +680,7 @@ func (nd *Node) pump(now uint64, cfg *Config, gw *Gateway) {
 			nd.ep.Send(next, data)
 			nd.record(trace.PacketFwd, trace.ClassData, next, p.ID, uint64(p.Hops), now)
 			nd.stats.PacketsForwarded.Add(1)
-			nd.stats.FramesSent.Add(1)
-			nd.stats.BytesSent.Add(int64(len(data)))
-			if nd.frameBytes != nil {
-				nd.frameBytes.Observe(float64(len(data)))
-			}
+			nd.sent(1, data)
 		}
 	}
 	if len(keepQ) > 0 {
@@ -704,7 +697,7 @@ func (nd *Node) pump(now uint64, cfg *Config, gw *Gateway) {
 // StalenessTTL in Config.fill so that even consecutive lost keep-alives
 // cannot push a peer's observed age past the TTL.
 func (nd *Node) sendHB(now uint64, urgent bool, cfg *Config) {
-	if !urgent && !nd.resyncPending && !cfg.DisableBackoff {
+	if !urgent && !nd.resyncPending {
 		nd.gap = min(nd.gap*2, uint64(cfg.BackoffCap))
 	} else {
 		nd.gap = uint64(cfg.HeartbeatEvery)
@@ -723,33 +716,29 @@ func (nd *Node) sendHB(now uint64, urgent bool, cfg *Config) {
 }
 
 // broadcast sends the node's register to every neighbor as one frame
-// (a shared byte slice: recipients only read). With the delta protocol
-// enabled the frame is self-contained — a fresh anchor — when a
-// neighbor asked for one, when no anchor exists yet, or every FullEvery
-// broadcasts as a drift bound; otherwise it carries only the registers
-// changed since the anchor, which for a quiet register is a bare
-// header: the near-free keep-alive.
+// (a shared byte slice: recipients only read). The frame is
+// self-contained — a fresh anchor — when a neighbor asked for one, when
+// no anchor exists yet, or every FullEvery broadcasts as a drift bound;
+// otherwise it carries only the registers changed since the anchor,
+// which for a quiet register is a bare header: the near-free keep-alive.
 func (nd *Node) broadcast(now uint64, cfg *Config) {
 	nd.seq++
-	f := wire.Frame{Kind: wire.KindHeartbeat, Alg: nd.codec.Code(),
+	f := wire.Frame{Kind: wire.KindDelta, Alg: nd.codec.Code(),
 		Src: nd.id, Seq: nd.seq, State: nd.self, Q: nd.qOut}
-	if !cfg.DisableDelta {
-		f.Kind = wire.KindDelta
-		full := nd.resyncPending || nd.anchorState == nil || nd.self == nil ||
-			nd.sinceFull >= cfg.FullEvery
-		if full {
-			f.BaseSeq = nd.seq
-			nd.anchorState = nd.self
-			nd.anchorSeq = nd.seq
-			nd.sinceFull = 0
-			nd.resyncPending = false
-			nd.stats.AnchorsSent.Add(1)
-		} else {
-			f.BaseSeq = nd.anchorSeq
-			f.Base = nd.anchorState
-			nd.sinceFull++
-			nd.stats.DeltasSent.Add(1)
-		}
+	full := nd.resyncPending || nd.anchorState == nil || nd.self == nil ||
+		nd.sinceFull >= cfg.FullEvery
+	if full {
+		f.BaseSeq = nd.seq
+		nd.anchorState = nd.self
+		nd.anchorSeq = nd.seq
+		nd.sinceFull = 0
+		nd.resyncPending = false
+		nd.stats.AnchorsSent.Add(1)
+	} else {
+		f.BaseSeq = nd.anchorSeq
+		f.Base = nd.anchorState
+		nd.sinceFull++
+		nd.stats.DeltasSent.Add(1)
 	}
 	data, err := wire.Encode(f, nd.codec, &nd.enc, nil)
 	if err != nil {
@@ -761,8 +750,15 @@ func (nd *Node) broadcast(now uint64, cfg *Config) {
 	// One tx event per broadcast (not per fan-out copy), mirroring the
 	// frameBytes convention; every receiver's rx stitches to it.
 	nd.record(trace.FrameTx, trace.ClassHeartbeat, 0, nd.seq, 0, now)
-	nd.stats.FramesSent.Add(int64(len(nd.neighbors)))
-	nd.stats.BytesSent.Add(int64(len(nd.neighbors) * len(data)))
+	nd.sent(len(nd.neighbors), data)
+}
+
+// sent accounts one encoded frame put on the wire as copies fan-out
+// copies: the counters see every copy, the size histogram one
+// observation per distinct frame.
+func (nd *Node) sent(copies int, data []byte) {
+	nd.stats.FramesSent.Add(int64(copies))
+	nd.stats.BytesSent.Add(int64(copies * len(data)))
 	if nd.frameBytes != nil {
 		nd.frameBytes.Observe(float64(len(data)))
 	}
@@ -785,11 +781,7 @@ func (nd *Node) sendAdvert() {
 	nd.ep.Broadcast(nd.neighbors, data)
 	nd.record(trace.FrameTx, trace.ClassAdvert, 0, nd.seq, 0, nd.localTick)
 	nd.stats.AdvertsSent.Add(1)
-	nd.stats.FramesSent.Add(int64(len(nd.neighbors)))
-	nd.stats.BytesSent.Add(int64(len(nd.neighbors) * len(data)))
-	if nd.frameBytes != nil {
-		nd.frameBytes.Observe(float64(len(data)))
-	}
+	nd.sent(len(nd.neighbors), data)
 }
 
 // requestResync asks neighbor j (id `to`) for a fresh self-contained
@@ -808,9 +800,5 @@ func (nd *Node) requestResync(j int, to graph.NodeID, now uint64) {
 	nd.ep.Send(to, data)
 	nd.record(trace.FrameTx, trace.ClassResync, to, nd.anchorSeqRx[j], 0, now)
 	nd.stats.ResyncsSent.Add(1)
-	nd.stats.FramesSent.Add(1)
-	nd.stats.BytesSent.Add(int64(len(data)))
-	if nd.frameBytes != nil {
-		nd.frameBytes.Observe(float64(len(data)))
-	}
+	nd.sent(1, data)
 }

@@ -203,19 +203,20 @@ func TestRunUntilQuietClampsToEffectiveCadence(t *testing.T) {
 			got, cl.cfg.BackoffCap)
 	}
 
-	// With back-off disabled the old clamp is the right one.
+	// With the back-off pinned to the base cadence (BackoffCap ==
+	// HeartbeatEvery) the clamp falls back to HeartbeatEvery+1.
 	cl2, err := New(graph.Path(5), spanning.Algorithm{}, NewChanTransport(),
-		Config{StalenessTTL: 42, DisableBackoff: true})
+		Config{StalenessTTL: 42, BackoffCap: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl2.Stop()
 	cl2.InitArbitrary(rng)
 	if _, ok := cl2.RunUntilQuiet(4000, 1); !ok {
-		t.Fatal("no quiet with back-off disabled")
+		t.Fatal("no quiet at the pinned cadence")
 	}
 	if got := cl2.QuietFor(); got <= uint64(cl2.cfg.HeartbeatEvery) {
-		t.Fatalf("quiet declared after only %d quiet ticks with back-off disabled", got)
+		t.Fatalf("quiet declared after only %d quiet ticks at the pinned cadence", got)
 	}
 }
 
@@ -295,27 +296,19 @@ func TestFreshnessPullBoundary(t *testing.T) {
 		t.Fatalf("test premise broken: pull threshold %d beyond the TTL %d", pullAfter, base.StalenessTTL)
 	}
 	cases := []struct {
-		name         string
-		never        bool   // no frame ever accepted (lastSeen == 0)
-		age          uint64 // now - lastSeen for heard entries; = now for never-heard
-		disableDelta bool
-		wantPull     bool
+		name     string
+		never    bool   // no frame ever accepted (lastSeen == 0)
+		age      uint64 // now - lastSeen for heard entries; = now for never-heard
+		wantPull bool
 	}{
 		{name: "heard-at-threshold", age: pullAfter, wantPull: false},
 		{name: "heard-past-threshold", age: pullAfter + 1, wantPull: true},
 		{name: "never-heard-at-threshold", never: true, age: pullAfter, wantPull: false},
 		{name: "never-heard-past-threshold", never: true, age: pullAfter + 1, wantPull: true},
-		// Legacy wire has no resync machinery: every keep-alive is
-		// self-contained full state, so a lost frame heals on the next
-		// backed-off heartbeat (within BackoffCap < TTL−2) instead of via
-		// a pull. No pull must be issued in either branch.
-		{name: "legacy-heard-past-threshold", age: pullAfter + 1, disableDelta: true, wantPull: false},
-		{name: "legacy-never-heard", never: true, age: 4 * pullAfter, disableDelta: true, wantPull: false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base
-			cfg.DisableDelta = tc.disableDelta
 			tr := NewChanTransport()
 			ep, err := tr.Open(1)
 			if err != nil {

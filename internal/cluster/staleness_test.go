@@ -126,7 +126,7 @@ func TestStalenessRecovery(t *testing.T) {
 
 	// A fresh heartbeat with a newer sequence number revives it.
 	data, err := wire.Encode(wire.Frame{
-		Kind: wire.KindHeartbeat, Alg: codec.Code(), Src: 3, Seq: 5,
+		Kind: wire.KindDelta, Alg: codec.Code(), Src: 3, Seq: 5, BaseSeq: 5,
 		State: spanning.State{Root: 1, Parent: trees.None, Dist: 0},
 	}, codec, &nd.enc, nil)
 	if err != nil {

@@ -16,28 +16,41 @@ import (
 // TestFlightRecorderEndToEnd: a converged cluster with the recorder on
 // yields a merged trace whose causal invariants both hold — the
 // announcement is backed by subtree-quiet claims covering all n nodes,
-// and every delivered packet has a contiguous hop chain.
+// and every delivered packet has a contiguous hop chain. The same
+// seeded episode with the recorder off puts exactly the same frames and
+// bytes on the wire: arming it cannot change protocol behavior.
 func TestFlightRecorderEndToEnd(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	g := graph.RandomConnected(12, 0.3, rng)
-	cl, err := New(g, spanning.Algorithm{}, NewChanTransport(), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Stop()
-	cl.EnableFlightRecorder(0)
-	gw := NewGateway(cl)
-	cl.InitArbitrary(rng)
-	converge(t, cl, 4000)
+	episode := func(armed bool) (*Cluster, *graph.Graph) {
+		rng := rand.New(rand.NewSource(21))
+		g := graph.RandomConnected(12, 0.3, rng)
+		cl, err := New(g, spanning.Algorithm{}, NewChanTransport(), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(cl.Stop)
+		if armed {
+			cl.EnableFlightRecorder(0)
+		}
+		gw := NewGateway(cl)
+		cl.InitArbitrary(rng)
+		converge(t, cl, 4000)
 
-	gw.Launch(routing.UniformPairs(g.Nodes(), 100, rng))
-	for i := 0; i < 4*g.N() && gw.Outstanding() > 0; i++ {
-		cl.Tick()
+		gw.Launch(routing.UniformPairs(g.Nodes(), 100, rng))
+		for i := 0; i < 4*g.N() && gw.Outstanding() > 0; i++ {
+			cl.Tick()
+		}
+		if n := gw.Outstanding(); n > 0 {
+			t.Fatalf("%d packets unresolved on a clean transport", n)
+		}
+		tickUntilAnnounced(t, cl, announceBound(cl))
+		return cl, g
 	}
-	if n := gw.Outstanding(); n > 0 {
-		t.Fatalf("%d packets unresolved on a clean transport", n)
+	cl, g := episode(true)
+	off, _ := episode(false)
+	if on, off := cl.Stats(), off.Stats(); on.FramesSent != off.FramesSent || on.BytesSent != off.BytesSent {
+		t.Fatalf("arming the recorder changed the wire: %d frames / %d bytes armed, %d / %d disarmed",
+			on.FramesSent, on.BytesSent, off.FramesSent, off.BytesSent)
 	}
-	tickUntilAnnounced(t, cl, announceBound(cl))
 
 	// Collect over the admin hub, exactly as sstrace does.
 	merged, rep, err := ops.MergeTraces(cl.AdminHub(), g.MinID())

@@ -178,7 +178,7 @@ func (lb *LiveLabeler) nodeAdded(id graph.NodeID) {
 		lb.lab.has = append(lb.lab.has, false)
 	}
 	lb.lab.ids[slot] = id // the labeling's owned copy of the slot space
-	lb.lab.sorted = d.Sorted()
+	lb.lab.setSorted(d.Sorted())
 	lb.lab.nodeEpoch = d.NodeEpoch()
 	lb.slotOf[id] = int32(slot)
 	if lb.lab.idx != nil {
@@ -200,11 +200,9 @@ func (lb *LiveLabeler) nodeRemoved(id graph.NodeID) {
 		return
 	}
 	delete(lb.slotOf, id)
-	if lb.lab.idx != nil {
-		delete(lb.lab.idx, id)
-	}
 	lb.lab.ids[slot] = graph.NoNode
-	lb.lab.sorted = false
+	lb.lab.setSorted(false)
+	delete(lb.lab.idx, id)
 	lb.lab.nodeEpoch = lb.d.NodeEpoch()
 	// Detach from the parent, relabeling shifted siblings.
 	if pi := lb.attach[slot]; pi >= 0 {

@@ -31,8 +31,10 @@ type Labeling struct {
 
 	// sorted: ids is ascending with no holes, so indexOf binary-
 	// searches. After topology churn has recycled dense slots, the
-	// space is unsorted and indexOf goes through the lazily built idx
-	// map instead.
+	// space is unsorted and indexOf goes through the idx map instead.
+	// setSorted builds idx the moment sorted turns false — on the
+	// mutation path, under the writer's lock — so indexOf only ever
+	// reads: concurrent lookups under a shared lock are safe.
 	sorted bool
 	idx    map[graph.NodeID]int32
 
@@ -50,12 +52,28 @@ type Labeling struct {
 // newLabeling returns an unlabeled labeling over the given identity
 // space (shared, read-only).
 func newLabeling(ids []graph.NodeID) *Labeling {
-	return &Labeling{
-		ids:    ids,
-		crds:   make([]Coords, len(ids)),
-		root:   make([]graph.NodeID, len(ids)),
-		has:    make([]bool, len(ids)),
-		sorted: slices.IsSorted(ids),
+	l := &Labeling{
+		ids:  ids,
+		crds: make([]Coords, len(ids)),
+		root: make([]graph.NodeID, len(ids)),
+		has:  make([]bool, len(ids)),
+	}
+	l.setSorted(slices.IsSorted(ids))
+	return l
+}
+
+// setSorted records whether ids is ascending with no holes, building
+// the identity index the first time it is not.
+func (l *Labeling) setSorted(sorted bool) {
+	l.sorted = sorted
+	if sorted || l.idx != nil {
+		return
+	}
+	l.idx = make(map[graph.NodeID]int32, len(l.ids))
+	for i, id := range l.ids {
+		if id != graph.NoNode {
+			l.idx[id] = int32(i)
+		}
 	}
 }
 
@@ -63,14 +81,6 @@ func newLabeling(ids []graph.NodeID) *Labeling {
 func (l *Labeling) indexOf(v graph.NodeID) (int, bool) {
 	if l.sorted {
 		return slices.BinarySearch(l.ids, v)
-	}
-	if l.idx == nil {
-		l.idx = make(map[graph.NodeID]int32, len(l.ids))
-		for i, id := range l.ids {
-			if id != graph.NoNode {
-				l.idx[id] = int32(i)
-			}
-		}
 	}
 	i, ok := l.idx[v]
 	return int(i), ok

@@ -33,7 +33,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
-	"sync"
 
 	"silentspan/internal/graph"
 )
@@ -60,8 +59,8 @@ type State interface {
 //
 // Views are allocation-free: neighbor registers are read either straight
 // out of the engine's register file through precomputed dense indices
-// (sequential engine) or from a snapshot slice parallel to Neighbors
-// (concurrent engine); weights always come from the shared dense layout.
+// or from a snapshot slice parallel to Neighbors (NewView); weights come
+// from a slice parallel to Neighbors too.
 type View struct {
 	// ID is the node's own identity (incorruptible constant).
 	ID graph.NodeID
@@ -204,15 +203,6 @@ type Network struct {
 	// the network's back before a stale neighbor slot is ever read.
 	syncedEpoch uint64
 
-	// topoMu serializes topology mutation against concurrent readers:
-	// RunConcurrent's per-step view reads take it shared, the mutators
-	// take it exclusively. The sequential engine is single-goroutine and
-	// never contends. concurrent is true while RunConcurrent is active,
-	// during which node churn (which resizes the register file) is
-	// rejected; edge churn and weight perturbation remain legal.
-	topoMu     sync.RWMutex
-	concurrent bool
-
 	monitors      []Monitor
 	listeners     []StateListener
 	topoListeners []TopologyListener
@@ -227,8 +217,6 @@ type Network struct {
 // notification: a write to a parent pointer means the routing substrate
 // may have changed and derived structures (coordinate labelings,
 // caches) must be refreshed. Listeners must not mutate the network.
-// RunConcurrent operates on a private register file and emits no
-// notifications until its final copy-back through the network.
 type StateListener func(v graph.NodeID, old, new State)
 
 // NewNetwork creates a network with every register content nil; call
@@ -445,8 +433,6 @@ func (net *Network) RoundPending(v graph.NodeID) bool {
 // contain the edge). Unlike the structural mutators below it does not
 // change the graph's shape, so no slot bookkeeping moves.
 func (net *Network) PerturbEdgeWeight(u, v graph.NodeID, w graph.Weight) error {
-	net.topoMu.Lock()
-	defer net.topoMu.Unlock()
 	if err := net.g.UpdateEdgeWeight(u, v, w); err != nil {
 		return fmt.Errorf("runtime: %w", err)
 	}
@@ -514,8 +500,6 @@ func (net *Network) growTo(slots int) {
 // absent. Only the two endpoints observe the new link, so only their
 // cached enabledness is invalidated.
 func (net *Network) AddEdge(u, v graph.NodeID, w graph.Weight) error {
-	net.topoMu.Lock()
-	defer net.topoMu.Unlock()
 	if !net.g.HasNode(u) || !net.g.HasNode(v) {
 		return fmt.Errorf("runtime: edge {%d,%d} needs both endpoints in the network", u, v)
 	}
@@ -539,8 +523,6 @@ func (net *Network) AddEdge(u, v graph.NodeID, w graph.Weight) error {
 // zero (the graph may transiently disconnect; the algorithms stabilize
 // per component until churn heals it). Double removal errors.
 func (net *Network) RemoveEdge(u, v graph.NodeID) error {
-	net.topoMu.Lock()
-	defer net.topoMu.Unlock()
 	if err := net.g.RemoveEdge(u, v); err != nil {
 		return fmt.Errorf("runtime: %w", err)
 	}
@@ -558,14 +540,8 @@ func (net *Network) RemoveEdge(u, v graph.NodeID) error {
 // its first activation runs the algorithm's bootstrap rule). The node
 // reuses a vacated register-file slot when one exists, otherwise the
 // per-slot arrays grow. The new node starts outside the current round's
-// frontier. Node churn is rejected while RunConcurrent is active (the
-// concurrent register file is sized once); edge churn is not.
+// frontier.
 func (net *Network) AddNode(id graph.NodeID, init State) error {
-	net.topoMu.Lock()
-	defer net.topoMu.Unlock()
-	if net.concurrent {
-		return fmt.Errorf("runtime: node churn unsupported during RunConcurrent")
-	}
 	if net.g.HasNode(id) {
 		return fmt.Errorf("runtime: node %d already present", id)
 	}
@@ -594,11 +570,6 @@ func (net *Network) AddNode(id graph.NodeID, init State) error {
 // former neighbor's cached enabledness is invalidated (their views
 // shrank), so no view ever reads the dead slot again.
 func (net *Network) RemoveNode(id graph.NodeID) error {
-	net.topoMu.Lock()
-	defer net.topoMu.Unlock()
-	if net.concurrent {
-		return fmt.Errorf("runtime: node churn unsupported during RunConcurrent")
-	}
 	slot, ok := net.d.IndexOf(id)
 	if !ok {
 		return fmt.Errorf("runtime: no node %d", id)

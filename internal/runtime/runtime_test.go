@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"silentspan/internal/graph"
 )
@@ -258,25 +257,6 @@ func TestBitsForValue(t *testing.T) {
 	for _, c := range cases {
 		if got := BitsForValue(c.max); got != c.want {
 			t.Errorf("BitsForValue(%d) = %d, want %d", c.max, got, c.want)
-		}
-	}
-}
-
-func TestRunConcurrent(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	g := graph.RandomConnected(16, 0.2, rng)
-	net := newTestNetwork(t, g)
-	net.InitArbitrary(rng)
-	res, err := RunConcurrent(net, 1_000_000, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Silent {
-		t.Fatal("concurrent run did not reach silence")
-	}
-	for _, v := range g.Nodes() {
-		if s := net.State(v).(minState); s.min != 1 {
-			t.Errorf("node %d: min=%d", v, s.min)
 		}
 	}
 }

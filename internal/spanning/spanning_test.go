@@ -3,7 +3,6 @@ package spanning
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"silentspan/internal/graph"
 	"silentspan/internal/runtime"
@@ -198,23 +197,6 @@ func TestSilenceIsStable(t *testing.T) {
 	if res.Moves != net.Moves() && res.Moves != 0 {
 		t.Errorf("silent network moved")
 	}
-}
-
-func TestConcurrentExecution(t *testing.T) {
-	g := graph.RandomConnected(15, 0.25, rand.New(rand.NewSource(37)))
-	net, err := runtime.NewNetwork(g, Algorithm{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.InitArbitrary(rand.New(rand.NewSource(38)))
-	res, err := runtime.RunConcurrent(net, 5_000_000, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Silent {
-		t.Fatal("concurrent run not silent")
-	}
-	checkLegal(t, net)
 }
 
 func TestSingleNode(t *testing.T) {

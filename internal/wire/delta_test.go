@@ -96,13 +96,14 @@ func TestAnchorRoundtrip(t *testing.T) {
 	}
 }
 
-// TestCompactFrameSize: the point of the compact envelope — a quiet
-// keep-alive delta must be a fraction of the classic full-state frame.
+// TestCompactFrameSize: the point of the delta family — a quiet
+// keep-alive must be smaller than the self-contained frame it stands
+// in for, and small in absolute terms.
 func TestCompactFrameSize(t *testing.T) {
 	var b bits.Builder
 	c := Codec(Switching{})
 	st := switching.SelfRoot(50000)
-	full, err := Encode(Frame{Kind: KindHeartbeat, Alg: c.Code(), Src: 50000, Seq: 40, State: st}, c, &b, nil)
+	full, err := Encode(Frame{Kind: KindDelta, Alg: c.Code(), Src: 50000, Seq: 40, BaseSeq: 40, State: st}, c, &b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +112,8 @@ func TestCompactFrameSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(keep)*2 >= len(full) {
-		t.Fatalf("keep-alive delta is %dB vs %dB full — compact envelope lost", len(keep), len(full))
+	if len(keep) >= len(full) {
+		t.Fatalf("keep-alive delta is %dB vs %dB self-contained", len(keep), len(full))
 	}
 	if len(keep) > 16 {
 		t.Fatalf("keep-alive delta is %dB, want ≤16", len(keep))
@@ -185,7 +186,7 @@ func TestCompactDecodeRejects(t *testing.T) {
 		data []byte
 		want error
 	}{
-		{"short", good[:compactHeaderLen+trailerLen-1], ErrTruncated},
+		{"short", good[:headerLen+trailerLen-1], ErrTruncated},
 		{"version", compactMutate(good, func(b []byte) []byte { b[1] = 9<<4 | byte(KindDelta); return b }), ErrVersion},
 		{"kind", compactMutate(good, func(b []byte) []byte { b[1] = Version<<4 | 0xe; return b }), ErrKind},
 		{"crc", mutate(good, len(good)-1, good[len(good)-1]^1), ErrChecksum},
@@ -197,7 +198,7 @@ func TestCompactDecodeRejects(t *testing.T) {
 			pb.AppendGamma(3) // src
 			pb.AppendGamma(1) // seq+1 = 1 → seq 0
 			pb.AppendGamma(3) // dist+1 = 3 → base 2 before seq 0
-			body := pb.AppendBytes([]byte{magicCompact, Version<<4 | byte(KindDelta), c.Code()})
+			body := pb.AppendBytes([]byte{magic, Version<<4 | byte(KindDelta), c.Code()})
 			return binary.BigEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
 		}(), ErrPayload},
 	}
@@ -275,7 +276,7 @@ func TestDecodeBufReuse(t *testing.T) {
 	var b bits.Builder
 	c := Codec(Switching{})
 	st := switching.SelfRoot(6)
-	full, err := Encode(Frame{Kind: KindHeartbeat, Alg: c.Code(), Src: 6, Seq: 2, State: st}, c, &b, nil)
+	full, err := Encode(Frame{Kind: KindDelta, Alg: c.Code(), Src: 6, Seq: 2, BaseSeq: 2, State: st}, c, &b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +353,7 @@ func BenchmarkFrameEncode(b *testing.B) {
 	var bb bits.Builder
 	c := Codec(Switching{})
 	st := switching.SelfRoot(50000)
-	fr := Frame{Kind: KindHeartbeat, Alg: c.Code(), Src: 50000, Seq: 3, State: st}
+	fr := Frame{Kind: KindDelta, Alg: c.Code(), Src: 50000, Seq: 3, BaseSeq: 3, State: st}
 	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -369,7 +370,7 @@ func BenchmarkFrameEncode(b *testing.B) {
 func BenchmarkFrameDecode(b *testing.B) {
 	var bb bits.Builder
 	c := Codec(Switching{})
-	data, err := Encode(Frame{Kind: KindHeartbeat, Alg: c.Code(), Src: 50000, Seq: 3,
+	data, err := Encode(Frame{Kind: KindDelta, Alg: c.Code(), Src: 50000, Seq: 3, BaseSeq: 3,
 		State: switching.SelfRoot(50000)}, c, &bb, nil)
 	if err != nil {
 		b.Fatal(err)
@@ -417,7 +418,7 @@ func TestEncodeAllocFree(t *testing.T) {
 	var bb bits.Builder
 	c := Codec(Switching{})
 	st := switching.SelfRoot(50000)
-	fr := Frame{Kind: KindHeartbeat, Alg: c.Code(), Src: 50000, Seq: 3, State: st}
+	fr := Frame{Kind: KindDelta, Alg: c.Code(), Src: 50000, Seq: 3, BaseSeq: 3, State: st}
 	buf := make([]byte, 0, 256)
 	// Warm the builder.
 	if _, err := Encode(fr, c, &bb, buf[:0]); err != nil {
@@ -439,7 +440,7 @@ func TestEncodeAllocFree(t *testing.T) {
 func TestDecodeBufAllocBound(t *testing.T) {
 	var bb bits.Builder
 	c := Codec(Switching{})
-	data, err := Encode(Frame{Kind: KindHeartbeat, Alg: c.Code(), Src: 50000, Seq: 3,
+	data, err := Encode(Frame{Kind: KindDelta, Alg: c.Code(), Src: 50000, Seq: 3, BaseSeq: 3,
 		State: switching.SelfRoot(50000)}, c, &bb, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -7,13 +7,12 @@ import (
 	"silentspan/internal/graph"
 )
 
-// Membership frames: the discovery/lifecycle leg of the compact 0xA7
-// family. Live churn needs two control messages beyond heartbeats — a
-// joining node announcing itself and a leaving node saying goodbye —
-// and both ride the same header/CRC envelope as KindDelta/KindResync,
-// so every guarantee the delta family certifies (version gate, whole-
-// frame checksum, canonical zero-padding, exact-inverse decode) holds
-// for lifecycle traffic too.
+// Membership frames: the discovery/lifecycle leg of the protocol. Live
+// churn needs two control messages beyond heartbeats — a joining node
+// announcing itself and a leaving node saying goodbye — and both ride
+// the shared header/CRC envelope, so every guarantee it certifies
+// (version gate, whole-frame checksum, canonical zero-padding,
+// exact-inverse decode) holds for lifecycle traffic too.
 //
 // KindAdvert payload (after the shared gamma(src), gamma(seq+1)):
 //

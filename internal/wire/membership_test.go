@@ -141,7 +141,7 @@ func TestMembershipDecodeRejects(t *testing.T) {
 		var b bits.Builder
 		b.Reset()
 		fill(&b)
-		data := []byte{magicCompact, byte(Version<<4) | byte(KindAdvert), c.Code()}
+		data := []byte{magic, byte(Version<<4) | byte(KindAdvert), c.Code()}
 		data = b.AppendBytes(data)
 		return appendCRC(data)
 	}
@@ -171,7 +171,7 @@ func TestMembershipDecodeRejects(t *testing.T) {
 		t.Fatalf("truncated addr: %v", err)
 	}
 	// Reserved compact kind 7 with a valid CRC must be ErrKind.
-	bad := []byte{magicCompact, byte(Version<<4) | 7, c.Code(), 0x80}
+	bad := []byte{magic, byte(Version<<4) | 7, c.Code(), 0x80}
 	bad = appendCRC(bad)
 	if _, err := Decode(c, bad); !errors.Is(err, ErrKind) {
 		t.Fatalf("reserved kind: %v", err)

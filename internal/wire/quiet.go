@@ -5,7 +5,7 @@ import (
 )
 
 // QuietReport is the termination-detector block piggybacked on every
-// heartbeat-class frame (classic KindHeartbeat and compact KindDelta).
+// heartbeat frame (KindDelta, self-contained or not).
 // The cluster's Dijkstra–Scholten-style detector convergecasts
 // subtree-quiet claims up the constructed tree and floods the root's
 // announcement back down, all in-band: no extra frame kind, no extra

@@ -13,24 +13,30 @@
 // Elias-gamma codes of internal/bits, so the frame size tracks the
 // register size within a constant envelope.
 //
-// Frame layout (byte offsets):
+// Every frame kind shares one layout (byte offsets):
 //
-//	0  magic "ST" (2 bytes)
-//	2  version (1)
-//	3  kind (1): heartbeat | data
-//	4  alg (1): register codec code (0 for data frames)
-//	5  flags (1): bit0 = register present (heartbeats)
-//	6  src node identity (8, big-endian)
-//	14 seq (8, big-endian): sender's monotone heartbeat counter
-//	22 payload length in bits (4, big-endian)
-//	26 payload (gamma-coded fields, zero-padded to a byte boundary)
+//	0  magic 0xA7 (1 byte)
+//	1  version<<4 | kind (1)
+//	2  alg: register codec code (1; 0 for data frames)
+//	3  payload (gamma-coded fields, zero-padded to a byte boundary)
 //	.. crc32-IEEE of everything above (4, big-endian)
 //
-// Decode rejects bad magic, unknown versions and kinds, length
-// mismatches, dirty padding, trailing payload bits, and — the fault
-// class the cluster's byte-corrupting transport exercises — any frame
-// whose checksum does not match: a single flipped bit anywhere in the
-// frame is always caught.
+// There is no fixed src/seq/length envelope: every payload opens with
+// gamma(src), gamma(seq+1), and the kind-specific fields follow (data
+// frames below; delta/resync in delta.go; advert/leave in
+// membership.go). The payload is self-delimiting.
+//
+// KindData payload (after the shared prefix), each field zig-zag
+// gamma-coded:
+//
+//	packet id, origin, destination, hop count
+//
+// Decode rejects bad magic, unknown versions and kinds, ≥8 trailing
+// payload bits, any set padding bit — so decode remains the exact
+// inverse of encode — and, the fault class the cluster's
+// byte-corrupting transport exercises, any frame whose checksum does
+// not match: a single flipped bit anywhere in the frame is always
+// caught.
 package wire
 
 import (
@@ -47,15 +53,11 @@ import (
 // Version is the current frame format version.
 const Version = 1
 
-// headerLen and trailerLen frame the payload.
+// magic opens every frame; headerLen and trailerLen frame the payload.
 const (
-	headerLen  = 26
+	magic      = 0xA7
+	headerLen  = 3
 	trailerLen = 4
-)
-
-const (
-	magic0 = 'S'
-	magic1 = 'T'
 )
 
 // Kind classifies a frame.
@@ -63,8 +65,9 @@ type Kind uint8
 
 // The frame kinds.
 const (
-	// KindHeartbeat carries the sender's register state to a neighbor.
-	KindHeartbeat Kind = 1
+	// Kind 1 is reserved and rejected: it named a retired frame format,
+	// and kind numbers are never reused.
+
 	// KindData carries one routed packet hop.
 	KindData Kind = 2
 )
@@ -113,9 +116,9 @@ type Frame struct {
 	// BaseSeq < Seq. Decode leaves it nil: the receiver supplies its own
 	// cached anchor to ApplyDelta.
 	Base runtime.State
-	// Q is the termination-detector report carried by heartbeat-class
-	// frames (KindHeartbeat, KindDelta): write epoch, subtree-quiet
-	// claim with coverage count, and the root's announced epoch.
+	// Q is the termination-detector report carried by heartbeat frames
+	// (KindDelta): write epoch, subtree-quiet claim with coverage count,
+	// and the root's announced epoch.
 	Q QuietReport
 	// AdminAddr is an advert's ops-plane address (KindAdvert); empty
 	// when the advertiser runs no admin server.
@@ -132,35 +135,40 @@ type Frame struct {
 // Encode appends the frame's wire form to dst and returns the grown
 // slice. The builder is scratch for the payload encoding: it is Reset
 // here and may be reused across calls, so a steady-state sender
-// allocates only what dst needs to grow.
+// allocates only what dst needs to grow. For deltas with BaseSeq < Seq,
+// f.Base must hold the anchor register the receiver is assumed to cache
+// and f.State the current register.
 func Encode(f Frame, c Codec, b *bits.Builder, dst []byte) ([]byte, error) {
+	if f.Src < 1 {
+		return dst, fmt.Errorf("wire: frame from non-positive node %d", f.Src)
+	}
+	if f.Seq == ^uint64(0) {
+		return dst, fmt.Errorf("wire: seq %d not encodable", f.Seq)
+	}
 	b.Reset()
-	var flags byte
+	b.AppendGamma(uint64(f.Src))
+	b.AppendGamma(f.Seq + 1)
 	switch f.Kind {
-	case KindHeartbeat:
-		appendQuiet(b, f.Q)
-		if f.State != nil {
-			flags |= 1
-			if err := c.AppendState(b, f.State); err != nil {
-				return dst, err
-			}
-		}
 	case KindData:
 		for _, v := range []int64{int64(f.Data.ID), int64(f.Data.Origin), int64(f.Data.Dst), int64(f.Data.Hops)} {
 			if err := appendInt(b, v); err != nil {
 				return dst, err
 			}
 		}
-	case KindDelta, KindResync, KindAdvert, KindLeave:
-		return encodeCompact(f, c, b, dst)
+	case KindDelta:
+		if err := appendDelta(b, f, c); err != nil {
+			return dst, err
+		}
+	case KindResync, KindLeave:
+	case KindAdvert:
+		if err := appendAdvert(b, f); err != nil {
+			return dst, err
+		}
 	default:
 		return dst, fmt.Errorf("%w: %d", ErrKind, f.Kind)
 	}
 	base := len(dst)
-	dst = append(dst, magic0, magic1, Version, byte(f.Kind), f.Alg, flags)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(f.Src))
-	dst = binary.BigEndian.AppendUint64(dst, f.Seq)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(b.Len()))
+	dst = append(dst, magic, byte(Version<<4)|byte(f.Kind), f.Alg)
 	dst = b.AppendBytes(dst)
 	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[base:])), nil
 }
@@ -181,61 +189,45 @@ func Decode(c Codec, data []byte) (Frame, error) {
 // frame's parked payload aliases it: ApplyDelta before the next
 // DecodeBuf call with the same buffer.
 func DecodeBuf(c Codec, data []byte, scratch []uint64) (Frame, []uint64, error) {
-	if len(data) > 0 && data[0] == magicCompact {
-		return decodeCompact(c, data, scratch)
-	}
 	var f Frame
 	if len(data) < headerLen+trailerLen {
 		return f, scratch, fmt.Errorf("%w: %d bytes", ErrTruncated, len(data))
 	}
-	if data[0] != magic0 || data[1] != magic1 {
+	if data[0] != magic {
 		return f, scratch, ErrMagic
 	}
-	if data[2] != Version {
-		return f, scratch, fmt.Errorf("%w: %d", ErrVersion, data[2])
+	if data[1]>>4 != Version {
+		return f, scratch, fmt.Errorf("%w: %d", ErrVersion, data[1]>>4)
 	}
-	f.Kind = Kind(data[3])
-	if f.Kind != KindHeartbeat && f.Kind != KindData {
-		return f, scratch, fmt.Errorf("%w: %d", ErrKind, data[3])
+	f.Kind = Kind(data[1] & 0xf)
+	if f.Kind < KindData || f.Kind > KindLeave {
+		return f, scratch, fmt.Errorf("%w: %d", ErrKind, data[1]&0xf)
 	}
-	f.Alg = data[4]
-	flags := data[5]
-	// Unknown flag bits are rejected rather than ignored: decode must be
-	// the exact inverse of encode (canonical frames), or a corrupted bit
-	// the checksum happened to miss could survive a relay re-encode.
-	if flags&^1 != 0 || (f.Kind == KindData && flags != 0) {
-		return f, scratch, fmt.Errorf("%w: flags %#x", ErrPayload, flags)
-	}
-	f.Src = graph.NodeID(binary.BigEndian.Uint64(data[6:14]))
-	f.Seq = binary.BigEndian.Uint64(data[14:22])
-	payloadBits := int(binary.BigEndian.Uint32(data[22:26]))
-	payloadBytes := (payloadBits + 7) / 8
-	if len(data) != headerLen+payloadBytes+trailerLen {
-		return f, scratch, fmt.Errorf("%w: %d bytes for %d payload bits", ErrTruncated, len(data), payloadBits)
-	}
+	f.Alg = data[2]
 	sum := binary.BigEndian.Uint32(data[len(data)-trailerLen:])
 	if crc32.ChecksumIEEE(data[:len(data)-trailerLen]) != sum {
 		return f, scratch, ErrChecksum
 	}
-	payload, scratch, err := bits.FromBytesBuf(scratch, data[headerLen:len(data)-trailerLen], payloadBits)
+	pay := data[headerLen : len(data)-trailerLen]
+	s, scratch, err := bits.FromBytesBuf(scratch, pay, len(pay)*8)
 	if err != nil {
 		return f, scratch, fmt.Errorf("%w: %v", ErrPayload, err)
 	}
-	r := bits.NewReader(payload)
+	r := bits.NewReader(s)
+	src, err := bits.ReadGamma(r)
+	if err != nil {
+		return f, scratch, fmt.Errorf("%w: src: %v", ErrPayload, err)
+	}
+	f.Src = graph.NodeID(src)
+	if f.Src < 1 {
+		return f, scratch, fmt.Errorf("%w: non-positive src %d", ErrPayload, f.Src)
+	}
+	seq1, err := bits.ReadGamma(r)
+	if err != nil {
+		return f, scratch, fmt.Errorf("%w: seq: %v", ErrPayload, err)
+	}
+	f.Seq = seq1 - 1
 	switch f.Kind {
-	case KindHeartbeat:
-		q, err := readQuiet(r)
-		if err != nil {
-			return f, scratch, fmt.Errorf("%w: quiet report: %v", ErrPayload, err)
-		}
-		f.Q = q
-		if flags&1 != 0 {
-			s, err := c.DecodeState(r)
-			if err != nil {
-				return f, scratch, fmt.Errorf("%w: %v", ErrPayload, err)
-			}
-			f.State = s
-		}
 	case KindData:
 		var fields [4]int64
 		for i := range fields {
@@ -251,9 +243,46 @@ func DecodeBuf(c Codec, data []byte, scratch []uint64) (Frame, []uint64, error) 
 			Dst:    graph.NodeID(fields[2]),
 			Hops:   int(fields[3]),
 		}
+	case KindDelta:
+		if err := readDelta(r, &f, c); err != nil {
+			return f, scratch, err
+		}
+		if f.BaseSeq < f.Seq {
+			// Delta application needs the receiver's anchor register;
+			// park the undecoded remainder for ApplyDelta. Padding
+			// canonicality is checked there — the frame cannot be
+			// validated further without the base. The parked string
+			// aliases scratch: apply the delta before the next
+			// DecodeBuf call with the same buffer.
+			f.delta, f.deltaOff = s, r.Pos()
+			return f, scratch, nil
+		}
+	case KindAdvert:
+		if err := readAdvert(r, &f); err != nil {
+			return f, scratch, err
+		}
+	case KindResync, KindLeave:
 	}
-	if r.Remaining() != 0 {
-		return f, scratch, fmt.Errorf("%w: %d trailing payload bits", ErrPayload, r.Remaining())
+	if err := checkPadding(r); err != nil {
+		return f, scratch, err
 	}
 	return f, scratch, nil
+}
+
+// checkPadding enforces canonical zero-padding: whatever follows the
+// last field must be under one byte of zero bits.
+func checkPadding(r *bits.Reader) error {
+	if r.Remaining() >= 8 {
+		return fmt.Errorf("%w: %d trailing payload bits", ErrPayload, r.Remaining())
+	}
+	for r.Remaining() > 0 {
+		b, err := r.ReadBit()
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrPayload, err)
+		}
+		if b {
+			return fmt.Errorf("%w: nonzero padding", ErrPayload)
+		}
+	}
+	return nil
 }

@@ -54,14 +54,15 @@ func sampleStates(c Codec, rng *rand.Rand) []runtime.State {
 }
 
 // TestHeartbeatRoundtrip: every register sample survives encode→decode
-// exactly, under both codecs, empty registers included.
+// of a self-contained heartbeat exactly, under both codecs, empty
+// registers included.
 func TestHeartbeatRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var b bits.Builder
 	for _, c := range []Codec{Spanning{}, Switching{}} {
 		states := append(sampleStates(c, rng), nil)
 		for i, s := range states {
-			in := Frame{Kind: KindHeartbeat, Alg: c.Code(), Src: 42, Seq: uint64(i), State: s}
+			in := Frame{Kind: KindDelta, Alg: c.Code(), Src: 42, Seq: uint64(i), BaseSeq: uint64(i), State: s}
 			data, err := Encode(in, c, &b, nil)
 			if err != nil {
 				t.Fatalf("%s state %d: encode: %v", c.Name(), i, err)
@@ -70,7 +71,7 @@ func TestHeartbeatRoundtrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s state %d: decode: %v", c.Name(), i, err)
 			}
-			if out.Kind != in.Kind || out.Alg != in.Alg || out.Src != in.Src || out.Seq != in.Seq {
+			if out.Kind != in.Kind || out.Alg != in.Alg || out.Src != in.Src || out.Seq != in.Seq || out.BaseSeq != in.BaseSeq {
 				t.Fatalf("%s state %d: header mismatch: %+v vs %+v", c.Name(), i, out, in)
 			}
 			switch {
@@ -99,28 +100,34 @@ func TestDataRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Data != in.Data || out.Src != in.Src || out.Kind != KindData {
+	if out.Data != in.Data || out.Src != in.Src || out.Seq != in.Seq || out.Kind != KindData {
 		t.Fatalf("got %+v want %+v", out, in)
 	}
 }
 
 // TestEveryByteFlipRejected: the checksum must catch any single-byte
-// corruption anywhere in the frame — the contract the fault-injecting
-// transport's byte corrupter relies on.
+// corruption anywhere in a data frame — the contract the
+// fault-injecting transport's byte corrupter relies on. (The heartbeat
+// and membership kinds have their own tables.)
 func TestEveryByteFlipRejected(t *testing.T) {
 	var b bits.Builder
 	c := Codec(Switching{})
-	data, err := Encode(Frame{Kind: KindHeartbeat, Alg: c.Code(), Src: 5, Seq: 3,
-		State: switching.SelfRoot(5)}, c, &b, nil)
-	if err != nil {
-		t.Fatal(err)
+	frames := []Frame{
+		{Kind: KindData, Src: 5, Data: Packet{ID: 1, Origin: 5, Dst: 2}},
+		{Kind: KindData, Src: 50000, Seq: 3, Data: Packet{ID: 1 << 40, Origin: 17, Dst: 9001, Hops: 255}},
 	}
-	for i := range data {
-		for _, flip := range []byte{0x01, 0x80, 0xff} {
-			mut := append([]byte(nil), data...)
-			mut[i] ^= flip
-			if _, err := Decode(c, mut); err == nil {
-				t.Fatalf("byte %d flipped by %#x accepted", i, flip)
+	for fi, fr := range frames {
+		data, err := Encode(fr, c, &b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range data {
+			for _, flip := range []byte{0x01, 0x80, 0xff} {
+				mut := append([]byte(nil), data...)
+				mut[i] ^= flip
+				if _, err := Decode(c, mut); err == nil {
+					t.Fatalf("frame %d: byte %d flipped by %#x accepted", fi, i, flip)
+				}
 			}
 		}
 	}
@@ -130,8 +137,8 @@ func TestEveryByteFlipRejected(t *testing.T) {
 func TestDecodeRejects(t *testing.T) {
 	var b bits.Builder
 	c := Codec(Spanning{})
-	good, err := Encode(Frame{Kind: KindHeartbeat, Alg: c.Code(), Src: 1, Seq: 1,
-		State: spanning.State{Root: 1, Parent: trees.None}}, c, &b, nil)
+	good, err := Encode(Frame{Kind: KindData, Src: 1, Seq: 1,
+		Data: Packet{ID: 7, Origin: 1, Dst: 4, Hops: 2}}, c, &b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,21 +148,34 @@ func TestDecodeRejects(t *testing.T) {
 		want error
 	}{
 		{"empty", nil, ErrTruncated},
-		{"short", good[:10], ErrTruncated},
+		{"short", good[:headerLen+trailerLen-1], ErrTruncated},
 		{"magic", mutate(good, 0, 'X'), ErrMagic},
-		{"version", mutate(good, 2, 99), ErrVersion},
-		{"kind", mutate(good, 3, 77), ErrKind},
+		// The retired fixed-header format: "ST", version, kind, ….
+		{"retired-envelope", []byte("ST\x01\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x02"), ErrMagic},
+		{"version", mutate(good, 1, 9<<4|byte(KindData)), ErrVersion},
+		{"kind-zero", mutate(good, 1, Version<<4), ErrKind},
+		// Kind 1 was the retired full-state heartbeat; it stays rejected.
+		{"kind-retired", mutate(good, 1, Version<<4|1), ErrKind},
 		{"crc", mutate(good, len(good)-1, good[len(good)-1]^1), ErrChecksum},
-		{"truncated-payload", good[:len(good)-5], ErrTruncated},
+		{"truncated-payload", good[:len(good)-1], ErrChecksum},
+		{"padding-byte", compactMutate(good, func(b []byte) []byte { return append(b, 0) }), ErrPayload},
+		{"missing-field", compactMutate(good, func(b []byte) []byte { return b[:len(b)-1] }), ErrPayload},
 	}
 	for _, tc := range cases {
 		if _, err := Decode(c, tc.data); !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
 	}
-	// A foreign state type must be refused at encode time.
-	if _, err := Encode(Frame{Kind: KindHeartbeat, State: switching.SelfRoot(1)}, Spanning{}, &b, nil); err == nil {
+	// A foreign state type must be refused at encode time, and so must a
+	// frame from a non-positive node or with a seq the prefix cannot code.
+	if _, err := Encode(Frame{Kind: KindDelta, Src: 1, State: switching.SelfRoot(1)}, Spanning{}, &b, nil); err == nil {
 		t.Error("spanning codec encoded a switching register")
+	}
+	if _, err := Encode(Frame{Kind: KindData, Src: 0, Data: Packet{ID: 7, Origin: 1, Dst: 4}}, c, &b, nil); err == nil {
+		t.Error("src 0 encoded")
+	}
+	if _, err := Encode(Frame{Kind: KindData, Src: 1, Seq: ^uint64(0)}, c, &b, nil); err == nil {
+		t.Error("seq 2^64-1 encoded (seq+1 has no gamma code)")
 	}
 }
 
@@ -191,7 +211,7 @@ func TestFrameOverhead(t *testing.T) {
 	var b bits.Builder
 	c := Codec(Spanning{})
 	s := spanning.State{Root: 1, Parent: 2, Dist: 1}
-	data, err := Encode(Frame{Kind: KindHeartbeat, Alg: c.Code(), Src: 2, Seq: 1, State: s}, c, &b, nil)
+	data, err := Encode(Frame{Kind: KindDelta, Alg: c.Code(), Src: 2, Seq: 1, BaseSeq: 1, State: s}, c, &b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
