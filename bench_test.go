@@ -440,7 +440,7 @@ func BenchmarkScaleBFSRouting(b *testing.B) {
 
 // BenchmarkClusterStabilization is the message-passing counterpart of
 // BenchmarkEngineBFSStabilization: the same spanning substrate from the
-// same post-reset configuration, but run as goroutine-per-node actors
+// same post-reset configuration, but run as message-passing nodes
 // exchanging wire frames over the in-process transport. The gap between
 // the two is the price of the shared-memory→message-passing transform
 // (frame codec + cache maintenance + barriers) at serving scale.
@@ -469,6 +469,45 @@ func BenchmarkClusterStabilization(b *testing.B) {
 			b.ReportMetric(float64(frames), "frames")
 		})
 	}
+}
+
+// BenchmarkLockstepIdleTick times one lockstep Tick of a silent cluster,
+// the idle-route-chan workload's shape (n=2000, keep-alives backed off
+// to one per 31 ticks): what is left is the driver handing out node
+// rounds plus ~0.6 µs of protocol work per node. Convergence and the
+// in-band quiet announcement happen outside the timer. Compare drivers
+// with -cpu 1,2; it asserts nothing about time. -short runs a size the
+// CI smoke converges in well under a second.
+func BenchmarkLockstepIdleTick(b *testing.B) {
+	n := 2000
+	if testing.Short() {
+		n = 256
+	}
+	b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
+		rng := rand.New(rand.NewSource(int64(n)))
+		g := graph.RandomConnected(n, 8/float64(n), rng)
+		cl, err := cluster.New(g, spanning.Algorithm{}, cluster.NewChanTransport(), cluster.Config{StalenessTTL: 128})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer cl.Stop()
+		cl.InitArbitrary(rng)
+		if _, quiet := cl.RunUntilQuiet(32*n, 4); !quiet {
+			b.Fatal("no quiet")
+		}
+		for i := 0; !cl.QuietAnnounced(); i++ {
+			if i == 8*128+64 {
+				b.Fatal("silence never announced")
+			}
+			cl.Tick()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cl.Tick()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/node")
+	})
 }
 
 // --- Ablation benchmarks (design-choice experiments, DESIGN.md §4). ---

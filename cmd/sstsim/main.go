@@ -20,9 +20,10 @@
 //	sstsim -route -faults 4 -graph random:32:0.15
 //
 // The -cluster mode deploys the algorithm as a message-passing cluster
-// instead of the simulator: one goroutine-actor per node exchanging
-// heartbeat frames over a faulty in-process transport, with a packet
-// batch served end-to-end as data frames once the tree is quiet:
+// instead of the simulator: every node's round run between two barriers
+// per tick, exchanging heartbeat frames over a faulty in-process
+// transport, with a packet batch served end-to-end as data frames once
+// the tree is quiet:
 //
 //	sstsim -cluster -alg bfs -graph random:24:0.2 -loss 0.1
 //
@@ -82,7 +83,7 @@ func main() {
 	packets := flag.Int("packets", 100_000, "route mode: packets to drive")
 	workload := flag.String("workload", "uniform", "route mode: uniform | hotspot | allpairs")
 	churn := flag.Int("churn", 0, "apply this many live-topology churn ops (joins/leaves/link flaps/partitions) after stabilization, with traffic flying")
-	clusterMode := flag.Bool("cluster", false, "run the algorithm as a message-passing cluster: goroutine-per-node actors exchanging heartbeat frames over a faulty in-process transport")
+	clusterMode := flag.Bool("cluster", false, "run the algorithm as a lockstep message-passing cluster: nodes exchanging heartbeat frames over a faulty in-process transport")
 	loss := flag.Float64("loss", 0.1, "cluster mode: heartbeat/data frame loss probability (dup/corrupt/delay ride along at fixed rates)")
 	serve := flag.Bool("serve", false, "deploy the cluster free-running over loopback UDP with a per-node admin API, until SIGINT/SIGTERM (or -serve-for)")
 	adminDir := flag.String("admin-dir", "", "serve mode: write the admin directory (one 'id addr' line per node) to this file at startup")
@@ -430,8 +431,8 @@ func writeFileAtomic(path, content string) error {
 }
 
 // runCluster is the message-passing demo: deploy the always-on
-// algorithm as a cluster of goroutine-actors over the deterministic
-// in-process transport wrapped in seeded faults, watch the heartbeat
+// algorithm as a lockstep cluster over the deterministic in-process
+// transport wrapped in seeded faults, watch the heartbeat
 // exchange converge to the silent tree, then serve a packet batch
 // end-to-end as data frames over the same links.
 func runCluster(algName string, g *graph.Graph, seed int64, loss float64) {
@@ -447,7 +448,7 @@ func runCluster(algName string, g *graph.Graph, seed int64, loss float64) {
 	defer cl.Stop()
 	gw := cluster.NewGateway(cl)
 	cl.InitArbitrary(rng)
-	fmt.Printf("cluster: %d actors, %s codec, faults loss=%.2f dup=%.2f corrupt=%.2f delay=%.2f\n",
+	fmt.Printf("cluster: %d nodes, %s codec, faults loss=%.2f dup=%.2f corrupt=%.2f delay=%.2f\n",
 		cl.Nodes(), cl.Codec().Name(), loss, loss/2, loss/2, 2*loss)
 
 	for !func() bool { _, q := cl.RunUntilQuiet(200, 12); return q }() {

@@ -218,10 +218,14 @@ func (r *Reader) Remaining() int { return r.s.Len() - r.pos }
 // Pos returns the number of bits consumed so far.
 func (r *Reader) Pos() int { return r.pos }
 
+func (r *Reader) errPastEnd() error {
+	return fmt.Errorf("bits: read past end of string (len %d)", r.s.Len())
+}
+
 // ReadBit consumes and returns one bit.
 func (r *Reader) ReadBit() (bool, error) {
 	if r.pos >= r.s.Len() {
-		return false, fmt.Errorf("bits: read past end of string (len %d)", r.s.Len())
+		return false, r.errPastEnd()
 	}
 	b := r.s.Bit(r.pos)
 	r.pos++
@@ -272,35 +276,45 @@ func GammaLen(v uint64) int {
 	return 2*bitsLen(v) - 1
 }
 
-// ReadGamma decodes an Elias-gamma code from r.
+// window returns the 64 bits of s starting at bit pos, zero-filled past
+// the end. Bits beyond Len are zero in every String (each constructor
+// sets valid bits only), so the fill is indistinguishable from them.
+func (s String) window(pos int) uint64 {
+	w, off := pos/64, uint(pos%64)
+	if w >= len(s.words) {
+		return 0
+	}
+	x := s.words[w] << off
+	if off > 0 && w+1 < len(s.words) {
+		x |= s.words[w+1] >> (64 - off)
+	}
+	return x
+}
+
+// ReadGamma decodes an Elias-gamma code from r: the zero prefix is
+// counted and the payload extracted a word at a time, not bit by bit —
+// this is the innermost loop of every wire frame decode. On an error
+// the reader has consumed what a bit-by-bit decoder would have.
 func ReadGamma(r *Reader) (uint64, error) {
-	zeros := 0
-	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, fmt.Errorf("bits: truncated gamma code: %w", err)
-		}
-		if b {
-			break
-		}
-		zeros++
+	avail := r.Remaining()
+	zeros := min(bits.LeadingZeros64(r.s.window(r.pos)), avail)
+	switch {
+	case zeros >= 64:
 		// zeros prefix zeros announce a (zeros+1)-bit payload; 64 zeros
 		// would decode a 65-bit value, silently overflowing uint64.
-		if zeros >= 64 {
-			return 0, fmt.Errorf("bits: gamma code exceeds 64 bits")
-		}
+		r.pos += 64
+		return 0, fmt.Errorf("bits: gamma code exceeds 64 bits")
+	case zeros == avail:
+		r.pos += avail
+		return 0, fmt.Errorf("bits: truncated gamma code: %w", r.errPastEnd())
+	case avail < 2*zeros+1:
+		r.pos += avail
+		return 0, fmt.Errorf("bits: truncated gamma payload: %w", r.errPastEnd())
 	}
-	v := uint64(1)
-	for i := 0; i < zeros; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, fmt.Errorf("bits: truncated gamma payload: %w", err)
-		}
-		v <<= 1
-		if b {
-			v |= 1
-		}
-	}
+	// The terminating 1 and the zeros payload bits after it are the
+	// value's binary expansion, zeros+1 bits wide.
+	v := r.s.window(r.pos+zeros) >> uint(63-zeros)
+	r.pos += 2*zeros + 1
 	return v, nil
 }
 

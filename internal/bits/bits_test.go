@@ -1,7 +1,9 @@
 package bits
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -136,6 +138,138 @@ func TestGammaTruncated(t *testing.T) {
 	trunc := s.Prefix(s.Len() - 2)
 	if _, err := ReadGamma(NewReader(trunc)); err == nil {
 		t.Error("ReadGamma accepted truncated code")
+	}
+}
+
+// readGammaBitwise and appendGammaBitwise are the bit-at-a-time gamma
+// codec ReadGamma and Builder.AppendGamma replaced — kept as the oracle
+// the word-at-a-time versions must agree with on value, error-ness and
+// reader position (this file and the fuzz targets).
+func readGammaBitwise(r *Reader) (uint64, error) {
+	zeros := 0
+	for {
+		b, err := r.ReadBit()
+		if err != nil {
+			return 0, fmt.Errorf("bits: truncated gamma code: %w", err)
+		}
+		if b {
+			break
+		}
+		zeros++
+		if zeros >= 64 {
+			return 0, fmt.Errorf("bits: gamma code exceeds 64 bits")
+		}
+	}
+	v := uint64(1)
+	for i := 0; i < zeros; i++ {
+		b, err := r.ReadBit()
+		if err != nil {
+			return 0, fmt.Errorf("bits: truncated gamma payload: %w", err)
+		}
+		v <<= 1
+		if b {
+			v |= 1
+		}
+	}
+	return v, nil
+}
+
+func appendGammaBitwise(b *Builder, v uint64) {
+	width := bitsLen(v)
+	for i := 0; i < width-1; i++ {
+		b.AppendBit(false)
+	}
+	for i := width - 1; i >= 0; i-- {
+		b.AppendBit(v>>uint(i)&1 == 1)
+	}
+}
+
+// checkReadGammaAgrees decodes one code at bit pos of s with both
+// decoders and fails on any difference in value, error text or final
+// position. It returns the decoders' common verdict.
+func checkReadGammaAgrees(t *testing.T, s String, pos int) (uint64, int, error) {
+	t.Helper()
+	fast, slow := &Reader{s: s, pos: pos}, &Reader{s: s, pos: pos}
+	got, gotErr := ReadGamma(fast)
+	want, wantErr := readGammaBitwise(slow)
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("ReadGamma at bit %d of %s: error %v, bitwise oracle %v", pos, s, gotErr, wantErr)
+	}
+	if got != want || fast.Pos() != slow.Pos() {
+		t.Fatalf("ReadGamma at bit %d of %s: value %d pos %d, bitwise oracle value %d pos %d",
+			pos, s, got, fast.Pos(), want, slow.Pos())
+	}
+	return got, fast.Pos(), gotErr
+}
+
+// TestGammaWordwiseMatchesBitwise pins the word-at-a-time codec to the
+// oracle where word arithmetic can go wrong: values at 2^k−1 and 2^k
+// for every width, codes starting at offsets 60–68 (straddling one or
+// two word boundaries), a 64-zero prefix, and truncation at every bit.
+func TestGammaWordwiseMatchesBitwise(t *testing.T) {
+	var vals []uint64
+	for k := 0; k < 64; k++ {
+		vals = append(vals, 1<<uint(k), 1<<uint(k)|1<<uint(k)>>1)
+		if k > 0 {
+			vals = append(vals, 1<<uint(k)-1)
+		}
+	}
+	vals = append(vals, ^uint64(0), 0xdeadbeefcafe, 12345)
+	for _, v := range vals {
+		for _, lead := range []int{0, 1, 60, 61, 62, 63, 64, 65, 66, 67, 68, 127, 128} {
+			var fast, slow Builder
+			for i := 0; i < lead; i++ {
+				// Alternate so a misplaced OR shows as a flipped bit.
+				fast.AppendBit(i%2 == 1)
+				slow.AppendBit(i%2 == 1)
+			}
+			fast.AppendGamma(v)
+			appendGammaBitwise(&slow, v)
+			// A trailing 1 catches a length that is right over words that
+			// are wrong, and a code that runs into its successor.
+			fast.AppendBit(true)
+			slow.AppendBit(true)
+			s := fast.String()
+			if !s.Equal(slow.String()) {
+				t.Fatalf("AppendGamma(%d) after %d bits: %s, bitwise oracle %s", v, lead, s, slow.String())
+			}
+			got, pos, err := checkReadGammaAgrees(t, s, lead)
+			if err != nil || got != v || pos != lead+GammaLen(v) {
+				t.Fatalf("gamma(%d) at bit %d: decoded %d, pos %d, err %v", v, lead, got, pos, err)
+			}
+			// Truncation at every bit: each proper prefix of the code must
+			// fail in both decoders the same way.
+			for cut := lead; cut < lead+GammaLen(v); cut++ {
+				if _, _, err := checkReadGammaAgrees(t, s.Prefix(cut), lead); err == nil {
+					t.Fatalf("gamma(%d) at bit %d cut to %d bits decoded", v, lead, cut-lead)
+				}
+			}
+		}
+	}
+	// 64 zeros announce a 65-bit value: rejected, wherever the run
+	// starts and whether or not a 1 follows.
+	for _, lead := range []int{0, 1, 63, 64, 65} {
+		for _, tail := range []string{"", "1", "0", "1111"} {
+			var b Builder
+			for i := 0; i < lead; i++ {
+				b.AppendBit(true)
+			}
+			for i := 0; i < 64; i++ {
+				b.AppendBit(false)
+			}
+			s := b.String().Concat(MustParse(tail))
+			if _, _, err := checkReadGammaAgrees(t, s, lead); err == nil || !strings.Contains(err.Error(), "exceeds 64 bits") {
+				t.Fatalf("64-zero prefix at bit %d (tail %q): err %v", lead, tail, err)
+			}
+		}
+	}
+	// A reused builder must not inherit bits from before Reset.
+	var b Builder
+	b.AppendGamma(^uint64(0))
+	b.Reset()
+	b.AppendGamma(1 << 40)
+	if want := AppendGamma(String{}, 1<<40); !b.String().Equal(want) {
+		t.Fatalf("AppendGamma after Reset: %s, want %s", b.String(), want)
 	}
 }
 

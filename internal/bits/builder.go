@@ -34,18 +34,31 @@ func (b *Builder) AppendBit(bit bool) {
 	b.n++
 }
 
+// extend appends k zero bits.
+func (b *Builder) extend(k int) {
+	b.n += k
+	for len(b.words)*64 < b.n {
+		b.words = append(b.words, 0)
+	}
+}
+
 // AppendGamma appends the Elias-gamma code of v (v >= 1) — the same
-// code AppendGamma produces on a String, without the per-bit copies.
+// code AppendGamma produces on a String — as two word operations: the
+// zero prefix only advances the length, the binary expansion is OR-ed
+// into the (at most two) words it lands in.
 func (b *Builder) AppendGamma(v uint64) {
 	if v == 0 {
 		panic("bits: gamma code requires v >= 1")
 	}
 	width := bitsLen(v)
-	for i := 0; i < width-1; i++ {
-		b.AppendBit(false)
-	}
-	for i := width - 1; i >= 0; i-- {
-		b.AppendBit(v>>uint(i)&1 == 1)
+	b.extend(width - 1)
+	w, room := b.n/64, 64-b.n%64 // v's top bit lands in word w, room bits from its end
+	b.extend(width)
+	if width <= room {
+		b.words[w] |= v << uint(room-width)
+	} else {
+		b.words[w] |= v >> uint(width-room)
+		b.words[w+1] |= v << uint(64-(width-room))
 	}
 }
 

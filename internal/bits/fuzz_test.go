@@ -17,7 +17,9 @@ func bitsFromBytes(data []byte) String {
 
 // FuzzGammaRoundtrip checks encode→decode identity for arbitrary values:
 // the gamma code of any v >= 1 has exactly GammaLen(v) bits and decodes
-// back to v with nothing left over.
+// back to v with nothing left over — and the word-at-a-time Builder and
+// ReadGamma agree with the bit-at-a-time oracle, at an offset that
+// makes the code straddle a word boundary.
 func FuzzGammaRoundtrip(f *testing.F) {
 	for _, v := range []uint64{1, 2, 3, 7, 8, 255, 256, 1 << 20, 1<<63 - 1, 1 << 63, ^uint64(0)} {
 		f.Add(v)
@@ -41,12 +43,28 @@ func FuzzGammaRoundtrip(f *testing.F) {
 		if r.Remaining() != 0 {
 			t.Fatalf("roundtrip of %d left %d bits unread", v, r.Remaining())
 		}
+		var fast, slow Builder
+		lead := int(v % 70)
+		for i := 0; i < lead; i++ {
+			fast.AppendBit(true)
+			slow.AppendBit(true)
+		}
+		fast.AppendGamma(v)
+		appendGammaBitwise(&slow, v)
+		if !fast.String().Equal(slow.String()) {
+			t.Fatalf("Builder.AppendGamma(%d) after %d bits: %s, bitwise oracle %s", v, lead, fast.String(), slow.String())
+		}
+		if got, pos, err := checkReadGammaAgrees(t, fast.String(), lead); err != nil || got != v || pos != fast.Len() {
+			t.Fatalf("gamma(%d) at bit %d: decoded %d, pos %d of %d, err %v", v, lead, got, pos, fast.Len(), err)
+		}
 	})
 }
 
 // FuzzGammaStream decodes arbitrary bit streams: ReadGamma must never
-// panic, and — because gamma is a canonical prefix code — re-encoding
-// each decoded value must reproduce exactly the bits it consumed.
+// panic, must agree with the bit-at-a-time oracle on every code
+// (value, error, position — the failing last one included), and —
+// because gamma is a canonical prefix code — re-encoding each decoded
+// value must reproduce exactly the bits it consumed.
 func FuzzGammaStream(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
@@ -61,6 +79,7 @@ func FuzzGammaStream(f *testing.F) {
 		r := NewReader(s)
 		for r.Remaining() > 0 {
 			before := r.Pos()
+			checkReadGammaAgrees(t, s, before)
 			v, err := ReadGamma(r)
 			if err != nil {
 				break

@@ -3,7 +3,7 @@ package cert
 // Message-passing cluster certification: the campaigns of this file
 // re-certify the convergence claims over internal/cluster — the
 // shared-memory→message-passing transform running each node as a
-// goroutine-actor exchanging heartbeat frames over an adversarial
+// state machine exchanging heartbeat frames over an adversarial
 // transport — instead of the simulator's atomic views. Every run must
 // reach quiet under seeded loss/duplication/reordering/corruption,
 // project to a silent, closed, spec-correct shared-memory

@@ -1,8 +1,8 @@
 // Package cluster executes the repository's self-stabilizing algorithms
 // over real transports instead of the simulator: each node is an
-// independent goroutine-actor owning only its local register and a
-// cache of its neighbors' last heartbeat states, exchanged as
-// checksummed wire frames (internal/wire) over a pluggable Transport.
+// independent state machine owning only its local register and a cache
+// of its neighbors' last heartbeat states, exchanged as checksummed
+// wire frames (internal/wire) over a pluggable Transport.
 //
 // This is the classic shared-memory→message-passing transform: a node
 // periodically broadcasts its register; neighbors cache the last
@@ -19,14 +19,16 @@
 // Two execution modes share the node logic:
 //
 //   - Lockstep (Tick/RunUntilQuiet, over a Stepper transport such as
-//     ChanTransport): nodes run their ticks concurrently between two
-//     barriers; frames travel at the barrier in deterministic order.
-//     Same seed ⇒ identical execution trace, which is what the
-//     certification campaigns and the determinism test rely on.
+//     ChanTransport): Tick is a parallel-for over the node slots — up
+//     to GOMAXPROCS workers call each node's round between two
+//     barriers, with no goroutine or channel per node; frames travel at
+//     the barrier in deterministic order. Same seed ⇒ identical
+//     execution trace, whatever the worker count, which is what the
+//     certification campaigns and the determinism tests rely on.
 //   - Free-running (Serve, over an async transport such as
-//     UDPTransport): every node loops on its own timer and its
-//     endpoint's notify channel, with no global coordination — the
-//     deployment shape.
+//     UDPTransport): every node is a goroutine-actor looping on its own
+//     timer and its endpoint's notify channel, with no global
+//     coordination — the deployment shape.
 //
 // A Gateway (gateway.go) rides on top, maintaining a
 // routing.LiveLabeler over the live registers and carrying routed
@@ -37,6 +39,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -190,11 +193,9 @@ type Cluster struct {
 	// even if no δ evaluation changed anything.
 	stateDirty bool
 
-	// Lockstep coordination. tick/lastChangeTick/changedLast are atomic
-	// so the metrics scrape can read convergence gauges while a tick is
-	// in flight.
-	started        bool
-	doneCh         chan struct{}
+	// Lockstep progress. tick/lastChangeTick/changedLast are atomic so
+	// the metrics scrape can read convergence gauges while a tick is in
+	// flight.
 	tick           atomic.Uint64
 	lastChangeTick atomic.Uint64
 	changedLast    atomic.Int64
@@ -284,14 +285,13 @@ func New(g *graph.Graph, alg runtime.Algorithm, tr Transport, cfg Config) (*Clus
 	return c, nil
 }
 
-// newMember builds the actor for dense slot i with a cloned neighbor
-// row (the dense rows mutate in place under churn) and its lifecycle
-// channels.
+// newMember builds the node for dense slot i with a cloned neighbor
+// row (the dense rows mutate in place under churn) and its Serve-mode
+// lifecycle channels.
 func (c *Cluster) newMember(id graph.NodeID, i int, ep Endpoint) *Node {
 	neighbors := append([]graph.NodeID(nil), c.d.NeighborIDs(i)...)
 	weights := append([]graph.Weight(nil), c.d.Weights(i)...)
 	nd := newNode(id, i, c.d.N(), neighbors, weights, ep, c.codec, c.alg)
-	nd.tickCh = make(chan uint64, 1)
 	nd.stop = make(chan struct{})
 	nd.stopped = make(chan struct{})
 	nd.noteAnn = c.noteAnnounce
@@ -493,88 +493,66 @@ func (c *Cluster) Corrupt(k int, rng *rand.Rand) []graph.NodeID {
 	return victims
 }
 
-// start launches the per-node actor goroutines (lockstep mode). Caller
-// holds memMu (read suffices: the lifecycle fields it writes are only
-// touched by the single coordinator goroutine).
-func (c *Cluster) start() {
-	if c.started {
-		return
-	}
-	c.started = true
-	c.doneCh = make(chan struct{}, 4*len(c.nodes)+64)
-	for _, nd := range c.nodes {
-		if nd == nil {
-			continue
-		}
-		c.spawnLockstep(nd)
-	}
-}
+// Stop is a no-op, kept so callers can release a cluster without
+// knowing its mode: a lockstep cluster holds no goroutine between ticks
+// (Tick's helpers are done before it returns), and a free-running one is
+// stopped by cancelling Serve's context. Ticking after Stop is fine.
+func (c *Cluster) Stop() {}
 
-// spawnLockstep runs one node's lockstep actor loop: park on the tick
-// channel, run the round, signal the barrier. A closed stop channel
-// retires the actor between rounds. Caller holds memMu.
-func (c *Cluster) spawnLockstep(nd *Node) {
-	if nd.running {
-		return
-	}
-	nd.running = true
-	go func() {
-		defer close(nd.stopped)
+// tickShard is the run of dense slots a Tick worker claims per bump of
+// the shared cursor: long enough that the atomic add is noise against
+// ~32 node rounds, short enough that a few hundred nodes already make
+// more chunks than cores, so a slow chunk does not leave a core idle.
+const tickShard = 32
+
+// tickNodes runs every live node's round for this tick and returns when
+// all are done: workers (the caller being one) claim runs of dense slots
+// through one atomic cursor. Which worker ran which node cannot reach
+// any count — during its round a node touches only its own fields, its
+// own sender-owned transport buffer and the gateway's locks; frame
+// order and fault fates are fixed later, at Step. With one worker
+// (GOMAXPROCS=1, or at most tickShard slots) no goroutine is started.
+// Caller holds memMu.
+func (c *Cluster) tickNodes(tick uint64) {
+	n := len(c.nodes)
+	var cursor atomic.Int64
+	work := func() {
 		for {
-			select {
-			case <-nd.stop:
+			lo := int(cursor.Add(tickShard)) - tickShard
+			if lo >= n {
 				return
-			case t := <-nd.tickCh:
-				nd.tick(t, &c.cfg, c.gw)
-				c.doneCh <- struct{}{}
+			}
+			for _, nd := range c.nodes[lo:min(lo+tickShard, n)] {
+				if nd != nil {
+					nd.tick(tick, &c.cfg, c.gw)
+				}
 			}
 		}
-	}()
+	}
+	var wg sync.WaitGroup
+	for w := min(goruntime.GOMAXPROCS(0), (n+tickShard-1)/tickShard); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
-// Stop retires the actor goroutines (idempotent). The cluster can be
-// ticked again afterwards: the next Tick respawns the actors.
-func (c *Cluster) Stop() {
-	c.memMu.Lock()
-	defer c.memMu.Unlock()
-	if !c.started {
-		return
-	}
-	c.started = false
-	for _, nd := range c.nodes {
-		if nd == nil || !nd.running {
-			continue
-		}
-		close(nd.stop)
-		<-nd.stopped
-		nd.running = false
-		nd.stop = make(chan struct{})
-		nd.stopped = make(chan struct{})
-	}
-}
-
-// Tick runs one lockstep round: all node actors execute their tick
-// concurrently between two barriers, then the transport delivers what
-// they sent, in deterministic order. Requires a Stepper transport.
+// Tick runs one lockstep round: every node's round runs between two
+// barriers, sharded over up to GOMAXPROCS workers (see tickNodes), then
+// the transport delivers what the nodes sent, in deterministic order.
+// Requires a Stepper transport.
 func (c *Cluster) Tick() {
 	if c.step == nil {
 		panic("cluster: Tick over a transport with no lockstep Step; use Serve")
 	}
 	c.memMu.RLock()
 	defer c.memMu.RUnlock()
-	c.start()
 	tick := c.tick.Add(1)
-	live := 0
-	for _, nd := range c.nodes {
-		if nd == nil {
-			continue
-		}
-		nd.tickCh <- tick
-		live++
-	}
-	for i := 0; i < live; i++ {
-		<-c.doneCh
-	}
+	c.tickNodes(tick)
 	c.step.Step(tick)
 	changed := int64(0)
 	for _, nd := range c.nodes {
@@ -792,31 +770,32 @@ func (c *Cluster) Stats() Stats {
 	s.Crashes = int(c.crashes.Load())
 	// Retired nodes' final counters live on in the departed aggregate,
 	// so totals are monotone across churn.
-	snaps := []NodeStats{c.departed.snapshot()}
+	s.add(&c.departed)
 	for _, nd := range c.nodes {
-		if nd == nil {
-			continue
+		if nd != nil {
+			s.add(&nd.stats)
 		}
-		snaps = append(snaps, nd.stats.snapshot())
-	}
-	for _, ns := range snaps {
-		s.FramesSent += ns.FramesSent
-		s.BytesSent += ns.BytesSent
-		s.FramesRecv += ns.FramesRecv
-		s.RxRejected += ns.RxRejected
-		s.HeartbeatsApplied += ns.HeartbeatsApplied
-		s.RegisterWrites += ns.RegisterWrites
-		s.StalenessExpiries += ns.StalenessExpiries
-		s.PacketsForwarded += ns.PacketsForwarded
-		s.PacketsDropped += ns.PacketsDropped
-		s.AnchorsSent += ns.AnchorsSent
-		s.DeltasSent += ns.DeltasSent
-		s.ResyncsSent += ns.ResyncsSent
-		s.DeltaMisses += ns.DeltaMisses
-		s.AdvertsSent += ns.AdvertsSent
-		s.NeighborEvictions += ns.NeighborEvictions
 	}
 	return s
+}
+
+// add folds one counter set into the totals, straight from the atomics.
+func (s *Stats) add(c *nodeCounters) {
+	s.FramesSent += int(c.FramesSent.Load())
+	s.BytesSent += int(c.BytesSent.Load())
+	s.FramesRecv += int(c.FramesRecv.Load())
+	s.RxRejected += int(c.RxRejected.Load())
+	s.HeartbeatsApplied += int(c.HeartbeatsApplied.Load())
+	s.RegisterWrites += int(c.RegisterWrites.Load())
+	s.StalenessExpiries += int(c.StalenessExpiries.Load())
+	s.PacketsForwarded += int(c.PacketsForwarded.Load())
+	s.PacketsDropped += int(c.PacketsDropped.Load())
+	s.AnchorsSent += int(c.AnchorsSent.Load())
+	s.DeltasSent += int(c.DeltasSent.Load())
+	s.ResyncsSent += int(c.ResyncsSent.Load())
+	s.DeltaMisses += int(c.DeltaMisses.Load())
+	s.AdvertsSent += int(c.AdvertsSent.Load())
+	s.NeighborEvictions += int(c.NeighborEvictions.Load())
 }
 
 // MaxRegisterBits returns the largest register over all nodes under the

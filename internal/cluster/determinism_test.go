@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -21,8 +22,14 @@ func flightHash(cl *Cluster) uint64 {
 	for _, tr := range cl.FlightTraces() {
 		fmt.Fprintf(h, "%d/%d:", tr.Node, tr.Dropped)
 		for _, ev := range tr.Events {
-			ev.Wall = 0
-			fmt.Fprintf(h, "%+v;", ev)
+			// Every field but Wall, packed by hand: fmt's reflection made
+			// this loop the bulk of the test under -race.
+			var b [50]byte
+			b[0], b[1] = byte(ev.Kind), byte(ev.Class)
+			for i, w := range [...]uint64{uint64(ev.Node), uint64(ev.Peer), ev.Seq, ev.Arg, ev.Epoch, ev.Tick} {
+				binary.LittleEndian.PutUint64(b[2+8*i:], w)
+			}
+			h.Write(b[:])
 		}
 	}
 	for _, s := range cl.Snapshot(nil) {
@@ -31,24 +38,32 @@ func flightHash(cl *Cluster) uint64 {
 	return h.Sum64()
 }
 
-// traceRun executes one fully seeded cluster run — adversarial init,
-// chaotic transport, packet cohort — and returns the execution-trace
-// hash plus the headline counters. Mirrors the PR 3 scheduler-
-// determinism test at the cluster layer: the node actors genuinely run
-// concurrently, and the BSP barriers plus barrier-time fault decisions
-// must make the whole execution a function of the seed alone.
-func traceRun(t *testing.T, seed int64) (uint64, Stats, GatewayStats, FaultStats, int) {
+// traceRun executes one fully seeded n-node cluster run — adversarial
+// init, chaotic transport when faulty, packet cohort — and returns the
+// execution-trace hash plus the headline counters. Mirrors the PR 3
+// scheduler-determinism test at the cluster layer: the node rounds
+// genuinely run concurrently (once n exceeds one Tick shard), and the
+// BSP barriers plus barrier-time fault decisions must make the whole
+// execution a function of the seed alone.
+func traceRun(t *testing.T, seed int64, n int, faulty bool) (uint64, Stats, GatewayStats, FaultStats, int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	g := graph.RandomConnected(14, 0.3, rng)
-	ft := NewFaultTransport(NewChanTransport(), FaultConfig{
-		Seed: seed + 1, Loss: 0.1, Dup: 0.1, Corrupt: 0.05, Delay: 0.2, MaxDelayTicks: 4})
-	cl, err := New(g, bfs.Algorithm{}, ft, Config{StalenessTTL: 24})
+	g := graph.RandomConnected(n, min(0.3, 8/float64(n)), rng)
+	var tr Transport = NewChanTransport()
+	var ft *FaultTransport
+	if faulty {
+		ft = NewFaultTransport(tr, FaultConfig{
+			Seed: seed + 1, Loss: 0.1, Dup: 0.1, Corrupt: 0.05, Delay: 0.2, MaxDelayTicks: 4})
+		tr = ft
+	}
+	cl, err := New(g, bfs.Algorithm{}, tr, Config{StalenessTTL: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Stop()
-	cl.EnableFlightRecorder(0)
+	// Rings sized so the witness holds ~128k events whatever n: at the
+	// n=14 of TestSeededDeterminism that is more than the default ring.
+	cl.EnableFlightRecorder((1 << 17) / n)
 	gw := NewGateway(cl)
 	cl.InitArbitrary(rand.New(rand.NewSource(seed + 2)))
 	for i := 0; i < 5; i++ {
@@ -63,7 +78,11 @@ func traceRun(t *testing.T, seed int64) (uint64, Stats, GatewayStats, FaultStats
 		cl.Tick()
 	}
 	gw.Expire()
-	return flightHash(cl), cl.Stats(), gw.Stats(), ft.Stats(), ticks
+	var faults FaultStats
+	if ft != nil {
+		faults = ft.Stats()
+	}
+	return flightHash(cl), cl.Stats(), gw.Stats(), faults, ticks
 }
 
 // TestSeededDeterminism: same seed ⇒ identical cluster execution trace
@@ -71,8 +90,8 @@ func traceRun(t *testing.T, seed int64) (uint64, Stats, GatewayStats, FaultStats
 // frame counters, fault schedule, packet outcomes, convergence latency,
 // everything.
 func TestSeededDeterminism(t *testing.T) {
-	h1, s1, g1, f1, t1 := traceRun(t, 42)
-	h2, s2, g2, f2, t2 := traceRun(t, 42)
+	h1, s1, g1, f1, t1 := traceRun(t, 42, 14, true)
+	h2, s2, g2, f2, t2 := traceRun(t, 42, 14, true)
 	if h1 != h2 {
 		t.Errorf("trace hash diverged: %#x vs %#x", h1, h2)
 	}
@@ -91,7 +110,7 @@ func TestSeededDeterminism(t *testing.T) {
 
 	// A different seed must explore a different execution (sanity check
 	// that the trace hash actually covers the run).
-	h3, _, _, _, _ := traceRun(t, 43)
+	h3, _, _, _, _ := traceRun(t, 43, 14, true)
 	if h3 == h1 {
 		t.Errorf("seeds 42 and 43 produced the identical trace %#x", h1)
 	}

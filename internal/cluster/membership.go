@@ -43,7 +43,8 @@ type evictor interface {
 // on its first activation — and opens with a membership advert followed
 // by a self-contained heartbeat, so its neighbors evict whatever they
 // cached about a previous incarnation of the id before fresh state
-// lands. Safe at any point: before the first tick, between ticks, or
+// lands. Safe at any point: before the first tick, between ticks (the
+// next Tick runs the joiner's first round with everyone else's), or
 // mid-Serve (the actor spawns into the running pool).
 func (c *Cluster) Join(id graph.NodeID, edges []graph.Edge) error {
 	c.memMu.Lock()
@@ -109,8 +110,6 @@ func (c *Cluster) admit(id graph.NodeID, ep Endpoint) {
 	c.joins.Add(1)
 	if c.serving {
 		c.spawnServe(nd)
-	} else if c.started {
-		c.spawnLockstep(nd)
 	}
 }
 
@@ -134,7 +133,8 @@ func (c *Cluster) retire(id graph.NodeID, goodbye bool) error {
 	if c.d.N() == 1 {
 		return fmt.Errorf("cluster: refusing to retire the last node")
 	}
-	// Park the actor first; from here the coordinator owns its state.
+	// Park the Serve actor first (a lockstep node has none: between ticks
+	// the coordinator owns every node); from here its state is ours.
 	if nd.running {
 		close(nd.stop)
 		<-nd.stopped
@@ -207,8 +207,9 @@ func (c *Cluster) retire(id graph.NodeID, goodbye bool) error {
 }
 
 // sendGoodbye broadcasts the leave frame on the retiring node's way
-// out. The actor is parked, so the coordinator drives its encoder
-// directly. Caller holds memMu write lock.
+// out. No one else is running the node (retire parked its Serve actor;
+// lockstep has none between ticks), so the coordinator drives its
+// encoder directly. Caller holds memMu write lock.
 func (c *Cluster) sendGoodbye(nd *Node) {
 	nd.seq++
 	data, err := wire.Encode(wire.Frame{Kind: wire.KindLeave, Alg: c.codec.Code(),
@@ -270,8 +271,9 @@ func (c *Cluster) remapAllLocked(reset ...graph.NodeID) {
 // remapNodeLocked re-derives one actor's neighbor row from the shared
 // dense layout. In Serve mode the update is queued and the actor
 // applies it at the top of its next tick or absorb (it may be mid-tick
-// right now); parked actors (lockstep between ticks, or not yet
-// started) take it synchronously. Caller holds memMu write lock.
+// right now); a node no goroutine is running (lockstep between ticks,
+// or Serve not yet started) takes it synchronously. Caller holds memMu
+// write lock.
 func (c *Cluster) remapNodeLocked(nd *Node, reset []graph.NodeID) {
 	i, ok := c.d.IndexOf(nd.id)
 	if !ok {

@@ -14,13 +14,16 @@ import (
 	"silentspan/internal/wire"
 )
 
-// Node is one cluster member: an actor owning exactly its local
+// Node is one cluster member: a state machine owning exactly its local
 // register and a cache of its neighbors' last heartbeat states — the
 // message-passing realization of the paper's single-writer
-// multiple-reader register (Section II-A). All protocol state below is
-// touched only by the node's own goroutine during a tick; the mutex
-// guards the published register (and the data queue's injection side)
-// for between-tick readers like the gateway.
+// multiple-reader register (Section II-A). One goroutine at a time runs
+// its rounds: in lockstep whichever Tick worker claimed its slot (the
+// barrier orders one tick's writes before the next tick's reads), in
+// Serve its own actor goroutine. All protocol state below is touched
+// only from inside such a round; the mutex guards the published
+// register (and the data queue's injection side) for between-tick
+// readers like the gateway.
 type Node struct {
 	id        graph.NodeID
 	slot      int
@@ -31,10 +34,10 @@ type Node struct {
 	codec     wire.Codec
 	alg       runtime.Algorithm
 
-	// Lifecycle plumbing, owned by the cluster coordinator (under
-	// c.memMu): tickCh drives lockstep rounds, stop retires the actor in
-	// either mode, stopped is closed by the actor goroutine on exit.
-	tickCh  chan uint64
+	// Serve-mode lifecycle plumbing, owned by the cluster coordinator
+	// (under c.memMu): stop retires the actor goroutine, stopped is closed
+	// by it on exit, running says one was spawned. Lockstep uses none of
+	// them — Tick calls tick on the node directly.
 	stop    chan struct{}
 	stopped chan struct{}
 	running bool

@@ -52,7 +52,7 @@ type Endpoint interface {
 // buffer Sends during a tick and deliver them at the barrier, in
 // deterministic order — the property the seeded-determinism and
 // certification campaigns build on. Step is called by the cluster
-// coordinator between ticks, with no node goroutine running.
+// coordinator between ticks, with no node round running.
 type Stepper interface {
 	// Step delivers everything sent during the tick that just ended.
 	Step(tick uint64)
@@ -65,8 +65,9 @@ type Stepper interface {
 // during a tick are buffered in sender-owned queues and moved to the
 // recipients' inboxes at the barrier, senders visited in ascending node
 // order. It is lockstep-only (Notify returns nil) and entirely
-// lock-free during ticks: each queue has exactly one owner goroutine,
-// and the coordinator's Step runs while every node is parked.
+// lock-free during ticks: each queue is touched only by the worker
+// running its node's round, and the coordinator's Step runs between
+// rounds, after every worker is done.
 type ChanTransport struct {
 	mu     sync.Mutex // guards Open bookkeeping only
 	eps    map[graph.NodeID]*chanEndpoint
@@ -145,8 +146,8 @@ func (tr *ChanTransport) Close() error { return nil }
 // — its goodbye broadcast must not die in the tick buffer Step would
 // never visit again — then drop it from the delivery directory so a
 // rejoining incarnation of the id can attach fresh instead of failing
-// Open with "already attached". Called by the cluster coordinator with
-// every actor parked, so touching sender-owned buffers is safe.
+// Open with "already attached". Called by the cluster coordinator
+// between ticks, so touching sender-owned buffers is safe.
 func (tr *ChanTransport) Evict(id graph.NodeID) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
@@ -154,15 +155,9 @@ func (tr *ChanTransport) Evict(id graph.NodeID) {
 	if !ok {
 		return
 	}
-	for _, req := range ep.out {
-		if req.dsts != nil {
-			for _, to := range req.dsts {
-				tr.deliverOne(to, req.data)
-			}
-			continue
-		}
-		tr.deliverOne(req.to, req.data)
-	}
+	var moved deliveryTally
+	tr.flush(ep, &moved)
+	tr.account(moved)
 	ep.out = nil
 	delete(tr.eps, id)
 	if i, found := slices.BinarySearchFunc(tr.sorted, ep, func(a, b *chanEndpoint) int {
@@ -175,29 +170,48 @@ func (tr *ChanTransport) Evict(id graph.NodeID) {
 // Step implements Stepper: move every tick-buffered frame into its
 // recipient's inbox, senders in ascending node order.
 func (tr *ChanTransport) Step(uint64) {
+	var moved deliveryTally
 	for _, ep := range tr.sorted {
-		for _, req := range ep.out {
-			if req.dsts != nil {
-				for _, to := range req.dsts {
-					tr.deliverOne(to, req.data)
-				}
-				continue
-			}
-			tr.deliverOne(req.to, req.data)
-		}
-		ep.out = ep.out[:0]
+		tr.flush(ep, &moved)
 	}
+	tr.account(moved)
 }
 
-func (tr *ChanTransport) deliverOne(to graph.NodeID, data []byte) {
+// deliveryTally counts what one barrier moved. Step is the part of a
+// tick no worker can share, so the per-frame work there is kept to the
+// inbox append: the shared counters take one atomic add per barrier, not
+// two per frame (they are read between ticks, after Step returned).
+type deliveryTally struct{ frames, bytes, dropped int64 }
+
+func (tr *ChanTransport) account(t deliveryTally) {
+	tr.delivered.Add(t.frames)
+	tr.deliveredBytes.Add(t.bytes)
+	tr.dropped.Add(t.dropped)
+}
+
+// flush empties ep's tick buffer into the recipients' inboxes.
+func (tr *ChanTransport) flush(ep *chanEndpoint, t *deliveryTally) {
+	for _, req := range ep.out {
+		if req.dsts != nil {
+			for _, to := range req.dsts {
+				tr.deliverOne(to, req.data, t)
+			}
+			continue
+		}
+		tr.deliverOne(req.to, req.data, t)
+	}
+	ep.out = ep.out[:0]
+}
+
+func (tr *ChanTransport) deliverOne(to graph.NodeID, data []byte, t *deliveryTally) {
 	dst, ok := tr.eps[to]
 	if !ok {
-		tr.dropped.Add(1)
+		t.dropped++
 		return
 	}
 	dst.in = append(dst.in, data)
-	tr.delivered.Add(1)
-	tr.deliveredBytes.Add(int64(len(data)))
+	t.frames++
+	t.bytes += int64(len(data))
 }
 
 // InFlight implements Stepper.
