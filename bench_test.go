@@ -329,10 +329,9 @@ func BenchmarkSequentialEngineMST(b *testing.B) {
 
 // BenchmarkEngineBFSStabilization measures raw engine throughput on the
 // serving-scale path: the spanning (BFS) substrate from the post-reset
-// configuration to silence under the synchronous daemon. This is the
-// benchmark behind the PR-over-PR engine comparison in BENCH_pr*.json:
-// it isolates the simulation engine (view building, enabled-set
-// maintenance, scheduler hand-off) from algorithmic round counts.
+// configuration to silence under the synchronous daemon. It isolates
+// the simulation engine (view building, enabled-set maintenance,
+// scheduler hand-off) from algorithmic round counts.
 func BenchmarkEngineBFSStabilization(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
@@ -434,39 +433,6 @@ func BenchmarkScaleBFSRouting(b *testing.B) {
 					b.Fatalf("delivered %d of %d", stats.Delivered, stats.Sent)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkClusterStabilization is the message-passing counterpart of
-// BenchmarkEngineBFSStabilization: the same spanning substrate from the
-// same post-reset configuration, but run as message-passing nodes
-// exchanging wire frames over the in-process transport. The gap between
-// the two is the price of the shared-memory→message-passing transform
-// (frame codec + cache maintenance + barriers) at serving scale.
-func BenchmarkClusterStabilization(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(int64(n)))
-			g := graph.RandomConnected(n, 8/float64(n), rng)
-			g.Dense()
-			b.ResetTimer()
-			var frames int
-			for i := 0; i < b.N; i++ {
-				cl, err := cluster.New(g, spanning.Algorithm{}, cluster.NewChanTransport(), cluster.Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, v := range g.Nodes() {
-					cl.SetState(v, spanning.State{Root: v, Parent: trees.None, Dist: 0})
-				}
-				if _, quiet := cl.RunUntilQuiet(32*n, 4); !quiet {
-					b.Fatal("no quiet")
-				}
-				frames = cl.Stats().FramesSent
-				cl.Stop()
-			}
-			b.ReportMetric(float64(frames), "frames")
 		})
 	}
 }

@@ -1,9 +1,9 @@
 // Command ssbench regenerates every experiment table of the
-// reproduction (E1–E13 plus the A-series ablations, see DESIGN.md §5):
+// reproduction (E1–E12 plus the A-series ablations, see DESIGN.md §5):
 // one table per claim-level figure of the paper, plus the routing
 // serving-layer measurements (E9/E10/A5), the engine scale table
-// (E11), the live-topology churn throughput table (E12), and the
-// message-passing cluster convergence/throughput table (E13).
+// (E11), and the live-topology churn throughput table (E12). The
+// message-passing cluster is measured by the benchmark/ harness.
 //
 // Usage:
 //
@@ -22,7 +22,7 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "smaller sweeps (seconds instead of minutes)")
 	seed := flag.Int64("seed", 1, "base random seed")
-	only := flag.String("only", "", "run a single experiment (E1..E13, A1..A5)")
+	only := flag.String("only", "", "run a single experiment (E1..E12, A1..A5)")
 	flag.Parse()
 
 	type experiment struct {
@@ -48,8 +48,6 @@ func main() {
 	e11pkts := 50_000
 	e12n := []int{100_000, 300_000}
 	e12muts, e12batch, e12pkts := 30_000, 200, 10_000
-	e13n := []int{10_000, 30_000, 100_000}
-	e13pkts := 20_000
 	if *quick {
 		a1n = []int{12, 24}
 		e1n = []int{16, 32, 64}
@@ -69,8 +67,6 @@ func main() {
 		e11pkts = 10_000
 		e12n = []int{100_000}
 		e12muts, e12pkts = 10_000, 5_000
-		e13n = []int{10_000}
-		e13pkts = 5_000
 	}
 
 	experiments := []experiment{
@@ -86,7 +82,6 @@ func main() {
 		{"E10", func() (*bench.Table, error) { return bench.E10Interplay(e10n, e10f, *seed) }},
 		{"E11", func() (*bench.Table, error) { return bench.E11Scale(e11n, e11pkts, *seed) }},
 		{"E12", func() (*bench.Table, error) { return bench.E12Churn(e12n, e12muts, e12batch, e12pkts, *seed) }},
-		{"E13", func() (*bench.Table, error) { return bench.E13Cluster(e13n, e13pkts, *seed) }},
 		{"A1", func() (*bench.Table, error) { return bench.A1Malleability(a1n, *seed) }},
 		{"A2", func() (*bench.Table, error) { return bench.A2NCAEncoding(e2n, *seed) }},
 		{"A3", func() (*bench.Table, error) { return bench.A3Schedulers(e8n, *seed) }},

@@ -91,8 +91,6 @@ func main() {
 	serveFor := flag.Duration("serve-for", 0, "serve mode: exit after this duration (0 = run until signalled)")
 	interval := flag.Duration("interval", 5*time.Millisecond, "serve mode: per-node tick period; shorter converges faster but saturates small machines (staleness flapping)")
 	backoffCap := flag.Int("backoff-cap", 0, "serve mode: max keep-alive gap in ticks while quiet (0 = derive from the staleness TTL, ≈64; clamped so live peers never expire)")
-	minGap := flag.Int("min-gap", 0, "serve mode: min ticks between change-triggered frames (0 = 1; raise to coalesce bursts)")
-	fullEvery := flag.Int("full-every", 0, "serve mode: re-anchor the delta stream with a full frame every this many broadcasts (0 = 16)")
 	churnKill := flag.Int("churn-kill", 0, "serve mode: once quiet, crash this many non-root nodes (connectivity-preserving), then rejoin the same ids after -churn-rejoin-after; tree-out and admin-dir are republished when quiet again")
 	churnRejoin := flag.Duration("churn-rejoin-after", 2*time.Second, "serve mode: how long the killed nodes stay dead before rejoining")
 	traceOn := flag.Bool("trace", false, "serve mode: arm the per-node flight recorder (collect with sstrace, or curl any node's /gettrace)")
@@ -136,8 +134,7 @@ func main() {
 		// cap ((TTL−2)/4 = 64 ticks), so an idle cluster's frame rate sits
 		// well over an order of magnitude below the converging rate.
 		cfg := cluster.Config{
-			Interval: *interval, HeartbeatEvery: 2, StalenessTTL: 258,
-			BackoffCap: *backoffCap, MinGap: *minGap, FullEvery: *fullEvery,
+			Interval: *interval, HeartbeatEvery: 2, StalenessTTL: 258, BackoffCap: *backoffCap,
 		}
 		sv := serveOpts{
 			adminDir: *adminDir, treeOut: *treeOut, serveFor: *serveFor,

@@ -263,12 +263,12 @@ func checkCrawl(cl *cluster.Cluster, net *runtime.Network, g *graph.Graph, rng *
 }
 
 // quietAnnounceBound is the certified detector-latency budget for a
-// quiet cluster: the local-quiet window (defaulting to the staleness
-// TTL), one TTL of report decay, and a per-level propagation allowance
-// with generous headroom for the lossy profiles — reports ride every
-// keep-alive, so a lost frame retries within one back-off gap.
+// quiet cluster: the local-quiet window (the staleness TTL), one TTL of
+// report decay, and a per-level propagation allowance with generous
+// headroom for the lossy profiles — reports ride every keep-alive, so a
+// lost frame retries within one back-off gap.
 func quietAnnounceBound(cl *cluster.Cluster, cfg ClusterConfig) int {
-	window := 4 * cfg.QuietTicks // QuietWindow defaults to the pinned StalenessTTL
+	window := 4 * cfg.QuietTicks // the pinned StalenessTTL
 	cap := max(1, cfg.QuietTicks/3)
 	return 2*window + 8*(cl.Nodes()+2)*(cap+2)
 }

@@ -61,28 +61,15 @@ func adminDistance(s runtime.State) int {
 	return -1
 }
 
-// peerSnap is one cache entry read consistently under the node mutex.
-type peerSnap struct {
-	state runtime.State
-	seen  uint64
-	seq   uint64
-}
-
-// adminSnapshot copies the node's register, clock, neighbor row, and
-// neighbor cache under the mutex — the admin plane's consistent read of
-// a live actor. The neighbor row is cloned because membership churn
-// remaps it in place between reads: peers[j] is always the entry for
-// neighbors[j] of the same snapshot.
-func (nd *Node) adminSnapshot(peers []peerSnap) (runtime.State, uint64, []graph.NodeID, []peerSnap) {
+// adminSnapshot copies the node's register, clock, neighbor row (with
+// the network size it was derived for) and neighbor cache under the
+// mutex — the admin plane's consistent read of a live actor. The row is
+// cloned because membership churn replaces it between reads: peers[j]
+// is always the record for neighbors[j] of the same snapshot.
+func (nd *Node) adminSnapshot() (self runtime.State, n int, tick uint64, neighbors []graph.NodeID, peers []peerState) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	self, tick := nd.self, nd.localTick
-	neighbors := append([]graph.NodeID(nil), nd.neighbors...)
-	peers = peers[:0]
-	for j := range nd.cache {
-		peers = append(peers, peerSnap{state: nd.cache[j], seen: nd.lastSeen[j], seq: nd.lastSeq[j]})
-	}
-	return self, tick, neighbors, peers
+	return nd.self, nd.n, nd.localTick, slices.Clone(nd.neighbors), slices.Clone(nd.nbr)
 }
 
 // nodeAdmin implements ops.NodeAdmin over one node actor. addrOf, when
@@ -103,10 +90,10 @@ func (a nodeAdmin) addr(id graph.NodeID) string {
 
 // AdminSelf implements ops.NodeAdmin.
 func (a nodeAdmin) AdminSelf() ops.SelfInfo {
-	self, tick, neighbors, _ := a.nd.adminSnapshot(nil)
+	self, n, tick, neighbors, _ := a.nd.adminSnapshot()
 	info := ops.SelfInfo{
 		ID:        a.nd.id,
-		N:         a.nd.n,
+		N:         n,
 		Algorithm: a.c.alg.Name(),
 		Codec:     a.c.codec.Name(),
 		Root:      adminRoot(self),
@@ -131,24 +118,24 @@ func (a nodeAdmin) AdminSelf() ops.SelfInfo {
 // AdminPeers implements ops.NodeAdmin: the neighbor cache with the
 // same staleness rule the protocol's step applies.
 func (a nodeAdmin) AdminPeers() ops.PeersInfo {
-	_, tick, neighbors, peers := a.nd.adminSnapshot(nil)
+	_, _, tick, neighbors, peers := a.nd.adminSnapshot()
 	ttl := uint64(a.c.cfg.StalenessTTL)
 	out := ops.PeersInfo{Node: a.nd.id, StalenessTTL: int(ttl), Peers: make([]ops.PeerInfo, 0, len(peers))}
 	for j, p := range peers {
 		pi := ops.PeerInfo{
 			ID:        neighbors[j],
-			Seq:       p.seq,
+			Seq:       p.lastSeq,
 			AgeTicks:  -1,
 			Stale:     true,
 			AdminAddr: a.addr(neighbors[j]),
 		}
-		if p.seen != 0 {
-			pi.AgeTicks = int64(tick - p.seen)
-			pi.Stale = tick-p.seen > ttl
+		if p.lastSeen != 0 {
+			pi.AgeTicks = int64(tick - p.lastSeen)
+			pi.Stale = tick-p.lastSeen > ttl
 		}
-		if p.state != nil {
-			pi.Parent = adminParent(p.state)
-			pi.Register = p.state.String()
+		if p.cache != nil {
+			pi.Parent = adminParent(p.cache)
+			pi.Register = p.cache.String()
 		}
 		out.Peers = append(out.Peers, pi)
 	}
@@ -159,7 +146,7 @@ func (a nodeAdmin) AdminPeers() ops.PeersInfo {
 // its own parent claim plus the children it learned from heartbeats
 // (fresh neighbors whose cached register points here).
 func (a nodeAdmin) AdminTree() ops.TreeInfo {
-	self, tick, neighbors, peers := a.nd.adminSnapshot(nil)
+	self, _, tick, neighbors, peers := a.nd.adminSnapshot()
 	ttl := uint64(a.c.cfg.StalenessTTL)
 	info := ops.TreeInfo{
 		Node:     a.nd.id,
@@ -169,10 +156,10 @@ func (a nodeAdmin) AdminTree() ops.TreeInfo {
 		Children: []graph.NodeID{},
 	}
 	for j, p := range peers {
-		if p.seen == 0 || tick-p.seen > ttl || p.state == nil {
+		if p.lastSeen == 0 || tick-p.lastSeen > ttl || p.cache == nil {
 			continue
 		}
-		if adminParent(p.state) == a.nd.id {
+		if adminParent(p.cache) == a.nd.id {
 			info.Children = append(info.Children, neighbors[j])
 		}
 	}
@@ -188,7 +175,7 @@ func (a nodeAdmin) AdminQuiet() ops.QuietInfo {
 	return ops.QuietInfo{
 		Node:         nd.id,
 		Epoch:        nd.qEpoch,
-		LocalQuiet:   nd.self != nil && nd.localTick-nd.qLastAct >= uint64(a.c.cfg.QuietWindow),
+		LocalQuiet:   nd.localQuiet(nd.localTick, &a.c.cfg),
 		SubtreeQuiet: nd.qOut.Sub,
 		Covered:      nd.qOut.Count,
 		Root:         nd.self != nil && ParentOf(nd.self) == trees.None,

@@ -152,9 +152,7 @@ func TestDeltaAnchorLossHeals(t *testing.T) {
 	g := graph.Ring(8)
 	ft := NewFaultTransport(NewChanTransport(), FaultConfig{Seed: 7, Loss: 1})
 	ft.SetEnabled(false) // clean until the blackout
-	// FullEvery 2 forces anchors into the blackout window, so the
-	// post-blackout deltas are guaranteed to reference a lost anchor.
-	cl, err := New(g, spanning.Algorithm{}, ft, Config{StalenessTTL: 64, FullEvery: 2})
+	cl, err := New(g, spanning.Algorithm{}, ft, Config{StalenessTTL: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,12 +160,16 @@ func TestDeltaAnchorLossHeals(t *testing.T) {
 	cl.InitArbitrary(rand.New(rand.NewSource(41)))
 	converge(t, cl, 4000)
 
-	// Blackout: every frame lost, while registers keep moving so the
-	// senders anchor and delta into the void.
+	// Blackout: every frame lost, while every register is rewritten each
+	// tick, so every sender broadcasts each tick and — the blackout
+	// outlasting two fullEvery periods — anchors into the void at least
+	// twice: the post-blackout deltas are guaranteed to reference a lost
+	// anchor.
 	ft.SetEnabled(true)
-	nodes := g.Nodes()
-	for i := 0; i < 10; i++ {
-		cl.SetState(nodes[i%len(nodes)], spanning.State{Root: nodes[i%len(nodes)], Parent: trees.None, Dist: 0})
+	for i := 0; i < 2*fullEvery+2; i++ {
+		for _, v := range g.Nodes() {
+			cl.SetState(v, spanning.State{Root: v, Parent: trees.None, Dist: 0})
+		}
 		cl.Tick()
 	}
 	ft.SetEnabled(false)

@@ -33,6 +33,14 @@
 // A Gateway (gateway.go) rides on top, maintaining a
 // routing.LiveLabeler over the live registers and carrying routed
 // packets hop-by-hop as data frames through the same transport.
+//
+// Locking: Cluster.memMu guards the membership view and nests outside
+// everything else. A Node's mu guards what other goroutines see of it —
+// the register, the neighbor row with its one peerState record per
+// neighbor, the parked-packet queue, the local clock and the detector
+// round; its sender-side stream, cadence and scratch buffers belong to
+// whichever goroutine runs its round, and its counters are atomics (the
+// Node struct is laid out in that order).
 package cluster
 
 import (
@@ -61,11 +69,9 @@ type Config struct {
 	// StalenessTTL is the cache expiry in local ticks: a neighbor not
 	// heard from for longer reads as unknown (nil state). Must comfortably
 	// exceed HeartbeatEvery plus the worst transport delay, or live
-	// neighbors flap in and out of existence (default 12).
+	// neighbors flap in and out of existence (default 12). It is also the
+	// termination detector's local-quiet window (see Node.localQuiet).
 	StalenessTTL int
-	// MaxHold is a parked packet's stall budget in ticks before it is
-	// dropped (default 256 — labelings heal within a convergence).
-	MaxHold int
 	// Interval is the free-running tick period (default 2ms).
 	Interval time.Duration
 	// BackoffCap bounds the keep-alive back-off in ticks: while a node's
@@ -76,23 +82,24 @@ type Config struct {
 	// value to (StalenessTTL−2)/2 (one tolerated loss) — beyond that a
 	// merely quiet neighbor would flap stale.
 	BackoffCap int
-	// MinGap is the minimum ticks between frames triggered by register
-	// changes (default 1): a burst of moves coalesces instead of
-	// broadcasting per change.
-	MinGap int
-	// FullEvery re-anchors the delta stream with a self-contained frame
-	// every this many broadcasts (default 16), bounding how long a
-	// receiver that lost the anchor waits before the stream self-heals
-	// even without its resync request getting through.
-	FullEvery int
-	// QuietWindow is the termination detector's local-quiet window in
-	// ticks: a node claims its own silence only after this many ticks
-	// without a register write or membership event. The default is
-	// StalenessTTL — comfortably above the freshness-pull repair horizon
-	// (~1.5·BackoffCap), so a lost frame's delayed repair write cannot
-	// race an already-launched quiet claim (DESIGN.md §13).
-	QuietWindow int
 }
+
+// The rest of the protocol's timing is fixed, not configured: each
+// value below is sound for every Config fill accepts, and none trades
+// against the four fields above.
+const (
+	// minGap is the minimum ticks between frames triggered by register
+	// changes: a burst of moves within one tick coalesces into one frame.
+	minGap = 1
+	// fullEvery re-anchors the delta stream with a self-contained frame
+	// every this many broadcasts, bounding how long a receiver that lost
+	// the anchor waits before the stream self-heals even without its
+	// resync request getting through.
+	fullEvery = 16
+	// maxHold is a parked packet's stall budget in ticks before it is
+	// dropped — labelings heal within a convergence.
+	maxHold = 256
+)
 
 func (c *Config) fill() {
 	if c.HeartbeatEvery == 0 {
@@ -100,9 +107,6 @@ func (c *Config) fill() {
 	}
 	if c.StalenessTTL == 0 {
 		c.StalenessTTL = 12
-	}
-	if c.MaxHold == 0 {
-		c.MaxHold = 256
 	}
 	if c.Interval == 0 {
 		c.Interval = 2 * time.Millisecond
@@ -117,39 +121,18 @@ func (c *Config) fill() {
 		c.BackoffCap = hard
 	}
 	c.BackoffCap = max(c.BackoffCap, c.HeartbeatEvery, 1)
-	if c.MinGap == 0 {
-		c.MinGap = 1
-	}
-	if c.FullEvery == 0 {
-		c.FullEvery = 16
-	}
-	if c.QuietWindow == 0 {
-		c.QuietWindow = c.StalenessTTL
-	}
 }
 
-// Stats aggregates the cluster's transport activity. It reads atomic
-// per-node counters, so it is safe to call at any time — including
-// concurrently with Tick or Serve.
+// Stats aggregates the cluster's transport activity: the sum of every
+// node's counters, retired nodes included, plus the membership events.
+// It reads atomic per-node counters, so it is safe to call at any time —
+// including concurrently with Tick or Serve.
 type Stats struct {
-	FramesSent, BytesSent  int
-	FramesRecv, RxRejected int
-	HeartbeatsApplied      int
-	RegisterWrites         int
-	StalenessExpiries      int
-	PacketsForwarded       int
-	PacketsDropped         int
-	// Delta-protocol accounting.
-	AnchorsSent int
-	DeltasSent  int
-	ResyncsSent int
-	DeltaMisses int
+	NodeStats
 	// Membership accounting (all zero in a churn-free run).
-	AdvertsSent       int
-	NeighborEvictions int
-	Joins             int
-	Leaves            int
-	Crashes           int
+	Joins   int
+	Leaves  int
+	Crashes int
 }
 
 // Cluster binds a graph, an algorithm, a wire codec, and a transport
@@ -308,20 +291,6 @@ func (c *Cluster) newMember(id graph.NodeID, i int, ep Endpoint) *Node {
 func (c *Cluster) registerMetrics() {
 	reg := ops.NewRegistry()
 	c.metrics = reg
-	sum := func(field func(*nodeCounters) *atomic.Int64) func() float64 {
-		return func() float64 {
-			c.memMu.RLock()
-			defer c.memMu.RUnlock()
-			t := field(&c.departed).Load()
-			for _, nd := range c.nodes {
-				if nd == nil {
-					continue
-				}
-				t += field(&nd.stats).Load()
-			}
-			return float64(t)
-		}
-	}
 	reg.GaugeFunc("ss_cluster_nodes", "Live cluster size.", nil,
 		func() float64 {
 			c.memMu.RLock()
@@ -334,36 +303,19 @@ func (c *Cluster) registerMetrics() {
 		func() float64 { return float64(c.leaves.Load()) })
 	reg.CounterFunc("ss_cluster_crashes_total", "Nodes killed without a goodbye.", nil,
 		func() float64 { return float64(c.crashes.Load()) })
-	reg.CounterFunc("ss_cluster_adverts_sent_total", "Membership beacons broadcast by (re)joining nodes.", nil,
-		sum(func(s *nodeCounters) *atomic.Int64 { return &s.AdvertsSent }))
-	reg.CounterFunc("ss_cluster_neighbor_evictions_total", "Neighbor cache entries evicted by goodbyes or reset by adverts.", nil,
-		sum(func(s *nodeCounters) *atomic.Int64 { return &s.NeighborEvictions }))
-	reg.CounterFunc("ss_cluster_frames_sent_total", "Frames sent by all nodes (heartbeats + data).", nil,
-		sum(func(s *nodeCounters) *atomic.Int64 { return &s.FramesSent }))
-	reg.CounterFunc("ss_cluster_bytes_sent_total", "Payload bytes sent by all nodes.", nil,
-		sum(func(s *nodeCounters) *atomic.Int64 { return &s.BytesSent }))
-	reg.CounterFunc("ss_cluster_frames_received_total", "Frames delivered to all nodes.", nil,
-		sum(func(s *nodeCounters) *atomic.Int64 { return &s.FramesRecv }))
-	reg.CounterFunc("ss_cluster_frames_rejected_total", "Frames rejected (checksum, codec, non-neighbor, stale seq).", nil,
-		sum(func(s *nodeCounters) *atomic.Int64 { return &s.RxRejected }))
-	reg.CounterFunc("ss_cluster_heartbeats_applied_total", "Heartbeats accepted into neighbor caches.", nil,
-		sum(func(s *nodeCounters) *atomic.Int64 { return &s.HeartbeatsApplied }))
-	reg.CounterFunc("ss_cluster_register_writes_total", "δ-driven register changes (moves) across all nodes; flat once silent.", nil,
-		sum(func(s *nodeCounters) *atomic.Int64 { return &s.RegisterWrites }))
-	reg.CounterFunc("ss_cluster_staleness_expiries_total", "Neighbor-cache entries that expired after being heard.", nil,
-		sum(func(s *nodeCounters) *atomic.Int64 { return &s.StalenessExpiries }))
-	reg.CounterFunc("ss_cluster_packets_forwarded_total", "Routed packet hops forwarded by all nodes.", nil,
-		sum(func(s *nodeCounters) *atomic.Int64 { return &s.PacketsForwarded }))
-	reg.CounterFunc("ss_cluster_packets_dropped_total", "Routed packets dropped at nodes (hop/stall budget).", nil,
-		sum(func(s *nodeCounters) *atomic.Int64 { return &s.PacketsDropped }))
-	reg.CounterFunc("ss_cluster_anchor_frames_total", "Self-contained (anchor) heartbeat frames broadcast.", nil,
-		sum(func(s *nodeCounters) *atomic.Int64 { return &s.AnchorsSent }))
-	reg.CounterFunc("ss_cluster_delta_frames_total", "Delta heartbeat frames broadcast.", nil,
-		sum(func(s *nodeCounters) *atomic.Int64 { return &s.DeltasSent }))
-	reg.CounterFunc("ss_cluster_resync_frames_total", "Re-anchor requests sent.", nil,
-		sum(func(s *nodeCounters) *atomic.Int64 { return &s.ResyncsSent }))
-	reg.CounterFunc("ss_cluster_delta_misses_total", "Received deltas dropped for want of their anchor.", nil,
-		sum(func(s *nodeCounters) *atomic.Int64 { return &s.DeltaMisses }))
+	for i, m := range counterMetrics {
+		reg.CounterFunc(m.name, m.help, nil, func() float64 {
+			c.memMu.RLock()
+			defer c.memMu.RUnlock()
+			t := c.departed[i].Load()
+			for _, nd := range c.nodes {
+				if nd != nil {
+					t += nd.stats[i].Load()
+				}
+			}
+			return float64(t)
+		})
+	}
 	reg.GaugeFunc("ss_cluster_ticks", "Lockstep ticks driven so far.", nil,
 		func() float64 { return float64(c.tick.Load()) })
 	reg.GaugeFunc("ss_cluster_changed_last_tick", "Registers that changed in the last lockstep tick (0 = converging toward silence).", nil,
@@ -644,33 +596,32 @@ func (c *Cluster) Serve(ctx context.Context) error {
 		c.spawnServe(nd)
 	}
 	c.memMu.Unlock()
+	// Until ctx is cancelled Serve's own goroutine polls the gateway
+	// labeling (a goroutine of its own could still be inside gw.refresh
+	// when Serve returns). The labeling only moves when some register
+	// did: a quiet cluster skips the O(n) register sweep instead of
+	// re-reading every node per tick forever. regWrites is the
+	// cluster-level write counter every setState bumps — monotone, one
+	// atomic load per poll.
+	var poll <-chan time.Time // stays nil without a gateway
 	if c.gw != nil {
-		go func() {
-			ticker := time.NewTicker(c.cfg.Interval)
-			defer ticker.Stop()
-			// The labeling only moves when some register did: a quiet
-			// cluster skips the O(n) register sweep instead of re-reading
-			// every node per tick forever. regWrites is the cluster-level
-			// write counter every setState bumps — monotone, one atomic
-			// load per poll, where the per-node Stats() sweep it replaced
-			// was O(n) under memMu even when nothing moved.
-			lastWrites := int64(-1)
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-ticker.C:
-					if w := c.regWrites.Load(); w != lastWrites {
-						lastWrites = w
-						c.memMu.RLock()
-						c.gw.refresh()
-						c.memMu.RUnlock()
-					}
-				}
-			}
-		}()
+		ticker := time.NewTicker(c.cfg.Interval)
+		defer ticker.Stop()
+		poll = ticker.C
 	}
-	<-ctx.Done()
+	lastWrites := int64(-1)
+	for ctx.Err() == nil {
+		select {
+		case <-ctx.Done():
+		case <-poll:
+			if w := c.regWrites.Load(); w != lastWrites {
+				lastWrites = w
+				c.memMu.RLock()
+				c.gw.refresh()
+				c.memMu.RUnlock()
+			}
+		}
+	}
 	c.memMu.Lock()
 	c.serving = false
 	c.memMu.Unlock()
@@ -714,7 +665,7 @@ func (c *Cluster) spawnServe(nd *Node) {
 				// Receive path: ingest only. Stepping and broadcasting
 				// stay on the ticker, so the send rate is bound to
 				// Interval no matter how fast frames arrive.
-				nd.absorb(&c.cfg, c.gw)
+				nd.receive(nd.localTick, c.gw)
 			case <-ticker.C:
 				nd.tick(nd.localTick+1, &c.cfg, c.gw)
 			}
@@ -764,38 +715,17 @@ func (c *Cluster) Mirror() (*runtime.Network, error) {
 func (c *Cluster) Stats() Stats {
 	c.memMu.RLock()
 	defer c.memMu.RUnlock()
-	var s Stats
-	s.Joins = int(c.joins.Load())
-	s.Leaves = int(c.leaves.Load())
-	s.Crashes = int(c.crashes.Load())
 	// Retired nodes' final counters live on in the departed aggregate,
 	// so totals are monotone across churn.
-	s.add(&c.departed)
+	var sum nodeCounters
+	sum.fold(&c.departed)
 	for _, nd := range c.nodes {
 		if nd != nil {
-			s.add(&nd.stats)
+			sum.fold(&nd.stats)
 		}
 	}
-	return s
-}
-
-// add folds one counter set into the totals, straight from the atomics.
-func (s *Stats) add(c *nodeCounters) {
-	s.FramesSent += int(c.FramesSent.Load())
-	s.BytesSent += int(c.BytesSent.Load())
-	s.FramesRecv += int(c.FramesRecv.Load())
-	s.RxRejected += int(c.RxRejected.Load())
-	s.HeartbeatsApplied += int(c.HeartbeatsApplied.Load())
-	s.RegisterWrites += int(c.RegisterWrites.Load())
-	s.StalenessExpiries += int(c.StalenessExpiries.Load())
-	s.PacketsForwarded += int(c.PacketsForwarded.Load())
-	s.PacketsDropped += int(c.PacketsDropped.Load())
-	s.AnchorsSent += int(c.AnchorsSent.Load())
-	s.DeltasSent += int(c.DeltasSent.Load())
-	s.ResyncsSent += int(c.ResyncsSent.Load())
-	s.DeltaMisses += int(c.DeltaMisses.Load())
-	s.AdvertsSent += int(c.AdvertsSent.Load())
-	s.NeighborEvictions += int(c.NeighborEvictions.Load())
+	return Stats{NodeStats: sum.snapshot(), Joins: int(c.joins.Load()),
+		Leaves: int(c.leaves.Load()), Crashes: int(c.crashes.Load())}
 }
 
 // MaxRegisterBits returns the largest register over all nodes under the

@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"bytes"
+	"context"
 	"math/rand"
 	goruntime "runtime"
 	"testing"
+	"time"
 
 	"silentspan/internal/graph"
 	"silentspan/internal/spanning"
@@ -129,5 +132,56 @@ func TestLockstepStopThenTick(t *testing.T) {
 		converge(t, cl, 100*n)
 		checkSilentTree(t, cl)
 		cl.Stop()
+	}
+}
+
+// deafTransport is an async transport that carries nothing: endpoints
+// swallow every frame and never notify — all Serve needs to run its
+// goroutines, with no socket.
+type deafTransport struct{}
+
+func (deafTransport) Open(graph.NodeID) (Endpoint, error) { return deafEndpoint{}, nil }
+func (deafTransport) Close() error                        { return nil }
+
+type deafEndpoint struct{}
+
+var deafNotify = make(chan struct{})
+
+func (deafEndpoint) Send(graph.NodeID, []byte) error        { return nil }
+func (deafEndpoint) Broadcast([]graph.NodeID, []byte) error { return nil }
+func (deafEndpoint) Drain(into [][]byte) [][]byte           { return into }
+func (deafEndpoint) Notify() <-chan struct{}                { return deafNotify }
+func (deafEndpoint) Close() error                           { return nil }
+
+// TestServeOutlivesItsGoroutines: when Serve returns, nothing it
+// started is still running — in particular not the gateway-labeling
+// poll, which refreshes the labeling under the cluster's locks. The
+// all-goroutine stack dump taken right after the return must hold no
+// frame inside Serve and no goroutine created by it. Register writes
+// are simulated throughout, so every poll tick finds a refresh to do.
+// No sleep: a poll on its own goroutine is caught within the first few
+// rounds.
+func TestServeOutlivesItsGoroutines(t *testing.T) {
+	g := graph.Ring(3)
+	stack := make([]byte, 1<<20)
+	for round := 0; round < 50; round++ {
+		cl, err := New(g, spanning.Algorithm{}, deafTransport{}, Config{Interval: 100 * time.Microsecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		NewGateway(cl)
+		ctx, cancel := context.WithCancel(context.Background())
+		served := make(chan error, 1)
+		go func() { served <- cl.Serve(ctx) }()
+		for i := 0; i < 200; i++ {
+			cl.regWrites.Add(1)
+			goruntime.Gosched()
+		}
+		cancel()
+		<-served
+		dump := stack[:goruntime.Stack(stack, true)]
+		if i := bytes.Index(dump, []byte("(*Cluster).Serve")); i >= 0 {
+			t.Fatalf("round %d: a goroutine is still inside Serve after it returned:\n%s", round, dump[i:min(i+400, len(dump))])
+		}
 	}
 }

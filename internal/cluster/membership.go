@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"silentspan/internal/graph"
 	"silentspan/internal/trace"
@@ -152,10 +153,10 @@ func (c *Cluster) retire(id graph.NodeID, goodbye bool) error {
 	if c.gw != nil {
 		nd.mu.Lock()
 		q := nd.dataQ
-		nd.dataQ, nd.heldSince = nil, nil
+		nd.dataQ = nil
 		nd.mu.Unlock()
-		for _, p := range q {
-			c.gw.orphan(p)
+		for _, pk := range q {
+			c.gw.orphan(pk.p)
 		}
 	}
 	// The counters must not vanish from cluster totals (a scrape would
@@ -270,7 +271,7 @@ func (c *Cluster) remapAllLocked(reset ...graph.NodeID) {
 
 // remapNodeLocked re-derives one actor's neighbor row from the shared
 // dense layout. In Serve mode the update is queued and the actor
-// applies it at the top of its next tick or absorb (it may be mid-tick
+// applies it at the top of its next receive (it may be mid-tick
 // right now); a node no goroutine is running (lockstep between ticks,
 // or Serve not yet started) takes it synchronously. Caller holds memMu
 // write lock.
@@ -286,6 +287,12 @@ func (c *Cluster) remapNodeLocked(nd *Node, reset []graph.NodeID) {
 		reset:     reset,
 	}
 	nd.mu.Lock()
+	// A still-pending remap is superseded, but its reset ids are not: the
+	// actor has not wiped them yet (two membership ops inside one
+	// Interval), and a recycled id must reset even if its advert is lost.
+	if old := nd.pendingRemap; old != nil {
+		r.reset = slices.Concat(old.reset, reset)
+	}
 	if c.serving && nd.running {
 		nd.pendingRemap = r
 	} else {
@@ -293,24 +300,4 @@ func (c *Cluster) remapNodeLocked(nd *Node, reset []graph.NodeID) {
 		nd.applyRemapLocked(r)
 	}
 	nd.mu.Unlock()
-}
-
-// fold adds every counter of from into c — the retirement path that
-// keeps cluster-level totals monotone across churn.
-func (c *nodeCounters) fold(from *nodeCounters) {
-	c.FramesSent.Add(from.FramesSent.Load())
-	c.BytesSent.Add(from.BytesSent.Load())
-	c.FramesRecv.Add(from.FramesRecv.Load())
-	c.RxRejected.Add(from.RxRejected.Load())
-	c.HeartbeatsApplied.Add(from.HeartbeatsApplied.Load())
-	c.PacketsForwarded.Add(from.PacketsForwarded.Load())
-	c.PacketsDropped.Add(from.PacketsDropped.Load())
-	c.RegisterWrites.Add(from.RegisterWrites.Load())
-	c.StalenessExpiries.Add(from.StalenessExpiries.Load())
-	c.AnchorsSent.Add(from.AnchorsSent.Load())
-	c.DeltasSent.Add(from.DeltasSent.Load())
-	c.ResyncsSent.Add(from.ResyncsSent.Load())
-	c.DeltaMisses.Add(from.DeltaMisses.Load())
-	c.AdvertsSent.Add(from.AdvertsSent.Load())
-	c.NeighborEvictions.Add(from.NeighborEvictions.Load())
 }

@@ -60,7 +60,7 @@ func TestJoinLeaveCrashLockstep(t *testing.T) {
 	}
 	cl.Tick() // deliver the goodbye
 	for _, v := range cl.Graph().Nodes() {
-		_, _, neighbors, _ := cl.Node(v).adminSnapshot(nil)
+		_, _, _, neighbors, _ := cl.Node(v).adminSnapshot()
 		if slices.Contains(neighbors, 5) {
 			t.Fatalf("node %d still lists the leaver as a neighbor", v)
 		}
@@ -142,17 +142,17 @@ func TestRejoinAfterCrash(t *testing.T) {
 	// A neighbor must hold a fresh, non-stale entry for the rejoiner
 	// with a seq above everything the old incarnation sent.
 	nb := cl.Node(g.Neighbors(victim)[0])
-	_, tick, neighbors, peers := nb.adminSnapshot(nil)
+	_, _, tick, neighbors, peers := nb.adminSnapshot()
 	j := slices.Index(neighbors, victim)
 	if j < 0 {
 		t.Fatalf("rejoiner missing from neighbor row %v", neighbors)
 	}
 	p := peers[j]
-	if p.seen == 0 || tick-p.seen > uint64(cl.cfg.StalenessTTL) {
-		t.Fatalf("rejoiner's cache entry stale after convergence: seen=%d tick=%d", p.seen, tick)
+	if p.lastSeen == 0 || tick-p.lastSeen > uint64(cl.cfg.StalenessTTL) {
+		t.Fatalf("rejoiner's cache entry stale after convergence: seen=%d tick=%d", p.lastSeen, tick)
 	}
-	if p.seq <= oldSeq {
-		t.Fatalf("neighbor accepted seq %d not above the old incarnation's %d", p.seq, oldSeq)
+	if p.lastSeq <= oldSeq {
+		t.Fatalf("neighbor accepted seq %d not above the old incarnation's %d", p.lastSeq, oldSeq)
 	}
 }
 
@@ -622,6 +622,74 @@ func TestServeCrashRejoin(t *testing.T) {
 	}
 	if diffs := rep.DiffParents(want); len(diffs) != 0 {
 		t.Fatalf("crawl diverges from mirror: %v", diffs)
+	}
+}
+
+// TestRemapPeerState: a remap carries the whole record of every
+// neighbor that persists and starts every other one from zero — new
+// ids, ids in the reset list (a recycled id rejoining), and ids that
+// left the row and came back — and each remap is a membership event:
+// one epoch bump, mirrored, with an urgent report pending.
+func TestRemapPeerState(t *testing.T) {
+	rec := func(id uint64) peerState {
+		return peerState{cache: spanning.State{Root: 1, Parent: 1, Dist: int(id)}, lastSeen: id, lastSeq: 10 * id,
+			wasStale: true, anchor: spanning.State{Root: 1}, anchorSeq: id, lastResync: id,
+			admin: fmt.Sprint("addr", id), q: wire.QuietReport{Epoch: id, Sub: true, Count: id}}
+	}
+	nd := newNode(1, 0, 4, []graph.NodeID{2, 3, 5}, []graph.Weight{1, 1, 1}, nil, nil, nil)
+	nd.nbr = []peerState{rec(2), rec(3), rec(5)}
+	for _, tc := range []struct {
+		name  string
+		remap nodeRemap
+		want  []peerState
+	}{
+		{"persisting 2 and 3, new 4, departed 5",
+			nodeRemap{n: 4, neighbors: []graph.NodeID{2, 3, 4}}, []peerState{rec(2), rec(3), {}}},
+		{"3 in reset, 5 returned",
+			nodeRemap{n: 5, neighbors: []graph.NodeID{2, 3, 4, 5}, reset: []graph.NodeID{3}}, []peerState{rec(2), {}, {}, {}}},
+	} {
+		tc.remap.weights = make([]graph.Weight, len(tc.remap.neighbors))
+		epoch := nd.qEpoch
+		nd.qDirty = false
+		nd.mu.Lock()
+		nd.applyRemapLocked(&tc.remap)
+		nd.mu.Unlock()
+		if !slices.Equal(nd.nbr, tc.want) {
+			t.Errorf("%s: records\n got %+v\nwant %+v", tc.name, nd.nbr, tc.want)
+		}
+		if !slices.Equal(nd.neighbors, tc.remap.neighbors) || nd.n != tc.remap.n || len(nd.peers) != len(nd.nbr) {
+			t.Errorf("%s: row n=%d neighbors=%v peers=%d", tc.name, nd.n, nd.neighbors, len(nd.peers))
+		}
+		if nd.qEpoch != epoch+1 || nd.epochMirror.Load() != nd.qEpoch || !nd.qDirty {
+			t.Errorf("%s: epoch %d -> %d (mirror %d, dirty %v), want one mirrored bump and a pending report",
+				tc.name, epoch, nd.qEpoch, nd.epochMirror.Load(), nd.qDirty)
+		}
+	}
+}
+
+// TestPendingRemapKeepsResets: two membership operations inside one
+// Interval queue two remaps before a Serve actor applies either. The
+// second replaces the first's row, but must not lose its reset ids: a
+// recycled id resets unconditionally, even if its advert is lost.
+func TestPendingRemapKeepsResets(t *testing.T) {
+	cl, err := New(graph.Path(3), spanning.Algorithm{}, NewChanTransport(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd := cl.Node(1) // its one neighbor is 2
+	nd.nbr[0] = peerState{lastSeen: 3, lastSeq: 9}
+	// Pose as mid-Serve: remaps queue for the actor instead of applying.
+	cl.memMu.Lock()
+	cl.serving, nd.running = true, true
+	cl.remapNodeLocked(nd, []graph.NodeID{2})
+	cl.remapNodeLocked(nd, nil)
+	cl.memMu.Unlock()
+	if r := nd.pendingRemap; r == nil || !slices.Contains(r.reset, 2) {
+		t.Fatalf("pending remap %+v lost the earlier remap's reset of 2", r)
+	}
+	nd.receive(1, nil)
+	if nd.pendingRemap != nil || nd.nbr[0] != (peerState{}) {
+		t.Fatalf("after the actor's next receive: pending %v, record of 2 %+v, want applied and zeroed", nd.pendingRemap, nd.nbr[0])
 	}
 }
 

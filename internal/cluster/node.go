@@ -18,21 +18,18 @@ import (
 // register and a cache of its neighbors' last heartbeat states — the
 // message-passing realization of the paper's single-writer
 // multiple-reader register (Section II-A). One goroutine at a time runs
-// its rounds: in lockstep whichever Tick worker claimed its slot (the
-// barrier orders one tick's writes before the next tick's reads), in
-// Serve its own actor goroutine. All protocol state below is touched
-// only from inside such a round; the mutex guards the published
-// register (and the data queue's injection side) for between-tick
-// readers like the gateway.
+// its rounds (the owner): in lockstep whichever Tick worker claimed its
+// slot (the barrier orders one tick's writes before the next tick's
+// reads), in Serve its own actor goroutine. The fields are grouped by
+// who may touch them: fixed at construction, coordinator-owned, guarded
+// by mu (everything a between-tick reader — gateway, admin plane,
+// coordinator — sees), owner-only, and atomics.
 type Node struct {
-	id        graph.NodeID
-	slot      int
-	n         int            // network size (the model's known bound)
-	neighbors []graph.NodeID // ascending; cloned from graph.Dense
-	weights   []graph.Weight // parallel to neighbors, cloned
-	ep        Endpoint
-	codec     wire.Codec
-	alg       runtime.Algorithm
+	id    graph.NodeID
+	slot  int
+	ep    Endpoint
+	codec wire.Codec
+	alg   runtime.Algorithm
 
 	// Serve-mode lifecycle plumbing, owned by the cluster coordinator
 	// (under c.memMu): stop retires the actor goroutine, stopped is closed
@@ -42,77 +39,41 @@ type Node struct {
 	stopped chan struct{}
 	running bool
 
+	// mu guards every field down to qAnnEp: every write holds it, and so
+	// does every read from outside the owning goroutine (gateway, admin
+	// plane, coordinator). The owner reads lock-free whatever nobody else
+	// writes while it runs — all but pendingRemap, adminAddr, dataQ,
+	// changedSince and the detector round.
 	mu   sync.Mutex
 	self runtime.State
-
+	// The neighbor row: network size (the model's known bound), neighbor
+	// ids ascending with their weights, and everything cached about each
+	// neighbor (peerState), all parallel. Replaced as a whole by
+	// applyRemapLocked.
+	n         int
+	neighbors []graph.NodeID
+	weights   []graph.Weight
+	nbr       []peerState
 	// pendingRemap carries a neighbor-row update queued by the
 	// coordinator while the actor may be mid-tick (Serve mode); the
-	// actor applies it at the top of its next tick or absorb. Guarded by
-	// mu. Lockstep remaps apply synchronously instead (actors are parked
-	// between ticks).
+	// actor applies it at the top of its next receive. Lockstep remaps
+	// apply synchronously instead (no one runs a node between ticks).
 	pendingRemap *nodeRemap
-	// advertPending arms the membership beacon: the node's next tick
-	// opens with a KindAdvert broadcast (set on Join, before the actor
-	// spawns; consumed by the actor).
-	advertPending bool
 	// adminAddr is the ops-plane address carried in this node's adverts
-	// (empty without an admin server). Guarded by mu.
+	// (empty without an admin server).
 	adminAddr string
-
-	// Neighbor-state cache, parallel to neighbors. lastSeen is the local
-	// tick of the last accepted heartbeat (0 = never); lastSeq the
-	// highest accepted sequence number, which rejects duplicated and
-	// reordered-stale heartbeats. Cache writes happen under mu so the
-	// admin plane can snapshot a live node; the owning goroutine's own
-	// reads stay lock-free (it is the only writer).
-	cache    []runtime.State
-	lastSeen []uint64
-	lastSeq  []uint64
-	peers    []runtime.State // per-tick effective view (staleness applied)
-	// wasStale tracks each entry's staleness as of the last step, so
-	// fresh→stale transitions are counted exactly once per expiry.
-	wasStale []bool
-
-	// Receiver-side delta anchors, parallel to neighbors: the register
-	// and seq of the last self-contained frame accepted per neighbor —
-	// the base the sender's deltas are applied against. lastResync
-	// rate-limits re-anchor requests to one per neighbor per tick.
-	anchorRx    []runtime.State
-	anchorSeqRx []uint64
-	lastResync  []uint64
-	// peerAdmin holds advert-learned ops-plane addresses, parallel to
-	// neighbors — the decentralized leg of admin discovery.
-	peerAdmin []string
-
 	// dataQ holds routed packets parked at this node (in flight, or
-	// stalled on an unroutable labeling). heldSince is parallel.
-	dataQ     []wire.Packet
-	heldSince []uint64
-
-	seq       uint64 // own heartbeat counter
+	// stalled on an unroutable labeling); the gateway injects into it.
+	dataQ     []parked
 	localTick uint64
-	changed   bool   // register changed during the last tick
-	lastHB    uint64 // local tick of the last broadcast (cadence metric)
-
-	// Sender-side delta and cadence state (actor-owned; changedSince is
-	// also set under mu by out-of-band register writes between ticks).
-	anchorState   runtime.State // register as of the last self-contained broadcast
-	anchorSeq     uint64
-	sinceFull     int  // broadcasts since the last self-contained frame
-	resyncPending bool // some neighbor asked to re-anchor
-	changedSince  bool // register changed since the last broadcast
-	gap           uint64
-	nextHB        uint64 // local tick the next keep-alive is due
-
-	// Termination-detector state (quiet.go). qRx caches the last
-	// accepted quiet report per neighbor, parallel to neighbors. The
-	// scalar fields are the node's own detector round: its write epoch
-	// (a Lamport clock over register writes and membership events), the
-	// local tick of its last activity, the report its frames carry, and
-	// whether it is a root with an active announcement. All are guarded
-	// by mu: out-of-band writes and the admin plane touch them from
-	// outside the actor goroutine.
-	qRx      []wire.QuietReport
+	// changedSince says the register changed since the last broadcast
+	// (out-of-band writes set it between ticks).
+	changedSince bool
+	// Termination-detector round (quiet.go; the reports heard from
+	// neighbors live in nbr): the write epoch (a Lamport clock over
+	// register writes and membership events), the local tick of the last
+	// activity, the report this node's frames carry, and whether it is a
+	// root with an active announcement.
 	qWrote   bool   // register written since the last detector round
 	qEpoch   uint64 // write epoch; joins to the max epoch heard
 	qLastAct uint64 // local tick of the last write or eviction
@@ -121,32 +82,80 @@ type Node struct {
 	qAnnRoot bool   // this node is a root with an active announcement
 	qAnnEp   uint64 // epoch of the root's active announcement
 
-	// noteAnn reports root-announcement transitions to the cluster;
-	// writeCount and writeClock mirror every register write into
-	// cluster-level aggregates. All nil for standalone nodes.
+	// Owner-only from here to drainBuf (the coordinator sets seq,
+	// advertPending and resyncPending on a joiner before anyone runs it).
+	// advertPending arms the membership beacon: the node's next tick
+	// opens with a KindAdvert broadcast.
+	advertPending bool
+	peers         []runtime.State // per-tick effective view of nbr (staleness applied)
+	changed       bool            // register changed during the last tick
+	// Sender-side delta stream and keep-alive cadence.
+	seq           uint64        // own heartbeat counter
+	anchorState   runtime.State // register as of the last self-contained broadcast
+	anchorSeq     uint64
+	sinceFull     int    // broadcasts since the last self-contained frame
+	resyncPending bool   // some neighbor asked to re-anchor
+	lastHB        uint64 // local tick of the last broadcast
+	gap           uint64
+	nextHB        uint64 // local tick the next keep-alive is due
+	enc           bits.Builder
+	decBuf        []uint64 // reusable frame-decode scratch
+	drainBuf      [][]byte
+
+	// Set once before the node runs, nil for standalone nodes: noteAnn
+	// reports root-announcement transitions to the cluster, writeCount
+	// and writeClock mirror every register write into cluster-level
+	// aggregates, hbCadence (heartbeat intervals) and frameBytes (encoded
+	// frame sizes) are cluster-shared histograms.
 	noteAnn    func(root graph.NodeID, epoch uint64, active bool)
 	writeCount *atomic.Int64
 	writeClock *atomic.Int64
-
-	enc      bits.Builder
-	decBuf   []uint64 // reusable frame-decode scratch
-	drainBuf [][]byte
-
-	stats nodeCounters
-	// hbCadence (heartbeat intervals) and frameBytes (encoded frame
-	// sizes) are cluster-shared histograms, nil when the cluster runs
-	// without a metrics registry.
 	hbCadence  *ops.Histogram
 	frameBytes *ops.Histogram
 
-	// ring is the causal flight recorder (trace.go in this package,
-	// DESIGN.md §14) — nil until EnableFlightRecorder arms it. Behind an
-	// atomic pointer so arming mid-Serve needs no actor coordination and
-	// the disabled hook path is one load-and-branch. epochMirror shadows
-	// qEpoch for hooks that record outside nd.mu; it is written at every
-	// qEpoch write site.
+	// Atomics, readable from anywhere. ring is the causal flight recorder
+	// (trace.go in this package, DESIGN.md §14) — nil until
+	// EnableFlightRecorder arms it; behind an atomic pointer so arming
+	// mid-Serve needs no actor coordination and the disabled hook path is
+	// one load-and-branch. epochMirror shadows qEpoch for hooks that
+	// record outside mu; it is written at every qEpoch write site.
+	stats       nodeCounters
 	ring        atomic.Pointer[trace.Ring]
 	epochMirror atomic.Uint64
+}
+
+// peerState is everything a node holds about one neighbor. The owning
+// goroutine is the only writer and writes every field under nd.mu, so
+// the admin plane can copy a live node's records whole.
+type peerState struct {
+	// The neighbor-state cache: the last accepted register, the local
+	// tick it was accepted at (0 = never), and the highest accepted
+	// sequence number, which rejects duplicated and reordered-stale
+	// heartbeats. wasStale is the entry's staleness as of the last step,
+	// so fresh→stale transitions are counted exactly once per expiry.
+	cache    runtime.State
+	lastSeen uint64
+	lastSeq  uint64
+	wasStale bool
+	// The receiver-side delta anchor: register and seq of the last
+	// self-contained frame accepted — the base the sender's deltas are
+	// applied against. lastResync rate-limits re-anchor requests to one
+	// per neighbor per tick.
+	anchor     runtime.State
+	anchorSeq  uint64
+	lastResync uint64
+	// admin is the advert-learned ops-plane address — the decentralized
+	// leg of admin discovery.
+	admin string
+	// q is the last accepted quiet report (quiet.go).
+	q wire.QuietReport
+}
+
+// parked is a routed packet waiting at a node, with the local tick it
+// arrived — the start of its stall budget.
+type parked struct {
+	p     wire.Packet
+	since uint64
 }
 
 // NodeStats is a snapshot of one node's transport-visible activity.
@@ -173,44 +182,81 @@ type NodeStats struct {
 	NeighborEvictions int
 }
 
-// nodeCounters is the live counter set. All fields are atomic: the
-// owning goroutine increments them mid-tick while Stats / the metrics
-// scrape / the admin API read them, so observation is safe during
-// Serve — no "call between ticks" footgun.
-type nodeCounters struct {
-	FramesSent, BytesSent  atomic.Int64
-	FramesRecv, RxRejected atomic.Int64
-	HeartbeatsApplied      atomic.Int64
-	PacketsForwarded       atomic.Int64
-	PacketsDropped         atomic.Int64
-	RegisterWrites         atomic.Int64
-	StalenessExpiries      atomic.Int64
-	AnchorsSent            atomic.Int64
-	DeltasSent             atomic.Int64
-	ResyncsSent            atomic.Int64
-	DeltaMisses            atomic.Int64
-	AdvertsSent            atomic.Int64
-	NeighborEvictions      atomic.Int64
+// The live counters, one per NodeStats field. The order is the order
+// the metrics are registered (and so rendered) in.
+const (
+	cAdvertsSent = iota
+	cNeighborEvictions
+	cFramesSent
+	cBytesSent
+	cFramesRecv
+	cRxRejected
+	cHeartbeatsApplied
+	cRegisterWrites
+	cStalenessExpiries
+	cPacketsForwarded
+	cPacketsDropped
+	cAnchorsSent
+	cDeltasSent
+	cResyncsSent
+	cDeltaMisses
+	numCounters
+)
+
+// counterMetrics names the cluster-wide metric each counter is summed
+// into (registerMetrics).
+var counterMetrics = [numCounters]struct{ name, help string }{
+	cAdvertsSent:       {"ss_cluster_adverts_sent_total", "Membership beacons broadcast by (re)joining nodes."},
+	cNeighborEvictions: {"ss_cluster_neighbor_evictions_total", "Neighbor cache entries evicted by goodbyes or reset by adverts."},
+	cFramesSent:        {"ss_cluster_frames_sent_total", "Frames sent by all nodes (heartbeats + data)."},
+	cBytesSent:         {"ss_cluster_bytes_sent_total", "Payload bytes sent by all nodes."},
+	cFramesRecv:        {"ss_cluster_frames_received_total", "Frames delivered to all nodes."},
+	cRxRejected:        {"ss_cluster_frames_rejected_total", "Frames rejected (checksum, codec, non-neighbor, stale seq)."},
+	cHeartbeatsApplied: {"ss_cluster_heartbeats_applied_total", "Heartbeats accepted into neighbor caches."},
+	cRegisterWrites:    {"ss_cluster_register_writes_total", "δ-driven register changes (moves) across all nodes; flat once silent."},
+	cStalenessExpiries: {"ss_cluster_staleness_expiries_total", "Neighbor-cache entries that expired after being heard."},
+	cPacketsForwarded:  {"ss_cluster_packets_forwarded_total", "Routed packet hops forwarded by all nodes."},
+	cPacketsDropped:    {"ss_cluster_packets_dropped_total", "Routed packets dropped at nodes (hop/stall budget)."},
+	cAnchorsSent:       {"ss_cluster_anchor_frames_total", "Self-contained (anchor) heartbeat frames broadcast."},
+	cDeltasSent:        {"ss_cluster_delta_frames_total", "Delta heartbeat frames broadcast."},
+	cResyncsSent:       {"ss_cluster_resync_frames_total", "Re-anchor requests sent."},
+	cDeltaMisses:       {"ss_cluster_delta_misses_total", "Received deltas dropped for want of their anchor."},
+}
+
+// nodeCounters is the live counter set. All are atomic: the owning
+// goroutine increments them mid-tick while Stats / the metrics scrape /
+// the admin API read them, so observation is safe during Serve — no
+// "call between ticks" footgun.
+type nodeCounters [numCounters]atomic.Int64
+
+// fold adds every counter of from into c — how retired nodes' final
+// counts and the Stats() sum keep cluster-level totals monotone across
+// churn.
+func (c *nodeCounters) fold(from *nodeCounters) {
+	for i := range c {
+		c[i].Add(from[i].Load())
+	}
 }
 
 // snapshot reads every counter once.
 func (c *nodeCounters) snapshot() NodeStats {
+	at := func(i int) int { return int(c[i].Load()) }
 	return NodeStats{
-		FramesSent:        int(c.FramesSent.Load()),
-		BytesSent:         int(c.BytesSent.Load()),
-		FramesRecv:        int(c.FramesRecv.Load()),
-		RxRejected:        int(c.RxRejected.Load()),
-		HeartbeatsApplied: int(c.HeartbeatsApplied.Load()),
-		PacketsForwarded:  int(c.PacketsForwarded.Load()),
-		PacketsDropped:    int(c.PacketsDropped.Load()),
-		RegisterWrites:    int(c.RegisterWrites.Load()),
-		StalenessExpiries: int(c.StalenessExpiries.Load()),
-		AnchorsSent:       int(c.AnchorsSent.Load()),
-		DeltasSent:        int(c.DeltasSent.Load()),
-		ResyncsSent:       int(c.ResyncsSent.Load()),
-		DeltaMisses:       int(c.DeltaMisses.Load()),
-		AdvertsSent:       int(c.AdvertsSent.Load()),
-		NeighborEvictions: int(c.NeighborEvictions.Load()),
+		FramesSent:        at(cFramesSent),
+		BytesSent:         at(cBytesSent),
+		FramesRecv:        at(cFramesRecv),
+		RxRejected:        at(cRxRejected),
+		HeartbeatsApplied: at(cHeartbeatsApplied),
+		PacketsForwarded:  at(cPacketsForwarded),
+		PacketsDropped:    at(cPacketsDropped),
+		RegisterWrites:    at(cRegisterWrites),
+		StalenessExpiries: at(cStalenessExpiries),
+		AnchorsSent:       at(cAnchorsSent),
+		DeltasSent:        at(cDeltasSent),
+		ResyncsSent:       at(cResyncsSent),
+		DeltaMisses:       at(cDeltaMisses),
+		AdvertsSent:       at(cAdvertsSent),
+		NeighborEvictions: at(cNeighborEvictions),
 	}
 }
 
@@ -219,21 +265,12 @@ func (nd *Node) Stats() NodeStats { return nd.stats.snapshot() }
 
 func newNode(id graph.NodeID, slot, n int, neighbors []graph.NodeID, weights []graph.Weight,
 	ep Endpoint, codec wire.Codec, alg runtime.Algorithm) *Node {
-	deg := len(neighbors)
 	return &Node{
 		id: id, slot: slot, n: n,
 		neighbors: neighbors, weights: weights,
 		ep: ep, codec: codec, alg: alg,
-		cache:       make([]runtime.State, deg),
-		lastSeen:    make([]uint64, deg),
-		lastSeq:     make([]uint64, deg),
-		peers:       make([]runtime.State, deg),
-		wasStale:    make([]bool, deg),
-		anchorRx:    make([]runtime.State, deg),
-		anchorSeqRx: make([]uint64, deg),
-		lastResync:  make([]uint64, deg),
-		peerAdmin:   make([]string, deg),
-		qRx:         make([]wire.QuietReport, deg),
+		nbr:   make([]peerState, len(neighbors)),
+		peers: make([]runtime.State, len(neighbors)),
 	}
 }
 
@@ -249,43 +286,19 @@ type nodeRemap struct {
 	reset     []graph.NodeID
 }
 
-// applyRemapLocked rebuilds the per-neighbor parallel arrays for a new
-// neighbor row, carrying over receive state for neighbors that persist
-// and zeroing entries for new, departed-then-returned, or reset ids.
-// Caller holds nd.mu.
+// applyRemapLocked installs a new neighbor row, carrying over the
+// record of every neighbor that persists and starting new,
+// departed-then-returned and reset ids from zero. Caller holds nd.mu.
 func (nd *Node) applyRemapLocked(r *nodeRemap) {
-	deg := len(r.neighbors)
-	cache := make([]runtime.State, deg)
-	lastSeen := make([]uint64, deg)
-	lastSeq := make([]uint64, deg)
-	wasStale := make([]bool, deg)
-	anchorRx := make([]runtime.State, deg)
-	anchorSeqRx := make([]uint64, deg)
-	lastResync := make([]uint64, deg)
-	peerAdmin := make([]string, deg)
-	qRx := make([]wire.QuietReport, deg)
+	nbr := make([]peerState, len(r.neighbors))
 	for j, id := range r.neighbors {
-		if slices.Contains(r.reset, id) {
-			continue
-		}
-		if k, ok := slices.BinarySearch(nd.neighbors, id); ok {
-			cache[j] = nd.cache[k]
-			lastSeen[j] = nd.lastSeen[k]
-			lastSeq[j] = nd.lastSeq[k]
-			wasStale[j] = nd.wasStale[k]
-			anchorRx[j] = nd.anchorRx[k]
-			anchorSeqRx[j] = nd.anchorSeqRx[k]
-			lastResync[j] = nd.lastResync[k]
-			peerAdmin[j] = nd.peerAdmin[k]
-			qRx[j] = nd.qRx[k]
+		if k, ok := slices.BinarySearch(nd.neighbors, id); ok && !slices.Contains(r.reset, id) {
+			nbr[j] = nd.nbr[k]
 		}
 	}
 	nd.n = r.n
-	nd.neighbors, nd.weights = r.neighbors, r.weights
-	nd.cache, nd.lastSeen, nd.lastSeq, nd.wasStale = cache, lastSeen, lastSeq, wasStale
-	nd.peers = make([]runtime.State, deg)
-	nd.anchorRx, nd.anchorSeqRx, nd.lastResync, nd.peerAdmin = anchorRx, anchorSeqRx, lastResync, peerAdmin
-	nd.qRx = qRx
+	nd.neighbors, nd.weights, nd.nbr = r.neighbors, r.weights, nbr
+	nd.peers = make([]runtime.State, len(nbr))
 	// A membership event is activity: bump the epoch so any quiet claim
 	// built over the old topology is retracted, and restart the local
 	// quiet window.
@@ -293,14 +306,6 @@ func (nd *Node) applyRemapLocked(r *nodeRemap) {
 	nd.epochMirror.Store(nd.qEpoch)
 	nd.qLastAct = nd.localTick
 	nd.qDirty = true
-}
-
-// applyPendingLocked applies a queued remap, if any. Caller holds nd.mu.
-func (nd *Node) applyPendingLocked() {
-	if r := nd.pendingRemap; r != nil {
-		nd.pendingRemap = nil
-		nd.applyRemapLocked(r)
-	}
 }
 
 // ID returns the node's identity.
@@ -334,25 +339,33 @@ func (nd *Node) setState(s runtime.State) {
 // Inject parks a packet at this node (the gateway's entry point).
 func (nd *Node) Inject(p wire.Packet) {
 	nd.mu.Lock()
-	nd.dataQ = append(nd.dataQ, p)
-	nd.heldSince = append(nd.heldSince, nd.localTick)
+	nd.dataQ = append(nd.dataQ, parked{p, nd.localTick})
 	nd.recordEpoch(trace.PacketLaunch, trace.ClassData, 0, p.ID, uint64(p.Hops), nd.localTick, nd.qEpoch)
 	nd.mu.Unlock()
 }
 
-// absorb ingests delivered frames at the current local time without
-// advancing the protocol clock or broadcasting — the free-running
-// receive path. Keeping sends off this path bounds the heartbeat rate
-// to the ticker: if arrivals triggered full ticks, every received
-// frame would provoke an immediate rebroadcast and adjacent nodes
-// would drive each other into a frame storm decoupled from Interval.
-func (nd *Node) absorb(cfg *Config, gw *Gateway) {
+// receive ingests delivered frames at local time now — the whole of the
+// free-running receive path (now = the current localTick: the protocol
+// clock does not advance and nothing is broadcast), and the first step
+// of a tick. Keeping sends off the receive path bounds the heartbeat
+// rate to the ticker: if arrivals triggered full ticks, every received
+// frame would provoke an immediate rebroadcast and adjacent nodes would
+// drive each other into a frame storm decoupled from Interval.
+func (nd *Node) receive(now uint64, gw *Gateway) {
+	// localTick is written under the mutex: Gateway.Launch's Inject
+	// reads it from outside the actor goroutine to date parked packets.
+	// Queued neighbor-row updates apply here, before the drain, so
+	// frames from a just-added neighbor are not rejected as foreign.
 	nd.mu.Lock()
-	nd.applyPendingLocked()
+	if r := nd.pendingRemap; r != nil {
+		nd.pendingRemap = nil
+		nd.applyRemapLocked(r)
+	}
+	nd.localTick = now
 	nd.mu.Unlock()
 	nd.drainBuf = nd.ep.Drain(nd.drainBuf[:0])
 	for _, data := range nd.drainBuf {
-		nd.ingest(data, nd.localTick, cfg, gw)
+		nd.ingest(data, now, gw)
 	}
 }
 
@@ -360,25 +373,14 @@ func (nd *Node) absorb(cfg *Config, gw *Gateway) {
 // frames, apply one δ evaluation over the (staleness-filtered) cache
 // view, forward parked packets, and heartbeat.
 func (nd *Node) tick(now uint64, cfg *Config, gw *Gateway) {
-	// localTick is written under the mutex: Gateway.Launch's Inject
-	// reads it from outside the actor goroutine to date parked packets.
-	// Queued neighbor-row updates apply here, before the drain, so
-	// frames from a just-added neighbor are not rejected as foreign.
-	nd.mu.Lock()
-	nd.applyPendingLocked()
-	nd.localTick = now
-	nd.mu.Unlock()
-	nd.drainBuf = nd.ep.Drain(nd.drainBuf[:0])
-	for _, data := range nd.drainBuf {
-		nd.ingest(data, now, cfg, gw)
-	}
+	nd.receive(now, gw)
 	nd.step(now, cfg)
 	nd.updateQuiet(now, cfg)
 	if gw != nil {
-		nd.pump(now, cfg, gw)
+		nd.pump(now, gw)
 	}
 	// Heartbeat policy: immediately on a re-anchor request, after a
-	// register change once MinGap ticks have passed since the last frame
+	// register change once minGap ticks have passed since the last frame
 	// (convergence latency), and when the keep-alive falls due. The
 	// keep-alive gap backs off exponentially while the register is quiet
 	// (see sendHB), so a converged cluster goes nearly silent.
@@ -397,112 +399,97 @@ func (nd *Node) tick(now uint64, cfg *Config, gw *Gateway) {
 	nd.mu.Lock()
 	urgent := nd.changedSince || nd.qDirty
 	nd.mu.Unlock()
-	if nd.resyncPending || (urgent && now-nd.lastHB >= uint64(cfg.MinGap)) || now >= nd.nextHB {
+	if nd.resyncPending || (urgent && now-nd.lastHB >= minGap) || now >= nd.nextHB {
 		nd.sendHB(now, urgent, cfg)
 	}
 }
 
 // ingest applies one received frame. Undecodable frames — truncated,
 // corrupted (checksum), foreign codec — are rejected and counted;
-// heartbeats from non-neighbors are rejected (the model only grants a
-// node its neighbors' registers); duplicated or reordered-stale
+// control frames from non-neighbors are rejected (the model only grants
+// a node its neighbors' registers); duplicated or reordered-stale
 // heartbeats are rejected by sequence number. Delta frames apply
 // against the sender's last self-contained anchor; a delta whose
 // anchor this node never accepted (lost or reordered away) is dropped
 // without refreshing the cache and answered with a resync request.
-func (nd *Node) ingest(data []byte, now uint64, cfg *Config, gw *Gateway) {
-	nd.stats.FramesRecv.Add(1)
+func (nd *Node) ingest(data []byte, now uint64, gw *Gateway) {
+	nd.stats[cFramesRecv].Add(1)
 	f, buf, err := wire.DecodeBuf(nd.codec, data, nd.decBuf)
 	nd.decBuf = buf
 	if err != nil {
-		nd.stats.RxRejected.Add(1)
+		nd.stats[cRxRejected].Add(1)
 		return
 	}
+	if f.Kind == wire.KindData {
+		nd.ingestData(f, now, gw)
+		return
+	}
+	// Every control frame must speak this cluster's codec and come from a
+	// configured neighbor. Membership never derives from the wire: an
+	// advert from a non-neighbor — forged, corrupted-but-decodable, or
+	// ahead of this node's own topology update — is rejected outright, so
+	// no frame can ever create a phantom member.
+	j, ok := slices.BinarySearch(nd.neighbors, f.Src)
+	if !ok || f.Alg != nd.codec.Code() {
+		nd.stats[cRxRejected].Add(1)
+		return
+	}
+	pr := &nd.nbr[j]
 	switch f.Kind {
 	case wire.KindDelta:
-		if f.Alg != nd.codec.Code() {
-			nd.stats.RxRejected.Add(1)
-			return
-		}
-		j, ok := slices.BinarySearch(nd.neighbors, f.Src)
-		if !ok {
-			nd.stats.RxRejected.Add(1)
-			return
-		}
-		if f.Seq <= nd.lastSeq[j] {
-			nd.stats.RxRejected.Add(1) // duplicate or reordered-stale
+		if f.Seq <= pr.lastSeq {
+			nd.stats[cRxRejected].Add(1) // duplicate or reordered-stale
 			return
 		}
 		st := f.State
 		anchor := f.BaseSeq == f.Seq
 		if !anchor {
 			switch {
-			case nd.anchorRx[j] != nil && nd.anchorSeqRx[j] == f.BaseSeq:
-				st, err = wire.ApplyDelta(nd.codec, f, nd.anchorRx[j])
+			case pr.anchor != nil && pr.anchorSeq == f.BaseSeq:
+				st, err = wire.ApplyDelta(nd.codec, f, pr.anchor)
 				if err != nil {
 					// Matching anchor but an unappliable payload: the
 					// sender and this node disagree on the base. Re-anchor.
-					nd.stats.RxRejected.Add(1)
-					nd.requestResync(j, f.Src, now)
+					nd.stats[cRxRejected].Add(1)
+					nd.requestResync(j, now)
 					return
 				}
-			case nd.anchorSeqRx[j] > f.BaseSeq:
+			case pr.anchorSeq > f.BaseSeq:
 				// A delta against an anchor this node has already replaced
 				// — a straggler overtaken by a newer full frame. The newer
 				// anchor carries fresher state than this delta would yield.
-				nd.stats.RxRejected.Add(1)
+				nd.stats[cRxRejected].Add(1)
 				return
 			default:
 				// The delta's anchor never arrived here (lost, or the
 				// sender re-anchored while this node was partitioned). The
 				// cache must not be refreshed by a frame that cannot be
 				// read; ask the sender for a new self-contained frame.
-				nd.stats.DeltaMisses.Add(1)
-				nd.requestResync(j, f.Src, now)
+				nd.stats[cDeltaMisses].Add(1)
+				nd.requestResync(j, now)
 				return
 			}
 		}
 		// Under mu: the admin plane snapshots the cache from outside the
 		// actor goroutine.
 		nd.mu.Lock()
-		nd.lastSeq[j] = f.Seq
-		nd.cache[j] = st
-		nd.lastSeen[j] = now
-		nd.qRx[j] = f.Q
+		pr.lastSeq = f.Seq
+		pr.cache = st
+		pr.lastSeen = now
+		pr.q = f.Q
 		if anchor {
-			nd.anchorRx[j] = st
-			nd.anchorSeqRx[j] = f.Seq
+			pr.anchor = st
+			pr.anchorSeq = f.Seq
 		}
 		nd.mu.Unlock()
-		nd.stats.HeartbeatsApplied.Add(1)
+		nd.stats[cHeartbeatsApplied].Add(1)
 		nd.record(trace.FrameRx, trace.ClassHeartbeat, f.Src, f.Seq, 0, now)
 	case wire.KindResync:
-		if f.Alg != nd.codec.Code() {
-			nd.stats.RxRejected.Add(1)
-			return
-		}
-		if _, ok := slices.BinarySearch(nd.neighbors, f.Src); !ok {
-			nd.stats.RxRejected.Add(1)
-			return
-		}
 		nd.resyncPending = true
 		nd.record(trace.FrameRx, trace.ClassResync, f.Src, f.Seq, 0, now)
 	case wire.KindAdvert:
-		if f.Alg != nd.codec.Code() {
-			nd.stats.RxRejected.Add(1)
-			return
-		}
-		j, ok := slices.BinarySearch(nd.neighbors, f.Src)
-		if !ok {
-			// Membership never derives from the wire: an advert from a
-			// non-neighbor — forged, corrupted-but-decodable, or ahead of
-			// this node's own topology update — is rejected outright, so
-			// no frame can ever create a phantom member.
-			nd.stats.RxRejected.Add(1)
-			return
-		}
-		if f.Seq < nd.lastSeq[j] {
-			nd.stats.RxRejected.Add(1) // straggler from a previous incarnation
+		if f.Seq < pr.lastSeq {
+			nd.stats[cRxRejected].Add(1) // straggler from a previous incarnation
 			return
 		}
 		if len(f.Neighbors) > 0 {
@@ -510,7 +497,7 @@ func (nd *Node) ingest(data []byte, now uint64, cfg *Config, gw *Gateway) {
 				// The digest does not list this node: the advertiser does
 				// not consider us a neighbor, so its entry must not be
 				// refreshed on its behalf.
-				nd.stats.RxRejected.Add(1)
+				nd.stats[cRxRejected].Add(1)
 				return
 			}
 		}
@@ -523,17 +510,8 @@ func (nd *Node) ingest(data []byte, now uint64, cfg *Config, gw *Gateway) {
 		nd.mu.Unlock()
 		nd.record(trace.FrameRx, trace.ClassAdvert, f.Src, f.Seq, 0, now)
 	case wire.KindLeave:
-		if f.Alg != nd.codec.Code() {
-			nd.stats.RxRejected.Add(1)
-			return
-		}
-		j, ok := slices.BinarySearch(nd.neighbors, f.Src)
-		if !ok {
-			nd.stats.RxRejected.Add(1)
-			return
-		}
-		if f.Seq < nd.lastSeq[j] {
-			nd.stats.RxRejected.Add(1) // goodbye overtaken by fresher frames
+		if f.Seq < pr.lastSeq {
+			nd.stats[cRxRejected].Add(1) // goodbye overtaken by fresher frames
 			return
 		}
 		// Cooperative eviction: drop the leaver's cached register and
@@ -542,25 +520,28 @@ func (nd *Node) ingest(data []byte, now uint64, cfg *Config, gw *Gateway) {
 		nd.forgetPeerLocked(j, f.Seq, "")
 		nd.mu.Unlock()
 		nd.record(trace.FrameRx, trace.ClassLeave, f.Src, f.Seq, 0, now)
-	case wire.KindData:
-		if gw == nil {
-			nd.stats.RxRejected.Add(1)
-			return
-		}
-		if f.Data.Dst == nd.id {
-			// Recorded whether or not this copy wins the gateway's
-			// single-shot resolution: the ring holds local truth, and the
-			// chain check tolerates duplicate delivery events.
-			nd.record(trace.PacketDeliver, trace.ClassData, f.Src, f.Data.ID, uint64(f.Data.Hops), now)
-			gw.deliver(f.Data)
-			return
-		}
-		nd.mu.Lock()
-		nd.dataQ = append(nd.dataQ, f.Data)
-		nd.heldSince = append(nd.heldSince, now)
-		nd.mu.Unlock()
-		nd.record(trace.PacketRx, trace.ClassData, f.Src, f.Data.ID, uint64(f.Data.Hops), now)
 	}
+}
+
+// ingestData takes a routed packet off the wire: delivered if this node
+// is its destination, parked for the next pump otherwise.
+func (nd *Node) ingestData(f wire.Frame, now uint64, gw *Gateway) {
+	if gw == nil {
+		nd.stats[cRxRejected].Add(1)
+		return
+	}
+	if f.Data.Dst == nd.id {
+		// Recorded whether or not this copy wins the gateway's
+		// single-shot resolution: the ring holds local truth, and the
+		// chain check tolerates duplicate delivery events.
+		nd.record(trace.PacketDeliver, trace.ClassData, f.Src, f.Data.ID, uint64(f.Data.Hops), now)
+		gw.deliver(f.Data)
+		return
+	}
+	nd.mu.Lock()
+	nd.dataQ = append(nd.dataQ, parked{f.Data, now})
+	nd.mu.Unlock()
+	nd.record(trace.PacketRx, trace.ClassData, f.Src, f.Data.ID, uint64(f.Data.Hops), now)
 }
 
 // forgetPeerLocked wipes everything cached about neighbor j — register,
@@ -569,19 +550,11 @@ func (nd *Node) ingest(data []byte, now uint64, cfg *Config, gw *Gateway) {
 // away is a membership event: it bumps the write epoch and restarts the
 // local quiet window. Caller holds nd.mu.
 func (nd *Node) forgetPeerLocked(j int, seq uint64, addr string) {
-	nd.lastSeq[j] = seq
-	nd.cache[j] = nil
-	nd.lastSeen[j] = 0
-	nd.wasStale[j] = false
-	nd.anchorRx[j] = nil
-	nd.anchorSeqRx[j] = 0
-	nd.lastResync[j] = 0
-	nd.peerAdmin[j] = addr
-	nd.qRx[j] = wire.QuietReport{}
+	nd.nbr[j] = peerState{lastSeq: seq, admin: addr}
 	nd.qEpoch++
 	nd.epochMirror.Store(nd.qEpoch)
 	nd.qLastAct = nd.localTick
-	nd.stats.NeighborEvictions.Add(1)
+	nd.stats[cNeighborEvictions].Add(1)
 }
 
 // step evaluates δ once over the staleness-filtered cache view. A
@@ -598,14 +571,15 @@ func (nd *Node) step(now uint64, cfg *Config) {
 	// a lost keep-alive could leave a cache stale (but unexpired) long
 	// enough for the cluster to look quiet in a non-silent configuration.
 	pullAfter := uint64(cfg.BackoffCap + cfg.BackoffCap/2 + 3)
-	for j := range nd.peers {
-		age := now - nd.lastSeen[j]
-		stale := nd.lastSeen[j] == 0 || age > uint64(cfg.StalenessTTL)
+	for j := range nd.nbr {
+		pr := &nd.nbr[j]
+		age := now - pr.lastSeen
+		stale := pr.lastSeen == 0 || age > uint64(cfg.StalenessTTL)
 		if stale {
 			nd.peers[j] = nil
 			// Count only heard-then-expired entries, not never-heard ones.
-			if !nd.wasStale[j] && nd.lastSeen[j] != 0 {
-				nd.stats.StalenessExpiries.Add(1)
+			if !pr.wasStale && pr.lastSeen != 0 {
+				nd.stats[cStalenessExpiries].Add(1)
 			}
 			// A neighbor this node has never heard from — a joiner's empty
 			// row, or an entry wiped by a rejoiner's advert whose first
@@ -615,23 +589,27 @@ func (nd *Node) step(now uint64, cfg *Config) {
 			// cluster can go quiet in a non-silent configuration. Past the
 			// startup grace (frames normally land within a tick or two),
 			// pull an anchor outright.
-			if nd.lastSeen[j] == 0 && now > pullAfter {
-				nd.requestResync(j, nd.neighbors[j], now)
+			if pr.lastSeen == 0 && now > pullAfter {
+				nd.requestResync(j, now)
 			}
 		} else {
-			nd.peers[j] = nd.cache[j]
+			nd.peers[j] = pr.cache
 			if age > pullAfter {
-				nd.requestResync(j, nd.neighbors[j], now)
+				nd.requestResync(j, now)
 			}
 		}
-		nd.wasStale[j] = stale
+		if pr.wasStale != stale {
+			nd.mu.Lock()
+			pr.wasStale = stale
+			nd.mu.Unlock()
+		}
 	}
 	v := runtime.NewView(nd.id, nd.n, nd.neighbors, nd.weights, nd.self, nd.peers)
 	next := nd.alg.Step(v)
 	if nd.self == nil || !next.Equal(nd.self) {
 		nd.setState(next)
 		nd.changed = true
-		nd.stats.RegisterWrites.Add(1)
+		nd.stats[cRegisterWrites].Add(1)
 	} else {
 		nd.changed = false
 	}
@@ -641,55 +619,47 @@ func (nd *Node) step(now uint64, cfg *Config) {
 // labeling. Unroutable packets stall in place (the labeling may heal);
 // packets exceeding the hop budget or the stall budget are dropped and
 // reported.
-func (nd *Node) pump(now uint64, cfg *Config, gw *Gateway) {
+func (nd *Node) pump(now uint64, gw *Gateway) {
 	nd.mu.Lock()
-	q, held := nd.dataQ, nd.heldSince
-	nd.dataQ, nd.heldSince = nil, nil
+	q := nd.dataQ
+	nd.dataQ = nil
 	nd.mu.Unlock()
-	var keepQ []wire.Packet
-	var keepH []uint64
-	for i, p := range q {
-		next, ok := gw.nextHop(nd.id, p.Dst)
-		switch {
-		case !ok:
-			if now-held[i] > uint64(cfg.MaxHold) {
-				// The node counter follows the gateway's single-shot
-				// resolution: a duplicate copy dying here after its sibling
-				// resolved is invisible in both ledgers.
-				if gw.drop(p) {
-					nd.stats.PacketsDropped.Add(1)
-				}
-				nd.record(trace.PacketDrop, trace.ClassData, 0, p.ID, uint64(p.Hops), now)
-				continue
-			}
-			keepQ = append(keepQ, p)
-			keepH = append(keepH, held[i])
-		case p.Hops+1 > gw.maxHops:
+	var keep []parked
+	for _, pk := range q {
+		p := pk.p
+		next, routable := gw.nextHop(nd.id, p.Dst)
+		if !routable && now-pk.since <= maxHold {
+			keep = append(keep, pk)
+			continue
+		}
+		var data []byte
+		send := routable && p.Hops+1 <= gw.maxHops
+		if send {
+			p.Hops++
+			var err error
+			data, err = wire.Encode(wire.Frame{Kind: wire.KindData, Src: nd.id, Data: p},
+				nd.codec, &nd.enc, nil)
+			send = err == nil
+		}
+		if !send {
+			// Stalled out, over the hop budget, or unencodable. The node
+			// counter follows the gateway's single-shot resolution: a
+			// duplicate copy dying here after its sibling resolved is
+			// invisible in both ledgers.
 			if gw.drop(p) {
-				nd.stats.PacketsDropped.Add(1)
+				nd.stats[cPacketsDropped].Add(1)
 			}
 			nd.record(trace.PacketDrop, trace.ClassData, 0, p.ID, uint64(p.Hops), now)
-		default:
-			p.Hops++
-			data, err := wire.Encode(wire.Frame{Kind: wire.KindData, Src: nd.id, Data: p},
-				nd.codec, &nd.enc, nil)
-			if err != nil {
-				if gw.drop(p) {
-					nd.stats.PacketsDropped.Add(1)
-				}
-				nd.record(trace.PacketDrop, trace.ClassData, 0, p.ID, uint64(p.Hops), now)
-				continue
-			}
-			nd.ep.Send(next, data)
-			nd.record(trace.PacketFwd, trace.ClassData, next, p.ID, uint64(p.Hops), now)
-			nd.stats.PacketsForwarded.Add(1)
-			nd.sent(1, data)
+			continue
 		}
+		nd.ep.Send(next, data)
+		nd.record(trace.PacketFwd, trace.ClassData, next, p.ID, uint64(p.Hops), now)
+		nd.stats[cPacketsForwarded].Add(1)
+		nd.sent(1, data)
 	}
-	if len(keepQ) > 0 {
+	if len(keep) > 0 {
 		nd.mu.Lock()
-		nd.dataQ = append(keepQ, nd.dataQ...)
-		nd.heldSince = append(keepH, nd.heldSince...)
+		nd.dataQ = append(keep, nd.dataQ...)
 		nd.mu.Unlock()
 	}
 }
@@ -715,33 +685,33 @@ func (nd *Node) sendHB(now uint64, urgent bool, cfg *Config) {
 	nd.changedSince = false
 	nd.qDirty = false
 	nd.mu.Unlock()
-	nd.broadcast(now, cfg)
+	nd.broadcast(now)
 }
 
 // broadcast sends the node's register to every neighbor as one frame
 // (a shared byte slice: recipients only read). The frame is
 // self-contained — a fresh anchor — when a neighbor asked for one, when
-// no anchor exists yet, or every FullEvery broadcasts as a drift bound;
+// no anchor exists yet, or every fullEvery broadcasts as a drift bound;
 // otherwise it carries only the registers changed since the anchor,
 // which for a quiet register is a bare header: the near-free keep-alive.
-func (nd *Node) broadcast(now uint64, cfg *Config) {
+func (nd *Node) broadcast(now uint64) {
 	nd.seq++
 	f := wire.Frame{Kind: wire.KindDelta, Alg: nd.codec.Code(),
 		Src: nd.id, Seq: nd.seq, State: nd.self, Q: nd.qOut}
 	full := nd.resyncPending || nd.anchorState == nil || nd.self == nil ||
-		nd.sinceFull >= cfg.FullEvery
+		nd.sinceFull >= fullEvery
 	if full {
 		f.BaseSeq = nd.seq
 		nd.anchorState = nd.self
 		nd.anchorSeq = nd.seq
 		nd.sinceFull = 0
 		nd.resyncPending = false
-		nd.stats.AnchorsSent.Add(1)
+		nd.stats[cAnchorsSent].Add(1)
 	} else {
 		f.BaseSeq = nd.anchorSeq
 		f.Base = nd.anchorState
 		nd.sinceFull++
-		nd.stats.DeltasSent.Add(1)
+		nd.stats[cDeltasSent].Add(1)
 	}
 	data, err := wire.Encode(f, nd.codec, &nd.enc, nil)
 	if err != nil {
@@ -760,8 +730,8 @@ func (nd *Node) broadcast(now uint64, cfg *Config) {
 // copies: the counters see every copy, the size histogram one
 // observation per distinct frame.
 func (nd *Node) sent(copies int, data []byte) {
-	nd.stats.FramesSent.Add(int64(copies))
-	nd.stats.BytesSent.Add(int64(copies * len(data)))
+	nd.stats[cFramesSent].Add(int64(copies))
+	nd.stats[cBytesSent].Add(int64(copies * len(data)))
 	if nd.frameBytes != nil {
 		nd.frameBytes.Observe(float64(len(data)))
 	}
@@ -783,25 +753,29 @@ func (nd *Node) sendAdvert() {
 	}
 	nd.ep.Broadcast(nd.neighbors, data)
 	nd.record(trace.FrameTx, trace.ClassAdvert, 0, nd.seq, 0, nd.localTick)
-	nd.stats.AdvertsSent.Add(1)
+	nd.stats[cAdvertsSent].Add(1)
 	nd.sent(len(nd.neighbors), data)
 }
 
-// requestResync asks neighbor j (id `to`) for a fresh self-contained
-// frame, at most once per neighbor per local tick: one lost anchor can
-// orphan a whole flight of deltas, and one resync heals them all.
-func (nd *Node) requestResync(j int, to graph.NodeID, now uint64) {
-	if nd.lastResync[j] == now+1 {
+// requestResync asks neighbor j for a fresh self-contained frame, at
+// most once per neighbor per local tick: one lost anchor can orphan a
+// whole flight of deltas, and one resync heals them all.
+func (nd *Node) requestResync(j int, now uint64) {
+	pr := &nd.nbr[j]
+	if pr.lastResync == now+1 {
 		return
 	}
-	nd.lastResync[j] = now + 1
+	nd.mu.Lock()
+	pr.lastResync = now + 1
+	nd.mu.Unlock()
 	data, err := wire.Encode(wire.Frame{Kind: wire.KindResync, Alg: nd.codec.Code(),
-		Src: nd.id, Seq: nd.anchorSeqRx[j]}, nd.codec, &nd.enc, nil)
+		Src: nd.id, Seq: pr.anchorSeq}, nd.codec, &nd.enc, nil)
 	if err != nil {
 		return // resync carries no state; encode cannot fail in practice
 	}
+	to := nd.neighbors[j]
 	nd.ep.Send(to, data)
-	nd.record(trace.FrameTx, trace.ClassResync, to, nd.anchorSeqRx[j], 0, now)
-	nd.stats.ResyncsSent.Add(1)
+	nd.record(trace.FrameTx, trace.ClassResync, to, pr.anchorSeq, 0, now)
+	nd.stats[cResyncsSent].Add(1)
 	nd.sent(1, data)
 }

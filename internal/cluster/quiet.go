@@ -17,7 +17,7 @@ import (
 // Each node tracks a write epoch (a Lamport clock bumped by every local
 // register write and membership event, joined to the maximum epoch
 // heard from any fresh neighbor) and a local-quiet window (no write for
-// QuietWindow ticks). A node claims subtree-quiet when it is locally
+// StalenessTTL ticks, see localQuiet). A node claims subtree-quiet when it is locally
 // quiet and every fresh child — a neighbor whose cached register names
 // this node as parent — claims subtree-quiet at the current epoch, and
 // it reports the number of nodes the claim covers. The root announces
@@ -45,13 +45,12 @@ func (nd *Node) updateQuiet(now uint64, cfg *Config) {
 		if nd.peers[j] == nil {
 			continue
 		}
-		e = max(e, nd.qRx[j].Epoch, nd.qRx[j].Ann)
+		e = max(e, nd.nbr[j].q.Epoch, nd.nbr[j].q.Ann)
 	}
 	nd.qEpoch = e
 	nd.epochMirror.Store(e)
 
-	localQuiet := nd.self != nil && now-nd.qLastAct >= uint64(cfg.QuietWindow)
-	sub := localQuiet
+	sub := nd.localQuiet(now, cfg)
 	count := uint64(1)
 	parentID := ParentOf(nd.self)
 	var annIn uint64
@@ -59,7 +58,7 @@ func (nd *Node) updateQuiet(now uint64, cfg *Config) {
 		if nd.peers[j] == nil {
 			continue
 		}
-		r := nd.qRx[j]
+		r := nd.nbr[j].q
 		if ParentOf(nd.peers[j]) == nd.id {
 			// A fresh child joins the convergecast only with a claim made
 			// at the current epoch: stale-epoch claims are exactly the
@@ -133,6 +132,16 @@ func (nd *Node) updateQuiet(now uint64, cfg *Config) {
 	}
 }
 
+// localQuiet reports whether the node claims its own silence at local
+// time now: a register, and no write or membership event for a quiet
+// window of StalenessTTL ticks. The TTL sits comfortably above the
+// freshness-pull repair horizon (~1.5·BackoffCap), so a lost frame's
+// delayed repair write cannot race an already-launched quiet claim
+// (DESIGN.md §13). Caller holds nd.mu.
+func (nd *Node) localQuiet(now uint64, cfg *Config) bool {
+	return nd.self != nil && now-nd.qLastAct >= uint64(cfg.StalenessTTL)
+}
+
 // QuietEvent is one transition of the cluster's in-band silence
 // announcement, delivered on the QuietEvents channel.
 type QuietEvent struct {
@@ -177,7 +186,7 @@ func (c *Cluster) noteAnnounce(root graph.NodeID, epoch uint64, active bool) {
 
 // QuietAnnounced reports whether the in-band termination detector is
 // currently announcing cluster-wide quiet: some tree root has learned
-// that every node has been write-quiet for QuietWindow ticks, at an
+// that every node has been write-quiet for StalenessTTL ticks, at an
 // epoch no write has superseded. Safe at any time, including
 // mid-Serve.
 func (c *Cluster) QuietAnnounced() bool { return c.announced.Load() }

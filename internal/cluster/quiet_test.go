@@ -13,7 +13,7 @@ import (
 // cluster: the local-quiet window, one staleness TTL of report decay,
 // and a per-level propagation allowance over the whole cluster.
 func announceBound(cl *Cluster) int {
-	return cl.cfg.QuietWindow + cl.cfg.StalenessTTL + (cl.Nodes()+2)*(cl.cfg.BackoffCap+2)
+	return 2*cl.cfg.StalenessTTL + (cl.Nodes()+2)*(cl.cfg.BackoffCap+2)
 }
 
 // tickUntilAnnounced ticks until the in-band detector announces,
@@ -96,7 +96,7 @@ func TestQuietDetectorRetractsOnWrite(t *testing.T) {
 	<-cl.QuietEvents() // drain the fire event
 
 	cl.Corrupt(1, rng)
-	// Retraction travels up the tree at urgent (MinGap) cadence.
+	// Retraction travels up the tree at urgent (minGap) cadence.
 	bound := announceBound(cl)
 	retracted := false
 	for i := 0; i < bound; i++ {
@@ -321,11 +321,11 @@ func TestFreshnessPullBoundary(t *testing.T) {
 			now := tc.age
 			if !tc.never {
 				now = tc.age + 5 // any origin; only the age matters
-				nd.cache[0] = spanning.State{Root: 1, Parent: 0, Dist: 0}
-				nd.lastSeen[0] = now - tc.age
+				nd.nbr[0].cache = spanning.State{Root: 1, Parent: 0, Dist: 0}
+				nd.nbr[0].lastSeen = now - tc.age
 			}
 			nd.step(now, &cfg)
-			if got := nd.stats.ResyncsSent.Load() > 0; got != tc.wantPull {
+			if got := nd.stats[cResyncsSent].Load() > 0; got != tc.wantPull {
 				t.Fatalf("pull issued = %v at age %d (threshold %d), want %v",
 					got, tc.age, pullAfter, tc.wantPull)
 			}

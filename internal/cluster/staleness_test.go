@@ -76,8 +76,8 @@ func TestHeartbeatStaleness(t *testing.T) {
 				nd := newNode(7, slot, 2, d.NeighborIDs(slot), d.Weights(slot), ep, codec, tc.alg)
 				nd.setState(tc.self)
 				// The cache entry: neighbor 3 offered the bait at tick 1.
-				nd.cache[0] = tc.bait
-				nd.lastSeen[0] = 1
+				nd.nbr[0].cache = tc.bait
+				nd.nbr[0].lastSeen = 1
 				cfg := Config{StalenessTTL: ttl}
 				cfg.fill()
 
@@ -117,8 +117,8 @@ func TestStalenessRecovery(t *testing.T) {
 	cfg.fill()
 
 	// Stale bait: ignored.
-	nd.cache[0] = spanning.State{Root: 1, Parent: trees.None, Dist: 0}
-	nd.lastSeen[0] = 1
+	nd.nbr[0].cache = spanning.State{Root: 1, Parent: trees.None, Dist: 0}
+	nd.nbr[0].lastSeen = 1
 	nd.step(10, &cfg)
 	if s := nd.State().(spanning.State); s.Root != 7 {
 		t.Fatalf("acted on stale entry: %v", s)
@@ -132,7 +132,7 @@ func TestStalenessRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd.ingest(data, 11, &cfg, nil)
+	nd.ingest(data, 11, nil)
 	nd.step(11, &cfg)
 	if s := nd.State().(spanning.State); s.Root != 1 || s.Parent != 3 {
 		t.Fatalf("did not adopt after heartbeat revival: %v", s)

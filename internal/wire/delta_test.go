@@ -413,7 +413,7 @@ func BenchmarkDeltaKeepalive(b *testing.B) {
 }
 
 // TestEncodeAllocFree: a warm encoder performs zero heap allocations
-// per frame — the fix for E13's throughput sag at scale.
+// per frame — the fix for the cluster's throughput sag at scale.
 func TestEncodeAllocFree(t *testing.T) {
 	var bb bits.Builder
 	c := Codec(Switching{})
