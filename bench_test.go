@@ -8,6 +8,7 @@ package silentspan_test
 
 import (
 	"math/rand"
+	goruntime "runtime"
 	"strconv"
 	"testing"
 
@@ -440,10 +441,11 @@ func BenchmarkScaleBFSRouting(b *testing.B) {
 // BenchmarkLockstepIdleTick times one lockstep Tick of a silent cluster,
 // the idle-route-chan workload's shape (n=2000, keep-alives backed off
 // to one per 31 ticks): what is left is the driver handing out node
-// rounds plus ~0.6 µs of protocol work per node. Convergence and the
-// in-band quiet announcement happen outside the timer. Compare drivers
-// with -cpu 1,2; it asserts nothing about time. -short runs a size the
-// CI smoke converges in well under a second.
+// ticks, a gate check per node, and ingesting the keep-alives that are
+// due — a node runs its round about twice per 62 ticks. Convergence and
+// the in-band quiet announcement happen outside the timer. Compare
+// drivers with -cpu 1,2; it asserts nothing about time. -short runs a
+// size the CI smoke converges in well under a second.
 func BenchmarkLockstepIdleTick(b *testing.B) {
 	n := 2000
 	if testing.Short() {
@@ -468,11 +470,16 @@ func BenchmarkLockstepIdleTick(b *testing.B) {
 			cl.Tick()
 		}
 		b.ReportAllocs()
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			cl.Tick()
 		}
+		b.StopTimer()
+		goruntime.ReadMemStats(&after)
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/node")
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/float64(n), "allocs/node")
 	})
 }
 

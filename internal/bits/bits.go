@@ -212,6 +212,10 @@ type Reader struct {
 // NewReader returns a Reader over s.
 func NewReader(s String) *Reader { return &Reader{s: s} }
 
+// Reset points the reader at the front of s, so a decoder on a hot path
+// reuses one Reader across frames instead of allocating one per call.
+func (r *Reader) Reset(s String) { *r = Reader{s: s} }
+
 // Remaining returns the number of unread bits.
 func (r *Reader) Remaining() int { return r.s.Len() - r.pos }
 

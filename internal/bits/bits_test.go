@@ -131,6 +131,11 @@ func TestGammaSequence(t *testing.T) {
 	if r.Remaining() != 0 {
 		t.Errorf("leftover bits: %d", r.Remaining())
 	}
+	// A Reset reader starts over, on whatever string it is handed.
+	r.Reset(AppendGamma(String{}, 7))
+	if got, err := ReadGamma(r); err != nil || got != 7 || r.Pos() != GammaLen(7) || r.Remaining() != 0 {
+		t.Errorf("after Reset: read %d (%v), pos %d, %d bits left", got, err, r.Pos(), r.Remaining())
+	}
 }
 
 func TestGammaTruncated(t *testing.T) {

@@ -30,6 +30,16 @@
 //     timer and its endpoint's notify channel, with no global
 //     coordination — the deployment shape.
 //
+// Both call Node.tick, and silence is as cheap there as on the wire. A
+// node's round — the staleness sweep, one δ evaluation, the detector — is
+// a pure function of its inputs, so tick runs it only when an input was
+// written since the last one (Node.dirty, raised by setState,
+// applyRemapLocked, forgetPeerLocked and by ingest for a heartbeat that
+// revives an entry or carries a different register or quiet report) or a
+// deadline the last one published fell due (Node.wakeAt: a freshness
+// pull, a staleness expiry, the local quiet window closing). A quiet
+// node between keep-alives drains an empty inbox and checks two words.
+//
 // A Gateway (gateway.go) rides on top, maintaining a
 // routing.LiveLabeler over the live registers and carrying routed
 // packets hop-by-hop as data frames through the same transport.
@@ -405,7 +415,9 @@ func (c *Cluster) SetState(id graph.NodeID, s runtime.State) {
 // InitArbitrary fills every register with an arbitrary state drawn
 // from the algorithm — the adversarial initialization of the model.
 // Neighbor caches start empty regardless: a booting cluster knows
-// nothing about its neighbors until heartbeats arrive.
+// nothing about its neighbors until heartbeats arrive. The view the
+// algorithm draws from is the node's cache as of its last round (empty
+// before the first).
 func (c *Cluster) InitArbitrary(rng *rand.Rand) {
 	c.memMu.RLock()
 	defer c.memMu.RUnlock()
@@ -421,7 +433,10 @@ func (c *Cluster) InitArbitrary(rng *rand.Rand) {
 
 // Corrupt overwrites k distinct registers with arbitrary states drawn
 // from the algorithm — transient faults striking a live deployment.
-// Call between ticks. It returns the victims in activation order.
+// Call between ticks. It returns the victims in activation order. The
+// view the algorithm draws from is each victim's cache as of its last
+// round — current even for a node that has been skipping rounds, since a
+// round runs in every tick a cache entry or its staleness changes.
 func (c *Cluster) Corrupt(k int, rng *rand.Rand) []graph.NodeID {
 	c.memMu.RLock()
 	defer c.memMu.RUnlock()

@@ -20,10 +20,13 @@ import (
 // multiple-reader register (Section II-A). One goroutine at a time runs
 // its rounds (the owner): in lockstep whichever Tick worker claimed its
 // slot (the barrier orders one tick's writes before the next tick's
-// reads), in Serve its own actor goroutine. The fields are grouped by
-// who may touch them: fixed at construction, coordinator-owned, guarded
-// by mu (everything a between-tick reader — gateway, admin plane,
-// coordinator — sees), owner-only, and atomics.
+// reads), in Serve its own actor goroutine. A round (step, then
+// updateQuiet) is a pure function of its inputs: tick runs it when one
+// was written (dirty) or a deadline fell due (wakeAt), and skips it
+// otherwise. The fields are grouped by who may touch them: fixed at
+// construction, coordinator-owned, guarded by mu (everything a
+// between-tick reader — gateway, admin plane, coordinator — sees),
+// owner-only, and atomics.
 type Node struct {
 	id    graph.NodeID
 	slot  int
@@ -81,14 +84,28 @@ type Node struct {
 	qDirty   bool   // report transition pending an urgent broadcast
 	qAnnRoot bool   // this node is a root with an active announcement
 	qAnnEp   uint64 // epoch of the root's active announcement
+	// dirty says an input of the round (step + updateQuiet) was written
+	// since tick last ran one. Its writers are the ones that write such an
+	// input outside the round: setState (register, qWrote),
+	// applyRemapLocked (the neighbor row, epoch, quiet window),
+	// forgetPeerLocked (a wiped record, epoch, quiet window), and ingest
+	// when an accepted heartbeat revives a never-heard or stale entry or
+	// carries a different register or quiet report. tick clears it.
+	dirty bool
 
 	// Owner-only from here to drainBuf (the coordinator sets seq,
 	// advertPending and resyncPending on a joiner before anyone runs it).
 	// advertPending arms the membership beacon: the node's next tick
 	// opens with a KindAdvert broadcast.
 	advertPending bool
-	peers         []runtime.State // per-tick effective view of nbr (staleness applied)
+	peers         []runtime.State // effective view of nbr (staleness applied) as of the last round
 	changed       bool            // register changed during the last tick
+	// wakeAt is the first tick at which the round does something with
+	// unchanged inputs — a freshness pull, a staleness expiry, the local
+	// quiet window closing. step publishes the earliest per-neighbor
+	// deadline and updateQuiet lowers it to the quiet window's; zero (a
+	// node that never ran) is always due.
+	wakeAt uint64
 	// Sender-side delta stream and keep-alive cadence.
 	seq           uint64        // own heartbeat counter
 	anchorState   runtime.State // register as of the last self-contained broadcast
@@ -132,7 +149,8 @@ type peerState struct {
 	// tick it was accepted at (0 = never), and the highest accepted
 	// sequence number, which rejects duplicated and reordered-stale
 	// heartbeats. wasStale is the entry's staleness as of the last step,
-	// so fresh→stale transitions are counted exactly once per expiry.
+	// so fresh→stale transitions are counted exactly once per expiry and
+	// ingest knows a frame that revives the entry from one that refreshes it.
 	cache    runtime.State
 	lastSeen uint64
 	lastSeq  uint64
@@ -306,6 +324,7 @@ func (nd *Node) applyRemapLocked(r *nodeRemap) {
 	nd.epochMirror.Store(nd.qEpoch)
 	nd.qLastAct = nd.localTick
 	nd.qDirty = true
+	nd.dirty = true
 }
 
 // ID returns the node's identity.
@@ -326,6 +345,7 @@ func (nd *Node) setState(s runtime.State) {
 	nd.self = s
 	nd.changedSince = true
 	nd.qWrote = true
+	nd.dirty = true
 	nd.recordEpoch(trace.RegWrite, trace.ClassNone, 0, 0, 0, nd.localTick, nd.qEpoch)
 	nd.mu.Unlock()
 	if nd.writeCount != nil {
@@ -367,15 +387,41 @@ func (nd *Node) receive(now uint64, gw *Gateway) {
 	for _, data := range nd.drainBuf {
 		nd.ingest(data, now, gw)
 	}
+	// A quiet node's scratch must not pin the last burst's frames.
+	clear(nd.drainBuf)
 }
 
-// tick runs one protocol round at local time `now`: ingest delivered
-// frames, apply one δ evaluation over the (staleness-filtered) cache
-// view, forward parked packets, and heartbeat.
+// tick runs one protocol tick at local time `now`: ingest delivered
+// frames, run the round — one δ evaluation over the (staleness-filtered)
+// cache view, then the detector — forward parked packets, and heartbeat.
+//
+// The round is a pure function of its inputs: it runs when one was
+// written (dirty) or a deadline fell due (wakeAt), and is skipped
+// otherwise, because it would recompute what it left last time — silence
+// costs a quiet node no δ evaluation and no walk over its neighbor
+// records. A round that writes the register raises dirty itself, so the
+// tick after a write always runs one (and a node without a register,
+// which every round writes, runs every tick), and a skipped round finds
+// changed already false.
 func (nd *Node) tick(now uint64, cfg *Config, gw *Gateway) {
 	nd.receive(now, gw)
-	nd.step(now, cfg)
-	nd.updateQuiet(now, cfg)
+	// Detector-report transitions (subtree-quiet flips, announcement
+	// fire/retract) count as urgent like register changes: the
+	// convergecast and the flood-down travel at change speed, not at the
+	// backed-off keep-alive cadence. Only the round raises either flag, so
+	// a skipped round reads them in the gate's critical section.
+	nd.mu.Lock()
+	run := nd.dirty || now >= nd.wakeAt
+	nd.dirty = false
+	urgent := nd.changedSince || nd.qDirty
+	nd.mu.Unlock()
+	if run {
+		nd.step(now, cfg)
+		nd.updateQuiet(now, cfg)
+		nd.mu.Lock()
+		urgent = nd.changedSince || nd.qDirty
+		nd.mu.Unlock()
+	}
 	if gw != nil {
 		nd.pump(now, gw)
 	}
@@ -392,13 +438,6 @@ func (nd *Node) tick(now uint64, cfg *Config, gw *Gateway) {
 		nd.advertPending = false
 		nd.sendAdvert()
 	}
-	// Detector-report transitions (subtree-quiet flips, announcement
-	// fire/retract) count as urgent like register changes: the
-	// convergecast and the flood-down travel at change speed, not at the
-	// backed-off keep-alive cadence.
-	nd.mu.Lock()
-	urgent := nd.changedSince || nd.qDirty
-	nd.mu.Unlock()
 	if nd.resyncPending || (urgent && now-nd.lastHB >= minGap) || now >= nd.nextHB {
 		nd.sendHB(now, urgent, cfg)
 	}
@@ -471,8 +510,17 @@ func (nd *Node) ingest(data []byte, now uint64, gw *Gateway) {
 			}
 		}
 		// Under mu: the admin plane snapshots the cache from outside the
-		// actor goroutine.
+		// actor goroutine. The round reads the entry's freshness, register
+		// and report; a keep-alive that moves none of them leaves the next
+		// round skippable — lastSeen alone only postpones a deadline, which
+		// the round recomputes when it gets there. A never-heard entry reads
+		// stale like an expired one; an anchor may carry no register, so the
+		// comparison cannot lean on Equal alone.
 		nd.mu.Lock()
+		if pr.wasStale || f.Q != pr.q ||
+			(st == nil) != (pr.cache == nil) || (st != nil && !st.Equal(pr.cache)) {
+			nd.dirty = true
+		}
 		pr.lastSeq = f.Seq
 		pr.cache = st
 		pr.lastSeen = now
@@ -554,6 +602,7 @@ func (nd *Node) forgetPeerLocked(j int, seq uint64, addr string) {
 	nd.qEpoch++
 	nd.epochMirror.Store(nd.qEpoch)
 	nd.qLastAct = nd.localTick
+	nd.dirty = true
 	nd.stats[cNeighborEvictions].Add(1)
 }
 
@@ -571,10 +620,21 @@ func (nd *Node) step(now uint64, cfg *Config) {
 	// a lost keep-alive could leave a cache stale (but unexpired) long
 	// enough for the cluster to look quiet in a non-silent configuration.
 	pullAfter := uint64(cfg.BackoffCap + cfg.BackoffCap/2 + 3)
+	// wake collects the first tick this loop would do something new over
+	// the same records: a fresh entry starts being pulled (every tick from
+	// then on) or expires, a never-heard one starts being pulled; an
+	// expired one has nothing left to do.
+	wake := ^uint64(0)
 	for j := range nd.nbr {
 		pr := &nd.nbr[j]
 		age := now - pr.lastSeen
 		stale := pr.lastSeen == 0 || age > uint64(cfg.StalenessTTL)
+		switch {
+		case pr.lastSeen == 0:
+			wake = min(wake, max(now, pullAfter)+1)
+		case !stale:
+			wake = min(wake, max(now, pr.lastSeen+min(pullAfter, uint64(cfg.StalenessTTL)))+1)
+		}
 		if stale {
 			nd.peers[j] = nil
 			// Count only heard-then-expired entries, not never-heard ones.
@@ -604,6 +664,7 @@ func (nd *Node) step(now uint64, cfg *Config) {
 			nd.mu.Unlock()
 		}
 	}
+	nd.wakeAt = wake
 	v := runtime.NewView(nd.id, nd.n, nd.neighbors, nd.weights, nd.self, nd.peers)
 	next := nd.alg.Step(v)
 	if nd.self == nil || !next.Equal(nd.self) {

@@ -51,6 +51,11 @@ func (nd *Node) updateQuiet(now uint64, cfg *Config) {
 	nd.epochMirror.Store(e)
 
 	sub := nd.localQuiet(now, cfg)
+	if !sub {
+		// The window is still open: with nothing else happening, the next
+		// thing this round does differently is close it.
+		nd.wakeAt = min(nd.wakeAt, nd.qLastAct+uint64(cfg.StalenessTTL))
+	}
 	count := uint64(1)
 	parentID := ParentOf(nd.self)
 	var annIn uint64

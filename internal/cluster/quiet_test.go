@@ -6,6 +6,7 @@ import (
 
 	"silentspan/internal/graph"
 	"silentspan/internal/spanning"
+	"silentspan/internal/trees"
 	"silentspan/internal/wire"
 )
 
@@ -281,8 +282,9 @@ func TestClusterWriteCounter(t *testing.T) {
 }
 
 // TestFreshnessPullBoundary: table test around the pullAfter threshold
-// in step — the ages where a quiet neighbor is legitimately backed off
-// versus where a keep-alive must have been lost and an anchor is pulled.
+// in step, driven through tick — the ages where a quiet neighbor is
+// legitimately backed off versus where a keep-alive must have been lost
+// and an anchor is pulled.
 func TestFreshnessPullBoundary(t *testing.T) {
 	alg := spanning.Algorithm{}
 	codec, err := wire.ForAlgorithm(alg)
@@ -318,16 +320,28 @@ func TestFreshnessPullBoundary(t *testing.T) {
 				t.Fatal(err)
 			}
 			nd := newNode(1, 0, 2, []graph.NodeID{2}, []graph.Weight{1}, ep, codec, alg)
+			nd.setState(spanning.State{Root: 1, Parent: trees.None, Dist: 0})
 			now := tc.age
 			if !tc.never {
 				now = tc.age + 5 // any origin; only the age matters
-				nd.nbr[0].cache = spanning.State{Root: 1, Parent: 0, Dist: 0}
+				nd.nbr[0].cache = spanning.State{Root: 1, Parent: 1, Dist: 1}
 				nd.nbr[0].lastSeen = now - tc.age
 			}
-			nd.step(now, &cfg)
-			if got := nd.stats[cResyncsSent].Load() > 0; got != tc.wantPull {
+			nd.tick(now, &cfg, nil)
+			pulls := nd.stats[cResyncsSent].Load()
+			if got := pulls > 0; got != tc.wantPull {
 				t.Fatalf("pull issued = %v at age %d (threshold %d), want %v",
 					got, tc.age, pullAfter, tc.wantPull)
+			}
+			// On either side of the threshold the next tick is the deadline
+			// that round published: nothing was written, and the gate must
+			// still not skip it.
+			nd.tick(now+1, &cfg, nil)
+			if got := nd.stats[cResyncsSent].Load() - pulls; got != 1 {
+				t.Fatalf("%d pulls in the tick after age %d, want 1", got, tc.age)
+			}
+			if got := nd.stats[cRegisterWrites].Load(); got != 0 {
+				t.Fatalf("δ wrote %d times: the second tick was to run on its deadline alone", got)
 			}
 		})
 	}

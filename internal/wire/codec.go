@@ -31,8 +31,10 @@ type Codec interface {
 	// an all-zero mask — the quiet keep-alive.
 	AppendDelta(b *bits.Builder, base, cur runtime.State) error
 	// ApplyDelta parses one delta off the reader and applies it onto a
-	// copy of base. A changed field carrying its base value is rejected
-	// as non-canonical, keeping decode the exact inverse of encode.
+	// copy of base; an empty change mask returns base itself, so ingesting
+	// a keep-alive allocates nothing. A changed field carrying its base
+	// value is rejected as non-canonical, keeping decode the exact inverse
+	// of encode.
 	ApplyDelta(r *bits.Reader, base runtime.State) (runtime.State, error)
 }
 
@@ -153,6 +155,10 @@ func (Spanning) ApplyDelta(r *bits.Reader, base runtime.State) (runtime.State, e
 		if mask[i], err = r.ReadBit(); err != nil {
 			return nil, err
 		}
+	}
+	if mask == [3]bool{} {
+		// The keep-alive: hand back the caller's value, not a fresh box.
+		return base, nil
 	}
 	if mask[0] {
 		v, err := readChanged(r, int64(s.Root))
@@ -310,6 +316,9 @@ func (Switching) ApplyDelta(r *bits.Reader, base runtime.State) (runtime.State, 
 		if mask[i], err = r.ReadBit(); err != nil {
 			return nil, err
 		}
+	}
+	if !flipD && !flipS && mask == [8]bool{} {
+		return base, nil // the keep-alive, as in the spanning codec
 	}
 	old := [...]int64{int64(s.Root), int64(s.Parent), int64(s.D), int64(s.S),
 		int64(s.Sw), int64(s.SwTarget), int64(s.Pr), int64(s.Sub)}

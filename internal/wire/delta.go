@@ -108,7 +108,8 @@ func ApplyDelta(c Codec, f Frame, base runtime.State) (runtime.State, error) {
 	if base == nil {
 		return nil, fmt.Errorf("wire: ApplyDelta without a base register")
 	}
-	r := bits.NewReader(f.delta)
+	r := getReader(f.delta)
+	defer putReader(r)
 	if err := r.Skip(f.deltaOff); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrPayload, err)
 	}

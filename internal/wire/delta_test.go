@@ -434,9 +434,9 @@ func TestEncodeAllocFree(t *testing.T) {
 	}
 }
 
-// TestDecodeBufAllocBound: a warm decoder's only steady allocations are
-// the reader and the decoded register's interface box — the payload
-// words no longer allocate per frame.
+// TestDecodeBufAllocBound: a warm decoder's only steady allocation is
+// the decoded register's interface box — neither the payload words nor
+// the bit reader allocate per frame.
 func TestDecodeBufAllocBound(t *testing.T) {
 	var bb bits.Builder
 	c := Codec(Switching{})
@@ -453,7 +453,48 @@ func TestDecodeBufAllocBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2 {
-		t.Fatalf("warm decode allocates %.1f times per frame, want ≤2", allocs)
+	if allocs > 1 {
+		t.Fatalf("warm decode allocates %.1f times per frame, want ≤1", allocs)
+	}
+}
+
+// TestKeepaliveIngestAllocFree: decoding and applying a keep-alive — the
+// frame a silent cluster exchanges forever — allocates nothing, for
+// either codec: the readers are recycled and an empty change mask hands
+// back the base register itself.
+func TestKeepaliveIngestAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		c    Codec
+		base runtime.State
+	}{
+		{Spanning{}, spanning.State{Root: 1, Parent: 4711, Dist: 9}},
+		{Switching{}, switching.SelfRoot(50000)},
+	} {
+		t.Run(tc.c.Name(), func(t *testing.T) {
+			var bb bits.Builder
+			data, err := Encode(Frame{Kind: KindDelta, Alg: tc.c.Code(), Src: 50000, Seq: 9, BaseSeq: 3,
+				Base: tc.base, State: tc.base}, tc.c, &bb, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scratch := make([]uint64, 8)
+			var got runtime.State
+			allocs := testing.AllocsPerRun(200, func() {
+				f, sc, err := DecodeBuf(tc.c, data, scratch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scratch = sc
+				if got, err = ApplyDelta(tc.c, f, tc.base); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("keep-alive ingest allocates %.1f times per frame", allocs)
+			}
+			if !got.Equal(tc.base) {
+				t.Fatalf("empty-mask delta applied to %v, want the base %v", got, tc.base)
+			}
+		})
 	}
 }

@@ -44,6 +44,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sync"
 
 	"silentspan/internal/bits"
 	"silentspan/internal/graph"
@@ -213,18 +214,43 @@ func DecodeBuf(c Codec, data []byte, scratch []uint64) (Frame, []uint64, error) 
 	if err != nil {
 		return f, scratch, fmt.Errorf("%w: %v", ErrPayload, err)
 	}
-	r := bits.NewReader(s)
+	r := getReader(s)
+	err = decodePayload(r, s, &f, c)
+	putReader(r)
+	return f, scratch, err
+}
+
+// readers recycles the bit readers DecodeBuf and ApplyDelta parse with:
+// a Reader handed to a Codec method escapes to the heap, which was one
+// allocation per frame in each of the two. A reader goes back empty, so
+// the pool never pins a caller's scratch buffer.
+var readers = sync.Pool{New: func() any { return new(bits.Reader) }}
+
+func getReader(s bits.String) *bits.Reader {
+	r := readers.Get().(*bits.Reader)
+	r.Reset(s)
+	return r
+}
+
+func putReader(r *bits.Reader) {
+	r.Reset(bits.String{})
+	readers.Put(r)
+}
+
+// decodePayload parses the payload bit string s, read through r, into
+// f, whose Kind the header already fixed.
+func decodePayload(r *bits.Reader, s bits.String, f *Frame, c Codec) error {
 	src, err := bits.ReadGamma(r)
 	if err != nil {
-		return f, scratch, fmt.Errorf("%w: src: %v", ErrPayload, err)
+		return fmt.Errorf("%w: src: %v", ErrPayload, err)
 	}
 	f.Src = graph.NodeID(src)
 	if f.Src < 1 {
-		return f, scratch, fmt.Errorf("%w: non-positive src %d", ErrPayload, f.Src)
+		return fmt.Errorf("%w: non-positive src %d", ErrPayload, f.Src)
 	}
 	seq1, err := bits.ReadGamma(r)
 	if err != nil {
-		return f, scratch, fmt.Errorf("%w: seq: %v", ErrPayload, err)
+		return fmt.Errorf("%w: seq: %v", ErrPayload, err)
 	}
 	f.Seq = seq1 - 1
 	switch f.Kind {
@@ -233,7 +259,7 @@ func DecodeBuf(c Codec, data []byte, scratch []uint64) (Frame, []uint64, error) 
 		for i := range fields {
 			v, err := readInt(r)
 			if err != nil {
-				return f, scratch, fmt.Errorf("%w: data field %d: %v", ErrPayload, i, err)
+				return fmt.Errorf("%w: data field %d: %v", ErrPayload, i, err)
 			}
 			fields[i] = v
 		}
@@ -244,8 +270,8 @@ func DecodeBuf(c Codec, data []byte, scratch []uint64) (Frame, []uint64, error) 
 			Hops:   int(fields[3]),
 		}
 	case KindDelta:
-		if err := readDelta(r, &f, c); err != nil {
-			return f, scratch, err
+		if err := readDelta(r, f, c); err != nil {
+			return err
 		}
 		if f.BaseSeq < f.Seq {
 			// Delta application needs the receiver's anchor register;
@@ -255,18 +281,15 @@ func DecodeBuf(c Codec, data []byte, scratch []uint64) (Frame, []uint64, error) 
 			// aliases scratch: apply the delta before the next
 			// DecodeBuf call with the same buffer.
 			f.delta, f.deltaOff = s, r.Pos()
-			return f, scratch, nil
+			return nil
 		}
 	case KindAdvert:
-		if err := readAdvert(r, &f); err != nil {
-			return f, scratch, err
+		if err := readAdvert(r, f); err != nil {
+			return err
 		}
 	case KindResync, KindLeave:
 	}
-	if err := checkPadding(r); err != nil {
-		return f, scratch, err
-	}
-	return f, scratch, nil
+	return checkPadding(r)
 }
 
 // checkPadding enforces canonical zero-padding: whatever follows the
