@@ -1,7 +1,11 @@
 package routing
 
 import (
+	"encoding/json"
+	"flag"
 	"math/rand"
+	"os"
+	"reflect"
 	"testing"
 
 	"silentspan/internal/graph"
@@ -115,5 +119,57 @@ func TestLiveLabelingDegradesUnderCorruption(t *testing.T) {
 	}
 	if delivered == 0 {
 		t.Error("no labeled node could still reach the root")
+	}
+}
+
+var updatePinned = flag.Bool("update", false, "rewrite testdata/interplay_pinned.json")
+
+// TestInterplayReportsPinned compares the three per-substrate reports of
+// one seeded run field for field against committed values: every rng
+// draw (bring-up, batches, cohort, victims), the write count and the
+// window loop are pinned, so a refactor of the episode that moves one
+// of them fails here. Regenerate with
+//
+//	go test ./internal/routing -run TestInterplayReportsPinned -update
+func TestInterplayReportsPinned(t *testing.T) {
+	const path = "testdata/interplay_pinned.json"
+	var got []*InterplayReport
+	for _, sub := range []Substrate{SubstrateBFS, SubstrateMST, SubstrateMDST} {
+		g := graph.RandomConnected(24, 0.15, rand.New(rand.NewSource(20)))
+		rep, err := RunInterplay(g, InterplayConfig{Substrate: sub, Faults: 4, MovesPerWindow: 5, Seed: 7})
+		if err != nil {
+			t.Fatalf("%s: %v", sub, err)
+		}
+		got = append(got, rep)
+	}
+	if *updatePinned {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing pinned reports (regenerate with -update): %v", err)
+	}
+	var want []*InterplayReport
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("%d pinned reports, ran %d", len(want), len(got))
+	}
+	for i := range got {
+		gv, wv := reflect.ValueOf(*got[i]), reflect.ValueOf(*want[i])
+		for f := 0; f < gv.NumField(); f++ {
+			if !reflect.DeepEqual(gv.Field(f).Interface(), wv.Field(f).Interface()) {
+				t.Errorf("%s: %s = %+v, pinned %+v", got[i].Substrate, gv.Type().Field(f).Name,
+					gv.Field(f).Interface(), wv.Field(f).Interface())
+			}
+		}
 	}
 }
