@@ -105,6 +105,23 @@ func main() {
 	}
 	failed := false
 
+	// verdict prints the outcome of a ledger campaign (its table is
+	// already out) and records failure; it reports whether the campaign
+	// certified cleanly.
+	verdict := func(name string, err error, l *cert.Ledger, certified string) bool {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "sscert: %s: %v\n", name, err)
+		}
+		if !l.Certified() {
+			fmt.Printf("FALSIFIED: %d counterexamples\n", len(l.Counterexamples))
+		} else if err == nil {
+			fmt.Printf("CERTIFIED: %s, zero counterexamples\n", certified)
+			return true
+		}
+		failed = true
+		return false
+	}
+
 	if *exhaustive {
 		rep, err := cert.RunExhaustive(cert.ExhaustiveConfig{
 			MaxN:               *maxn,
@@ -114,20 +131,9 @@ func main() {
 			Seed:               *seed,
 		}, logf)
 		file.Exhaustive = rep
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sscert: exhaustive: %v\n", err)
-			failed = true
-		}
-		if rep != nil {
-			bench.ExhaustiveTable(rep).Fprint(os.Stdout)
-			if rep.Certified() && err == nil {
-				fmt.Printf("CERTIFIED: %d graphs, %d runs, %d exhaustive inits, zero counterexamples\n",
-					rep.Graphs, rep.Runs, rep.ExhaustiveInits)
-			} else if !rep.Certified() {
-				fmt.Printf("FALSIFIED: %d counterexamples\n", len(rep.Counterexamples))
-				failed = true
-			}
-		}
+		bench.ExhaustiveTable(rep).Fprint(os.Stdout)
+		verdict("exhaustive", err, &rep.Ledger, fmt.Sprintf("%d graphs, %d runs, %d exhaustive inits",
+			rep.Graphs, rep.Runs, rep.ExhaustiveInits))
 	}
 
 	if *churn {
@@ -138,20 +144,9 @@ func main() {
 			Seed:      *seed,
 		}, logf)
 		file.Churn = rep
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sscert: churn: %v\n", err)
-			failed = true
-		}
-		if rep != nil {
-			bench.ChurnTable(rep).Fprint(os.Stdout)
-			if rep.Certified() && err == nil {
-				fmt.Printf("CERTIFIED: %d graphs, %d runs, %d mutations, cohort %d/%d, zero counterexamples\n",
-					rep.Graphs, rep.Runs, rep.Mutations, rep.PacketsArrived, rep.PacketsSent)
-			} else if !rep.Certified() {
-				fmt.Printf("FALSIFIED: %d counterexamples\n", len(rep.Counterexamples))
-				failed = true
-			}
-		}
+		bench.ChurnTable(rep).Fprint(os.Stdout)
+		verdict("churn", err, &rep.Ledger, fmt.Sprintf("%d graphs, %d runs, %d mutations, cohort %d/%d",
+			rep.Graphs, rep.Runs, rep.Mutations, rep.PacketsArrived, rep.PacketsSent))
 	}
 
 	if *clusterRun {
@@ -162,23 +157,10 @@ func main() {
 			Seed:     *seed,
 		}, logf)
 		file.Cluster = rep
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sscert: cluster: %v\n", err)
-			failed = true
-		}
-		if rep != nil {
-			bench.ClusterTable(rep).Fprint(os.Stdout)
-			if rep.Certified() && err == nil {
-				fmt.Printf("CERTIFIED: %d graphs, %d runs, %d frames, packets %d/%d, zero counterexamples\n",
-					rep.Graphs, rep.Runs, rep.FramesSent, rep.PacketsArrived, rep.PacketsSent)
-				if *clusterChurn > 0 {
-					fmt.Printf("  churn: %d joins, %d leaves, %d crashes survived\n",
-						rep.Joins, rep.Leaves, rep.Crashes)
-				}
-			} else if !rep.Certified() {
-				fmt.Printf("FALSIFIED: %d counterexamples\n", len(rep.Counterexamples))
-				failed = true
-			}
+		bench.ClusterTable(rep).Fprint(os.Stdout)
+		if verdict("cluster", err, &rep.Ledger, fmt.Sprintf("%d graphs, %d runs, %d frames, packets %d/%d",
+			rep.Graphs, rep.Runs, rep.FramesSent, rep.PacketsArrived, rep.PacketsSent)) && *clusterChurn > 0 {
+			fmt.Printf("  churn: %d joins, %d leaves, %d crashes survived\n", rep.Joins, rep.Leaves, rep.Crashes)
 		}
 	}
 

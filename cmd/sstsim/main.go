@@ -45,6 +45,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -52,12 +53,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"silentspan/internal/bfs"
 	"silentspan/internal/cert"
 	"silentspan/internal/cluster"
 	"silentspan/internal/core"
@@ -67,37 +68,60 @@ import (
 	"silentspan/internal/ops"
 	"silentspan/internal/routing"
 	"silentspan/internal/runtime"
-	"silentspan/internal/spanning"
-	"silentspan/internal/switching"
 	"silentspan/internal/trees"
 )
 
+// The 23 flags. They are package-level so the per-mode table below can
+// be checked against them (main_test.go).
+var (
+	algName     = flag.String("alg", "bfs", "algorithm: spanning | switching | bfs | mst | mdst")
+	graphSpec   = flag.String("graph", "random:30:0.15", "graph: ring:n | path:n | grid:r:c | complete:n | star:n | lollipop:k:t | random:n:p | geometric:n:r")
+	schedName   = flag.String("sched", "central", "scheduler: central | synchronous | round-robin | adversarial-unfair | greedy-stretch | random-central | random-subset (adversarial, roundrobin, random: older spellings)")
+	seed        = flag.Int64("seed", 1, "random seed")
+	faults      = flag.Int("faults", 0, "registers to corrupt after stabilization (rule-based algorithms)")
+	maxMoves    = flag.Int("maxmoves", 10_000_000, "move budget")
+	route       = flag.Bool("route", false, "serve traffic over the stabilized tree instead of just constructing it")
+	packets     = flag.Int("packets", 100_000, "route mode: packets to drive")
+	workload    = flag.String("workload", "uniform", "route mode: uniform | hotspot | allpairs")
+	churn       = flag.Int("churn", 0, "apply this many live-topology churn ops (joins/leaves/link flaps/partitions) after stabilization, with traffic flying")
+	clusterMode = flag.Bool("cluster", false, "run the algorithm as a lockstep message-passing cluster: nodes exchanging heartbeat frames over a faulty in-process transport")
+	loss        = flag.Float64("loss", 0.1, "cluster mode: heartbeat/data frame loss probability (dup/corrupt/delay ride along at fixed rates)")
+	serve       = flag.Bool("serve", false, "deploy the cluster free-running over loopback UDP with a per-node admin API, until SIGINT/SIGTERM (or -serve-for)")
+	adminDir    = flag.String("admin-dir", "", "serve mode: write the admin directory (one 'id addr' line per node) to this file at startup")
+	treeOut     = flag.String("tree-out", "", "serve mode: write the stabilized parent map (one 'child parent' line per node, 0 = root) to this file once the cluster is quiet")
+	serveFor    = flag.Duration("serve-for", 0, "serve mode: exit after this duration (0 = run until signalled)")
+	interval    = flag.Duration("interval", 5*time.Millisecond, "serve mode: per-node tick period; shorter converges faster but saturates small machines (staleness flapping)")
+	backoffCap  = flag.Int("backoff-cap", 0, "serve mode: max keep-alive gap in ticks while quiet (0 = derive from the staleness TTL, ≈64; clamped so live peers never expire)")
+	churnKill   = flag.Int("churn-kill", 0, "serve mode: once quiet, crash this many non-root nodes (connectivity-preserving), then rejoin the same ids after -churn-rejoin-after; tree-out and admin-dir are republished when quiet again")
+	churnRejoin = flag.Duration("churn-rejoin-after", 2*time.Second, "serve mode: how long the killed nodes stay dead before rejoining")
+	traceOn     = flag.Bool("trace", false, "serve mode: arm the per-node flight recorder (collect with sstrace, or curl any node's /gettrace)")
+	traceCap    = flag.Int("trace-cap", 8192, "serve mode: flight-recorder ring capacity in events per node")
+	pprofAddr   = flag.String("pprof", "", "serve mode: also serve net/http/pprof on this address (host:port)")
+)
+
 func main() {
-	algName := flag.String("alg", "bfs", "algorithm: spanning | switching | bfs | mst | mdst")
-	graphSpec := flag.String("graph", "random:30:0.15", "graph: ring:n | path:n | grid:r:c | complete:n | star:n | lollipop:k:t | random:n:p | geometric:n:r")
-	schedName := flag.String("sched", "central", "scheduler: central | synchronous | adversarial | roundrobin | random")
-	seed := flag.Int64("seed", 1, "random seed")
-	faults := flag.Int("faults", 0, "registers to corrupt after stabilization (rule-based algorithms)")
-	maxMoves := flag.Int("maxmoves", 10_000_000, "move budget")
-	route := flag.Bool("route", false, "serve traffic over the stabilized tree instead of just constructing it")
-	packets := flag.Int("packets", 100_000, "route mode: packets to drive")
-	workload := flag.String("workload", "uniform", "route mode: uniform | hotspot | allpairs")
-	churn := flag.Int("churn", 0, "apply this many live-topology churn ops (joins/leaves/link flaps/partitions) after stabilization, with traffic flying")
-	clusterMode := flag.Bool("cluster", false, "run the algorithm as a lockstep message-passing cluster: nodes exchanging heartbeat frames over a faulty in-process transport")
-	loss := flag.Float64("loss", 0.1, "cluster mode: heartbeat/data frame loss probability (dup/corrupt/delay ride along at fixed rates)")
-	serve := flag.Bool("serve", false, "deploy the cluster free-running over loopback UDP with a per-node admin API, until SIGINT/SIGTERM (or -serve-for)")
-	adminDir := flag.String("admin-dir", "", "serve mode: write the admin directory (one 'id addr' line per node) to this file at startup")
-	treeOut := flag.String("tree-out", "", "serve mode: write the stabilized parent map (one 'child parent' line per node, 0 = root) to this file once the cluster is quiet")
-	serveFor := flag.Duration("serve-for", 0, "serve mode: exit after this duration (0 = run until signalled)")
-	interval := flag.Duration("interval", 5*time.Millisecond, "serve mode: per-node tick period; shorter converges faster but saturates small machines (staleness flapping)")
-	backoffCap := flag.Int("backoff-cap", 0, "serve mode: max keep-alive gap in ticks while quiet (0 = derive from the staleness TTL, ≈64; clamped so live peers never expire)")
-	churnKill := flag.Int("churn-kill", 0, "serve mode: once quiet, crash this many non-root nodes (connectivity-preserving), then rejoin the same ids after -churn-rejoin-after; tree-out and admin-dir are republished when quiet again")
-	churnRejoin := flag.Duration("churn-rejoin-after", 2*time.Second, "serve mode: how long the killed nodes stay dead before rejoining")
-	traceOn := flag.Bool("trace", false, "serve mode: arm the per-node flight recorder (collect with sstrace, or curl any node's /gettrace)")
-	traceCap := flag.Int("trace-cap", 8192, "serve mode: flight-recorder ring capacity in events per node")
-	pprofAddr := flag.String("pprof", "", "serve mode: also serve net/http/pprof on this address (host:port)")
 	flag.Parse()
 
+	mode := "construct"
+	switch {
+	case *route:
+		mode = "route"
+	case *serve:
+		mode = "serve"
+	case *clusterMode:
+		mode = "cluster"
+	case *churn > 0:
+		mode = "churn"
+	}
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := rejectIneffective(mode, set); err != nil {
+		fatal(err)
+	}
+	alg, err := routing.ParseAlgo(*algName)
+	if err != nil {
+		fatal(err)
+	}
 	g, err := parseGraph(*graphSpec, *seed)
 	if err != nil {
 		fatal(err)
@@ -105,16 +129,8 @@ func main() {
 	rng := rand.New(rand.NewSource(*seed))
 	fmt.Printf("graph: %s (n=%d, m=%d)\n", *graphSpec, g.N(), g.M())
 
-	if *route {
-		// Route mode fixes the substrate (spanning, benign start) and
-		// daemon (synchronous); reject construction-mode flags rather
-		// than silently ignoring them.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "alg", "sched", "maxmoves":
-				fatal(fmt.Errorf("-%s is a construction-mode flag and has no effect with -route", f.Name))
-			}
-		})
+	switch mode {
+	case "route":
 		if *faults > 0 {
 			if *workload != "uniform" {
 				fatal(fmt.Errorf("-route -faults measures uniform batches; -workload %s is not supported there", *workload))
@@ -123,10 +139,7 @@ func main() {
 		} else {
 			runRoute(g, *workload, *packets, rng)
 		}
-		return
-	}
-
-	if *serve {
+	case "serve":
 		// Heartbeat every other tick and a generous TTL: a node goroutine
 		// starved for a scheduling quantum on a loaded machine must not
 		// see its whole neighborhood expire, or the cluster churns
@@ -136,67 +149,77 @@ func main() {
 		cfg := cluster.Config{
 			Interval: *interval, HeartbeatEvery: 2, StalenessTTL: 258, BackoffCap: *backoffCap,
 		}
-		sv := serveOpts{
-			adminDir: *adminDir, treeOut: *treeOut, serveFor: *serveFor,
-			churnKill: *churnKill, churnRejoin: *churnRejoin, pprofAddr: *pprofAddr,
-		}
-		if *traceOn {
-			sv.traceCap = *traceCap
-		}
-		runServe(*algName, g, *seed, sv, cfg)
-		return
-	}
-
-	if *clusterMode {
-		runCluster(*algName, g, *seed, *loss)
-		return
-	}
-
-	if *churn > 0 {
-		runChurn(*algName, g, *churn, *seed, *maxMoves)
-		return
-	}
-
-	switch *algName {
-	case "mst", "mdst":
-		runEngine(*algName, g, rng)
-	case "spanning", "switching", "bfs":
-		runRules(*algName, g, *schedName, rng, *faults, *maxMoves)
+		runServe(alg, g, *seed, cfg)
+	case "cluster":
+		runCluster(alg, g, *seed, *loss)
+	case "churn":
+		runChurn(alg, g, *churn, *seed, *maxMoves)
 	default:
-		fatal(fmt.Errorf("unknown algorithm %q", *algName))
+		if alg.Algorithm() == nil {
+			runEngine(alg, g, rng)
+			return
+		}
+		sched, err := schedulerByName(*schedName, *seed)
+		if err != nil {
+			fatal(err)
+		}
+		runRules(alg, g, sched, rng, *faults, *maxMoves)
 	}
 }
 
-// alwaysOn resolves one of the always-on (rule-based) substrates, the
-// only algorithms the cluster modes deploy directly.
-func alwaysOn(algName, mode string) runtime.Algorithm {
-	switch algName {
-	case "spanning":
-		return spanning.Algorithm{}
-	case "switching":
-		return switching.Algorithm{}
-	case "bfs":
-		return bfs.Algorithm{}
+// effective lists, per mode, the flags that change what the mode does
+// (-graph and -seed apply to all five). A flag set outside its modes is
+// rejected rather than silently ignored: route mode fixes the substrate
+// (spanning, benign start) and daemon (synchronous), the churn and
+// cluster demos fix their daemon and budgets, and so on.
+var effective = map[string]string{
+	"construct": "alg sched faults maxmoves",
+	"route":     "route packets workload faults",
+	"churn":     "churn alg maxmoves",
+	"cluster":   "cluster alg loss",
+	"serve": "serve alg admin-dir tree-out serve-for interval backoff-cap " +
+		"churn-kill churn-rejoin-after trace trace-cap pprof",
+}
+
+// rejectIneffective returns an error naming the first of the flags set
+// on the command line that has no effect in mode.
+func rejectIneffective(mode string, set []string) error {
+	ok := strings.Fields("graph seed " + effective[mode])
+	for _, name := range set {
+		if !slices.Contains(ok, name) {
+			return fmt.Errorf("-%s has no effect in %s mode (effective there: -%s)", name, mode, strings.Join(ok, " -"))
+		}
 	}
-	fatal(fmt.Errorf("%s drives the always-on substrates: spanning | switching | bfs (got %q)", mode, algName))
 	return nil
 }
 
-// extractAlwaysOn pulls the stabilized tree out of a silent projection
-// of an always-on substrate.
-func extractAlwaysOn(algName string, net *runtime.Network) (*trees.Tree, error) {
-	if algName == "spanning" {
-		return spanning.ExtractTree(net)
+// schedulerByName resolves -sched through the certification harness's
+// daemon registry (the names sscert -sched takes), accepting this
+// command's three older spellings as aliases.
+func schedulerByName(name string, seed int64) (runtime.Scheduler, error) {
+	switch name {
+	case "adversarial":
+		name = "adversarial-unfair"
+	case "roundrobin":
+		name = "round-robin"
+	case "random":
+		name = "random-subset"
 	}
-	return switching.ExtractTree(net, switching.RegOf)
+	spec, err := cert.SchedulerByName(name)
+	if err != nil {
+		return nil, err
+	}
+	return spec.New(seed), nil
 }
 
-// serveOpts bundles the serve-mode knobs.
-type serveOpts struct {
-	adminDir, treeOut     string
-	serveFor, churnRejoin time.Duration
-	churnKill, traceCap   int
-	pprofAddr             string
+// alwaysOn returns a's rule system, or exits: the cluster and churn
+// modes deploy the always-on substrates directly.
+func alwaysOn(a routing.Algo, mode string) runtime.Algorithm {
+	alg := a.Algorithm()
+	if alg == nil {
+		fatal(fmt.Errorf("%s drives the always-on substrates: spanning | switching | bfs (got %q)", mode, a))
+	}
+	return alg
 }
 
 // runServe is the operations-plane demo: deploy the cluster
@@ -212,10 +235,8 @@ type serveOpts struct {
 // membership, not just the boot path. With -trace every node records
 // into a flight-recorder ring that sstrace (or /gettrace) collects
 // into the cluster-wide causal timeline.
-func runServe(algName string, g *graph.Graph, seed int64, sv serveOpts, cfg cluster.Config) {
-	adminDir, treeOut := sv.adminDir, sv.treeOut
-	serveFor, churnKill, churnRejoin := sv.serveFor, sv.churnKill, sv.churnRejoin
-	alg := alwaysOn(algName, "-serve")
+func runServe(a routing.Algo, g *graph.Graph, seed int64, cfg cluster.Config) {
+	alg := alwaysOn(a, "-serve")
 	rng := rand.New(rand.NewSource(seed))
 	tr := cluster.NewUDPTransport()
 	defer tr.Close()
@@ -224,13 +245,13 @@ func runServe(algName string, g *graph.Graph, seed int64, sv serveOpts, cfg clus
 		fatal(err)
 	}
 	ops.RegisterGoCollectors(cl.Metrics())
-	if sv.traceCap > 0 {
-		cl.EnableFlightRecorder(sv.traceCap)
-		fmt.Printf("flight recorder armed: %d-event rings (collect with sstrace)\n", sv.traceCap)
+	if *traceOn && *traceCap > 0 {
+		cl.EnableFlightRecorder(*traceCap)
+		fmt.Printf("flight recorder armed: %d-event rings (collect with sstrace)\n", *traceCap)
 	}
-	if sv.pprofAddr != "" {
-		psrv := &http.Server{Addr: sv.pprofAddr, Handler: ops.PprofHandler()}
-		ln, err := net.Listen("tcp", sv.pprofAddr)
+	if *pprofAddr != "" {
+		psrv := &http.Server{Addr: *pprofAddr, Handler: ops.PprofHandler()}
+		ln, err := net.Listen("tcp", *pprofAddr)
 		if err != nil {
 			fatal(fmt.Errorf("pprof listener: %w", err))
 		}
@@ -246,14 +267,14 @@ func runServe(algName string, g *graph.Graph, seed int64, sv serveOpts, cfg clus
 	defer admin.Close()
 
 	publishDir := func() error {
-		if adminDir == "" {
+		if *adminDir == "" {
 			return nil
 		}
 		var b strings.Builder
 		for _, e := range admin.Addrs() {
 			fmt.Fprintf(&b, "%d %s\n", e.ID, e.Addr)
 		}
-		return writeFileAtomic(adminDir, b.String())
+		return writeFileAtomic(*adminDir, b.String())
 	}
 	if err := publishDir(); err != nil {
 		fatal(err)
@@ -265,9 +286,9 @@ func runServe(algName string, g *graph.Graph, seed int64, sv serveOpts, cfg clus
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
-	if serveFor > 0 {
+	if *serveFor > 0 {
 		var tcancel context.CancelFunc
-		ctx, tcancel = context.WithTimeout(ctx, serveFor)
+		ctx, tcancel = context.WithTimeout(ctx, *serveFor)
 		defer tcancel()
 	}
 	served := make(chan error, 1)
@@ -306,7 +327,7 @@ func runServe(algName string, g *graph.Graph, seed int64, sv serveOpts, cfg clus
 				if err != nil || !net.Silent() {
 					continue
 				}
-				tree, err := extractAlwaysOn(algName, net)
+				tree, err := a.ExtractTree(net)
 				if err != nil {
 					continue // silent snapshot of a mid-flight moment; keep polling
 				}
@@ -321,19 +342,19 @@ func runServe(algName string, g *graph.Graph, seed int64, sv serveOpts, cfg clus
 		fmt.Printf("quiet: silent tree root=%d, %d frames sent, %d register writes; still serving\n",
 			tree.Root(), st.FramesSent, st.RegisterWrites)
 
-		if churnKill > 0 {
-			victims, adj := pickVictims(cl, churnKill)
+		if *churnKill > 0 {
+			victims, adj := pickVictims(cl, *churnKill)
 			for _, v := range victims {
 				if err := cl.Crash(v); err != nil {
 					fmt.Fprintln(os.Stderr, "sstsim:", err)
 					return
 				}
 			}
-			fmt.Printf("churn: crashed %v; rejoining in %s\n", victims, churnRejoin)
+			fmt.Printf("churn: crashed %v; rejoining in %s\n", victims, *churnRejoin)
 			select {
 			case <-ctx.Done():
 				return
-			case <-time.After(churnRejoin):
+			case <-time.After(*churnRejoin):
 			}
 			// Rejoin in crash order: an edge between two victims is
 			// carried by whichever of them rejoins second.
@@ -362,12 +383,12 @@ func runServe(algName string, g *graph.Graph, seed int64, sv serveOpts, cfg clus
 			}
 		}
 
-		if treeOut != "" {
+		if *treeOut != "" {
 			var b strings.Builder
 			for _, v := range cl.Graph().Nodes() {
 				fmt.Fprintf(&b, "%d %d\n", v, tree.Parent(v))
 			}
-			if err := writeFileAtomic(treeOut, b.String()); err != nil {
+			if err := writeFileAtomic(*treeOut, b.String()); err != nil {
 				fmt.Fprintln(os.Stderr, "sstsim:", err)
 				return
 			}
@@ -432,8 +453,8 @@ func writeFileAtomic(path, content string) error {
 // transport wrapped in seeded faults, watch the heartbeat
 // exchange converge to the silent tree, then serve a packet batch
 // end-to-end as data frames over the same links.
-func runCluster(algName string, g *graph.Graph, seed int64, loss float64) {
-	alg := alwaysOn(algName, "-cluster")
+func runCluster(a routing.Algo, g *graph.Graph, seed int64, loss float64) {
+	alg := alwaysOn(a, "-cluster")
 	rng := rand.New(rand.NewSource(seed))
 	ft := cluster.NewFaultTransport(cluster.NewChanTransport(), cluster.FaultConfig{
 		Seed: seed + 1, Loss: loss, Dup: loss / 2, Corrupt: loss / 2, Delay: 2 * loss, MaxDelayTicks: 4,
@@ -469,7 +490,7 @@ func runCluster(algName string, g *graph.Graph, seed int64, loss float64) {
 	if !net.Silent() {
 		fatal(fmt.Errorf("quiet cluster projects to a non-silent configuration"))
 	}
-	tree, err := extractAlwaysOn(algName, net)
+	tree, err := a.ExtractTree(net)
 	if err != nil {
 		fatal(err)
 	}
@@ -487,109 +508,45 @@ func runCluster(algName string, g *graph.Graph, seed int64, loss float64) {
 		gws.Delivered, gws.Launched, 100*gws.DeliveryRate(), gws.MeanHops(), gws.Lost)
 }
 
-// runChurn is the live-topology demo: stabilize the substrate, then
-// apply a seeded churn schedule — joins, leaves, link flaps,
-// partitions, heals, corruption — op by op with bounded repair windows
-// and a packet cohort flying over the incrementally maintained
-// labeling, and report the re-stabilized tree plus serving quality on
-// the final graph.
-func runChurn(algName string, g *graph.Graph, ops int, seed int64, maxMoves int) {
-	alg := alwaysOn(algName, "-churn")
+// runChurn is the live-topology demo: stabilize the substrate, then run
+// the churn episode the campaign certifies (cert.ChurnEpisode) on a
+// seeded schedule — joins, leaves, link flaps, partitions, heals,
+// corruption — printing each op as its repair window closes, and report
+// the re-stabilized tree plus serving quality on the final graph.
+func runChurn(a routing.Algo, g *graph.Graph, ops int, seed int64, maxMoves int) {
+	alwaysOn(a, "-churn")
 	rng := rand.New(rand.NewSource(seed))
-	net, err := runtime.NewNetwork(g, alg)
+	net, _, err := routing.BringUp(g, a, runtime.Synchronous(), maxMoves, rng, nil)
 	if err != nil {
 		fatal(err)
 	}
-	net.InitArbitrary(rng)
-	res, err := net.Run(runtime.Synchronous(), maxMoves)
-	if err != nil {
-		fatal(err)
-	}
-	if !res.Silent {
-		fatal(fmt.Errorf("substrate not silent after %d moves", res.Moves))
-	}
-	fmt.Printf("substrate %s: silent in %d rounds (%d moves)\n", alg.Name(), res.Rounds, res.Moves)
+	fmt.Printf("substrate %s: silent in %d rounds (%d moves)\n", net.Algorithm().Name(), net.Rounds(), net.Moves())
 
-	// Incremental labeling + live router.
-	parents := make([]graph.NodeID, net.Dense().Slots())
-	parentOf := func(s runtime.State) graph.NodeID {
-		if algName == "spanning" {
-			if ss, ok := s.(spanning.State); ok {
-				return ss.Parent
-			}
-		} else if ss, ok := switching.RegOf(s); ok {
-			return ss.Parent
-		}
-		return routing.NoParent
-	}
-	for i := range parents {
-		parents[i] = parentOf(net.StateAt(i))
-	}
-	lb := routing.NewLiveLabeler(g, parents)
-	net.AddStateListener(func(v graph.NodeID, old, new runtime.State) {
-		lb.SetParent(v, parentOf(new))
-	})
-	net.AddTopologyListener(lb.ApplyTopo)
-	router := routing.NewRouter(g, lb.Labeling(), routing.Options{})
-
-	schedule := cert.GenerateChurnSchedule(g, ops, seed+1)
-	survivors := cert.Survivors(g, schedule)
-	flight := routing.NewFlight(routing.UniformPairs(survivors, 32, rng))
-	movesBefore := net.Moves()
-	for oi, op := range schedule {
-		if _, err := cert.ApplyChurnOp(net, op, rng); err != nil {
-			fatal(fmt.Errorf("op %d (%s): %w", oi, op, err))
-		}
-		if _, err := net.Run(runtime.Synchronous(), net.Moves()+200); err != nil {
-			fatal(err)
-		}
-		router.SetLabeling(lb.Labeling())
-		flight.Advance(router, 2)
-		fmt.Printf("  op %-2d %-40s n=%-4d m=%-5d labeled=%d/%d\n",
-			oi, op, g.N(), g.M(), lb.Labeling().Covered(), g.N())
-	}
-	res, err = net.Run(runtime.Synchronous(), net.Moves()+maxMoves)
+	out, err := cert.ChurnEpisode{
+		Algo: a, Sched: runtime.Synchronous(), InFlight: 32, MovesPerWindow: 200, MaxMoves: maxMoves, PostBatch: 4,
+		OnOp: func(i int, op cert.ChurnOp, lab *routing.Labeling) {
+			fmt.Printf("  op %-2d %-40s n=%-4d m=%-5d labeled=%d/%d\n", i, op, g.N(), g.M(), lab.Covered(), g.N())
+		},
+	}.Run(net, cert.GenerateChurnSchedule(g, ops, seed+1), rng)
 	if err != nil {
 		fatal(err)
 	}
-	if !res.Silent {
-		fatal(fmt.Errorf("no re-stabilization on the final graph"))
-	}
-	router.SetLabeling(lb.Labeling())
-	flight.Flush(router)
-	fs := flight.Stats()
-	fmt.Printf("re-stabilized: %d repair moves, labeling complete=%v, cohort %d/%d delivered (%d dropped mid-churn)\n",
-		net.Moves()-movesBefore, lb.Labeling().Complete(), fs.Delivered(), fs.Sent, fs.Dropped)
-	post, err := routing.Drive(router, routing.UniformPairs(g.Nodes(), 4*g.N(), rng), routing.DriveOptions{})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("post-churn traffic: %v\n", post)
+	fmt.Printf("re-stabilized: %d repair moves, labeling complete=true, cohort %d/%d delivered (%d dropped mid-churn)\n",
+		out.Stats.Moves, out.Cohort.Delivered(), out.Cohort.Sent, out.Cohort.Dropped)
+	fmt.Printf("post-churn traffic: %v\n", out.Post)
 }
 
 // runRoute stabilizes the spanning substrate from the post-reset
 // configuration, labels the tree with coordinates, and drives the
 // workload, printing the serving metrics.
 func runRoute(g *graph.Graph, workload string, packets int, rng *rand.Rand) {
-	net, err := runtime.NewNetwork(g, spanning.Algorithm{})
-	if err != nil {
-		fatal(err)
-	}
-	spanning.InitSelfRoot(net)
-	res, err := net.Run(runtime.Synchronous(), 200_000_000)
-	if err != nil {
-		fatal(err)
-	}
-	if !res.Silent {
-		fatal(fmt.Errorf("substrate not silent after %d moves", res.Moves))
-	}
-	tree, err := spanning.ExtractTree(net)
+	net, tree, err := routing.BringUp(g, routing.AlgoSpanning, runtime.Synchronous(), 200_000_000, nil, nil)
 	if err != nil {
 		fatal(err)
 	}
 	lab := routing.Label(tree)
 	fmt.Printf("substrate: silent in %d rounds (%d moves); root=%d height=%d; registers %d bits, coords ≤ %d bits\n",
-		res.Rounds, res.Moves, tree.Root(), height(tree), res.MaxRegisterBits, lab.MaxLabelBits())
+		net.Rounds(), net.Moves(), tree.Root(), trees.NewIndex(tree).Height(), net.MaxRegisterBits(), lab.MaxLabelBits())
 
 	var pairs []routing.Pair
 	switch workload {
@@ -621,7 +578,7 @@ func runRouteInterplay(g *graph.Graph, faults, packets int, seed int64) {
 	if batch > 100_000 {
 		batch = 100_000 // pre/post batches; the default -packets is fine
 	}
-	for _, sub := range []routing.Substrate{routing.SubstrateBFS, routing.SubstrateMST, routing.SubstrateMDST} {
+	for _, sub := range []routing.Algo{routing.AlgoBFS, routing.AlgoMST, routing.AlgoMDST} {
 		rep, err := routing.RunInterplay(g, routing.InterplayConfig{
 			Substrate:    sub,
 			Faults:       faults,
@@ -644,15 +601,8 @@ func runRouteInterplay(g *graph.Graph, faults, packets int, seed int64) {
 	}
 }
 
-func runEngine(name string, g *graph.Graph, rng *rand.Rand) {
-	var task core.Task
-	switch name {
-	case "mst":
-		task = mst.Task{}
-	case "mdst":
-		task = mdst.Task{}
-	}
-	final, trace, err := core.RunDistributed(g, task, core.EngineOptions{Rng: rng})
+func runEngine(a routing.Algo, g *graph.Graph, rng *rand.Rand) {
+	final, trace, err := core.RunDistributed(g, a.Task(), core.EngineOptions{Rng: rng})
 	if err != nil {
 		fatal(err)
 	}
@@ -661,15 +611,15 @@ func runEngine(name string, g *graph.Graph, rng *rand.Rand) {
 	fmt.Printf("registers: substrate=%d bits, task labels=%d bits\n",
 		trace.MaxRegisterBits, trace.MaxLabelBits)
 	fmt.Printf("potential trajectory: %v\n", trace.Potentials)
-	switch name {
-	case "mst":
+	switch a {
+	case routing.AlgoMST:
 		exact, err := mst.IsMST(final, g)
 		if err != nil {
 			fatal(err)
 		}
 		w, _ := final.Weight(g)
 		fmt.Printf("result: exact MST = %v, weight = %d\n", exact, w)
-	case "mdst":
+	case routing.AlgoMDST:
 		fr, err := mdst.IsFRTree(g, final)
 		if err != nil {
 			fatal(err)
@@ -678,21 +628,8 @@ func runEngine(name string, g *graph.Graph, rng *rand.Rand) {
 	}
 }
 
-func runRules(name string, g *graph.Graph, schedName string, rng *rand.Rand, faults, maxMoves int) {
-	var alg runtime.Algorithm
-	switch name {
-	case "spanning":
-		alg = spanning.Algorithm{}
-	case "switching":
-		alg = switching.Algorithm{}
-	case "bfs":
-		alg = bfs.Algorithm{}
-	}
-	sched, err := parseSched(schedName, rng)
-	if err != nil {
-		fatal(err)
-	}
-	net, err := runtime.NewNetwork(g, alg)
+func runRules(a routing.Algo, g *graph.Graph, sched runtime.Scheduler, rng *rand.Rand, faults, maxMoves int) {
+	net, err := runtime.NewNetwork(g, a.Algorithm())
 	if err != nil {
 		fatal(err)
 	}
@@ -701,7 +638,7 @@ func runRules(name string, g *graph.Graph, schedName string, rng *rand.Rand, fau
 	if err != nil {
 		fatal(err)
 	}
-	report(net, res, name)
+	report(net, res, a)
 	for i := 0; i < faults; i++ {
 		victims := runtime.Corrupt(net, 1+rng.Intn(3), rng)
 		fmt.Printf("\ninjected faults at nodes %v\n", victims)
@@ -709,95 +646,82 @@ func runRules(name string, g *graph.Graph, schedName string, rng *rand.Rand, fau
 		if err != nil {
 			fatal(err)
 		}
-		report(net, res, name)
+		report(net, res, a)
 	}
 }
 
-func report(net *runtime.Network, res runtime.Result, name string) {
+func report(net *runtime.Network, res runtime.Result, a routing.Algo) {
 	fmt.Printf("stabilized: silent=%v rounds=%d moves=%d max-register=%d bits\n",
 		res.Silent, res.Rounds, res.Moves, res.MaxRegisterBits)
 	if !res.Silent {
 		return
 	}
-	switch name {
-	case "spanning":
-		t, err := spanning.ExtractTree(net)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("tree: root=%d height=%d\n", t.Root(), height(t))
-	case "switching", "bfs":
-		t, err := switching.ExtractTree(net, switching.RegOf)
-		if err != nil {
-			fatal(err)
-		}
+	t, err := a.ExtractTree(net)
+	if err != nil {
+		fatal(err)
+	}
+	if a == routing.AlgoSpanning {
+		fmt.Printf("tree: root=%d height=%d\n", t.Root(), trees.NewIndex(t).Height())
+	} else {
 		fmt.Printf("tree: root=%d height=%d BFS=%v\n",
-			t.Root(), height(t), trees.IsBFSTree(t, net.Graph()))
+			t.Root(), trees.NewIndex(t).Height(), trees.IsBFSTree(t, net.Graph()))
 	}
 }
 
-func height(t *trees.Tree) int {
-	h := 0
-	for _, d := range t.Depths() {
-		if d > h {
-			h = d
-		}
-	}
-	return h
+// graphFamilies maps each -graph family to its parameter form (i is an
+// integer field, f a float), the smallest value of each integer the
+// generator accepts, and the generator.
+var graphFamilies = map[string]struct {
+	form  string
+	min   [2]int
+	build func(n [2]int, p float64, rng *rand.Rand) *graph.Graph
+}{
+	"ring":      {"i", [2]int{3}, func(n [2]int, _ float64, _ *rand.Rand) *graph.Graph { return graph.Ring(n[0]) }},
+	"path":      {"i", [2]int{1}, func(n [2]int, _ float64, _ *rand.Rand) *graph.Graph { return graph.Path(n[0]) }},
+	"star":      {"i", [2]int{1}, func(n [2]int, _ float64, _ *rand.Rand) *graph.Graph { return graph.Star(n[0]) }},
+	"complete":  {"i", [2]int{1}, func(n [2]int, _ float64, _ *rand.Rand) *graph.Graph { return graph.Complete(n[0]) }},
+	"grid":      {"ii", [2]int{1, 1}, func(n [2]int, _ float64, _ *rand.Rand) *graph.Graph { return graph.Grid(n[0], n[1]) }},
+	"lollipop":  {"ii", [2]int{1, 0}, func(n [2]int, _ float64, _ *rand.Rand) *graph.Graph { return graph.Lollipop(n[0], n[1]) }},
+	"random":    {"if", [2]int{1}, func(n [2]int, p float64, rng *rand.Rand) *graph.Graph { return graph.RandomConnected(n[0], p, rng) }},
+	"geometric": {"if", [2]int{1}, func(n [2]int, p float64, rng *rand.Rand) *graph.Graph { return graph.RandomGeometric(n[0], p, rng) }},
 }
 
+// parseGraph builds the graph a family:params spec names. Arity, field
+// syntax and sizes are checked here — the spec comes from the command
+// line, and the generators panic on (or build an empty graph from) what
+// they cannot make.
 func parseGraph(spec string, seed int64) (*graph.Graph, error) {
 	parts := strings.Split(spec, ":")
-	rng := rand.New(rand.NewSource(seed))
-	atoi := func(s string) int {
-		v, err := strconv.Atoi(s)
-		if err != nil {
-			fatal(fmt.Errorf("bad integer %q in graph spec", s))
+	fam, ok := graphFamilies[parts[0]]
+	if !ok {
+		return nil, fmt.Errorf("unknown graph family %q", parts[0])
+	}
+	want := parts[0] + strings.NewReplacer("i", ":<int>", "f", ":<float>").Replace(fam.form)
+	if len(parts) != 1+len(fam.form) {
+		return nil, fmt.Errorf("graph spec %q: want %s", spec, want)
+	}
+	var (
+		n [2]int
+		p float64
+	)
+	for k, kind := range fam.form {
+		var err error
+		if kind == 'i' {
+			n[k], err = strconv.Atoi(parts[1+k])
+			if err == nil && n[k] < fam.min[k] {
+				err = fmt.Errorf("must be at least %d", fam.min[k])
+			}
+		} else {
+			p, err = strconv.ParseFloat(parts[1+k], 64)
 		}
-		return v
-	}
-	atof := func(s string) float64 {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			fatal(fmt.Errorf("bad float %q in graph spec", s))
+		if ne := (*strconv.NumError)(nil); errors.As(err, &ne) {
+			err = ne.Err // "invalid syntax", without strconv's own prefix
 		}
-		return v
+		if err != nil {
+			return nil, fmt.Errorf("graph spec %q: field %q: %v (want %s)", spec, parts[1+k], err, want)
+		}
 	}
-	switch parts[0] {
-	case "ring":
-		return graph.Ring(atoi(parts[1])), nil
-	case "path":
-		return graph.Path(atoi(parts[1])), nil
-	case "star":
-		return graph.Star(atoi(parts[1])), nil
-	case "complete":
-		return graph.Complete(atoi(parts[1])), nil
-	case "grid":
-		return graph.Grid(atoi(parts[1]), atoi(parts[2])), nil
-	case "lollipop":
-		return graph.Lollipop(atoi(parts[1]), atoi(parts[2])), nil
-	case "random":
-		return graph.RandomConnected(atoi(parts[1]), atof(parts[2]), rng), nil
-	case "geometric":
-		return graph.RandomGeometric(atoi(parts[1]), atof(parts[2]), rng), nil
-	}
-	return nil, fmt.Errorf("unknown graph family %q", parts[0])
-}
-
-func parseSched(name string, rng *rand.Rand) (runtime.Scheduler, error) {
-	switch name {
-	case "central":
-		return runtime.Central(), nil
-	case "synchronous":
-		return runtime.Synchronous(), nil
-	case "adversarial":
-		return runtime.AdversarialUnfair(), nil
-	case "roundrobin":
-		return runtime.RoundRobin(), nil
-	case "random":
-		return runtime.RandomSubset(rng), nil
-	}
-	return nil, fmt.Errorf("unknown scheduler %q", name)
+	return fam.build(n, p, rand.New(rand.NewSource(seed))), nil
 }
 
 func fatal(err error) {

@@ -25,7 +25,7 @@ func main() {
 	fmt.Printf("sensor network: n=%d m=%d\n", g.N(), g.M())
 
 	rep, err := routing.RunInterplay(g, routing.InterplayConfig{
-		Substrate: routing.SubstrateBFS,
+		Substrate: routing.AlgoBFS,
 		Faults:    6,
 		InFlight:  128,
 		Seed:      3,

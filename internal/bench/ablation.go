@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 
-	"silentspan/internal/bfs"
 	"silentspan/internal/graph"
 	"silentspan/internal/nca"
+	"silentspan/internal/routing"
 	"silentspan/internal/runtime"
 	"silentspan/internal/switching"
 	"silentspan/internal/trees"
@@ -191,25 +191,12 @@ func A3Schedulers(n int, seed int64) (*Table, error) {
 		{"random-subset", func() runtime.Scheduler { return runtime.RandomSubset(rand.New(rand.NewSource(seed))) }},
 	}
 	for _, s := range scheds {
-		net, err := runtime.NewNetwork(g, bfs.Algorithm{})
-		if err != nil {
-			return nil, err
-		}
-		net.InitArbitrary(rand.New(rand.NewSource(seed)))
-		res, err := net.Run(s.mk(), 10_000_000)
+		net, tr, err := routing.BringUp(g, routing.AlgoBFS, s.mk(), 10_000_000, rand.New(rand.NewSource(seed)), nil)
 		if err != nil {
 			return nil, fmt.Errorf("A3 %s: %w", s.name, err)
 		}
-		exact := false
-		if res.Silent {
-			tr, err := switching.ExtractTree(net, switching.RegOf)
-			if err != nil {
-				return nil, err
-			}
-			exact = trees.IsBFSTree(tr, g)
-		}
 		t.Rows = append(t.Rows, []string{
-			s.name, itoa(res.Rounds), itoa(res.Moves), btoa(res.Silent), btoa(exact),
+			s.name, itoa(net.Rounds()), itoa(net.Moves()), btoa(net.Silent()), btoa(trees.IsBFSTree(tr, g)),
 		})
 	}
 	return t, nil
@@ -239,26 +226,13 @@ func A4Families(seed int64) (*Table, error) {
 		{"hamiltonian", graph.HamiltonianWheel(20, 10, rng)},
 	}
 	for _, f := range families {
-		net, err := runtime.NewNetwork(f.g, bfs.Algorithm{})
-		if err != nil {
-			return nil, err
-		}
-		net.InitArbitrary(rand.New(rand.NewSource(seed)))
-		res, err := net.Run(runtime.Central(), 10_000_000)
+		net, tr, err := routing.BringUp(f.g, routing.AlgoBFS, runtime.Central(), 10_000_000, rand.New(rand.NewSource(seed)), nil)
 		if err != nil {
 			return nil, fmt.Errorf("A4 %s: %w", f.name, err)
 		}
-		exact := false
-		if res.Silent {
-			tr, err := switching.ExtractTree(net, switching.RegOf)
-			if err != nil {
-				return nil, err
-			}
-			exact = trees.IsBFSTree(tr, f.g)
-		}
 		t.Rows = append(t.Rows, []string{
 			f.name, itoa(f.g.N()), itoa(f.g.M()),
-			itoa(res.Rounds), itoa(res.Moves), btoa(res.Silent), btoa(exact),
+			itoa(net.Rounds()), itoa(net.Moves()), btoa(net.Silent()), btoa(trees.IsBFSTree(tr, f.g)),
 		})
 	}
 	return t, nil

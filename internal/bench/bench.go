@@ -19,6 +19,7 @@ import (
 	"silentspan/internal/mdst"
 	"silentspan/internal/mst"
 	"silentspan/internal/nca"
+	"silentspan/internal/routing"
 	"silentspan/internal/runtime"
 	"silentspan/internal/switching"
 	"silentspan/internal/trees"
@@ -188,21 +189,9 @@ func E3BFS(ns []int, seed int64) (*Table, error) {
 	for _, n := range ns {
 		rng := rand.New(rand.NewSource(seed + int64(n)))
 		g := graph.RandomConnected(n, 2.5/float64(n), rng)
-		net, err := runtime.NewNetwork(g, bfs.Algorithm{})
-		if err != nil {
-			return nil, err
-		}
-		net.InitArbitrary(rng)
-		res, err := net.Run(runtime.Central(), 10_000_000)
+		net, tr, err := routing.BringUp(g, routing.AlgoBFS, runtime.Central(), 10_000_000, rng, nil)
 		if err != nil {
 			return nil, fmt.Errorf("E3 n=%d: %w", n, err)
-		}
-		if !res.Silent {
-			return nil, fmt.Errorf("E3 n=%d: not silent", n)
-		}
-		tr, err := switching.ExtractTree(net, switching.RegOf)
-		if err != nil {
-			return nil, err
 		}
 		// Ad hoc baseline: spanning substrate alone.
 		netB, err := runtime.NewNetwork(g, spanningAlgorithm())
@@ -215,9 +204,9 @@ func E3BFS(ns []int, seed int64) (*Table, error) {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
-			itoa(n), itoa(res.Rounds), itoa(res.Moves),
-			itoa(res.MaxRegisterBits),
-			ratio(float64(res.MaxRegisterBits), log2(n)),
+			itoa(n), itoa(net.Rounds()), itoa(net.Moves()),
+			itoa(net.MaxRegisterBits()),
+			ratio(float64(net.MaxRegisterBits()), log2(n)),
 			btoa(trees.IsBFSTree(tr, g)),
 			itoa(resB.Rounds),
 		})
@@ -393,12 +382,8 @@ func E7FaultRecovery(n int, faults []int, seed int64) (*Table, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	g := graph.RandomConnected(n, 3.0/float64(n), rng)
-	net, err := runtime.NewNetwork(g, bfs.Algorithm{})
+	net, _, err := routing.BringUp(g, routing.AlgoBFS, runtime.Central(), 10_000_000, rng, nil)
 	if err != nil {
-		return nil, err
-	}
-	net.InitArbitrary(rng)
-	if _, err := net.Run(runtime.Central(), 10_000_000); err != nil {
 		return nil, err
 	}
 	for _, k := range faults {

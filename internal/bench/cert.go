@@ -7,94 +7,79 @@ import (
 	"silentspan/internal/cert"
 )
 
+// worstRows renders one row per algorithm (sorted by name) of a
+// campaign's worst-case ledger, each metric followed by the graph/daemon
+// it was observed on.
+func worstRows[W any](worst map[string]W, entries func(W) []cert.WorstEntry) [][]string {
+	algos := make([]string, 0, len(worst))
+	for a := range worst {
+		algos = append(algos, a)
+	}
+	sort.Strings(algos)
+	var rows [][]string
+	for _, a := range algos {
+		row := []string{a}
+		for _, e := range entries(worst[a]) {
+			row = append(row, itoa(e.Value), e.Graph+"/"+e.Scheduler)
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+func worstCaseEntries(w cert.WorstCase) []cert.WorstEntry {
+	return []cert.WorstEntry{w.Moves, w.Rounds, w.RegisterBits}
+}
+
+// ledgerNotes closes a campaign table: the summary line with the
+// counterexample count appended, then one note per counterexample.
+func ledgerNotes(summary string, l *cert.Ledger) []string {
+	notes := []string{fmt.Sprintf("%s counterexamples=%d", summary, len(l.Counterexamples))}
+	for _, ce := range l.Counterexamples {
+		notes = append(notes, "COUNTEREXAMPLE: "+ce.String())
+	}
+	return notes
+}
+
 // ExhaustiveTable renders a model-checking report as an experiment
 // table: one row per algorithm with its observed worst case over every
 // enumerated topology, daemon and initial configuration.
 func ExhaustiveTable(r *cert.ExhaustiveReport) *Table {
-	t := &Table{
+	return &Table{
 		Title:  "CERT-MC — exhaustive model check: worst certified cost per algorithm",
 		Header: []string{"algorithm", "moves", "moves-on", "rounds", "rounds-on", "reg-bits", "bits-on"},
+		Rows:   worstRows(r.Worst, worstCaseEntries),
+		Notes: ledgerNotes(fmt.Sprintf("graphs=%d runs=%d exhaustive-inits=%d",
+			r.Graphs, r.Runs, r.ExhaustiveInits), &r.Ledger),
 	}
-	algos := make([]string, 0, len(r.Worst))
-	for a := range r.Worst {
-		algos = append(algos, a)
-	}
-	sort.Strings(algos)
-	on := func(w cert.WorstEntry) string { return w.Graph + "/" + w.Scheduler }
-	for _, a := range algos {
-		w := r.Worst[a]
-		t.Rows = append(t.Rows, []string{a,
-			itoa(w.Moves.Value), on(w.Moves),
-			itoa(w.Rounds.Value), on(w.Rounds),
-			itoa(w.RegisterBits.Value), on(w.RegisterBits)})
-	}
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("graphs=%d runs=%d exhaustive-inits=%d counterexamples=%d",
-			r.Graphs, r.Runs, r.ExhaustiveInits, len(r.Counterexamples)))
-	for _, ce := range r.Counterexamples {
-		t.Notes = append(t.Notes, "COUNTEREXAMPLE: "+ce.String())
-	}
-	return t
 }
 
 // ClusterTable renders a message-passing cluster certification report:
 // one row per algorithm with its worst convergence latency (ticks) and
 // register width over every graph × transport fault profile.
 func ClusterTable(r *cert.ClusterReport) *Table {
-	t := &Table{
+	return &Table{
 		Title:  "CERT-CLUSTER — message-passing transform: worst convergence per algorithm",
 		Header: []string{"algorithm", "ticks", "ticks-on", "reg-bits", "bits-on"},
+		Rows: worstRows(r.Worst, func(w cert.ClusterWorst) []cert.WorstEntry {
+			return []cert.WorstEntry{w.Ticks, w.RegisterBits}
+		}),
+		Notes: ledgerNotes(fmt.Sprintf("graphs=%d runs=%d frames=%d rejected=%d packets=%d/%d",
+			r.Graphs, r.Runs, r.FramesSent, r.FramesRejected, r.PacketsArrived, r.PacketsSent), &r.Ledger),
 	}
-	algos := make([]string, 0, len(r.Worst))
-	for a := range r.Worst {
-		algos = append(algos, a)
-	}
-	sort.Strings(algos)
-	on := func(w cert.WorstEntry) string { return w.Graph + "/" + w.Scheduler }
-	for _, a := range algos {
-		w := r.Worst[a]
-		t.Rows = append(t.Rows, []string{a,
-			itoa(w.Ticks.Value), on(w.Ticks),
-			itoa(w.RegisterBits.Value), on(w.RegisterBits)})
-	}
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("graphs=%d runs=%d frames=%d rejected=%d packets=%d/%d counterexamples=%d",
-			r.Graphs, r.Runs, r.FramesSent, r.FramesRejected,
-			r.PacketsArrived, r.PacketsSent, len(r.Counterexamples)))
-	for _, ce := range r.Counterexamples {
-		t.Notes = append(t.Notes, "COUNTEREXAMPLE: "+ce.String())
-	}
-	return t
 }
 
 // ChurnTable renders a churn certification report: one row per
 // algorithm with its worst re-stabilization cost over every graph ×
 // daemon × seeded join/leave/partition/heal schedule.
 func ChurnTable(r *cert.ChurnReport) *Table {
-	t := &Table{
+	return &Table{
 		Title:  "CERT-CHURN — live-topology churn: worst re-stabilization per algorithm",
 		Header: []string{"algorithm", "moves", "moves-on", "rounds", "rounds-on", "reg-bits", "bits-on"},
+		Rows:   worstRows(r.Worst, worstCaseEntries),
+		Notes: ledgerNotes(fmt.Sprintf("graphs=%d runs=%d mutations=%d cohort=%d/%d",
+			r.Graphs, r.Runs, r.Mutations, r.PacketsArrived, r.PacketsSent), &r.Ledger),
 	}
-	algos := make([]string, 0, len(r.Worst))
-	for a := range r.Worst {
-		algos = append(algos, a)
-	}
-	sort.Strings(algos)
-	on := func(w cert.WorstEntry) string { return w.Graph + "/" + w.Scheduler }
-	for _, a := range algos {
-		w := r.Worst[a]
-		t.Rows = append(t.Rows, []string{a,
-			itoa(w.Moves.Value), on(w.Moves),
-			itoa(w.Rounds.Value), on(w.Rounds),
-			itoa(w.RegisterBits.Value), on(w.RegisterBits)})
-	}
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("graphs=%d runs=%d mutations=%d cohort=%d/%d counterexamples=%d",
-			r.Graphs, r.Runs, r.Mutations, r.PacketsArrived, r.PacketsSent, len(r.Counterexamples)))
-	for _, ce := range r.Counterexamples {
-		t.Notes = append(t.Notes, "COUNTEREXAMPLE: "+ce.String())
-	}
-	return t
 }
 
 // ChaosTable renders a chaos certificate: one row per fault burst plus

@@ -8,7 +8,6 @@ import (
 	"silentspan/internal/graph"
 	"silentspan/internal/routing"
 	"silentspan/internal/runtime"
-	"silentspan/internal/spanning"
 )
 
 // E12Churn is the live-topology churn throughput table: on a serving-
@@ -33,34 +32,11 @@ func E12Churn(ns []int, mutations, batch, packets int, seed int64) (*Table, erro
 	for _, n := range ns {
 		rng := rand.New(rand.NewSource(seed + int64(n)))
 		g := graph.RandomConnected(n, 8/float64(n), rng)
-		net, err := runtime.NewNetwork(g, spanning.Algorithm{})
+		net, _, err := servingSubstrate(g)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("E12 n=%d: %w", n, err)
 		}
-		spanning.InitSelfRoot(net)
-		if res, err := net.Run(runtime.Synchronous(), 200_000_000); err != nil || !res.Silent {
-			return nil, fmt.Errorf("E12 n=%d: substrate not silent (%v)", n, err)
-		}
-
-		// Incremental labeling + router wired to the live network.
-		parents := make([]graph.NodeID, net.Dense().Slots())
-		for i := range parents {
-			if s, ok := net.StateAt(i).(spanning.State); ok {
-				parents[i] = s.Parent
-			} else {
-				parents[i] = routing.NoParent
-			}
-		}
-		lb := routing.NewLiveLabeler(g, parents)
-		net.AddStateListener(func(v graph.NodeID, old, new runtime.State) {
-			if s, ok := new.(spanning.State); ok {
-				lb.SetParent(v, s.Parent)
-			} else {
-				lb.SetParent(v, routing.NoParent)
-			}
-		})
-		net.AddTopologyListener(lb.ApplyTopo)
-		router := routing.NewRouter(g, lb.Labeling(), routing.Options{})
+		live := routing.NewLive(net)
 
 		var (
 			joins, leaves, flaps  int
@@ -167,8 +143,8 @@ func E12Churn(ns []int, mutations, batch, packets int, seed int64) (*Table, erro
 			}
 			repairDur += time.Since(rs)
 			rs = time.Now()
-			router.SetLabeling(lb.Labeling())
-			batchStats, err := routing.Drive(router, routing.UniformPairs(nodes, packets/10, rng), routing.DriveOptions{MaxExactSources: -1})
+			live.Sync()
+			batchStats, err := routing.Drive(live.Router(), routing.UniformPairs(nodes, packets/10, rng), routing.DriveOptions{MaxExactSources: -1})
 			if err != nil {
 				return nil, err
 			}
@@ -182,8 +158,8 @@ func E12Churn(ns []int, mutations, batch, packets int, seed int64) (*Table, erro
 			return nil, fmt.Errorf("E12 n=%d: no final silence (%v)", n, err)
 		}
 		elapsed := time.Since(start)
-		router.SetLabeling(lb.Labeling())
-		final, err := routing.Drive(router, routing.UniformPairs(g.Nodes(), packets, rng), routing.DriveOptions{MaxExactSources: -1})
+		live.Sync()
+		final, err := routing.Drive(live.Router(), routing.UniformPairs(g.Nodes(), packets, rng), routing.DriveOptions{MaxExactSources: -1})
 		if err != nil {
 			return nil, err
 		}

@@ -8,29 +8,15 @@ import (
 	"silentspan/internal/graph"
 	"silentspan/internal/routing"
 	"silentspan/internal/runtime"
-	"silentspan/internal/spanning"
 	"silentspan/internal/trees"
 )
 
-// stabilizedBFSSubstrate brings the spanning substrate to silence from
-// the benign post-reset configuration under the synchronous daemon —
-// the large-scale serving setup (adversarial starts are exercised by
-// E3/E7 at small n) — and returns the extracted tree plus the run cost.
-func stabilizedBFSSubstrate(g *graph.Graph) (*trees.Tree, runtime.Result, error) {
-	net, err := runtime.NewNetwork(g, spanning.Algorithm{})
-	if err != nil {
-		return nil, runtime.Result{}, err
-	}
-	spanning.InitSelfRoot(net)
-	res, err := net.Run(runtime.Synchronous(), 200_000_000)
-	if err != nil {
-		return nil, res, err
-	}
-	if !res.Silent {
-		return nil, res, fmt.Errorf("bench: substrate not silent after %d moves", res.Moves)
-	}
-	t, err := spanning.ExtractTree(net)
-	return t, res, err
+// servingSubstrate brings the spanning substrate to silence from the
+// benign post-reset configuration under the synchronous daemon — the
+// large-scale serving setup (adversarial starts are exercised by E3/E7
+// at small n) — and returns the silent network plus the extracted tree.
+func servingSubstrate(g *graph.Graph) (*runtime.Network, *trees.Tree, error) {
+	return routing.BringUp(g, routing.AlgoSpanning, runtime.Synchronous(), 200_000_000, nil, nil)
 }
 
 // E9Routing measures the serving layer end to end: stabilize the BFS
@@ -51,7 +37,7 @@ func E9Routing(ns []int, packets int, seed int64) (*Table, error) {
 		rng := rand.New(rand.NewSource(seed + int64(n)))
 		p := 8 / float64(n) // keep average degree ~8 as n grows
 		g := graph.RandomConnected(n, p, rng)
-		tree, res, err := stabilizedBFSSubstrate(g)
+		net, tree, err := servingSubstrate(g)
 		if err != nil {
 			return nil, fmt.Errorf("E9 n=%d: %w", n, err)
 		}
@@ -72,7 +58,7 @@ func E9Routing(ns []int, packets int, seed int64) (*Table, error) {
 		}
 		kpps := float64(stats.Sent) / elapsed.Seconds() / 1000
 		tb.Rows = append(tb.Rows, []string{
-			itoa(n), itoa(g.M()), itoa(res.Rounds), itoa(stats.Sent),
+			itoa(n), itoa(g.M()), itoa(net.Rounds()), itoa(stats.Sent),
 			fmt.Sprintf("%.2f%%", 100*stats.DeliveryRate()),
 			fmt.Sprintf("%.2f", stats.MeanHops),
 			fmt.Sprintf("%.3f", stats.MeanStretch),
@@ -96,7 +82,7 @@ func A5Shortcut(ns []int, packets int, seed int64) (*Table, error) {
 	for _, n := range ns {
 		rng := rand.New(rand.NewSource(seed + int64(n)))
 		g := graph.RandomConnected(n, 12/float64(n), rng)
-		tree, _, err := stabilizedBFSSubstrate(g)
+		_, tree, err := servingSubstrate(g)
 		if err != nil {
 			return nil, fmt.Errorf("A5 n=%d: %w", n, err)
 		}
@@ -139,13 +125,13 @@ func E10Interplay(n int, faults int, seed int64) (*Table, error) {
 		Header: []string{"substrate", "pre-del", "inflight-during", "inflight-after", "looped", "dropped", "stalls", "reconv-moves", "post-del", "post-stretch"},
 		Notes:  []string{"in-flight packets keep routing over the decaying live labeling during repair"},
 	}
-	for _, sub := range []routing.Substrate{routing.SubstrateBFS, routing.SubstrateMST, routing.SubstrateMDST} {
+	for i, sub := range []routing.Algo{routing.AlgoBFS, routing.AlgoMST, routing.AlgoMDST} {
 		rng := rand.New(rand.NewSource(seed))
 		g := graph.RandomConnected(n, 0.15, rng)
 		rep, err := routing.RunInterplay(g, routing.InterplayConfig{
 			Substrate: sub,
 			Faults:    faults,
-			Seed:      seed + int64(sub),
+			Seed:      seed + int64(i),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("E10 %s: %w", sub, err)

@@ -28,7 +28,7 @@ func E11Scale(ns []int, packets int, seed int64) (*Table, error) {
 		rng := rand.New(rand.NewSource(seed + int64(n)))
 		g := graph.RandomConnected(n, 8/float64(n), rng)
 		start := time.Now()
-		tree, res, err := stabilizedBFSSubstrate(g)
+		net, tree, err := servingSubstrate(g)
 		if err != nil {
 			return nil, fmt.Errorf("E11 n=%d: %w", n, err)
 		}
@@ -49,7 +49,7 @@ func E11Scale(ns []int, packets int, seed int64) (*Table, error) {
 		kpps := float64(stats.Sent) / routeMS.Seconds() / 1000
 
 		tb.Rows = append(tb.Rows, []string{
-			itoa(n), itoa(g.M()), itoa(res.Rounds), itoa(res.Moves),
+			itoa(n), itoa(g.M()), itoa(net.Rounds()), itoa(net.Moves()),
 			itoa(int(stabMS.Milliseconds())),
 			itoa(int(labelMS.Milliseconds())),
 			itoa(int(routeMS.Milliseconds())),

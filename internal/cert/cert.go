@@ -1,28 +1,33 @@
 // Package cert is the adversarial certification harness: it hunts for
 // counterexamples to the paper's headline claims instead of
-// spot-checking them. Two engines share this package:
+// spot-checking them — Devismes–Johnen and Altisen–Devismes both exhibit
+// published silent-stabilization bounds that fail only under adversarial
+// daemons, which no fixed unit test would ever schedule. Five campaigns
+// share one scheduler registry (Schedulers), one algorithm registry
+// (routing.Algo) and one substrate bring-up (routing.BringUp, with
+// referenceTree for MST/MDST):
 //
-//   - the exhaustive small-graph model checker (modelcheck.go):
-//     enumerate every connected graph up to n nodes (one representative
-//     per isomorphism class) plus the named pathological families, and
-//     drive every algorithm from exhaustively- or densely-sampled
-//     arbitrary initial configurations under every scheduler — the
-//     hostile ones included — asserting convergence to silence, closure
-//     (no node re-enabled after silence), task-specific correctness of
-//     the stabilized tree, and register widths within the paper's
-//     O(log n) bound;
+//   - RunExhaustive (modelcheck.go): every connected graph up to n nodes
+//     (one per isomorphism class) plus the pathological families, every
+//     algorithm, exhaustively or densely sampled initial configurations,
+//     every daemon — convergence, closure, the task's spec on the
+//     stabilized tree, register widths within the O(log n) bound;
+//   - RunChurn (churn.go): seeded join/leave/flap/partition/heal/corrupt
+//     schedules on small graphs, each run one ChurnEpisode;
+//   - RunCluster (cluster.go): the same claims over the message-passing
+//     transform under transport faults, optionally with a churn schedule
+//     driven through the cluster's own mutators;
+//   - RunChaos (chaos.go): fault bursts on large graphs, distilled into a
+//     certificate CI diffs against committed bounds (bounds.go).
 //
-//   - the randomized chaos campaign (chaos.go): on large graphs,
-//     interleave corruption bursts, register wipes, edge-weight churn
-//     and adversarial daemons with live traffic routed over the
-//     recovering tree, and distill the observed worst cases into a
-//     machine-readable certificate that CI diffs against committed
-//     bounds (bounds.go).
-//
-// The split mirrors the verification literature the reproduction must
-// answer to: Devismes–Johnen and Altisen–Devismes both exhibit published
-// silent-stabilization bounds that fail only under adversarial daemons,
-// which no fixed unit test would ever schedule.
+// The serving episode is written once. A substrate is brought up; a
+// routing.Live rig keeps a router current over its live registers; a
+// packet cohort flies while faults or churn hit, one repair window and
+// one routing window at a time (Live.Window, Live.Reconverge); the
+// network re-stabilizes and the claim set is checked on what it
+// stabilized to. Churn ops reach a simulator network or a cluster
+// through one applier (ApplyChurnOp over ChurnTarget), and the three
+// hunting campaigns keep one Ledger of counterexamples and worst cases.
 package cert
 
 import (
@@ -30,55 +35,12 @@ import (
 	"math/rand"
 
 	"silentspan/internal/graph"
+	"silentspan/internal/mdst"
+	"silentspan/internal/mst"
+	"silentspan/internal/routing"
 	"silentspan/internal/runtime"
+	"silentspan/internal/trees"
 )
-
-// Algo names one of the five certified algorithms.
-type Algo int
-
-// The certified algorithms. Spanning, Switching and BFS are always-on
-// rule systems driven directly on the state-model runtime; MST and MDST
-// run through the PLS-guided distributed engine (core.RunDistributed),
-// whose every phase is itself a runtime execution.
-const (
-	AlgoSpanning Algo = iota
-	AlgoSwitching
-	AlgoBFS
-	AlgoMST
-	AlgoMDST
-)
-
-// AllAlgos lists every certified algorithm.
-func AllAlgos() []Algo {
-	return []Algo{AlgoSpanning, AlgoSwitching, AlgoBFS, AlgoMST, AlgoMDST}
-}
-
-// String names the algorithm.
-func (a Algo) String() string {
-	switch a {
-	case AlgoSpanning:
-		return "spanning"
-	case AlgoSwitching:
-		return "switching"
-	case AlgoBFS:
-		return "bfs"
-	case AlgoMST:
-		return "mst"
-	case AlgoMDST:
-		return "mdst"
-	}
-	return fmt.Sprintf("algo(%d)", int(a))
-}
-
-// ParseAlgo parses an algorithm name.
-func ParseAlgo(name string) (Algo, error) {
-	for _, a := range AllAlgos() {
-		if a.String() == name {
-			return a, nil
-		}
-	}
-	return 0, fmt.Errorf("cert: unknown algorithm %q", name)
-}
 
 // SchedulerSpec is one entry of the scheduler registry: a named daemon
 // factory. Randomized daemons derive their stream from the given seed,
@@ -118,6 +80,20 @@ func SchedulerByName(name string) (SchedulerSpec, error) {
 	return SchedulerSpec{}, fmt.Errorf("cert: unknown scheduler %q", name)
 }
 
+// referenceTree is the campaigns' routing.BringUp tree builder for MST
+// and MDST: the sequential reference (Kruskal / greedy low-degree) rooted
+// at the minimum identity — the silent configuration the distributed
+// engines stabilize to, reachable at campaign scale, which the switching
+// protocol then carries through the faults.
+func referenceTree(a routing.Algo) func(*graph.Graph) (*trees.Tree, error) {
+	return func(g *graph.Graph) (*trees.Tree, error) {
+		if a == routing.AlgoMST {
+			return mst.Kruskal(g, g.MinID())
+		}
+		return mdst.GreedyLowDegreeTree(g, g.MinID())
+	}
+}
+
 // RegisterBitsBound is the paper's register-width bound, instantiated
 // per algorithm: identities cost ⌈log₂ maxID⌉ bits, bounded counters
 // (distances, subtree sizes) ⌈log₂ n⌉, and control fields O(1). The
@@ -127,12 +103,12 @@ func SchedulerByName(name string) (SchedulerSpec, error) {
 // identities, two counters, two presence bits and three 2-bit phases.
 // Every certified configuration must fit under this bound — it is the
 // "space-optimal" half of the paper's title.
-func RegisterBitsBound(a Algo, g *graph.Graph) int {
+func RegisterBitsBound(a routing.Algo, g *graph.Graph) int {
 	nodes := g.Nodes()
 	maxID := nodes[len(nodes)-1]
 	b := runtime.BitsForValue(int(maxID))
 	w := runtime.BitsForValue(g.N())
-	if a == AlgoSpanning {
+	if a == routing.AlgoSpanning {
 		return 2*b + w
 	}
 	return 3*b + 2*w + 8

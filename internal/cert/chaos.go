@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"silentspan/internal/bfs"
 	"silentspan/internal/graph"
-	"silentspan/internal/mdst"
-	"silentspan/internal/mst"
 	"silentspan/internal/routing"
 	"silentspan/internal/runtime"
 	"silentspan/internal/switching"
@@ -153,12 +150,13 @@ type Certificate struct {
 	FinalSpecValid bool          `json:"final_spec_valid"`
 }
 
-// RunChaos executes one campaign: bring up the substrate, then repeat
-// fault bursts — register corruption, register wipes, edge-weight
-// churn — each with a cohort of packets already in flight, interleaving
-// repair windows under the configured daemon with routing windows over
-// the decaying labeling, until silence returns. Worst cases across all
-// bursts are distilled into the certificate.
+// RunChaos executes one campaign: bring up the substrate and attach the
+// live-router rig, then repeat fault bursts — register corruption,
+// register wipes, edge-weight churn — each with a cohort of packets
+// already in flight, reconverging under the configured daemon (repair
+// windows interleaved with routing windows over the decaying labeling)
+// until silence returns. Worst cases across all bursts are distilled
+// into the certificate.
 func RunChaos(cfg ChaosConfig, logf func(format string, args ...any)) (*Certificate, error) {
 	cfg.fill()
 	if logf == nil {
@@ -170,9 +168,15 @@ func RunChaos(cfg ChaosConfig, logf func(format string, args ...any)) (*Certific
 		return nil, err
 	}
 	sched := schedSpec.New(cfg.Seed + 1)
+	// Every check below reads switching registers, and the campaign is
+	// documented for the three constrained trees.
+	a, err := routing.ParseAlgo(cfg.Substrate)
+	if err != nil || a.Algorithm() != nil && a != routing.AlgoBFS {
+		return nil, fmt.Errorf("cert: unknown substrate %q (want bfs | mst | mdst)", cfg.Substrate)
+	}
 
 	g := graph.RandomConnected(cfg.N, cfg.EdgeProb, rng)
-	net, tree, err := bringUpSubstrate(g, cfg.Substrate, sched, cfg.StabilizeMoves, rng)
+	net, _, err := routing.BringUp(g, a, sched, cfg.StabilizeMoves, rng, referenceTree(a))
 	if err != nil {
 		return nil, err
 	}
@@ -181,31 +185,14 @@ func RunChaos(cfg ChaosConfig, logf func(format string, args ...any)) (*Certific
 		Algorithm:     net.Algorithm().Name(),
 		InitialMoves:  net.Moves(),
 		InitialRounds: net.Rounds(),
-		RegisterBound: RegisterBitsBound(AlgoSwitching, g),
+		RegisterBound: RegisterBitsBound(a, g),
 	}
 	c.Worst.MinDelivery = 1
 	logf("substrate %s up on n=%d m=%d (%d moves)", cfg.Substrate, g.N(), g.M(), net.Moves())
 
-	lab := routing.Label(tree)
-	router := routing.NewRouter(g, lab, routing.Options{})
+	live := routing.NewLive(net)
 	nodes := g.Nodes()
 	edges := g.Edges()
-
-	dirty := false
-	topoWrites := 0
-	net.AddStateListener(func(v graph.NodeID, old, new runtime.State) {
-		dirty = true
-		topoWrites++
-	})
-
-	var parentBuf []graph.NodeID
-	refresh := func() {
-		if dirty {
-			parentBuf = routing.LiveParents(net, parentBuf)
-			router.SetLabeling(routing.LiveLabeling(g, parentBuf))
-			dirty = false
-		}
-	}
 
 	maxWeight := int64(cfg.N) * int64(cfg.N-1) / 2 * 1000
 	for b := 0; b < cfg.Bursts; b++ {
@@ -227,20 +214,14 @@ func RunChaos(cfg ChaosConfig, logf func(format string, args ...any)) (*Certific
 		}
 
 		// Recovery: repair windows interleaved with routing windows.
-		movesBefore, roundsBefore, writesBefore := net.Moves(), net.Rounds(), topoWrites
-		dirty = true
-		refresh()
-		for w := 0; w < cfg.MaxWindows && !net.Silent(); w++ {
-			rec.Windows++
-			if _, err := net.Run(sched, net.Moves()+cfg.MovesPerWindow); err != nil {
-				return c, fmt.Errorf("cert: burst %d window %d: %w", b, w, err)
-			}
-			refresh()
-			flight.Advance(router, cfg.StepsPerWindow)
+		movesBefore, roundsBefore, writesBefore := net.Moves(), net.Rounds(), live.Writes()
+		rec.Windows, err = live.Reconverge(sched, cfg.MovesPerWindow, cfg.StepsPerWindow, cfg.MaxWindows, flight)
+		if err != nil {
+			return c, fmt.Errorf("cert: burst %d %w", b, err)
 		}
 		rec.RecoveryMoves = net.Moves() - movesBefore
 		rec.RecoveryRounds = net.Rounds() - roundsBefore
-		rec.TopologyWrites = topoWrites - writesBefore
+		rec.TopologyWrites = live.Writes() - writesBefore
 		if !net.Silent() {
 			return c, fmt.Errorf("cert: burst %d did not re-stabilize within %d windows", b, cfg.MaxWindows)
 		}
@@ -249,21 +230,22 @@ func RunChaos(cfg ChaosConfig, logf func(format string, args ...any)) (*Certific
 		}
 
 		// Validate the repaired tree, flush the cohort, measure service.
-		tree2, err := switching.ExtractTree(net, switching.RegOf)
+		tree2, err := a.ExtractTree(net)
 		if err != nil {
 			return c, fmt.Errorf("cert: burst %d repaired configuration: %w", b, err)
 		}
-		ix := trees.NewIndex(tree2)
-		rec.TreeHeight, rec.TreeMaxDegree = ix.Height(), tree2.MaxDegree()
-		router.SetLabeling(routing.Label(tree2))
-		flight.Flush(router)
+		if !live.Labeling().Complete() {
+			return c, fmt.Errorf("cert: burst %d: labeling incomplete after re-stabilization: %d labeled", b, live.Labeling().Covered())
+		}
+		rec.TreeHeight, rec.TreeMaxDegree = trees.NewIndex(tree2).Height(), tree2.MaxDegree()
+		flight.Flush(live.Router())
 		fs := flight.Stats()
 		rec.Delivered = fs.Delivered()
 		rec.DuringRepair = fs.DeliveredDuring
 		rec.Looped, rec.Dropped, rec.StallWindows = fs.Looped, fs.Dropped, fs.StallWindows
 		rec.RegisterBits = net.MaxRegisterBits()
 
-		post, err := routing.Drive(router, routing.UniformPairs(nodes, cfg.TrafficBatch, rng), routing.DriveOptions{})
+		post, err := routing.Drive(live.Router(), routing.UniformPairs(nodes, cfg.TrafficBatch, rng), routing.DriveOptions{})
 		if err != nil {
 			return c, err
 		}
@@ -287,58 +269,10 @@ func RunChaos(cfg ChaosConfig, logf func(format string, args ...any)) (*Certific
 	}
 
 	c.FinalSilent = net.Silent()
-	if t, err := switching.ExtractTree(net, switching.RegOf); err == nil {
-		if a, err2 := switching.ToAssignment(net, switching.RegOf); err2 == nil {
-			c.FinalSpecValid = t.IsSpanningTreeOf(g) && a.Verify(g) == nil
+	if t, err := a.ExtractTree(net); err == nil {
+		if asg, err2 := switching.ToAssignment(net, switching.RegOf); err2 == nil {
+			c.FinalSpecValid = t.IsSpanningTreeOf(g) && asg.Verify(g) == nil
 		}
 	}
 	return c, nil
-}
-
-// bringUpSubstrate stabilizes the requested substrate at campaign
-// scale: BFS runs the always-on algorithm from an arbitrary start;
-// MST/MDST load a reference tree into the switching protocol.
-func bringUpSubstrate(g *graph.Graph, sub string, sched runtime.Scheduler, maxMoves int, rng *rand.Rand) (*runtime.Network, *trees.Tree, error) {
-	switch sub {
-	case "bfs":
-		net, err := runtime.NewNetwork(g, bfs.Algorithm{})
-		if err != nil {
-			return nil, nil, err
-		}
-		net.InitArbitrary(rng)
-		res, err := net.Run(sched, maxMoves)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !res.Silent {
-			return nil, nil, fmt.Errorf("cert: bfs substrate not silent after %d moves", res.Moves)
-		}
-		t, err := switching.ExtractTree(net, switching.RegOf)
-		if err != nil {
-			return nil, nil, err
-		}
-		return net, t, nil
-	case "mst", "mdst":
-		var (
-			t   *trees.Tree
-			err error
-		)
-		if sub == "mst" {
-			t, err = mst.Kruskal(g, g.MinID())
-		} else {
-			t, err = mdst.GreedyLowDegreeTree(g, g.MinID())
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		net, err := runtime.NewNetwork(g, switching.Algorithm{})
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := switching.InitFromTree(net, t); err != nil {
-			return nil, nil, err
-		}
-		return net, t, nil
-	}
-	return nil, nil, fmt.Errorf("cert: unknown substrate %q", sub)
 }

@@ -17,8 +17,6 @@ import (
 	"silentspan/internal/graph"
 	"silentspan/internal/routing"
 	"silentspan/internal/runtime"
-	"silentspan/internal/spanning"
-	"silentspan/internal/switching"
 )
 
 // ChurnOpKind names one churn schedule operation.
@@ -121,6 +119,22 @@ func GenerateChurnSchedule(g *graph.Graph, length int, seed int64) []ChurnOp {
 		cuts   [][]graph.Edge
 	)
 	emit := func(op ChurnOp) { ops = append(ops, op) }
+	// healLatestCut restores what still applies of the most recent
+	// un-healed partition and, if anything did, emits the heal.
+	healLatestCut := func() {
+		cut := cuts[len(cuts)-1]
+		cuts = cuts[:len(cuts)-1]
+		var healed []graph.Edge
+		for _, e := range cut {
+			if sim.HasNode(e.U) && sim.HasNode(e.V) && !sim.HasEdge(e.U, e.V) {
+				sim.MustAddEdge(e.U, e.V, e.W)
+				healed = append(healed, e)
+			}
+		}
+		if len(healed) > 0 {
+			emit(ChurnOp{Kind: ChurnHeal, Edges: healed})
+		}
+	}
 
 	for len(ops) < length {
 		nodes := sim.Nodes()
@@ -206,22 +220,9 @@ func GenerateChurnSchedule(g *graph.Graph, length int, seed int64) []ChurnOp {
 			cuts = append(cuts, cut)
 			emit(ChurnOp{Kind: ChurnPartition, Edges: cut})
 		case k < 9: // heal the most recent partition
-			if len(cuts) == 0 {
-				continue
+			if len(cuts) > 0 {
+				healLatestCut()
 			}
-			cut := cuts[len(cuts)-1]
-			cuts = cuts[:len(cuts)-1]
-			var healed []graph.Edge
-			for _, e := range cut {
-				if sim.HasNode(e.U) && sim.HasNode(e.V) && !sim.HasEdge(e.U, e.V) {
-					sim.MustAddEdge(e.U, e.V, e.W)
-					healed = append(healed, e)
-				}
-			}
-			if len(healed) == 0 {
-				continue
-			}
-			emit(ChurnOp{Kind: ChurnHeal, Edges: healed})
 		default: // register corruption riding along
 			emit(ChurnOp{Kind: ChurnCorrupt, Count: 1 + rng.Intn(3)})
 		}
@@ -231,18 +232,7 @@ func GenerateChurnSchedule(g *graph.Graph, length int, seed int64) []ChurnOp {
 	// still applies, then bridge any remaining components, so the final
 	// graph — the stabilization target — is connected.
 	for len(cuts) > 0 {
-		cut := cuts[len(cuts)-1]
-		cuts = cuts[:len(cuts)-1]
-		var healed []graph.Edge
-		for _, e := range cut {
-			if sim.HasNode(e.U) && sim.HasNode(e.V) && !sim.HasEdge(e.U, e.V) {
-				sim.MustAddEdge(e.U, e.V, e.W)
-				healed = append(healed, e)
-			}
-		}
-		if len(healed) > 0 {
-			emit(ChurnOp{Kind: ChurnHeal, Edges: healed})
-		}
+		healLatestCut()
 	}
 	for !sim.Connected() {
 		comps := components(sim)
@@ -312,117 +302,69 @@ func Survivors(g *graph.Graph, ops []ChurnOp) []graph.NodeID {
 	return out
 }
 
-// ApplyChurnOp applies one schedule op to a live network. Corrupt ops
-// draw from rng. It returns the number of structural mutations applied.
-func ApplyChurnOp(net *runtime.Network, op ChurnOp, rng *rand.Rand) (int, error) {
+// ChurnTarget is what a churn schedule is applied to: the five verbs
+// every op decomposes into. A simulator network and a message-passing
+// cluster both implement it, so one schedule drives either.
+type ChurnTarget interface {
+	Join(id graph.NodeID, edges []graph.Edge) error
+	Leave(id graph.NodeID) error
+	AddEdge(u, v graph.NodeID, w graph.Weight) error
+	RemoveEdge(u, v graph.NodeID) error
+	Corrupt(count int, rng *rand.Rand) []graph.NodeID
+}
+
+// NetworkTarget is the ChurnTarget over a simulator network; AddEdge and
+// RemoveEdge are the network's own.
+type NetworkTarget struct{ *runtime.Network }
+
+func (t NetworkTarget) Join(id graph.NodeID, edges []graph.Edge) error {
+	if err := t.AddNode(id, nil); err != nil {
+		return err
+	}
+	for _, e := range edges {
+		if err := t.AddEdge(e.U, e.V, e.W); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (t NetworkTarget) Leave(id graph.NodeID) error { return t.RemoveNode(id) }
+
+func (t NetworkTarget) Corrupt(count int, rng *rand.Rand) []graph.NodeID {
+	return runtime.Corrupt(t.Network, count, rng)
+}
+
+// ApplyChurnOp applies one schedule op to t. Corrupt ops draw from rng.
+// It returns the number of structural mutations the op stands for.
+func ApplyChurnOp(t ChurnTarget, op ChurnOp, rng *rand.Rand) (int, error) {
 	switch op.Kind {
 	case ChurnJoin:
-		if err := net.AddNode(op.Node, nil); err != nil {
+		if err := t.Join(op.Node, op.Edges); err != nil {
 			return 0, err
-		}
-		for _, e := range op.Edges {
-			if err := net.AddEdge(e.U, e.V, e.W); err != nil {
-				return 0, err
-			}
 		}
 		return 1 + len(op.Edges), nil
 	case ChurnLeave:
-		return 1, net.RemoveNode(op.Node)
+		return 1, t.Leave(op.Node)
 	case ChurnLinkDown, ChurnPartition:
 		for _, e := range op.Edges {
-			if err := net.RemoveEdge(e.U, e.V); err != nil {
+			if err := t.RemoveEdge(e.U, e.V); err != nil {
 				return 0, err
 			}
 		}
 		return len(op.Edges), nil
 	case ChurnLinkUp, ChurnHeal:
 		for _, e := range op.Edges {
-			if err := net.AddEdge(e.U, e.V, e.W); err != nil {
+			if err := t.AddEdge(e.U, e.V, e.W); err != nil {
 				return 0, err
 			}
 		}
 		return len(op.Edges), nil
 	case ChurnCorrupt:
-		runtime.Corrupt(net, op.Count, rng)
+		t.Corrupt(op.Count, rng)
 		return 0, nil
 	}
 	return 0, fmt.Errorf("cert: unknown churn op %v", op.Kind)
-}
-
-// parentOf returns the raw parent-pointer reader for a substrate's
-// register type (routing.NoParent for foreign or nil registers).
-func parentOf(a Algo) func(runtime.State) graph.NodeID {
-	if a == AlgoSpanning {
-		return func(s runtime.State) graph.NodeID {
-			if ss, ok := s.(spanning.State); ok {
-				return ss.Parent
-			}
-			return routing.NoParent
-		}
-	}
-	return func(s runtime.State) graph.NodeID {
-		if ss, ok := switching.RegOf(s); ok {
-			return ss.Parent
-		}
-		return routing.NoParent
-	}
-}
-
-// churnSubstrate brings up the substrate for a churn run: the direct
-// always-on algorithms stabilize from an arbitrary start; MST/MDST
-// (engine-driven) load their reference tree into the switching
-// protocol, which then carries the churn — matching the chaos
-// campaigns' treatment at scale.
-func churnSubstrate(a Algo, g *graph.Graph, sched runtime.Scheduler, maxMoves int, rng *rand.Rand) (*runtime.Network, error) {
-	if alg := DirectAlgorithm(a); alg != nil {
-		net, err := runtime.NewNetwork(g, alg)
-		if err != nil {
-			return nil, err
-		}
-		net.InitArbitrary(rng)
-		res, err := net.Run(sched, maxMoves)
-		if err != nil {
-			return nil, err
-		}
-		if !res.Silent {
-			return nil, fmt.Errorf("substrate not silent within %d moves", maxMoves)
-		}
-		return net, nil
-	}
-	_, tree, err := bringUpSubstrate(g, a.String(), sched, maxMoves, rng)
-	if err != nil {
-		return nil, err
-	}
-	net, err := runtime.NewNetwork(g, switching.Algorithm{})
-	if err != nil {
-		return nil, err
-	}
-	if err := switching.InitFromTree(net, tree); err != nil {
-		return nil, err
-	}
-	return net, nil
-}
-
-// checkChurnSpec verifies the re-stabilized configuration against the
-// final (post-churn) graph: the direct algorithms keep their own spec;
-// the engine-driven substrates run the switching protocol, whose
-// Lemma 4.1 spec is the contract the churned tree must satisfy.
-func checkChurnSpec(a Algo, g *graph.Graph, net *runtime.Network) error {
-	switch a {
-	case AlgoSpanning, AlgoSwitching, AlgoBFS:
-		return checkDirectSpec(a, g, net)
-	default:
-		return checkSwitchingSpec(g, net, false)
-	}
-}
-
-// churnRegisterBound is the register bound on the final graph: the
-// engine-driven substrates carry switching registers through churn.
-func churnRegisterBound(a Algo, g *graph.Graph) int {
-	if a == AlgoMST || a == AlgoMDST {
-		return RegisterBitsBound(AlgoSwitching, g)
-	}
-	return RegisterBitsBound(a, g)
 }
 
 // ChurnConfig parameterizes the churn certification campaign. Zero
@@ -443,7 +385,7 @@ type ChurnConfig struct {
 	// Seed drives schedules, inits, and daemons.
 	Seed int64
 	// Algos restricts the algorithm set (default all five).
-	Algos []Algo
+	Algos []routing.Algo
 	// MaxCounterexamples stops the hunt (default 20).
 	MaxCounterexamples int
 }
@@ -468,7 +410,7 @@ func (c *ChurnConfig) fill() {
 		c.MaxMoves = 200_000
 	}
 	if len(c.Algos) == 0 {
-		c.Algos = AllAlgos()
+		c.Algos = routing.AllAlgos()
 	}
 	if c.MaxCounterexamples == 0 {
 		c.MaxCounterexamples = 20
@@ -477,18 +419,15 @@ func (c *ChurnConfig) fill() {
 
 // ChurnReport summarizes a churn certification campaign.
 type ChurnReport struct {
-	Config          ChurnConfig          `json:"config"`
-	Graphs          int                  `json:"graphs"`
-	Runs            int                  `json:"runs"`
-	Mutations       int                  `json:"mutations"`
-	PacketsSent     int                  `json:"packets_sent"`
-	PacketsArrived  int                  `json:"packets_arrived"`
-	Worst           map[string]WorstCase `json:"worst"`
-	Counterexamples []Counterexample     `json:"counterexamples"`
+	Config         ChurnConfig          `json:"config"`
+	Graphs         int                  `json:"graphs"`
+	Runs           int                  `json:"runs"`
+	Mutations      int                  `json:"mutations"`
+	PacketsSent    int                  `json:"packets_sent"`
+	PacketsArrived int                  `json:"packets_arrived"`
+	Worst          map[string]WorstCase `json:"worst"`
+	Ledger
 }
-
-// Certified reports whether the campaign found no counterexample.
-func (r *ChurnReport) Certified() bool { return len(r.Counterexamples) == 0 }
 
 // churnGraphs is the instance set: per size, a path (worst diameter), a
 // complete graph (worst degree), and a seeded random instance.
@@ -511,33 +450,13 @@ func churnGraphs(maxN int, seed int64) []NamedGraph {
 }
 
 // RunChurn executes the churn certification campaign: every graph ×
-// algorithm × daemon × seeded schedule, each run interleaving the
-// schedule's structural mutations and corruptions with bounded repair
-// windows and a flying packet cohort over the incrementally maintained
-// labeling, then asserting re-stabilization, closure, final-graph
-// spec, the register bound, and cohort delivery.
+// algorithm × daemon × seeded schedule, each run one ChurnEpisode over a
+// freshly brought-up substrate.
 func RunChurn(cfg ChurnConfig, logf func(format string, args ...any)) (*ChurnReport, error) {
 	cfg.fill()
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	rep := &ChurnReport{Config: cfg, Worst: make(map[string]WorstCase)}
+	rep := &ChurnReport{Config: cfg, Worst: make(map[string]WorstCase), Ledger: newLedger(cfg.MaxCounterexamples, logf)}
 	instances := churnGraphs(cfg.MaxN, cfg.Seed)
 	rep.Graphs = len(instances)
-
-	record := func(a Algo, spec SchedulerSpec, ng NamedGraph, stats RunStats) {
-		w := rep.Worst[a.String()]
-		if stats.Moves > w.Moves.Value {
-			w.Moves = WorstEntry{Value: stats.Moves, Graph: ng.Name, Scheduler: spec.Name}
-		}
-		if stats.Rounds > w.Rounds.Value {
-			w.Rounds = WorstEntry{Value: stats.Rounds, Graph: ng.Name, Scheduler: spec.Name}
-		}
-		if stats.RegisterBits > w.RegisterBits.Value {
-			w.RegisterBits = WorstEntry{Value: stats.RegisterBits, Graph: ng.Name, Scheduler: spec.Name}
-		}
-		rep.Worst[a.String()] = w
-	}
 
 	for gi, ng := range instances {
 		for _, a := range cfg.Algos {
@@ -545,110 +464,124 @@ func RunChurn(cfg ChurnConfig, logf func(format string, args ...any)) (*ChurnRep
 				for s := 0; s < cfg.Schedules; s++ {
 					seed := cfg.Seed + int64(gi*10_000+s*100)
 					rep.Runs++
-					stats, sent, arrived, muts, err := runOneChurn(a, ng, spec, cfg, seed)
-					rep.PacketsSent += sent
-					rep.PacketsArrived += arrived
-					rep.Mutations += muts
+					out, err := runOneChurn(a, ng, spec, cfg, seed)
+					rep.PacketsSent += out.Cohort.Sent
+					rep.PacketsArrived += out.Cohort.Delivered()
+					rep.Mutations += out.Mutations
 					if err == nil {
-						record(a, spec, ng, stats)
-						continue
-					}
-					rep.Counterexamples = append(rep.Counterexamples, Counterexample{
-						Graph: ng.Name, N: ng.G.N(), M: ng.G.M(), Algorithm: a.String(),
-						Scheduler: spec.Name, Init: fmt.Sprintf("churn seed=%d", seed),
-						Detail: err.Error(),
-					})
-					logf("COUNTEREXAMPLE: %s", rep.Counterexamples[len(rep.Counterexamples)-1])
-					if len(rep.Counterexamples) >= cfg.MaxCounterexamples {
+						record(rep.Worst, a, out.Stats, ng.Name, spec.Name)
+					} else if rep.falsified(ng, a, spec.Name, fmt.Sprintf("churn seed=%d", seed), err) {
 						return rep, nil
 					}
 				}
 			}
 		}
-		if (gi+1)%5 == 0 || gi == len(instances)-1 {
-			logf("churned %d/%d graphs, %d runs, %d mutations, %d/%d packets, %d counterexamples",
-				gi+1, len(instances), rep.Runs, rep.Mutations,
-				rep.PacketsArrived, rep.PacketsSent, len(rep.Counterexamples))
-		}
+		rep.progress(gi, len(instances), 5, "churned %d/%d graphs, %d runs, %d mutations, %d/%d packets, %d counterexamples",
+			gi+1, len(instances), rep.Runs, rep.Mutations,
+			rep.PacketsArrived, rep.PacketsSent, len(rep.Counterexamples))
 	}
 	return rep, nil
 }
 
 // runOneChurn is one certified churn run. The graph is cloned (the
 // instance is shared across runs); the schedule is generated against
-// the clone, the substrate brought up, the cohort launched, and the
-// schedule applied op by op with repair windows and packet advances in
-// between. After the last op the network must re-stabilize and pass
-// the full claim set on the final graph.
-func runOneChurn(a Algo, ng NamedGraph, spec SchedulerSpec, cfg ChurnConfig, seed int64) (stats RunStats, sent, arrived, muts int, err error) {
+// the clone and the substrate brought up on it — the always-on
+// algorithms from an arbitrary start, MST/MDST as their reference tree
+// held by the switching protocol, which then carries the churn.
+func runOneChurn(a routing.Algo, ng NamedGraph, spec SchedulerSpec, cfg ChurnConfig, seed int64) (ChurnOutcome, error) {
 	g := ng.G.Clone()
 	rng := rand.New(rand.NewSource(seed))
 	sched := spec.New(seed + 1)
 	ops := GenerateChurnSchedule(g, cfg.Length, seed+2)
-	survivors := Survivors(g, ops)
-
-	net, err := churnSubstrate(a, g, sched, cfg.MaxMoves, rng)
+	net, _, err := routing.BringUp(g, a, sched, cfg.MaxMoves, rng, referenceTree(a))
 	if err != nil {
-		return stats, 0, 0, 0, fmt.Errorf("substrate: %w", err)
+		return ChurnOutcome{}, fmt.Errorf("substrate: %w", err)
 	}
+	return ChurnEpisode{
+		Algo: a, Sched: sched, InFlight: cfg.InFlight, MovesPerWindow: cfg.MovesPerWindow,
+		MaxMoves: cfg.MaxMoves, PostBatch: 2,
+	}.Run(net, ops, rng)
+}
 
-	// Incremental labeling wired to the live registers and topology.
-	// The initial parent snapshot goes through the substrate's own
-	// register reader (LiveParents is switching-specific).
-	getParent := parentOf(a)
-	initParents := make([]graph.NodeID, net.Dense().Slots())
-	for i := range initParents {
-		initParents[i] = getParent(net.StateAt(i))
-	}
-	lb := routing.NewLiveLabeler(g, initParents)
-	net.AddStateListener(func(v graph.NodeID, old, new runtime.State) {
-		lb.SetParent(v, getParent(new))
-	})
-	net.AddTopologyListener(lb.ApplyTopo)
-	router := routing.NewRouter(g, lb.Labeling(), routing.Options{})
+// ChurnEpisode is the serving episode under live-topology churn, over
+// an already stabilized substrate: attach the live-router rig, launch a
+// packet cohort between nodes the schedule never removes, apply the
+// schedule op by op — one bounded repair window and one routing window
+// over the decaying labeling after each — then re-stabilize on the final
+// graph and check the full claim set there. The churn campaign certifies
+// exactly this; sstsim -churn runs it with a print hook.
+type ChurnEpisode struct {
+	Algo  routing.Algo
+	Sched runtime.Scheduler
+	// InFlight sizes the cohort; MovesPerWindow is the repair budget
+	// after each op; MaxMoves caps the final re-stabilization.
+	InFlight, MovesPerWindow, MaxMoves int
+	// PostBatch sizes the fresh post-churn batch, in packets per node.
+	PostBatch int
+	// OnOp, when set, observes each op once its windows have run.
+	OnOp func(i int, op ChurnOp, lab *routing.Labeling)
+}
+
+// ChurnOutcome is what one episode measured. On error it holds what
+// was measured up to the failure.
+type ChurnOutcome struct {
+	// Stats is the repair cost from the first op to final silence.
+	Stats     RunStats
+	Mutations int
+	// Cohort accounts the packets flying through the churn (deliveries
+	// and drops complete only once the episode flushed them).
+	Cohort routing.InFlightStats
+	// Post is the fresh batch served on the final graph.
+	Post routing.Stats
+}
+
+// Run executes the episode on net. Corrupt ops, the cohort and the post
+// batch draw from rng, in that launch order.
+func (ep ChurnEpisode) Run(net *runtime.Network, ops []ChurnOp, rng *rand.Rand) (out ChurnOutcome, err error) {
+	g := net.Graph()
+	live := routing.NewLive(net)
 
 	// The cohort: launched before the first mutation, flying throughout
 	// (empty when the schedule leaves fewer than two survivors).
-	cohort := routing.UniformPairs(survivors, cfg.InFlight, rng)
-	flight := routing.NewFlight(cohort)
-	sent = len(cohort)
+	flight := routing.NewFlight(routing.UniformPairs(Survivors(g, ops), ep.InFlight, rng))
+	out.Cohort = flight.Stats()
 
+	target := NetworkTarget{net}
 	moves0, rounds0 := net.Moves(), net.Rounds()
 	for oi, op := range ops {
-		m, err := ApplyChurnOp(net, op, rng)
-		muts += m
+		m, err := ApplyChurnOp(target, op, rng)
+		out.Mutations += m
 		if err != nil {
-			return stats, sent, 0, muts, fmt.Errorf("op %d (%s): %w", oi, op, err)
+			return out, fmt.Errorf("op %d (%s): %w", oi, op, err)
 		}
-		// Repair window + packet steps over the decaying labeling.
-		router.SetLabeling(lb.Labeling())
-		if _, err := net.Run(sched, net.Moves()+cfg.MovesPerWindow); err != nil {
-			return stats, sent, 0, muts, fmt.Errorf("op %d (%s) repair: %w", oi, op, err)
+		if err := live.Window(ep.Sched, ep.MovesPerWindow, 2, flight); err != nil {
+			return out, fmt.Errorf("op %d (%s) repair: %w", oi, op, err)
 		}
-		router.SetLabeling(lb.Labeling())
-		flight.Advance(router, 2)
+		if ep.OnOp != nil {
+			ep.OnOp(oi, op, live.Labeling())
+		}
 	}
 
 	// Re-stabilization on the final graph.
-	res, err := net.Run(sched, net.Moves()+cfg.MaxMoves)
+	res, err := net.Run(ep.Sched, net.Moves()+ep.MaxMoves)
 	if err != nil {
-		return stats, sent, 0, muts, err
+		return out, err
 	}
-	stats = RunStats{Moves: res.Moves - moves0, Rounds: res.Rounds - rounds0, RegisterBits: net.MaxRegisterBits()}
+	out.Stats = RunStats{Moves: res.Moves - moves0, Rounds: res.Rounds - rounds0, RegisterBits: net.MaxRegisterBits()}
 	if !res.Silent {
-		return stats, sent, 0, muts, fmt.Errorf("no re-stabilization within %d moves of the final op", cfg.MaxMoves)
+		return out, fmt.Errorf("no re-stabilization within %d moves of the final op", ep.MaxMoves)
 	}
 	if err := runtime.CheckSilentStable(net); err != nil {
-		return stats, sent, 0, muts, err
+		return out, err
 	}
 	if !g.Connected() {
-		return stats, sent, 0, muts, fmt.Errorf("schedule bug: final graph disconnected")
+		return out, fmt.Errorf("schedule bug: final graph disconnected")
 	}
-	if err := checkChurnSpec(a, g, net); err != nil {
-		return stats, sent, 0, muts, fmt.Errorf("final-graph spec: %w", err)
+	if err := checkSpec(ep.Algo, g, net); err != nil {
+		return out, fmt.Errorf("final-graph spec: %w", err)
 	}
-	if bound := churnRegisterBound(a, g); stats.RegisterBits > bound {
-		return stats, sent, 0, muts, fmt.Errorf("register width %d bits exceeds final-graph bound %d", stats.RegisterBits, bound)
+	if bound := RegisterBitsBound(ep.Algo, g); out.Stats.RegisterBits > bound {
+		return out, fmt.Errorf("register width %d bits exceeds final-graph bound %d", out.Stats.RegisterBits, bound)
 	}
 
 	// The incremental labeling must now be the complete labeling of the
@@ -658,23 +591,22 @@ func runOneChurn(a Algo, ng NamedGraph, spec SchedulerSpec, cfg ChurnConfig, see
 	// are reported, not failed (the chaos campaigns' contract). A fresh
 	// post-churn batch must deliver 100% — the serving-layer claim on
 	// the final graph.
-	router.SetLabeling(lb.Labeling())
-	if !lb.Labeling().Complete() {
-		return stats, sent, 0, muts, fmt.Errorf("labeling incomplete after re-stabilization: %d labeled", lb.Labeling().Covered())
+	live.Sync()
+	if !live.Labeling().Complete() {
+		return out, fmt.Errorf("labeling incomplete after re-stabilization: %d labeled", live.Labeling().Covered())
 	}
-	flight.Flush(router)
-	fs := flight.Stats()
-	arrived = fs.Delivered()
-	if arrived+fs.Dropped != sent {
-		return stats, sent, arrived, muts, fmt.Errorf("cohort unaccounted: %d delivered + %d dropped of %d",
-			arrived, fs.Dropped, sent)
+	flight.Flush(live.Router())
+	out.Cohort = flight.Stats()
+	if out.Cohort.Delivered()+out.Cohort.Dropped != out.Cohort.Sent {
+		return out, fmt.Errorf("cohort unaccounted: %d delivered + %d dropped of %d",
+			out.Cohort.Delivered(), out.Cohort.Dropped, out.Cohort.Sent)
 	}
-	post, err := routing.Drive(router, routing.UniformPairs(g.Nodes(), 2*g.N(), rng), routing.DriveOptions{})
+	out.Post, err = routing.Drive(live.Router(), routing.UniformPairs(g.Nodes(), ep.PostBatch*g.N(), rng), routing.DriveOptions{})
 	if err != nil {
-		return stats, sent, arrived, muts, err
+		return out, err
 	}
-	if post.DeliveryRate() != 1 {
-		return stats, sent, arrived, muts, fmt.Errorf("post-churn batch delivery %.3f, want 1.0", post.DeliveryRate())
+	if out.Post.DeliveryRate() != 1 {
+		return out, fmt.Errorf("post-churn batch delivery %.3f, want 1.0", out.Post.DeliveryRate())
 	}
-	return stats, sent, arrived, muts, nil
+	return out, nil
 }

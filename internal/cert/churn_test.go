@@ -2,9 +2,13 @@ package cert
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"silentspan/internal/cluster"
 	"silentspan/internal/graph"
+	"silentspan/internal/runtime"
+	"silentspan/internal/spanning"
 )
 
 // TestChurnScheduleGeneratorInvariants: every generated schedule must
@@ -82,4 +86,70 @@ func TestChurnCampaignSlice(t *testing.T) {
 	}
 	t.Logf("churn slice: %d runs, %d mutations, cohort %d/%d delivered",
 		rep.Runs, rep.Mutations, rep.PacketsArrived, rep.PacketsSent)
+}
+
+// TestApplyChurnOpTargetsAgree: one schedule applied through
+// ApplyChurnOp to a simulator network and to a lockstep cluster must
+// leave equal graphs, and the cluster's membership counters must account
+// for exactly the schedule's joins and leaves — the leaves split between
+// goodbyes and crashes by the adapter's alternation.
+func TestApplyChurnOpTargetsAgree(t *testing.T) {
+	crashes := 0
+	for seed := int64(1); seed <= 6; seed++ {
+		g := graph.RandomConnected(7, 0.5, rand.New(rand.NewSource(seed)))
+		ops := GenerateChurnSchedule(g, 14, seed)
+		net, err := runtime.NewNetwork(g.Clone(), spanning.Algorithm{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.InitArbitrary(rand.New(rand.NewSource(seed)))
+		cl, err := cluster.New(g.Clone(), spanning.Algorithm{}, cluster.NewChanTransport(), cluster.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.InitArbitrary(rand.New(rand.NewSource(seed)))
+		simTarget, clTarget := NetworkTarget{net}, &clusterTarget{Cluster: cl}
+		joins, leaves := 0, 0
+		for oi, op := range ops {
+			switch op.Kind {
+			case ChurnJoin:
+				joins++
+			case ChurnLeave:
+				leaves++
+			}
+			ms, err := ApplyChurnOp(simTarget, op, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatalf("seed %d: network op %d (%s): %v", seed, oi, op, err)
+			}
+			mc, err := ApplyChurnOp(clTarget, op, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatalf("seed %d: cluster op %d (%s): %v", seed, oi, op, err)
+			}
+			if ms != mc {
+				t.Fatalf("seed %d: op %d (%s) counted %d mutations on the network, %d on the cluster", seed, oi, op, ms, mc)
+			}
+			cl.Tick()
+		}
+		gn, gc := net.Graph(), cl.Graph()
+		if !slices.Equal(gn.Nodes(), gc.Nodes()) {
+			t.Errorf("seed %d: nodes diverge: network %v, cluster %v", seed, gn.Nodes(), gc.Nodes())
+		}
+		if !slices.Equal(gn.Edges(), gc.Edges()) {
+			t.Errorf("seed %d: edges diverge: network %v, cluster %v", seed, gn.Edges(), gc.Edges())
+		}
+		st := cl.Stats()
+		if st.Joins != joins || st.Leaves+st.Crashes != leaves {
+			t.Errorf("seed %d: cluster counted %d joins, %d leaves + %d crashes; schedule has %d joins, %d leaves",
+				seed, st.Joins, st.Leaves, st.Crashes, joins, leaves)
+		}
+		if st.Leaves != (leaves+1)/2 || st.Crashes != leaves/2 {
+			t.Errorf("seed %d: %d leaves split %d goodbye / %d crash, want alternation starting with a goodbye",
+				seed, leaves, st.Leaves, st.Crashes)
+		}
+		crashes += st.Crashes
+		cl.Stop()
+	}
+	if crashes == 0 {
+		t.Fatal("no schedule had two leaves: the crash half of the alternation never ran")
+	}
 }

@@ -19,8 +19,6 @@ import (
 
 	"silentspan/internal/cluster"
 	"silentspan/internal/graph"
-	"silentspan/internal/mdst"
-	"silentspan/internal/mst"
 	"silentspan/internal/ops"
 	"silentspan/internal/routing"
 	"silentspan/internal/runtime"
@@ -77,7 +75,7 @@ type ClusterConfig struct {
 	// Seed drives graphs, inits, fault schedules, and cohorts.
 	Seed int64 `json:"seed"`
 	// Algos restricts the algorithm set (default all five).
-	Algos []Algo `json:"-"`
+	Algos []routing.Algo `json:"-"`
 	// MaxCounterexamples stops the hunt (default 20).
 	MaxCounterexamples int `json:"max_counterexamples"`
 }
@@ -99,7 +97,7 @@ func (c *ClusterConfig) fill() {
 		c.QuietTicks = 12
 	}
 	if len(c.Algos) == 0 {
-		c.Algos = AllAlgos()
+		c.Algos = routing.AllAlgos()
 	}
 	if c.MaxCounterexamples == 0 {
 		c.MaxCounterexamples = 20
@@ -115,31 +113,25 @@ type ClusterWorst struct {
 
 // ClusterReport summarizes a cluster certification campaign.
 type ClusterReport struct {
-	Config          ClusterConfig           `json:"config"`
-	Graphs          int                     `json:"graphs"`
-	Runs            int                     `json:"runs"`
-	FramesSent      int                     `json:"frames_sent"`
-	FramesRejected  int                     `json:"frames_rejected"`
-	PacketsSent     int                     `json:"packets_sent"`
-	PacketsArrived  int                     `json:"packets_arrived"`
-	Joins           int                     `json:"joins,omitempty"`
-	Leaves          int                     `json:"leaves,omitempty"`
-	Crashes         int                     `json:"crashes,omitempty"`
-	Worst           map[string]ClusterWorst `json:"worst"`
-	Counterexamples []Counterexample        `json:"counterexamples"`
+	Config         ClusterConfig           `json:"config"`
+	Graphs         int                     `json:"graphs"`
+	Runs           int                     `json:"runs"`
+	FramesSent     int                     `json:"frames_sent"`
+	FramesRejected int                     `json:"frames_rejected"`
+	PacketsSent    int                     `json:"packets_sent"`
+	PacketsArrived int                     `json:"packets_arrived"`
+	Joins          int                     `json:"joins,omitempty"`
+	Leaves         int                     `json:"leaves,omitempty"`
+	Crashes        int                     `json:"crashes,omitempty"`
+	Worst          map[string]ClusterWorst `json:"worst"`
+	Ledger
 }
-
-// Certified reports whether the campaign found no counterexample.
-func (r *ClusterReport) Certified() bool { return len(r.Counterexamples) == 0 }
 
 // RunCluster executes the cluster certification campaign: every graph
 // × algorithm × transport fault profile × seeded run.
 func RunCluster(cfg ClusterConfig, logf func(format string, args ...any)) (*ClusterReport, error) {
 	cfg.fill()
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	rep := &ClusterReport{Config: cfg, Worst: make(map[string]ClusterWorst)}
+	rep := &ClusterReport{Config: cfg, Worst: make(map[string]ClusterWorst), Ledger: newLedger(cfg.MaxCounterexamples, logf)}
 	instances := churnGraphs(cfg.MaxN, cfg.Seed)
 	rep.Graphs = len(instances)
 	profiles := ClusterProfiles()
@@ -160,32 +152,18 @@ func RunCluster(cfg ClusterConfig, logf func(format string, args ...any)) (*Clus
 					rep.Crashes += st.Crashes
 					if err == nil {
 						w := rep.Worst[a.String()]
-						if ticks > w.Ticks.Value {
-							w.Ticks = WorstEntry{Value: ticks, Graph: ng.Name, Scheduler: prof.Name}
-						}
-						if bits > w.RegisterBits.Value {
-							w.RegisterBits = WorstEntry{Value: bits, Graph: ng.Name, Scheduler: prof.Name}
-						}
+						w.Ticks.raise(ticks, ng.Name, prof.Name)
+						w.RegisterBits.raise(bits, ng.Name, prof.Name)
 						rep.Worst[a.String()] = w
-						continue
-					}
-					rep.Counterexamples = append(rep.Counterexamples, Counterexample{
-						Graph: ng.Name, N: ng.G.N(), M: ng.G.M(), Algorithm: a.String(),
-						Scheduler: prof.Name, Init: fmt.Sprintf("cluster seed=%d", seed),
-						Detail: err.Error(),
-					})
-					logf("COUNTEREXAMPLE: %s", rep.Counterexamples[len(rep.Counterexamples)-1])
-					if len(rep.Counterexamples) >= cfg.MaxCounterexamples {
+					} else if rep.falsified(ng, a, prof.Name, fmt.Sprintf("cluster seed=%d", seed), err) {
 						return rep, nil
 					}
 				}
 			}
 		}
-		if (gi+1)%5 == 0 || gi == len(instances)-1 {
-			logf("clustered %d/%d graphs, %d runs, %d frames (%d rejected), %d/%d packets, %d counterexamples",
-				gi+1, len(instances), rep.Runs, rep.FramesSent, rep.FramesRejected,
-				rep.PacketsArrived, rep.PacketsSent, len(rep.Counterexamples))
-		}
+		rep.progress(gi, len(instances), 5, "clustered %d/%d graphs, %d runs, %d frames (%d rejected), %d/%d packets, %d counterexamples",
+			gi+1, len(instances), rep.Runs, rep.FramesSent, rep.FramesRejected,
+			rep.PacketsArrived, rep.PacketsSent, len(rep.Counterexamples))
 	}
 	return rep, nil
 }
@@ -196,38 +174,17 @@ func RunCluster(cfg ClusterConfig, logf func(format string, args ...any)) (*Clus
 // simulator) deploy their reference tree into the switching protocol
 // and take transient corruption on top — the deployment story at any
 // scale, matching the chaos and churn campaigns.
-func clusterAlgorithm(a Algo, g *graph.Graph) (runtime.Algorithm, func(cl *cluster.Cluster, rng *rand.Rand) error, error) {
-	if alg := DirectAlgorithm(a); alg != nil {
-		return alg, func(cl *cluster.Cluster, rng *rand.Rand) error {
-			cl.InitArbitrary(rng)
-			return nil
-		}, nil
+func clusterAlgorithm(a routing.Algo, g *graph.Graph) (runtime.Algorithm, func(cl *cluster.Cluster, rng *rand.Rand), error) {
+	if alg := a.Algorithm(); alg != nil {
+		return alg, (*cluster.Cluster).InitArbitrary, nil
 	}
-	var (
-		t   *trees.Tree
-		err error
-	)
-	if a == AlgoMST {
-		t, err = mst.Kruskal(g, g.MinID())
-	} else {
-		t, err = mdst.GreedyLowDegreeTree(g, g.MinID())
-	}
+	t, err := referenceTree(a)(g)
 	if err != nil {
 		return nil, nil, err
 	}
-	depths := t.Depths()
-	sizes := t.SubtreeSizes()
-	return switching.Algorithm{}, func(cl *cluster.Cluster, rng *rand.Rand) error {
-		for _, v := range g.Nodes() {
-			cl.SetState(v, switching.State{
-				Root: t.Root(), Parent: t.Parent(v),
-				HasD: true, D: depths[v], HasS: true, S: sizes[v],
-				Sw: switching.SwIdle, SwTarget: trees.None,
-				Pr: switching.PrOff, Sub: switching.SubOff,
-			})
-		}
+	return switching.Algorithm{}, func(cl *cluster.Cluster, rng *rand.Rand) {
+		switching.LoadTree(t, cl.SetState)
 		cl.Corrupt(2, rng)
-		return nil
 	}, nil
 }
 
@@ -250,7 +207,7 @@ func checkCrawl(cl *cluster.Cluster, net *runtime.Network, g *graph.Graph, rng *
 	}
 	want := make(map[graph.NodeID]graph.NodeID, g.N())
 	for _, v := range nodes {
-		p := cluster.ParentOf(net.State(v))
+		p := routing.ParentOf(net.State(v))
 		if p == routing.NoParent || p == trees.None {
 			p = ops.None
 		}
@@ -292,7 +249,7 @@ func checkQuietAnnounce(cl *cluster.Cluster, cfg ClusterConfig) error {
 }
 
 // runOneCluster is one certified run.
-func runOneCluster(a Algo, ng NamedGraph, prof ClusterProfile, cfg ClusterConfig, seed int64) (
+func runOneCluster(a routing.Algo, ng NamedGraph, prof ClusterProfile, cfg ClusterConfig, seed int64) (
 	ticks, registerBits int, st cluster.Stats, gws cluster.GatewayStats, err error) {
 	g := ng.G
 	if cfg.ChurnOps > 0 {
@@ -327,9 +284,7 @@ func runOneCluster(a Algo, ng NamedGraph, prof ClusterProfile, cfg ClusterConfig
 	// departed members included.
 	cl.EnableFlightRecorder(flightTraceCap)
 	gw := cluster.NewGateway(cl)
-	if err := init(cl, rng); err != nil {
-		return 0, 0, st, gws, err
-	}
+	init(cl, rng)
 
 	// Cohort launched mid-convergence, flying over the decaying labeling.
 	for i := 0; i < 3; i++ {
@@ -396,11 +351,11 @@ func runOneCluster(a Algo, ng NamedGraph, prof ClusterProfile, cfg ClusterConfig
 	if net.Moves() != before {
 		return ticks, 0, st, gws, fmt.Errorf("closure violated: %d moves after quiet", net.Moves()-before)
 	}
-	if err := checkChurnSpec(a, g, net); err != nil {
+	if err := checkSpec(a, g, net); err != nil {
 		return ticks, 0, st, gws, fmt.Errorf("spec: %w", err)
 	}
 	registerBits = cl.MaxRegisterBits()
-	if bound := churnRegisterBound(a, g); registerBits > bound {
+	if bound := RegisterBitsBound(a, g); registerBits > bound {
 		return ticks, registerBits, st, gws, fmt.Errorf("register width %d bits exceeds bound %d", registerBits, bound)
 	}
 
@@ -512,49 +467,38 @@ func checkFlightTrace(cl *cluster.Cluster) error {
 	return nil
 }
 
+// clusterTarget adapts a live cluster to ChurnTarget. Join, AddEdge,
+// RemoveEdge and Corrupt are the cluster's own mutators; Leave
+// alternates between cooperative (goodbye broadcast) and crash
+// (staleness-TTL discovery) so a schedule exercises both eviction paths.
+type clusterTarget struct {
+	*cluster.Cluster
+	crashNext bool
+}
+
+func (t *clusterTarget) Leave(id graph.NodeID) error {
+	crash := t.crashNext
+	t.crashNext = !crash
+	if crash {
+		return t.Crash(id)
+	}
+	return t.Cluster.Leave(id)
+}
+
 // driveClusterChurn replays a validated churn schedule through the
 // cluster's live-membership mutators, a few repair ticks after each op,
 // then runs the crash-and-rejoin coda: one surviving member crashes
 // without a goodbye and the same id rejoins over the same links —
-// the acceptance scenario in lockstep form. Leaves alternate between
-// cooperative (goodbye broadcast) and crash (staleness-TTL discovery)
-// so both eviction paths are exercised.
+// the acceptance scenario in lockstep form.
 func driveClusterChurn(cl *cluster.Cluster, g *graph.Graph, cfg ClusterConfig, rng *rand.Rand, seed int64) error {
-	sched := GenerateChurnSchedule(g, cfg.ChurnOps, seed+5)
 	repair := func() {
 		for i := 0; i < 6; i++ {
 			cl.Tick()
 		}
 	}
-	crashNext := false
-	for _, op := range sched {
-		var err error
-		switch op.Kind {
-		case ChurnJoin:
-			err = cl.Join(op.Node, op.Edges)
-		case ChurnLeave:
-			if crashNext {
-				err = cl.Crash(op.Node)
-			} else {
-				err = cl.Leave(op.Node)
-			}
-			crashNext = !crashNext
-		case ChurnLinkDown, ChurnPartition:
-			for _, e := range op.Edges {
-				if err = cl.RemoveEdge(e.U, e.V); err != nil {
-					break
-				}
-			}
-		case ChurnLinkUp, ChurnHeal:
-			for _, e := range op.Edges {
-				if err = cl.AddEdge(e.U, e.V, e.W); err != nil {
-					break
-				}
-			}
-		case ChurnCorrupt:
-			cl.Corrupt(op.Count, rng)
-		}
-		if err != nil {
+	target := &clusterTarget{Cluster: cl}
+	for _, op := range GenerateChurnSchedule(g, cfg.ChurnOps, seed+5) {
+		if _, err := ApplyChurnOp(target, op, rng); err != nil {
 			return fmt.Errorf("churn %s: %w", op, err)
 		}
 		repair()

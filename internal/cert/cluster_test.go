@@ -3,6 +3,8 @@ package cert
 import (
 	"strings"
 	"testing"
+
+	"silentspan/internal/routing"
 )
 
 // TestClusterCampaignSlice: a deterministic slice of the cluster
@@ -28,7 +30,7 @@ func TestClusterCampaignSlice(t *testing.T) {
 		t.Fatal("no packet ever arrived")
 	}
 	// Every algorithm must have produced a worst-case record.
-	for _, a := range AllAlgos() {
+	for _, a := range routing.AllAlgos() {
 		if _, ok := rep.Worst[a.String()]; !ok {
 			t.Errorf("no worst-case record for %s", a)
 		}
@@ -44,7 +46,7 @@ func TestClusterCampaignSlice(t *testing.T) {
 func TestClusterChurnCampaignSlice(t *testing.T) {
 	cfg := ClusterConfig{MaxN: 4, Seed: 3, ChurnOps: 4}
 	if testing.Short() {
-		cfg.Algos = []Algo{AlgoSpanning, AlgoBFS}
+		cfg.Algos = []routing.Algo{routing.AlgoSpanning, routing.AlgoBFS}
 	}
 	rep, err := RunCluster(cfg, t.Logf)
 	if err != nil {
@@ -67,7 +69,7 @@ func TestClusterCampaignDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replay pair in -short mode")
 	}
-	cfg := ClusterConfig{MaxN: 4, Seed: 7, Algos: []Algo{AlgoSpanning, AlgoBFS}}
+	cfg := ClusterConfig{MaxN: 4, Seed: 7, Algos: []routing.Algo{routing.AlgoSpanning, routing.AlgoBFS}}
 	r1, err := RunCluster(cfg, nil)
 	if err != nil {
 		t.Fatal(err)

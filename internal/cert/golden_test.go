@@ -23,6 +23,7 @@ import (
 	"testing"
 
 	"silentspan/internal/graph"
+	"silentspan/internal/routing"
 	"silentspan/internal/runtime"
 )
 
@@ -61,7 +62,7 @@ func (t *traceScheduler) Choose(enabled *runtime.EnabledSet, buf []graph.NodeID)
 	return out
 }
 
-func goldenTrace(t *testing.T, a Algo, spec SchedulerSpec) string {
+func goldenTrace(t *testing.T, a routing.Algo, spec SchedulerSpec) string {
 	t.Helper()
 	const seed = 42
 	rng := rand.New(rand.NewSource(seed))
@@ -69,7 +70,7 @@ func goldenTrace(t *testing.T, a Algo, spec SchedulerSpec) string {
 	var w strings.Builder
 	fmt.Fprintf(&w, "algorithm %s scheduler %s graph n=%d m=%d\n", a, spec.Name, g.N(), g.M())
 
-	net, err := churnSubstrate(a, g, spec.New(seed), 200_000, rand.New(rand.NewSource(seed+1)))
+	net, _, err := routing.BringUp(g, a, spec.New(seed), 200_000, rand.New(rand.NewSource(seed+1)), referenceTree(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func goldenTrace(t *testing.T, a Algo, spec SchedulerSpec) string {
 	sched := &traceScheduler{inner: spec.New(seed + 4), w: &w}
 	for oi, op := range ops {
 		fmt.Fprintf(&w, "-- op %d: %s\n", oi, op)
-		if _, err := ApplyChurnOp(net, op, crng); err != nil {
+		if _, err := ApplyChurnOp(NetworkTarget{net}, op, crng); err != nil {
 			t.Fatalf("op %d (%s): %v", oi, op, err)
 		}
 		res, err := net.Run(sched, net.Moves()+100_000)
@@ -106,7 +107,7 @@ func goldenTrace(t *testing.T, a Algo, spec SchedulerSpec) string {
 }
 
 func TestGoldenChurnTraces(t *testing.T) {
-	for _, a := range AllAlgos() {
+	for _, a := range routing.AllAlgos() {
 		for _, spec := range goldenSchedulers() {
 			name := fmt.Sprintf("%s_%s", a, spec.Name)
 			t.Run(name, func(t *testing.T) {

@@ -3,8 +3,10 @@ package cert
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"silentspan/internal/graph"
+	"silentspan/internal/routing"
 	"silentspan/internal/runtime"
 	"silentspan/internal/spanning"
 	"silentspan/internal/trees"
@@ -37,7 +39,7 @@ type ExhaustiveConfig struct {
 	// Seed drives all sampling.
 	Seed int64
 	// Algos restricts the algorithm set (default all five).
-	Algos []Algo
+	Algos []routing.Algo
 	// SkipFamilies drops the named pathological families.
 	SkipFamilies bool
 	// MaxCounterexamples stops the hunt after this many findings
@@ -62,45 +64,11 @@ func (c *ExhaustiveConfig) fill() {
 		c.MaxMoves = 200_000
 	}
 	if len(c.Algos) == 0 {
-		c.Algos = AllAlgos()
+		c.Algos = routing.AllAlgos()
 	}
 	if c.MaxCounterexamples == 0 {
 		c.MaxCounterexamples = 20
 	}
-}
-
-// Counterexample is one falsified claim, with everything needed to
-// replay it.
-type Counterexample struct {
-	Graph     string `json:"graph"`
-	N         int    `json:"n"`
-	M         int    `json:"m"`
-	Algorithm string `json:"algorithm"`
-	Scheduler string `json:"scheduler"`
-	Init      string `json:"init"`
-	Detail    string `json:"detail"`
-}
-
-func (c Counterexample) String() string {
-	return fmt.Sprintf("%s/%s on %s (n=%d m=%d, init %s): %s",
-		c.Algorithm, c.Scheduler, c.Graph, c.N, c.M, c.Init, c.Detail)
-}
-
-// WorstEntry is one observed maximum together with the run that
-// produced it, so the named (graph, daemon) pair replays the value.
-type WorstEntry struct {
-	Value     int    `json:"value"`
-	Graph     string `json:"graph"`
-	Scheduler string `json:"scheduler"`
-}
-
-// WorstCase records the most expensive certified runs per algorithm,
-// each metric with its own provenance (the worst moves, rounds and
-// register width generally come from different runs).
-type WorstCase struct {
-	Moves        WorstEntry `json:"moves"`
-	Rounds       WorstEntry `json:"rounds"`
-	RegisterBits WorstEntry `json:"register_bits"`
 }
 
 // ExhaustiveReport summarizes a model-checking sweep.
@@ -110,25 +78,19 @@ type ExhaustiveReport struct {
 	Runs            int                  `json:"runs"`
 	ExhaustiveInits int                  `json:"exhaustive_inits"`
 	Worst           map[string]WorstCase `json:"worst"`
-	Counterexamples []Counterexample     `json:"counterexamples"`
+	Ledger
 }
-
-// Certified reports whether the sweep found no counterexample.
-func (r *ExhaustiveReport) Certified() bool { return len(r.Counterexamples) == 0 }
 
 // RunExhaustive executes the model-checking sweep. logf (optional)
 // receives one progress line per graph batch.
 func RunExhaustive(cfg ExhaustiveConfig, logf func(format string, args ...any)) (*ExhaustiveReport, error) {
 	cfg.fill()
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	rep := &ExhaustiveReport{Config: cfg, Worst: make(map[string]WorstCase)}
+	rep := &ExhaustiveReport{Config: cfg, Worst: make(map[string]WorstCase), Ledger: newLedger(cfg.MaxCounterexamples, logf)}
 
 	var instances []NamedGraph
 	for n := 1; n <= cfg.MaxN; n++ {
 		batch := EnumerateConnected(n)
-		logf("enumerated %d connected graphs on %d nodes", len(batch), n)
+		rep.logf("enumerated %d connected graphs on %d nodes", len(batch), n)
 		instances = append(instances, batch...)
 	}
 	if !cfg.SkipFamilies {
@@ -136,100 +98,59 @@ func RunExhaustive(cfg ExhaustiveConfig, logf func(format string, args ...any)) 
 	}
 	rep.Graphs = len(instances)
 
-	record := func(a Algo, spec SchedulerSpec, ng NamedGraph, stats RunStats) {
-		w := rep.Worst[a.String()]
-		if stats.Moves > w.Moves.Value {
-			w.Moves = WorstEntry{Value: stats.Moves, Graph: ng.Name, Scheduler: spec.Name}
-		}
-		if stats.Rounds > w.Rounds.Value {
-			w.Rounds = WorstEntry{Value: stats.Rounds, Graph: ng.Name, Scheduler: spec.Name}
-		}
-		if stats.RegisterBits > w.RegisterBits.Value {
-			w.RegisterBits = WorstEntry{Value: stats.RegisterBits, Graph: ng.Name, Scheduler: spec.Name}
-		}
-		rep.Worst[a.String()] = w
-	}
-	report := func(ce Counterexample) bool {
-		rep.Counterexamples = append(rep.Counterexamples, ce)
-		logf("COUNTEREXAMPLE: %s", ce)
-		return len(rep.Counterexamples) >= cfg.MaxCounterexamples
-	}
-
 	for gi, ng := range instances {
-		n, m := ng.G.N(), ng.G.M()
 		for _, a := range cfg.Algos {
-			if alg := DirectAlgorithm(a); alg != nil {
-				net, err := runtime.NewNetwork(ng.G, alg)
-				if err != nil {
+			// An always-on algorithm runs on one network per graph, re-armed
+			// from a sampled arbitrary configuration per run; an engine run
+			// is itself a full multi-phase execution from its own seed.
+			alg, kind, samples := a.Algorithm(), "sampled", cfg.Samples
+			var net *runtime.Network
+			if alg == nil {
+				kind, samples = "engine", cfg.EngineSamples
+			} else {
+				var err error
+				if net, err = runtime.NewNetwork(ng.G, alg); err != nil {
 					return rep, err
 				}
-				for _, spec := range Schedulers() {
-					for s := 0; s < cfg.Samples; s++ {
-						seed := cfg.Seed + int64(gi*1000+s)
+			}
+			for _, spec := range Schedulers() {
+				for s := 0; s < samples; s++ {
+					seed := cfg.Seed + int64(gi*1000+s)
+					rep.Runs++
+					var (
+						stats RunStats
+						err   error
+					)
+					if alg == nil {
+						stats, err = certifyEngine(a, ng.G, spec, seed, cfg.MaxMoves)
+					} else {
 						net.InitArbitrary(rand.New(rand.NewSource(seed)))
-						rep.Runs++
-						stats, err := certifyDirect(a, ng.G, net, spec.New(seed), cfg.MaxMoves)
-						if err == nil {
-							record(a, spec, ng, stats)
-						} else {
-							if report(Counterexample{
-								Graph: ng.Name, N: n, M: m, Algorithm: a.String(),
-								Scheduler: spec.Name, Init: fmt.Sprintf("sampled seed=%d", seed),
-								Detail: err.Error(),
-							}) {
-								return rep, nil
-							}
-						}
+						stats, err = certifyDirect(a, ng.G, net, spec.New(seed), cfg.MaxMoves)
 					}
-				}
-			} else {
-				for _, spec := range Schedulers() {
-					for s := 0; s < cfg.EngineSamples; s++ {
-						seed := cfg.Seed + int64(gi*1000+s)
-						rep.Runs++
-						stats, err := certifyEngine(a, ng.G, spec, seed, cfg.MaxMoves)
-						if err == nil {
-							record(a, spec, ng, stats)
-						} else {
-							if report(Counterexample{
-								Graph: ng.Name, N: n, M: m, Algorithm: a.String(),
-								Scheduler: spec.Name, Init: fmt.Sprintf("engine seed=%d", seed),
-								Detail: err.Error(),
-							}) {
-								return rep, nil
-							}
-						}
+					if err == nil {
+						record(rep.Worst, a, stats, ng.Name, spec.Name)
+					} else if rep.falsified(ng, a, spec.Name, fmt.Sprintf("%s seed=%d", kind, seed), err) {
+						return rep, nil
 					}
 				}
 			}
 		}
 		// Exhaustive initial-state slice: spanning substrate, every
 		// configuration of the covering state space, deterministic daemons.
-		if n <= cfg.ExhaustiveInitMaxN && n >= 2 && containsAlgo(cfg.Algos, AlgoSpanning) {
-			count, err := exhaustiveSpanningInits(ng, rep, cfg, report, record)
+		if n := ng.G.N(); n <= cfg.ExhaustiveInitMaxN && n >= 2 && slices.Contains(cfg.Algos, routing.AlgoSpanning) {
+			count, err := exhaustiveSpanningInits(ng, rep, cfg.MaxMoves)
 			if err != nil {
 				return rep, err
 			}
 			rep.ExhaustiveInits += count
-			if len(rep.Counterexamples) >= cfg.MaxCounterexamples {
+			if rep.full() {
 				return rep, nil
 			}
 		}
-		if (gi+1)%50 == 0 || gi == len(instances)-1 {
-			logf("checked %d/%d graphs, %d runs, %d exhaustive inits, %d counterexamples",
-				gi+1, len(instances), rep.Runs, rep.ExhaustiveInits, len(rep.Counterexamples))
-		}
+		rep.progress(gi, len(instances), 50, "checked %d/%d graphs, %d runs, %d exhaustive inits, %d counterexamples",
+			gi+1, len(instances), rep.Runs, rep.ExhaustiveInits, len(rep.Counterexamples))
 	}
 	return rep, nil
-}
-
-func containsAlgo(as []Algo, a Algo) bool {
-	for _, x := range as {
-		if x == a {
-			return true
-		}
-	}
-	return false
 }
 
 // deterministicSchedulers is the daemon subset used for the exhaustive
@@ -249,8 +170,7 @@ func deterministicSchedulers() []SchedulerSpec {
 // exhaustiveSpanningInits drives the spanning substrate from every
 // configuration of the covering state space on ng, under every
 // deterministic daemon. Returns the number of initial configurations.
-func exhaustiveSpanningInits(ng NamedGraph, rep *ExhaustiveReport, cfg ExhaustiveConfig,
-	report func(Counterexample) bool, record func(Algo, SchedulerSpec, NamedGraph, RunStats)) (int, error) {
+func exhaustiveSpanningInits(ng NamedGraph, rep *ExhaustiveReport, maxMoves int) (int, error) {
 	g := ng.G
 	n := g.N()
 	nodes := g.Nodes()
@@ -282,17 +202,11 @@ func exhaustiveSpanningInits(ng NamedGraph, rep *ExhaustiveReport, cfg Exhaustiv
 				net.SetState(v, states[i][idx[i]])
 			}
 			rep.Runs++
-			stats, err := certifyDirect(AlgoSpanning, g, net, spec.New(0), cfg.MaxMoves)
+			stats, err := certifyDirect(routing.AlgoSpanning, g, net, spec.New(0), maxMoves)
 			if err == nil {
-				record(AlgoSpanning, spec, ng, stats)
-			} else {
-				if report(Counterexample{
-					Graph: ng.Name, N: n, M: g.M(), Algorithm: "spanning",
-					Scheduler: spec.Name, Init: describeInit(nodes, states, idx),
-					Detail: err.Error(),
-				}) {
-					return count, nil
-				}
+				record(rep.Worst, routing.AlgoSpanning, stats, ng.Name, spec.Name)
+			} else if rep.falsified(ng, routing.AlgoSpanning, spec.Name, describeInit(nodes, states, idx), err) {
+				return count, nil
 			}
 		}
 		// Odometer.

@@ -3,6 +3,8 @@ package cert
 import (
 	"strings"
 	"testing"
+
+	"silentspan/internal/routing"
 )
 
 // TestExhaustiveSmallSliceCertifies runs the n≤4 slice — every
@@ -31,7 +33,7 @@ func TestExhaustiveSmallSliceCertifies(t *testing.T) {
 	if rep.ExhaustiveInits == 0 {
 		t.Error("exhaustive initial-state slice did not run")
 	}
-	for _, a := range AllAlgos() {
+	for _, a := range routing.AllAlgos() {
 		w, ok := rep.Worst[a.String()]
 		if !ok {
 			t.Errorf("no worst-case record for %s", a)
@@ -115,7 +117,7 @@ func TestBoundsCheckFlagsViolations(t *testing.T) {
 // make the width check vacuous.
 func TestRegisterBitsBoundScalesLogarithmically(t *testing.T) {
 	for _, ng := range EnumerateConnected(4)[:1] {
-		for _, a := range AllAlgos() {
+		for _, a := range routing.AllAlgos() {
 			if got := RegisterBitsBound(a, ng.G); got > 40 {
 				t.Errorf("%s bound on n=4 is %d bits", a, got)
 			}

@@ -8,6 +8,7 @@ import (
 	"silentspan/internal/graph"
 	"silentspan/internal/mdst"
 	"silentspan/internal/mst"
+	"silentspan/internal/routing"
 	"silentspan/internal/runtime"
 	"silentspan/internal/switching"
 	"silentspan/internal/trees"
@@ -78,7 +79,7 @@ func TestRegisterWidthStaysLogarithmic(t *testing.T) {
 		}
 
 		for name, net := range nets {
-			algo := AlgoSwitching
+			algo := routing.AlgoSwitching
 			bits := net.MaxRegisterBits()
 			bound := RegisterBitsBound(algo, g)
 			if bits > bound {

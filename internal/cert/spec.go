@@ -9,6 +9,7 @@ import (
 	"silentspan/internal/graph"
 	"silentspan/internal/mdst"
 	"silentspan/internal/mst"
+	"silentspan/internal/routing"
 	"silentspan/internal/runtime"
 	"silentspan/internal/spanning"
 	"silentspan/internal/switching"
@@ -22,27 +23,13 @@ type RunStats struct {
 	RegisterBits int
 }
 
-// DirectAlgorithm returns the always-on runtime algorithm for a, or nil
-// for the engine-driven tasks (MST, MDST).
-func DirectAlgorithm(a Algo) runtime.Algorithm {
-	switch a {
-	case AlgoSpanning:
-		return spanning.Algorithm{}
-	case AlgoSwitching:
-		return switching.Algorithm{}
-	case AlgoBFS:
-		return bfs.Algorithm{}
-	}
-	return nil
-}
-
 // certifyDirect drives net (whose registers already hold the initial
 // configuration under test) to silence under sched and checks the full
 // claim set: convergence, silence stability, closure (no node
 // re-enabled by a followup daemon), the algorithm's spec on the
 // stabilized tree, and the register-width bound. net is reused across
 // calls; move/round accounting is relative to its current counters.
-func certifyDirect(a Algo, g *graph.Graph, net *runtime.Network, sched runtime.Scheduler, maxMoves int) (RunStats, error) {
+func certifyDirect(a routing.Algo, g *graph.Graph, net *runtime.Network, sched runtime.Scheduler, maxMoves int) (RunStats, error) {
 	moves0, rounds0 := net.Moves(), net.Rounds()
 	res, err := net.Run(sched, moves0+maxMoves)
 	if err != nil {
@@ -65,7 +52,7 @@ func certifyDirect(a Algo, g *graph.Graph, net *runtime.Network, sched runtime.S
 	if net.Moves() != before {
 		return stats, fmt.Errorf("closure violated: %d moves after silence", net.Moves()-before)
 	}
-	if err := checkDirectSpec(a, g, net); err != nil {
+	if err := checkSpec(a, g, net); err != nil {
 		return stats, fmt.Errorf("spec: %w", err)
 	}
 	stats.RegisterBits = net.MaxRegisterBits()
@@ -75,18 +62,16 @@ func certifyDirect(a Algo, g *graph.Graph, net *runtime.Network, sched runtime.S
 	return stats, nil
 }
 
-// checkDirectSpec verifies the stabilized configuration of an always-on
-// algorithm against its task specification.
-func checkDirectSpec(a Algo, g *graph.Graph, net *runtime.Network) error {
-	switch a {
-	case AlgoSpanning:
+// checkSpec verifies a silent configuration against its task
+// specification on g: the always-on algorithms keep their own spec; the
+// engine-driven MST/MDST are held by the switching protocol, whose
+// Lemma 4.1 spec is the contract their (possibly churned) tree must
+// satisfy.
+func checkSpec(a routing.Algo, g *graph.Graph, net *runtime.Network) error {
+	if a == routing.AlgoSpanning {
 		return checkSpanningSpec(g, net)
-	case AlgoSwitching:
-		return checkSwitchingSpec(g, net, false)
-	case AlgoBFS:
-		return checkSwitchingSpec(g, net, true)
 	}
-	return fmt.Errorf("no direct spec for %v", a)
+	return checkSwitchingSpec(g, net, a == routing.AlgoBFS)
 }
 
 // checkSpanningSpec: the substrate must stabilize to the BFS spanning
@@ -174,14 +159,8 @@ func checkSwitchingSpec(g *graph.Graph, net *runtime.Network, wantBFS bool) erro
 // the loop-freedom monitor armed for every intermediate step, then
 // checks the final tree's spec, the closure of the final configuration,
 // and the register-width bound.
-func certifyEngine(a Algo, g *graph.Graph, spec SchedulerSpec, seed int64, maxMoves int) (RunStats, error) {
-	var task core.Task
-	if a == AlgoMST {
-		task = mst.Task{}
-	} else {
-		task = mdst.Task{}
-	}
-	t, trace, err := core.RunDistributed(g, task, core.EngineOptions{
+func certifyEngine(a routing.Algo, g *graph.Graph, spec SchedulerSpec, seed int64, maxMoves int) (RunStats, error) {
+	t, trace, err := core.RunDistributed(g, a.Task(), core.EngineOptions{
 		Scheduler:        spec.New(seed),
 		Rng:              rand.New(rand.NewSource(seed)),
 		MaxMovesPerPhase: maxMoves,
@@ -216,9 +195,9 @@ func certifyEngine(a Algo, g *graph.Graph, spec SchedulerSpec, seed int64, maxMo
 // tree: exact minimality for MST (against Kruskal), the FR-tree
 // property for MDST — plus, when the instance is small enough for the
 // brute-force ground truth, the OPT+1 degree guarantee.
-func checkTreeSpec(a Algo, g *graph.Graph, t *trees.Tree) error {
+func checkTreeSpec(a routing.Algo, g *graph.Graph, t *trees.Tree) error {
 	switch a {
-	case AlgoMST:
+	case routing.AlgoMST:
 		ok, err := mst.IsMST(t, g)
 		if err != nil {
 			return err
@@ -226,7 +205,7 @@ func checkTreeSpec(a Algo, g *graph.Graph, t *trees.Tree) error {
 		if !ok {
 			return fmt.Errorf("final tree is not a minimum spanning tree")
 		}
-	case AlgoMDST:
+	case routing.AlgoMDST:
 		fr, err := mdst.IsFRTree(g, t)
 		if err != nil {
 			return err

@@ -9,8 +9,6 @@ import (
 	"silentspan/internal/ops"
 	"silentspan/internal/routing"
 	"silentspan/internal/runtime"
-	"silentspan/internal/spanning"
-	"silentspan/internal/switching"
 	"silentspan/internal/trace"
 	"silentspan/internal/trees"
 )
@@ -26,39 +24,11 @@ import (
 // responses: trees.None (root) and routing.NoParent (foreign/absent
 // state) both read as ops.None.
 func adminParent(s runtime.State) graph.NodeID {
-	p := ParentOf(s)
+	p := routing.ParentOf(s)
 	if p == routing.NoParent || p == trees.None {
 		return ops.None
 	}
 	return p
-}
-
-// adminRoot reads the claimed root out of a register (ops.None when
-// the state is foreign or absent).
-func adminRoot(s runtime.State) graph.NodeID {
-	switch r := s.(type) {
-	case spanning.State:
-		return r.Root
-	default:
-		if sw, ok := switching.RegOf(s); ok {
-			return sw.Root
-		}
-	}
-	return ops.None
-}
-
-// adminDistance reads the claimed distance-to-root (-1 when the
-// register carries none, e.g. switching's d=⊥).
-func adminDistance(s runtime.State) int {
-	switch r := s.(type) {
-	case spanning.State:
-		return r.Dist
-	default:
-		if sw, ok := switching.RegOf(s); ok && sw.HasD {
-			return sw.D
-		}
-	}
-	return -1
 }
 
 // adminSnapshot copies the node's register, clock, neighbor row (with
@@ -91,14 +61,15 @@ func (a nodeAdmin) addr(id graph.NodeID) string {
 // AdminSelf implements ops.NodeAdmin.
 func (a nodeAdmin) AdminSelf() ops.SelfInfo {
 	self, n, tick, neighbors, _ := a.nd.adminSnapshot()
+	root, dist := routing.RootDistOf(self)
 	info := ops.SelfInfo{
 		ID:        a.nd.id,
 		N:         n,
 		Algorithm: a.c.alg.Name(),
 		Codec:     a.c.codec.Name(),
-		Root:      adminRoot(self),
+		Root:      root,
 		Parent:    adminParent(self),
-		Distance:  adminDistance(self),
+		Distance:  dist,
 		Port:      -1,
 		LocalTick: tick,
 		AdminAddr: a.addr(a.nd.id),
@@ -148,11 +119,12 @@ func (a nodeAdmin) AdminPeers() ops.PeersInfo {
 func (a nodeAdmin) AdminTree() ops.TreeInfo {
 	self, _, tick, neighbors, peers := a.nd.adminSnapshot()
 	ttl := uint64(a.c.cfg.StalenessTTL)
+	root, dist := routing.RootDistOf(self)
 	info := ops.TreeInfo{
 		Node:     a.nd.id,
-		Root:     adminRoot(self),
+		Root:     root,
 		Parent:   adminParent(self),
-		Distance: adminDistance(self),
+		Distance: dist,
 		Children: []graph.NodeID{},
 	}
 	for j, p := range peers {
@@ -178,7 +150,7 @@ func (a nodeAdmin) AdminQuiet() ops.QuietInfo {
 		LocalQuiet:   nd.localQuiet(nd.localTick, &a.c.cfg),
 		SubtreeQuiet: nd.qOut.Sub,
 		Covered:      nd.qOut.Count,
-		Root:         nd.self != nil && ParentOf(nd.self) == trees.None,
+		Root:         nd.self != nil && routing.ParentOf(nd.self) == trees.None,
 		Announced:    nd.qOut.Ann,
 	}
 }

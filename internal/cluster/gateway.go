@@ -8,25 +8,8 @@ import (
 	"silentspan/internal/ops"
 	"silentspan/internal/routing"
 	"silentspan/internal/runtime"
-	"silentspan/internal/spanning"
-	"silentspan/internal/switching"
 	"silentspan/internal/wire"
 )
-
-// ParentOf reads the raw parent pointer out of a register of either
-// certified register family (routing.NoParent for nil or foreign
-// states) — the cluster-side sibling of routing.LiveParents.
-func ParentOf(s runtime.State) graph.NodeID {
-	switch r := s.(type) {
-	case spanning.State:
-		return r.Parent
-	default:
-		if sw, ok := switching.RegOf(s); ok {
-			return sw.Parent
-		}
-	}
-	return routing.NoParent
-}
 
 // Gateway is the cluster's serving layer: it maintains a
 // routing.LiveLabeler over the nodes' live registers — refreshed
@@ -101,7 +84,7 @@ func NewGateway(c *Cluster) *Gateway {
 			parents[i] = routing.NoParent
 			continue
 		}
-		parents[i] = ParentOf(nd.State())
+		parents[i] = routing.ParentOf(nd.State())
 	}
 	lb := routing.NewLiveLabeler(c.g, parents)
 	c.memMu.RUnlock()
@@ -159,7 +142,7 @@ func (gw *Gateway) refresh() {
 		if nd == nil {
 			continue
 		}
-		gw.lb.SetParent(nd.id, ParentOf(nd.State()))
+		gw.lb.SetParent(nd.id, routing.ParentOf(nd.State()))
 	}
 	gw.router.SetLabeling(gw.lb.Labeling())
 	gw.labMu.Unlock()

@@ -614,7 +614,7 @@ func TestServeCrashRejoin(t *testing.T) {
 	}
 	want := make(map[graph.NodeID]graph.NodeID)
 	for _, v := range cl.Graph().Nodes() {
-		p := ParentOf(net.State(v))
+		p := routing.ParentOf(net.State(v))
 		if p == routing.NoParent || p == trees.None {
 			p = ops.None
 		}

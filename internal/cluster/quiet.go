@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"silentspan/internal/graph"
+	"silentspan/internal/routing"
 	"silentspan/internal/trace"
 	"silentspan/internal/trees"
 	"silentspan/internal/wire"
@@ -57,14 +58,14 @@ func (nd *Node) updateQuiet(now uint64, cfg *Config) {
 		nd.wakeAt = min(nd.wakeAt, nd.qLastAct+uint64(cfg.StalenessTTL))
 	}
 	count := uint64(1)
-	parentID := ParentOf(nd.self)
+	parentID := routing.ParentOf(nd.self)
 	var annIn uint64
 	for j := range nd.peers {
 		if nd.peers[j] == nil {
 			continue
 		}
 		r := nd.nbr[j].q
-		if ParentOf(nd.peers[j]) == nd.id {
+		if routing.ParentOf(nd.peers[j]) == nd.id {
 			// A fresh child joins the convergecast only with a claim made
 			// at the current epoch: stale-epoch claims are exactly the
 			// ones some write has already retracted.

@@ -51,7 +51,7 @@ type portedSlot struct {
 }
 
 // NewLiveLabeler builds a labeler over the graph's current dense slot
-// space from raw per-slot parent pointers (see LiveParents). The
+// space from raw per-slot parent pointers (see ParentOf). The
 // parents slice is copied.
 func NewLiveLabeler(g *graph.Graph, parents []graph.NodeID) *LiveLabeler {
 	d := g.Dense()

@@ -8,6 +8,7 @@ import (
 
 	"silentspan/internal/graph"
 	"silentspan/internal/runtime"
+	"silentspan/internal/spanning"
 	"silentspan/internal/trees"
 )
 
@@ -16,12 +17,18 @@ import (
 // LiveLabeling built from the same raw pointers on the same graph.
 func compareToRebuild(t *testing.T, step int, lb *LiveLabeler) {
 	t.Helper()
-	full := LiveLabeling(lb.g, lb.parents)
-	got := lb.Labeling()
+	compareLabelings(t, step, lb.g, lb.Labeling(), lb.parents)
+}
+
+// compareLabelings diffs got against the from-scratch labeling of the
+// raw per-slot parent pointers on g's current slot space.
+func compareLabelings(t *testing.T, step int, g *graph.Graph, got *Labeling, parents []graph.NodeID) {
+	t.Helper()
+	full := LiveLabeling(g, parents)
 	if got.Covered() != full.Covered() {
 		t.Fatalf("step %d: incremental covers %d, rebuild %d", step, got.Covered(), full.Covered())
 	}
-	d := lb.g.Dense()
+	d := g.Dense()
 	for i := 0; i < d.Slots(); i++ {
 		if got.has[i] != full.has[i] {
 			t.Fatalf("step %d: slot %d (id %d) labeled=%v, rebuild %v",
@@ -175,96 +182,189 @@ func TestLabelingOwnsItsIDSpace(t *testing.T) {
 	}
 }
 
-// TestLiveLabelerMatchesRebuild is the equivalence torture test: a
-// long randomized schedule of raw pointer writes (valid, garbage,
-// loops), link flaps, joins, and leaves, with the incremental labeling
+// walkTarget is what the equivalence walk drives: the bare labeler
+// (pointer writes and topology events applied by hand) or a Live rig
+// (register writes and mutations applied to its network, reaching the
+// labeler through the listeners).
+type walkTarget struct {
+	g          *graph.Graph
+	setPointer func(v, raw graph.NodeID)
+	removeEdge func(u, v graph.NodeID)
+	addEdge    func(u, v graph.NodeID, w graph.Weight)
+	removeNode func(v graph.NodeID)
+	addNode    func(id graph.NodeID)
+	check      func(step int)
+}
+
+// equivalenceWalk is the torture schedule: raw pointer writes (valid,
+// garbage, loops), link flaps, joins and leaves, with tgt.check after
+// every single operation.
+func equivalenceWalk(rng *rand.Rand, steps int, tgt walkTarget) {
+	g := tgt.g
+	nextID := graph.NodeID(100)
+	nextW := graph.Weight(1 << 20)
+	var downed []graph.Edge
+
+	randomPointer := func(v graph.NodeID) graph.NodeID {
+		switch rng.Intn(6) {
+		case 0:
+			return trees.None
+		case 1:
+			return NoParent
+		case 2:
+			return graph.NodeID(rng.Intn(200) + 1) // likely garbage
+		default:
+			nbrs := g.NeighborsShared(v)
+			if len(nbrs) == 0 {
+				return trees.None
+			}
+			return nbrs[rng.Intn(len(nbrs))]
+		}
+	}
+
+	for step := 0; step < steps; step++ {
+		nodes := g.Nodes()
+		switch op := rng.Intn(12); {
+		case op < 6: // raw pointer write
+			v := nodes[rng.Intn(len(nodes))]
+			tgt.setPointer(v, randomPointer(v))
+		case op < 8: // link down
+			edges := g.Edges()
+			if len(edges) == 0 {
+				continue
+			}
+			e := edges[rng.Intn(len(edges))]
+			tgt.removeEdge(e.U, e.V)
+			downed = append(downed, e)
+		case op < 10: // link up (heal a downed link or a fresh one)
+			if len(downed) > 0 && rng.Intn(2) == 0 {
+				e := downed[len(downed)-1]
+				downed = downed[:len(downed)-1]
+				if g.HasNode(e.U) && g.HasNode(e.V) && !g.HasEdge(e.U, e.V) {
+					tgt.addEdge(e.U, e.V, e.W)
+				}
+				continue
+			}
+			u := nodes[rng.Intn(len(nodes))]
+			v := nodes[rng.Intn(len(nodes))]
+			if u == v || g.HasEdge(u, v) {
+				continue
+			}
+			tgt.addEdge(u, v, nextW)
+			nextW++
+		case op < 11: // leave
+			if len(nodes) <= 3 {
+				continue
+			}
+			tgt.removeNode(nodes[rng.Intn(len(nodes))])
+		default: // join, wired to a random anchor
+			tgt.addNode(nextID)
+			tgt.addEdge(nextID, nodes[rng.Intn(len(nodes))], nextW)
+			nextID++
+			nextW++
+		}
+		tgt.check(step)
+	}
+}
+
+// TestLiveLabelerMatchesRebuild is the equivalence torture test: the
+// walk applied to the bare labeler, with the incremental labeling
 // diffed against a from-scratch rebuild after every single operation.
 func TestLiveLabelerMatchesRebuild(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			g := graph.RandomConnected(24, 0.15, rng)
-			d := g.Dense()
-			parents := make([]graph.NodeID, d.Slots())
+			parents := make([]graph.NodeID, g.Dense().Slots())
 			for i := range parents {
 				parents[i] = NoParent
 			}
 			lb := NewLiveLabeler(g, parents)
-			nextID := graph.NodeID(100)
-			nextW := graph.Weight(1 << 20)
-			var downed []graph.Edge
-
-			randomPointer := func(v graph.NodeID) graph.NodeID {
-				switch rng.Intn(6) {
-				case 0:
-					return trees.None
-				case 1:
-					return NoParent
-				case 2:
-					return graph.NodeID(rng.Intn(200) + 1) // likely garbage
-				default:
-					nbrs := g.NeighborsShared(v)
-					if len(nbrs) == 0 {
-						return trees.None
-					}
-					return nbrs[rng.Intn(len(nbrs))]
+			must := func(err error) {
+				if err != nil {
+					t.Fatal(err)
 				}
 			}
-
-			for step := 0; step < 1500; step++ {
-				nodes := g.Nodes()
-				switch op := rng.Intn(12); {
-				case op < 6: // raw pointer write
-					v := nodes[rng.Intn(len(nodes))]
-					lb.SetParent(v, randomPointer(v))
-				case op < 8: // link down
-					edges := g.Edges()
-					if len(edges) == 0 {
-						continue
-					}
-					e := edges[rng.Intn(len(edges))]
-					if err := g.RemoveEdge(e.U, e.V); err != nil {
-						t.Fatal(err)
-					}
-					downed = append(downed, e)
-					lb.ApplyTopo(runtime.TopoEvent{Kind: runtime.TopoRemoveEdge, U: e.U, V: e.V})
-				case op < 10: // link up (heal a downed link or a fresh one)
-					if len(downed) > 0 && rng.Intn(2) == 0 {
-						e := downed[len(downed)-1]
-						downed = downed[:len(downed)-1]
-						if g.HasNode(e.U) && g.HasNode(e.V) && !g.HasEdge(e.U, e.V) {
-							g.MustAddEdge(e.U, e.V, e.W)
-							lb.ApplyTopo(runtime.TopoEvent{Kind: runtime.TopoAddEdge, U: e.U, V: e.V, W: e.W})
-						}
-						continue
-					}
-					u := nodes[rng.Intn(len(nodes))]
-					v := nodes[rng.Intn(len(nodes))]
-					if u == v || g.HasEdge(u, v) {
-						continue
-					}
-					g.MustAddEdge(u, v, nextW)
-					lb.ApplyTopo(runtime.TopoEvent{Kind: runtime.TopoAddEdge, U: u, V: v, W: nextW})
-					nextW++
-				case op < 11: // leave
-					if len(nodes) <= 3 {
-						continue
-					}
-					v := nodes[rng.Intn(len(nodes))]
-					if err := g.RemoveNode(v); err != nil {
-						t.Fatal(err)
-					}
+			equivalenceWalk(rng, 1500, walkTarget{
+				g:          g,
+				setPointer: lb.SetParent,
+				removeEdge: func(u, v graph.NodeID) {
+					must(g.RemoveEdge(u, v))
+					lb.ApplyTopo(runtime.TopoEvent{Kind: runtime.TopoRemoveEdge, U: u, V: v})
+				},
+				addEdge: func(u, v graph.NodeID, w graph.Weight) {
+					g.MustAddEdge(u, v, w)
+					lb.ApplyTopo(runtime.TopoEvent{Kind: runtime.TopoAddEdge, U: u, V: v, W: w})
+				},
+				removeNode: func(v graph.NodeID) {
+					must(g.RemoveNode(v))
 					lb.ApplyTopo(runtime.TopoEvent{Kind: runtime.TopoRemoveNode, U: v})
-				default: // join, wired to a random anchor
-					g.AddNode(nextID)
-					lb.ApplyTopo(runtime.TopoEvent{Kind: runtime.TopoAddNode, U: nextID})
-					anchor := nodes[rng.Intn(len(nodes))]
-					g.MustAddEdge(nextID, anchor, nextW)
-					lb.ApplyTopo(runtime.TopoEvent{Kind: runtime.TopoAddEdge, U: nextID, V: anchor, W: nextW})
-					nextID++
-					nextW++
+				},
+				addNode: func(id graph.NodeID) {
+					g.AddNode(id)
+					lb.ApplyTopo(runtime.TopoEvent{Kind: runtime.TopoAddNode, U: id})
+				},
+				check: func(step int) { compareToRebuild(t, step, lb) },
+			})
+		})
+	}
+}
+
+// TestLiveMatchesRebuild takes the same walk through the rig: pointer
+// writes are register writes (nil, garbage and loops included) and
+// mutations go through the network, so the labeling is fed by the rig's
+// listeners alone. After every operation the rig's labeling must equal
+// the from-scratch labeling of the parents read back out of the
+// registers. The rig attaches only after the first stretch of the walk
+// has churned and corrupted the network — what NewLive reads at attach
+// is held to the same oracle as what the listeners maintain.
+func TestLiveMatchesRebuild(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			g := graph.RandomConnected(24, 0.15, rng)
+			net, err := runtime.NewNetwork(g, spanning.Algorithm{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			must := func(err error) {
+				if err != nil {
+					t.Fatal(err)
 				}
-				compareToRebuild(t, step, lb)
+			}
+			var live *Live
+			writes := 0
+			equivalenceWalk(rng, 1000, walkTarget{
+				g: g,
+				setPointer: func(v, raw graph.NodeID) {
+					if raw == NoParent {
+						net.SetState(v, nil)
+						return
+					}
+					net.SetState(v, spanning.State{Root: 1, Parent: raw, Dist: rng.Intn(4)})
+				},
+				removeEdge: func(u, v graph.NodeID) { must(net.RemoveEdge(u, v)) },
+				addEdge:    func(u, v graph.NodeID, w graph.Weight) { must(net.AddEdge(u, v, w)) },
+				removeNode: func(v graph.NodeID) { must(net.RemoveNode(v)) },
+				addNode:    func(id graph.NodeID) { must(net.AddNode(id, nil)) },
+				check: func(step int) {
+					if step < 300 {
+						return
+					}
+					if live == nil {
+						net.AddStateListener(func(graph.NodeID, runtime.State, runtime.State) { writes++ })
+						live = NewLive(net)
+					}
+					parents := make([]graph.NodeID, net.Dense().Slots())
+					for i := range parents {
+						parents[i] = ParentOf(net.StateAt(i))
+					}
+					live.Sync()
+					compareLabelings(t, step, g, live.Labeling(), parents)
+				},
+			})
+			if live.Writes() != writes {
+				t.Errorf("rig counted %d register writes, an independent listener %d", live.Writes(), writes)
 			}
 		})
 	}

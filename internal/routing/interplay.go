@@ -4,142 +4,18 @@ import (
 	"fmt"
 	"math/rand"
 
-	"silentspan/internal/bfs"
 	"silentspan/internal/core"
 	"silentspan/internal/graph"
-	"silentspan/internal/mdst"
-	"silentspan/internal/mst"
 	"silentspan/internal/runtime"
-	"silentspan/internal/switching"
 	"silentspan/internal/trees"
 )
-
-// Substrate selects which constrained-tree construction carries the
-// traffic.
-type Substrate int
-
-const (
-	// SubstrateBFS: the always-on PLS-guided BFS algorithm (latency-
-	// optimal tree; re-optimizes itself after faults).
-	SubstrateBFS Substrate = iota
-	// SubstrateMST: tree built by the distributed MST engine, held by
-	// the malleable switching protocol.
-	SubstrateMST
-	// SubstrateMDST: tree built by the distributed minimum-degree
-	// engine (load-optimal tree), held by the switching protocol.
-	SubstrateMDST
-)
-
-// String names the substrate.
-func (s Substrate) String() string {
-	switch s {
-	case SubstrateBFS:
-		return "bfs"
-	case SubstrateMST:
-		return "mst"
-	case SubstrateMDST:
-		return "mdst"
-	}
-	return fmt.Sprintf("substrate(%d)", int(s))
-}
-
-// ParseSubstrate parses "bfs" | "mst" | "mdst".
-func ParseSubstrate(name string) (Substrate, error) {
-	switch name {
-	case "bfs":
-		return SubstrateBFS, nil
-	case "mst":
-		return SubstrateMST, nil
-	case "mdst":
-		return SubstrateMDST, nil
-	}
-	return 0, fmt.Errorf("routing: unknown substrate %q", name)
-}
-
-// StabilizeSubstrate brings up a live network carrying a stabilized
-// tree of the given kind: the BFS substrate stabilizes the always-on
-// rule system from an arbitrary configuration; the MST/MDST substrates
-// run the PLS-guided engine and load the resulting tree into a
-// switching-protocol network (the silent configuration it stabilizes
-// to). The returned network is silent and its registers encode the
-// returned tree.
-func StabilizeSubstrate(g *graph.Graph, sub Substrate, sched runtime.Scheduler, maxMoves int, rng *rand.Rand) (*runtime.Network, *trees.Tree, error) {
-	if sched == nil {
-		sched = runtime.Central()
-	}
-	if maxMoves <= 0 {
-		maxMoves = 20_000_000
-	}
-	switch sub {
-	case SubstrateBFS:
-		net, err := runtime.NewNetwork(g, bfs.Algorithm{})
-		if err != nil {
-			return nil, nil, err
-		}
-		net.InitArbitrary(rng)
-		res, err := net.Run(sched, maxMoves)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !res.Silent {
-			return nil, nil, fmt.Errorf("routing: bfs substrate not silent after %d moves", res.Moves)
-		}
-		t, err := switching.ExtractTree(net, switching.RegOf)
-		if err != nil {
-			return nil, nil, err
-		}
-		return net, t, nil
-	case SubstrateMST, SubstrateMDST:
-		var task core.Task
-		if sub == SubstrateMST {
-			task = mst.Task{}
-		} else {
-			task = mdst.Task{}
-		}
-		t, _, err := core.RunDistributed(g, task, core.EngineOptions{Rng: rng, Scheduler: sched})
-		if err != nil {
-			return nil, nil, err
-		}
-		net, err := runtime.NewNetwork(g, switching.Algorithm{})
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := switching.InitFromTree(net, t); err != nil {
-			return nil, nil, err
-		}
-		return net, t, nil
-	}
-	return nil, nil, fmt.Errorf("routing: unknown substrate %v", sub)
-}
-
-// LiveParents reads the raw parent pointers out of a network whose
-// registers are switching states — with no validation, because mid-
-// reconvergence they may encode anything. The result is indexed by the
-// network's dense index (see LiveLabeling); registers holding no
-// credible switching state read as NoParent. buf is reused when it has
-// capacity, so the per-window refresh of the reconvergence loop
-// allocates nothing after the first read.
-func LiveParents(net *runtime.Network, buf []graph.NodeID) []graph.NodeID {
-	n := net.Dense().Slots()
-	if cap(buf) < n {
-		buf = make([]graph.NodeID, n)
-	}
-	buf = buf[:n]
-	for i := 0; i < n; i++ {
-		// Vacated slots read nil registers and come out NoParent.
-		if s, ok := switching.RegOf(net.StateAt(i)); ok {
-			buf[i] = s.Parent
-		} else {
-			buf[i] = NoParent
-		}
-	}
-	return buf
-}
 
 // InterplayConfig parameterizes one fault-interplay run. Zero values
 // take the documented defaults.
 type InterplayConfig struct {
-	Substrate Substrate
+	// Substrate is the construction carrying the traffic (the zero value
+	// is the spanning substrate).
+	Substrate Algo
 	// Faults is the number of registers corrupted mid-traffic (default 3).
 	Faults int
 	// InFlight is the number of packets in flight when the faults hit
@@ -235,12 +111,12 @@ type InterplayReport struct {
 	PreMaxDegree, PostMaxDegree int
 }
 
-// RunInterplay executes the full experiment on g: stabilize the
-// substrate, measure a traffic batch, corrupt registers under live
-// traffic, interleave repair with routing windows over the decaying
-// labeling, then re-measure once silent. The registered state listener
-// is what triggers labeling refreshes, exercising the topology-change
-// notification path end to end.
+// RunInterplay executes the serving episode on g: bring the substrate
+// up, attach the rig and measure a traffic batch, corrupt registers
+// under live traffic, reconverge — repair windows interleaved with
+// routing windows over the decaying labeling — then re-measure once
+// silent. The rig's listeners are what keep the router current,
+// exercising the topology-change notification path end to end.
 func RunInterplay(g *graph.Graph, cfg InterplayConfig) (*InterplayReport, error) {
 	cfg.fill()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -249,75 +125,54 @@ func RunInterplay(g *graph.Graph, cfg InterplayConfig) (*InterplayReport, error)
 	}
 	rep := &InterplayReport{Substrate: cfg.Substrate.String(), N: g.N(), M: g.M()}
 
-	net, tree, err := StabilizeSubstrate(g, cfg.Substrate, cfg.Scheduler, cfg.StabilizeMoves, rng)
+	net, tree, err := BringUp(g, cfg.Substrate, cfg.Scheduler, cfg.StabilizeMoves, rng,
+		func(g *graph.Graph) (*trees.Tree, error) {
+			t, _, err := core.RunDistributed(g, cfg.Substrate.Task(), core.EngineOptions{Rng: rng, Scheduler: cfg.Scheduler})
+			return t, err
+		})
 	if err != nil {
 		return nil, err
 	}
-	ix := trees.NewIndex(tree)
-	rep.PreHeight, rep.PreMaxDegree = ix.Height(), tree.MaxDegree()
+	rep.PreHeight, rep.PreMaxDegree = trees.NewIndex(tree).Height(), tree.MaxDegree()
 
-	lab := Label(tree)
-	router := NewRouter(g, lab, Options{})
+	live := NewLive(net)
 	nodes := g.Nodes()
-
-	rep.Pre, err = Drive(router, UniformPairs(nodes, cfg.BatchPackets, rng), DriveOptions{})
+	rep.Pre, err = Drive(live.Router(), UniformPairs(nodes, cfg.BatchPackets, rng), DriveOptions{})
 	if err != nil {
 		return nil, err
 	}
 
 	// Launch the in-flight packets, then let the faults hit.
 	flight := NewFlight(UniformPairs(nodes, cfg.InFlight, rng))
-
 	runtime.Corrupt(net, cfg.Faults, rng)
-	// The listener goes in after the injection so TopologyWrites counts
-	// only the repair's own register writes.
-	dirty := true // the corruption itself already decayed the labeling
-	net.AddStateListener(func(v graph.NodeID, old, new runtime.State) {
-		dirty = true
-		rep.TopologyWrites++
-	})
 
-	// Reconvergence: interleave repair windows with routing windows over
-	// whatever labeling the live registers currently support. The parent
-	// buffer is reused across refreshes — the dense read path.
-	var parentBuf []graph.NodeID
-	refresh := func() {
-		if dirty {
-			parentBuf = LiveParents(net, parentBuf)
-			router.SetLabeling(LiveLabeling(g, parentBuf))
-			dirty = false
-		}
-	}
-	refresh()
-	movesBefore := net.Moves()
-	for w := 0; w < cfg.MaxWindows && !net.Silent(); w++ {
-		rep.Windows++
-		if _, err := net.Run(cfg.Scheduler, net.Moves()+cfg.MovesPerWindow); err != nil {
-			return nil, fmt.Errorf("routing: reconvergence window %d: %w", w, err)
-		}
-		refresh()
-		flight.Advance(router, cfg.StepsPerWindow)
+	movesBefore, writesBefore := net.Moves(), live.Writes()
+	rep.Windows, err = live.Reconverge(cfg.Scheduler, cfg.MovesPerWindow, cfg.StepsPerWindow, cfg.MaxWindows, flight)
+	if err != nil {
+		return nil, fmt.Errorf("routing: reconvergence %w", err)
 	}
 	rep.ReconvergeMoves = net.Moves() - movesBefore
+	rep.TopologyWrites = live.Writes() - writesBefore
 	rep.InFlight = flight.Stats()
 	rep.Restabilized = net.Silent()
 	if !rep.Restabilized {
 		return rep, fmt.Errorf("routing: %s substrate did not re-stabilize within %d windows", rep.Substrate, cfg.MaxWindows)
 	}
 
-	// Re-stabilized: validate the repaired tree, relabel, flush the
-	// remaining in-flight packets, and measure the recovered service.
-	tree2, err := switching.ExtractTree(net, switching.RegOf)
+	// Re-stabilized: validate the repaired tree, flush the remaining
+	// in-flight packets, and measure the recovered service.
+	tree2, err := cfg.Substrate.ExtractTree(net)
 	if err != nil {
 		return rep, fmt.Errorf("routing: repaired configuration: %w", err)
 	}
-	ix2 := trees.NewIndex(tree2)
-	rep.PostHeight, rep.PostMaxDegree = ix2.Height(), tree2.MaxDegree()
-	router.SetLabeling(Label(tree2))
-	flight.Flush(router)
+	if !live.Labeling().Complete() {
+		return rep, fmt.Errorf("routing: labeling incomplete after re-stabilization: %d labeled", live.Labeling().Covered())
+	}
+	rep.PostHeight, rep.PostMaxDegree = trees.NewIndex(tree2).Height(), tree2.MaxDegree()
+	flight.Flush(live.Router())
 	rep.InFlight = flight.Stats()
 
-	rep.Post, err = Drive(router, UniformPairs(nodes, cfg.BatchPackets, rng), DriveOptions{})
+	rep.Post, err = Drive(live.Router(), UniformPairs(nodes, cfg.BatchPackets, rng), DriveOptions{})
 	if err != nil {
 		return rep, err
 	}

@@ -18,7 +18,7 @@ import (
 // traffic, the substrate re-stabilizes and routing recovers to 100%
 // delivery, for each constrained-tree substrate (BFS / MST / MDST).
 func TestInterplayRecoversPerSubstrate(t *testing.T) {
-	for _, sub := range []Substrate{SubstrateBFS, SubstrateMST, SubstrateMDST} {
+	for _, sub := range []Algo{AlgoBFS, AlgoMST, AlgoMDST} {
 		sub := sub
 		t.Run(sub.String(), func(t *testing.T) {
 			t.Parallel()
@@ -66,11 +66,12 @@ func TestInterplayRecoversPerSubstrate(t *testing.T) {
 func TestLiveLabelingDegradesUnderCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := graph.RandomConnected(32, 0.12, rng)
-	net, tree, err := StabilizeSubstrate(g, SubstrateBFS, nil, 0, rng)
+	net, tree, err := BringUp(g, AlgoBFS, runtime.Central(), 20_000_000, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lab := LiveLabeling(g, LiveParents(net, nil)); !lab.Complete() {
+	live := NewLive(net)
+	if !live.Labeling().Complete() {
 		t.Fatal("live labeling of a silent configuration not complete")
 	}
 
@@ -93,7 +94,8 @@ func TestLiveLabelingDegradesUnderCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lab := LiveLabeling(g, LiveParents(net, nil))
+	live.Sync()
+	lab := live.Labeling()
 	if lab.Complete() {
 		t.Fatal("labeling still complete after tearing a parent pointer")
 	}
@@ -101,7 +103,7 @@ func TestLiveLabelingDegradesUnderCorruption(t *testing.T) {
 		t.Error("victim kept a coordinate")
 	}
 	// Routing between labeled nodes in the root's space still works.
-	r := NewRouter(g, lab, Options{})
+	r := live.Router()
 	delivered := 0
 	for _, u := range g.Nodes() {
 		if u == tree.Root() {
@@ -134,7 +136,7 @@ var updatePinned = flag.Bool("update", false, "rewrite testdata/interplay_pinned
 func TestInterplayReportsPinned(t *testing.T) {
 	const path = "testdata/interplay_pinned.json"
 	var got []*InterplayReport
-	for _, sub := range []Substrate{SubstrateBFS, SubstrateMST, SubstrateMDST} {
+	for _, sub := range []Algo{AlgoBFS, AlgoMST, AlgoMDST} {
 		g := graph.RandomConnected(24, 0.15, rand.New(rand.NewSource(20)))
 		rep, err := RunInterplay(g, InterplayConfig{Substrate: sub, Faults: 4, MovesPerWindow: 5, Seed: 7})
 		if err != nil {

@@ -139,8 +139,8 @@ func Label(t *trees.Tree) *Labeling {
 // while the self-stabilizing construction repairs itself underneath it.
 //
 // The pass is entirely index-addressed over the graph's dense slot
-// space: parents is indexed by dense slot (use LiveParents to read one
-// out of a network) with NoParent marking nodes that carry no credible
+// space: parents is indexed by dense slot (ParentOf reads one entry out
+// of a register) with NoParent marking nodes that carry no credible
 // parent pointer (vacated slots included). The labeling's index space
 // is the slot space, so a router over the same graph forwards over it
 // without any identity lookups. Ports are assigned by ascending child

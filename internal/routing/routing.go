@@ -27,11 +27,17 @@
 //   - the traffic engine: workload generators (uniform pairs, hotspot,
 //     all-pairs samples) and a driver measuring delivery, hop counts,
 //     and stretch against exact shortest paths;
-//   - the fault-interplay runner: corrupt registers mid-traffic via the
-//     runtime's fault injection, keep routing on the decaying labeling
-//     while the tree re-stabilizes, and measure how many in-flight
-//     packets loop or drop during reconvergence, per substrate (BFS,
-//     MST, MDST).
+//   - the serving episode's parts, each written once for the
+//     campaigns, benches and commands built on them: the algorithm
+//     registry and substrate bring-up (Algo, BringUp), the reader of a
+//     tree claim out of a raw register (ParentOf), and the live-router
+//     rig (Live) — a LiveLabeler fed by the network's state and topology
+//     listeners, so the router forwards over exactly what the registers
+//     currently support while the tree repairs itself underneath it;
+//   - the fault-interplay runner (RunInterplay), the episode in its
+//     plainest form: corrupt registers mid-traffic, keep routing over
+//     the decaying labeling through the repair windows, and measure how
+//     many in-flight packets loop or drop, per substrate.
 package routing
 
 import (

@@ -13,14 +13,22 @@ import (
 // into the network: exact labels, idle controls — the silent state the
 // protocol stabilizes to.
 func InitFromTree(net *runtime.Network, t *trees.Tree) error {
-	g := net.Graph()
-	if !t.IsSpanningTreeOf(g) {
+	if !t.IsSpanningTreeOf(net.Graph()) {
 		return fmt.Errorf("switching: tree does not span the network graph")
 	}
+	LoadTree(t, net.SetState)
+	return nil
+}
+
+// LoadTree writes the legal configuration for t — exact labels, idle
+// controls — through set, one register per tree node in ascending
+// identity order. It is InitFromTree for register files that are not a
+// runtime.Network (a message-passing cluster's node actors).
+func LoadTree(t *trees.Tree, set func(graph.NodeID, runtime.State)) {
 	depths := t.Depths()
 	sizes := t.SubtreeSizes()
-	for _, v := range g.Nodes() {
-		net.SetState(v, State{
+	for _, v := range t.Nodes() {
+		set(v, State{
 			Root:   t.Root(),
 			Parent: t.Parent(v),
 			HasD:   true, D: depths[v],
@@ -28,7 +36,6 @@ func InitFromTree(net *runtime.Network, t *trees.Tree) error {
 			Sw: SwIdle, SwTarget: trees.None, Pr: PrOff, Sub: SubOff,
 		})
 	}
-	return nil
 }
 
 // InjectSwitch marks node v as the initiator of a local switch adopting
