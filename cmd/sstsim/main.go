@@ -280,7 +280,7 @@ func runServe(a routing.Algo, g *graph.Graph, seed int64, cfg cluster.Config) {
 		fatal(err)
 	}
 	seedID := g.MinID()
-	fmt.Printf("serving %d %s actors over loopback UDP\n", cl.Nodes(), alg.Name())
+	fmt.Printf("serving %d %s nodes over loopback UDP\n", cl.Nodes(), alg.Name())
 	fmt.Printf("admin seed: http://%s/  (sscrawl -addr %s; curl .../getself .../metrics)\n",
 		admin.Addr(seedID), admin.Addr(seedID))
 

@@ -305,7 +305,7 @@ func runOneCluster(a routing.Algo, ng NamedGraph, prof ClusterProfile, cfg Clust
 	}
 
 	// Live-membership churn: drive a validated schedule through the
-	// cluster's own mutators — actors spawn and retire mid-run, neighbor
+	// cluster's own mutators — nodes join and retire mid-run, neighbor
 	// rows remap, goodbyes and adverts fly over the same faulty
 	// transport — then assert the cluster re-stabilizes and every
 	// downstream check holds on the final graph. The first cohort is

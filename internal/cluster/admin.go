@@ -14,7 +14,7 @@ import (
 )
 
 // This file is the cluster's admin surface: ops.NodeAdmin implemented
-// over live node actors, an in-process Hub for tests and the
+// over live nodes, an in-process Hub for tests and the
 // certification crawler, and ServeAdmin binding one loopback HTTP
 // socket per node for operators. Everything here reads protocol state
 // under the node mutex or through atomic counters, so observing a
@@ -33,7 +33,7 @@ func adminParent(s runtime.State) graph.NodeID {
 
 // adminSnapshot copies the node's register, clock, neighbor row (with
 // the network size it was derived for) and neighbor cache under the
-// mutex — the admin plane's consistent read of a live actor. The row is
+// mutex — the admin plane's consistent read of a live node. The row is
 // cloned because membership churn replaces it between reads: peers[j]
 // is always the record for neighbors[j] of the same snapshot.
 func (nd *Node) adminSnapshot() (self runtime.State, n int, tick uint64, neighbors []graph.NodeID, peers []peerState) {
@@ -42,7 +42,7 @@ func (nd *Node) adminSnapshot() (self runtime.State, n int, tick uint64, neighbo
 	return nd.self, nd.n, nd.localTick, slices.Clone(nd.neighbors), slices.Clone(nd.nbr)
 }
 
-// nodeAdmin implements ops.NodeAdmin over one node actor. addrOf, when
+// nodeAdmin implements ops.NodeAdmin over one node. addrOf, when
 // set, resolves peer identities to their admin endpoint addresses —
 // the hop the HTTP crawler follows.
 type nodeAdmin struct {
@@ -157,7 +157,7 @@ func (a nodeAdmin) AdminQuiet() ops.QuietInfo {
 
 // AdminTrace implements ops.NodeAdmin: the node's flight-recorder ring
 // (empty with the recorder disarmed). Snapshot locks only the ring, so
-// the actor never stalls behind a trace collection.
+// the node's round never stalls behind a trace collection.
 func (a nodeAdmin) AdminTrace() ops.TraceInfo {
 	info := ops.TraceInfo{Node: a.nd.id, Events: []trace.Event{}}
 	r := a.nd.ring.Load()

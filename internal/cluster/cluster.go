@@ -26,9 +26,10 @@
 //     execution trace, whatever the worker count, which is what the
 //     certification campaigns and the determinism tests rely on.
 //   - Free-running (Serve, over an async transport such as
-//     UDPTransport): every node is a goroutine-actor looping on its own
-//     timer and its endpoint's notify channel, with no global
-//     coordination — the deployment shape.
+//     UDPTransport): GOMAXPROCS workers, each owning every W-th slot with
+//     one ticker and one wake channel its endpoints signal; a node with
+//     frames waiting receives between ticks and forwards the packets that
+//     arrived at once — the deployment shape.
 //
 // Both call Node.tick, and silence is as cheap there as on the wire. A
 // node's round — the staleness sweep, one δ evaluation, the detector — is
@@ -193,12 +194,10 @@ type Cluster struct {
 	lastChangeTick atomic.Uint64
 	changedLast    atomic.Int64
 
-	// Free-running coordination: Join/Leave/Crash spawn and retire
-	// actors mid-Serve. serving is flipped under memMu; serveWG carries
-	// one unit per live actor plus a sentinel held by Serve itself.
-	serving  bool
-	serveCtx context.Context
-	serveWG  sync.WaitGroup
+	// wakes holds one wake channel per Serve worker while Serve runs (nil
+	// otherwise); worker w owns the dense slots i ≡ w (mod len). The
+	// endpoints' arrival callbacks load it lock-free.
+	wakes atomic.Pointer[[]chan struct{}]
 
 	// Membership accounting. departed folds retired nodes' final
 	// counters so cluster totals stay monotone across churn (a scrape
@@ -279,17 +278,26 @@ func New(g *graph.Graph, alg runtime.Algorithm, tr Transport, cfg Config) (*Clus
 }
 
 // newMember builds the node for dense slot i with a cloned neighbor
-// row (the dense rows mutate in place under churn) and its Serve-mode
-// lifecycle channels.
+// row (the dense rows mutate in place under churn) and wires its
+// endpoint's arrivals to the Serve worker owning the slot.
 func (c *Cluster) newMember(id graph.NodeID, i int, ep Endpoint) *Node {
 	neighbors := append([]graph.NodeID(nil), c.d.NeighborIDs(i)...)
 	weights := append([]graph.Weight(nil), c.d.Weights(i)...)
 	nd := newNode(id, i, c.d.N(), neighbors, weights, ep, c.codec, c.alg)
-	nd.stop = make(chan struct{})
-	nd.stopped = make(chan struct{})
 	nd.noteAnn = c.noteAnnounce
 	nd.writeCount = &c.regWrites
 	nd.writeClock = &c.lastWriteNS
+	ep.Wake(func() {
+		if nd.rx.Swap(true) {
+			return // raised since the last drain: a pass that drains it is due
+		}
+		if ws := c.wakes.Load(); ws != nil {
+			select {
+			case (*ws)[i%len(*ws)] <- struct{}{}:
+			default:
+			}
+		}
+	})
 	return nd
 }
 
@@ -376,14 +384,14 @@ func (c *Cluster) Nodes() int {
 	return c.d.N()
 }
 
-// Node returns the actor for id, or nil.
+// Node returns the node for id, or nil.
 func (c *Cluster) Node(id graph.NodeID) *Node {
 	c.memMu.RLock()
 	defer c.memMu.RUnlock()
 	return c.nodeLocked(id)
 }
 
-// nodeLocked resolves id to its live actor; caller holds memMu.
+// nodeLocked resolves id to its live node; caller holds memMu.
 func (c *Cluster) nodeLocked(id graph.NodeID) *Node {
 	i, ok := c.d.IndexOf(id)
 	if !ok || i >= len(c.nodes) {
@@ -584,33 +592,40 @@ func (c *Cluster) RunUntilQuiet(maxTicks, quiet int) (int, bool) {
 	return int(c.tick.Load() - start), false
 }
 
-// Serve runs the cluster free-running until ctx is cancelled: every
-// node loops on its own timer and its endpoint's notify channel — no
-// global coordination, the deployment shape. Requires endpoints with a
-// notify channel (async transports such as UDPTransport).
+// Serve runs the cluster free-running until ctx is cancelled, on
+// W = GOMAXPROCS workers started on the same instant (see serveWorker).
+// Requires endpoints that signal arrivals (async transports such as
+// UDPTransport), and refuses to start while another Serve runs.
 func (c *Cluster) Serve(ctx context.Context) error {
-	c.memMu.Lock()
+	c.memMu.RLock()
 	for _, nd := range c.nodes {
-		if nd == nil {
-			continue
-		}
-		if nd.ep.Notify() == nil {
-			c.memMu.Unlock()
+		if nd != nil && nd.ep.Notify() == nil {
+			c.memMu.RUnlock()
 			return fmt.Errorf("cluster: transport endpoint of node %d has no notify channel; use Tick", nd.id)
 		}
 	}
-	c.serving = true
-	c.serveCtx = ctx
-	// The sentinel keeps serveWG's counter positive for the whole
-	// serving window, so Join may Add concurrently with the final Wait.
-	c.serveWG.Add(1)
-	for _, nd := range c.nodes {
-		if nd == nil {
-			continue
-		}
-		c.spawnServe(nd)
+	c.memMu.RUnlock()
+	wakes := make([]chan struct{}, goruntime.GOMAXPROCS(0))
+	for w := range wakes {
+		wakes[w] = make(chan struct{}, 1)
 	}
-	c.memMu.Unlock()
+	if !c.wakes.CompareAndSwap(nil, &wakes) {
+		return fmt.Errorf("cluster: Serve is already running")
+	}
+	defer c.wakes.Store(nil)
+	tickers := make([]*time.Ticker, len(wakes))
+	for w := range tickers {
+		tickers[w] = time.NewTicker(c.cfg.Interval)
+	}
+	var wg sync.WaitGroup
+	for w := range wakes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer tickers[w].Stop()
+			c.serveWorker(ctx, w, len(wakes), tickers[w].C, wakes[w])
+		}()
+	}
 	// Until ctx is cancelled Serve's own goroutine polls the gateway
 	// labeling (a goroutine of its own could still be inside gw.refresh
 	// when Serve returns). The labeling only moves when some register
@@ -637,55 +652,53 @@ func (c *Cluster) Serve(ctx context.Context) error {
 			}
 		}
 	}
-	c.memMu.Lock()
-	c.serving = false
-	c.memMu.Unlock()
-	c.serveWG.Done()
-	c.serveWG.Wait()
+	wg.Wait()
 	return ctx.Err()
 }
 
-// spawnServe runs one node's free-running actor loop on its own timer
-// and notify channel. Caller holds memMu with serving true (the
-// sentinel guarantees serveWG's counter is positive, making the Add
-// here safe against the final Wait).
-func (c *Cluster) spawnServe(nd *Node) {
-	if nd.running {
-		return
+// serveWorker drives the nodes of worker w of W — the dense slots
+// i ≡ w (mod W), read afresh on every pass, so a joiner needs no spawn —
+// until ctx is cancelled: a pass over all of them on every tick, and one
+// over those with frames waiting whenever an endpoint signals wake.
+func (c *Cluster) serveWorker(ctx context.Context, w, W int, ticks <-chan time.Time, wake <-chan struct{}) {
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-ticks:
+			c.servePass(w, W, true)
+		case <-wake:
+			c.servePass(w, W, false)
+		}
 	}
-	nd.running = true
-	c.serveWG.Add(1)
-	ctx := c.serveCtx
-	go func() {
-		defer c.serveWG.Done()
-		defer close(nd.stopped)
-		ticker := time.NewTicker(c.cfg.Interval)
-		defer ticker.Stop()
-		for {
-			// A closed stop channel must win even when the ticker is also
-			// ready, so retirement is checked on its own first.
-			select {
-			case <-ctx.Done():
-				return
-			case <-nd.stop:
-				return
-			default:
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case <-nd.stop:
-				return
-			case <-nd.ep.Notify():
-				// Receive path: ingest only. Stepping and broadcasting
-				// stay on the ticker, so the send rate is bound to
-				// Interval no matter how fast frames arrive.
-				nd.receive(nd.localTick, c.gw)
-			case <-ticker.C:
-				nd.tick(nd.localTick+1, &c.cfg, c.gw)
+}
+
+// servePass runs worker w's nodes once under memMu's read lock, as Tick
+// does, so Join, Leave, Crash and the link mutators never meet a node
+// mid-round. On a tick every node runs its next local tick; otherwise
+// each node with frames waiting receives and then forwards the packets
+// that just arrived, so a data hop costs one datagram flight and not a
+// wait for the next tick.
+func (c *Cluster) servePass(w, W int, tick bool) {
+	c.memMu.RLock()
+	defer c.memMu.RUnlock()
+	for i := w; i < len(c.nodes); i += W {
+		nd := c.nodes[i]
+		switch {
+		case nd == nil:
+		case tick:
+			nd.rx.Store(false)
+			nd.tick(nd.localTick+1, &c.cfg, c.gw)
+		case nd.rx.Load():
+			// Cleared before the drain: a frame landing after it raises
+			// the flag again and wakes the next pass.
+			nd.rx.Store(false)
+			nd.receive(nd.localTick, c.gw)
+			if c.gw != nil {
+				nd.pump(nd.localTick, c.gw)
 			}
 		}
-	}()
+	}
 }
 
 // Snapshot appends every node's current register in dense-slot order —

@@ -136,8 +136,8 @@ func TestLockstepStopThenTick(t *testing.T) {
 }
 
 // deafTransport is an async transport that carries nothing: endpoints
-// swallow every frame and never notify — all Serve needs to run its
-// goroutines, with no socket.
+// swallow every frame and never signal an arrival — all Serve needs to
+// run its workers, with no socket.
 type deafTransport struct{}
 
 func (deafTransport) Open(graph.NodeID) (Endpoint, error) { return deafEndpoint{}, nil }
@@ -151,16 +151,19 @@ func (deafEndpoint) Send(graph.NodeID, []byte) error        { return nil }
 func (deafEndpoint) Broadcast([]graph.NodeID, []byte) error { return nil }
 func (deafEndpoint) Drain(into [][]byte) [][]byte           { return into }
 func (deafEndpoint) Notify() <-chan struct{}                { return deafNotify }
+func (deafEndpoint) Wake(func())                            {}
 func (deafEndpoint) Close() error                           { return nil }
 
 // TestServeOutlivesItsGoroutines: when Serve returns, nothing it
 // started is still running — in particular not the gateway-labeling
 // poll, which refreshes the labeling under the cluster's locks. The
 // all-goroutine stack dump taken right after the return must hold no
-// frame inside Serve and no goroutine created by it. Register writes
-// are simulated throughout, so every poll tick finds a refresh to do.
-// No sleep: a poll on its own goroutine is caught within the first few
-// rounds.
+// frame of Serve's body, of a worker pass or of a labeling refresh; a
+// worker that already signalled its exit may still be unwinding, so the
+// goroutines Serve created must be gone after a few yields. Register
+// writes are simulated throughout, so every poll tick finds a refresh
+// to do. No sleep: a poll on its own goroutine is caught within the
+// first few rounds.
 func TestServeOutlivesItsGoroutines(t *testing.T) {
 	g := graph.Ring(3)
 	stack := make([]byte, 1<<20)
@@ -180,8 +183,17 @@ func TestServeOutlivesItsGoroutines(t *testing.T) {
 		cancel()
 		<-served
 		dump := stack[:goruntime.Stack(stack, true)]
-		if i := bytes.Index(dump, []byte("(*Cluster).Serve")); i >= 0 {
-			t.Fatalf("round %d: a goroutine is still inside Serve after it returned:\n%s", round, dump[i:min(i+400, len(dump))])
+		for _, frame := range []string{"(*Cluster).Serve(", "(*Cluster).servePass(", "(*Gateway).refresh("} {
+			if i := bytes.Index(dump, []byte(frame)); i >= 0 {
+				t.Fatalf("round %d: a goroutine is still inside %s after Serve returned:\n%s", round, frame, dump[i:min(i+400, len(dump))])
+			}
+		}
+		for yields := 0; bytes.Contains(dump, []byte("(*Cluster).Serve")); yields++ {
+			if yields == 1000 {
+				t.Fatalf("round %d: a goroutine Serve created outlives it:\n%s", round, dump)
+			}
+			goruntime.Gosched()
+			dump = stack[:goruntime.Stack(stack, true)]
 		}
 	}
 }

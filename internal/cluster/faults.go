@@ -378,5 +378,8 @@ func (ep *faultEndpoint) Drain(into [][]byte) [][]byte { return ep.inner.Drain(i
 // Notify implements Endpoint.
 func (ep *faultEndpoint) Notify() <-chan struct{} { return ep.inner.Notify() }
 
+// Wake implements Endpoint: frames land in the inner endpoint.
+func (ep *faultEndpoint) Wake(fn func()) { ep.inner.Wake(fn) }
+
 // Close implements Endpoint.
 func (ep *faultEndpoint) Close() error { return ep.inner.Close() }

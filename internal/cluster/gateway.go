@@ -148,8 +148,8 @@ func (gw *Gateway) refresh() {
 	gw.labMu.Unlock()
 }
 
-// nextHop is the per-node forwarding decision (read-locked: node
-// actors call it concurrently during a tick).
+// nextHop is the per-node forwarding decision (read-locked: the
+// workers running node rounds call it concurrently).
 func (gw *Gateway) nextHop(cur, dst graph.NodeID) (graph.NodeID, bool) {
 	gw.labMu.RLock()
 	next, _, ok := gw.router.NextHop(cur, dst)

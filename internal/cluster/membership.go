@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"slices"
 
 	"silentspan/internal/graph"
 	"silentspan/internal/trace"
@@ -17,9 +16,10 @@ import (
 //
 //   - The persistent runtime.Network (c.net) validates every topology
 //     mutation and fans TopoEvents out to the gateway's labeler.
-//   - Every live actor gets its neighbor row re-derived from the shared
-//     dense layout; in Serve mode the update is queued (nodeRemap) and
-//     applied by the actor itself at a safe point.
+//   - Every live node gets its neighbor row re-derived from the shared
+//     dense layout, synchronously: the mutators hold memMu's write lock,
+//     and every round — a Tick's or a Serve worker's pass — runs under its
+//     read lock, so no node is mid-round.
 //   - A departing id's last heartbeat seq is remembered (seqFloor), and
 //     a rejoining incarnation opens its counter above it, so frames of
 //     the old incarnation still in flight can never shadow the new one
@@ -39,14 +39,14 @@ type evictor interface {
 }
 
 // Join adds node id to the running cluster, connected by the given
-// edges (each must touch id and an existing member). The new actor
+// edges (each must touch id and an existing member). The new node
 // starts with an empty register — the algorithm's bootstrap rule fires
 // on its first activation — and opens with a membership advert followed
 // by a self-contained heartbeat, so its neighbors evict whatever they
 // cached about a previous incarnation of the id before fresh state
 // lands. Safe at any point: before the first tick, between ticks (the
 // next Tick runs the joiner's first round with everyone else's), or
-// mid-Serve (the actor spawns into the running pool).
+// mid-Serve (the worker owning its slot picks it up on its next pass).
 func (c *Cluster) Join(id graph.NodeID, edges []graph.Edge) error {
 	c.memMu.Lock()
 	defer c.memMu.Unlock()
@@ -102,20 +102,14 @@ func (c *Cluster) admit(id graph.NodeID, ep Endpoint) {
 	if c.admin != nil {
 		c.admin.add(c, nd)
 	}
-	// Re-row every other live actor. The joined id is in the reset list:
-	// wherever it was already a neighbor (a rejoin), the old
-	// incarnation's receive state must start fresh even if the advert
-	// frame itself is lost.
-	c.remapAllLocked(id)
+	// Re-row every live node. A rejoin's neighbors start its record
+	// from zero: the old incarnation left their rows when it retired.
+	c.remapAllLocked()
 	c.stateDirty = true
 	c.joins.Add(1)
-	if c.serving {
-		c.spawnServe(nd)
-	}
 }
 
-// Leave retires node id cooperatively: its actor parks, broadcasts a
-// goodbye (neighbors evict its cached state immediately instead of
+// Leave retires node id cooperatively: it broadcasts a goodbye (neighbors evict its cached state immediately instead of
 // waiting out the staleness TTL), and its endpoint and directory
 // entries are torn down.
 func (c *Cluster) Leave(id graph.NodeID) error { return c.retire(id, true) }
@@ -134,13 +128,8 @@ func (c *Cluster) retire(id graph.NodeID, goodbye bool) error {
 	if c.d.N() == 1 {
 		return fmt.Errorf("cluster: refusing to retire the last node")
 	}
-	// Park the Serve actor first (a lockstep node has none: between ticks
-	// the coordinator owns every node); from here its state is ours.
-	if nd.running {
-		close(nd.stop)
-		<-nd.stopped
-		nd.running = false
-	}
+	// The write lock holds off every Tick and Serve worker pass, so the
+	// node's state is ours from here.
 	if goodbye {
 		c.sendGoodbye(nd)
 	}
@@ -165,8 +154,8 @@ func (c *Cluster) retire(id graph.NodeID, goodbye bool) error {
 	c.departed.fold(&nd.stats)
 	// The flight recorder follows the same rule: the retirement is the
 	// ring's final entry, then the ring moves to the departed list so
-	// trace merges keep the leaver's causal history. The actor is
-	// parked, so its tick and epoch are safe to read directly.
+	// trace merges keep the leaver's causal history. No round is running,
+	// so its tick and epoch are safe to read directly.
 	if r := nd.ring.Load(); r != nil {
 		coop := uint64(0)
 		if goodbye {
@@ -208,9 +197,8 @@ func (c *Cluster) retire(id graph.NodeID, goodbye bool) error {
 }
 
 // sendGoodbye broadcasts the leave frame on the retiring node's way
-// out. No one else is running the node (retire parked its Serve actor;
-// lockstep has none between ticks), so the coordinator drives its
-// encoder directly. Caller holds memMu write lock.
+// out. No round is running (the caller holds memMu's write lock), so
+// the coordinator drives its encoder directly.
 func (c *Cluster) sendGoodbye(nd *Node) {
 	nd.seq++
 	data, err := wire.Encode(wire.Frame{Kind: wire.KindLeave, Alg: c.codec.Code(),
@@ -224,7 +212,7 @@ func (c *Cluster) sendGoodbye(nd *Node) {
 }
 
 // AddEdge brings link {u,v} up in the running cluster and re-rows both
-// endpoint actors.
+// endpoint nodes.
 func (c *Cluster) AddEdge(u, v graph.NodeID, w graph.Weight) error {
 	c.memMu.Lock()
 	defer c.memMu.Unlock()
@@ -251,53 +239,31 @@ func (c *Cluster) RemoveEdge(u, v graph.NodeID) error {
 func (c *Cluster) remapEndpointsLocked(u, v graph.NodeID) {
 	for _, id := range [2]graph.NodeID{u, v} {
 		if nd := c.nodeLocked(id); nd != nil {
-			c.remapNodeLocked(nd, nil)
+			c.remapNodeLocked(nd)
 		}
 	}
 	c.stateDirty = true
 }
 
-// remapAllLocked pushes the current dense rows to every live actor.
-// reset lists ids whose per-neighbor receive state must start fresh (a
-// recycled id rejoining). Caller holds memMu write lock.
-func (c *Cluster) remapAllLocked(reset ...graph.NodeID) {
+// remapAllLocked pushes the current dense rows to every live node.
+// Caller holds memMu write lock.
+func (c *Cluster) remapAllLocked() {
 	for _, nd := range c.nodes {
-		if nd == nil {
-			continue
+		if nd != nil {
+			c.remapNodeLocked(nd)
 		}
-		c.remapNodeLocked(nd, reset)
 	}
 }
 
-// remapNodeLocked re-derives one actor's neighbor row from the shared
-// dense layout. In Serve mode the update is queued and the actor
-// applies it at the top of its next receive (it may be mid-tick
-// right now); a node no goroutine is running (lockstep between ticks,
-// or Serve not yet started) takes it synchronously. Caller holds memMu
-// write lock.
-func (c *Cluster) remapNodeLocked(nd *Node, reset []graph.NodeID) {
+// remapNodeLocked re-derives one node's neighbor row from the shared
+// dense layout. Caller holds memMu write lock.
+func (c *Cluster) remapNodeLocked(nd *Node) {
 	i, ok := c.d.IndexOf(nd.id)
 	if !ok {
 		return
 	}
-	r := &nodeRemap{
-		n:         c.d.N(),
-		neighbors: append([]graph.NodeID(nil), c.d.NeighborIDs(i)...),
-		weights:   append([]graph.Weight(nil), c.d.Weights(i)...),
-		reset:     reset,
-	}
 	nd.mu.Lock()
-	// A still-pending remap is superseded, but its reset ids are not: the
-	// actor has not wiped them yet (two membership ops inside one
-	// Interval), and a recycled id must reset even if its advert is lost.
-	if old := nd.pendingRemap; old != nil {
-		r.reset = slices.Concat(old.reset, reset)
-	}
-	if c.serving && nd.running {
-		nd.pendingRemap = r
-	} else {
-		nd.pendingRemap = nil
-		nd.applyRemapLocked(r)
-	}
+	nd.applyRemapLocked(c.d.N(), append([]graph.NodeID(nil), c.d.NeighborIDs(i)...),
+		append([]graph.Weight(nil), c.d.Weights(i)...))
 	nd.mu.Unlock()
 }

@@ -20,13 +20,12 @@ import (
 // multiple-reader register (Section II-A). One goroutine at a time runs
 // its rounds (the owner): in lockstep whichever Tick worker claimed its
 // slot (the barrier orders one tick's writes before the next tick's
-// reads), in Serve its own actor goroutine. A round (step, then
+// reads), in Serve the worker owning its slot. A round (step, then
 // updateQuiet) is a pure function of its inputs: tick runs it when one
 // was written (dirty) or a deadline fell due (wakeAt), and skips it
 // otherwise. The fields are grouped by who may touch them: fixed at
-// construction, coordinator-owned, guarded by mu (everything a
-// between-tick reader — gateway, admin plane, coordinator — sees),
-// owner-only, and atomics.
+// construction, guarded by mu (everything a between-tick reader —
+// gateway, admin plane, coordinator — sees), owner-only, and atomics.
 type Node struct {
 	id    graph.NodeID
 	slot  int
@@ -34,19 +33,11 @@ type Node struct {
 	codec wire.Codec
 	alg   runtime.Algorithm
 
-	// Serve-mode lifecycle plumbing, owned by the cluster coordinator
-	// (under c.memMu): stop retires the actor goroutine, stopped is closed
-	// by it on exit, running says one was spawned. Lockstep uses none of
-	// them — Tick calls tick on the node directly.
-	stop    chan struct{}
-	stopped chan struct{}
-	running bool
-
 	// mu guards every field down to qAnnEp: every write holds it, and so
 	// does every read from outside the owning goroutine (gateway, admin
 	// plane, coordinator). The owner reads lock-free whatever nobody else
-	// writes while it runs — all but pendingRemap, adminAddr, dataQ,
-	// changedSince and the detector round.
+	// writes while it runs — all but adminAddr, dataQ, changedSince and
+	// the detector round.
 	mu   sync.Mutex
 	self runtime.State
 	// The neighbor row: network size (the model's known bound), neighbor
@@ -57,11 +48,6 @@ type Node struct {
 	neighbors []graph.NodeID
 	weights   []graph.Weight
 	nbr       []peerState
-	// pendingRemap carries a neighbor-row update queued by the
-	// coordinator while the actor may be mid-tick (Serve mode); the
-	// actor applies it at the top of its next receive. Lockstep remaps
-	// apply synchronously instead (no one runs a node between ticks).
-	pendingRemap *nodeRemap
 	// adminAddr is the ops-plane address carried in this node's adverts
 	// (empty without an admin server).
 	adminAddr string
@@ -133,12 +119,15 @@ type Node struct {
 	// Atomics, readable from anywhere. ring is the causal flight recorder
 	// (trace.go in this package, DESIGN.md §14) — nil until
 	// EnableFlightRecorder arms it; behind an atomic pointer so arming
-	// mid-Serve needs no actor coordination and the disabled hook path is
+	// mid-Serve needs no worker coordination and the disabled hook path is
 	// one load-and-branch. epochMirror shadows qEpoch for hooks that
-	// record outside mu; it is written at every qEpoch write site.
+	// record outside mu; it is written at every qEpoch write site. rx says
+	// frames wait at the endpoint: its Wake callback raises it, the Serve
+	// worker clears it before draining.
 	stats       nodeCounters
 	ring        atomic.Pointer[trace.Ring]
 	epochMirror atomic.Uint64
+	rx          atomic.Bool
 }
 
 // peerState is everything a node holds about one neighbor. The owning
@@ -292,30 +281,21 @@ func newNode(id graph.NodeID, slot, n int, neighbors []graph.NodeID, weights []g
 	}
 }
 
-// nodeRemap is a queued neighbor-row update: the dense row recomputed
-// by the coordinator after a membership or link change, plus the ids
-// whose receive state must start fresh (a neighbor id recycled by a
-// join — its old incarnation's seq filter and anchors must not shadow
-// the new one).
-type nodeRemap struct {
-	n         int
-	neighbors []graph.NodeID
-	weights   []graph.Weight
-	reset     []graph.NodeID
-}
-
-// applyRemapLocked installs a new neighbor row, carrying over the
-// record of every neighbor that persists and starting new,
-// departed-then-returned and reset ids from zero. Caller holds nd.mu.
-func (nd *Node) applyRemapLocked(r *nodeRemap) {
-	nbr := make([]peerState, len(r.neighbors))
-	for j, id := range r.neighbors {
-		if k, ok := slices.BinarySearch(nd.neighbors, id); ok && !slices.Contains(r.reset, id) {
+// applyRemapLocked installs a new neighbor row — the network size and
+// the dense row recomputed after a membership or link change — carrying
+// over the record of every neighbor that persists and starting new and
+// departed-then-returned ids from zero. A recycled id is always the
+// latter: its old incarnation left every row when it retired, so its seq
+// filter and anchors cannot shadow the new one. Caller holds nd.mu.
+func (nd *Node) applyRemapLocked(n int, neighbors []graph.NodeID, weights []graph.Weight) {
+	nbr := make([]peerState, len(neighbors))
+	for j, id := range neighbors {
+		if k, ok := slices.BinarySearch(nd.neighbors, id); ok {
 			nbr[j] = nd.nbr[k]
 		}
 	}
-	nd.n = r.n
-	nd.neighbors, nd.weights, nd.nbr = r.neighbors, r.weights, nbr
+	nd.n = n
+	nd.neighbors, nd.weights, nd.nbr = neighbors, weights, nbr
 	nd.peers = make([]runtime.State, len(nbr))
 	// A membership event is activity: bump the epoch so any quiet claim
 	// built over the old topology is retracted, and restart the local
@@ -364,23 +344,19 @@ func (nd *Node) Inject(p wire.Packet) {
 	nd.mu.Unlock()
 }
 
-// receive ingests delivered frames at local time now — the whole of the
-// free-running receive path (now = the current localTick: the protocol
-// clock does not advance and nothing is broadcast), and the first step
-// of a tick. Keeping sends off the receive path bounds the heartbeat
-// rate to the ticker: if arrivals triggered full ticks, every received
-// frame would provoke an immediate rebroadcast and adjacent nodes would
-// drive each other into a frame storm decoupled from Interval.
+// receive ingests delivered frames at local time now — the free-running
+// receive path (now = the current localTick: the protocol clock does not
+// advance), and the first step of a tick. Control sends stay bound to
+// the ticker — no heartbeat or advert leaves here, and a resync request
+// goes at most once per neighbor per local tick: if arrivals triggered
+// full ticks, every received frame would provoke an immediate rebroadcast
+// and adjacent nodes would drive each other into a frame storm decoupled
+// from Interval. Data frames are another matter: Serve forwards what
+// arrived right after the receive (see Cluster.servePass).
 func (nd *Node) receive(now uint64, gw *Gateway) {
 	// localTick is written under the mutex: Gateway.Launch's Inject
-	// reads it from outside the actor goroutine to date parked packets.
-	// Queued neighbor-row updates apply here, before the drain, so
-	// frames from a just-added neighbor are not rejected as foreign.
+	// reads it from outside the owning worker to date parked packets.
 	nd.mu.Lock()
-	if r := nd.pendingRemap; r != nil {
-		nd.pendingRemap = nil
-		nd.applyRemapLocked(r)
-	}
 	nd.localTick = now
 	nd.mu.Unlock()
 	nd.drainBuf = nd.ep.Drain(nd.drainBuf[:0])
@@ -510,7 +486,7 @@ func (nd *Node) ingest(data []byte, now uint64, gw *Gateway) {
 			}
 		}
 		// Under mu: the admin plane snapshots the cache from outside the
-		// actor goroutine. The round reads the entry's freshness, register
+		// owning worker. The round reads the entry's freshness, register
 		// and report; a keep-alive that moves none of them leaves the next
 		// round skippable — lastSeen alone only postpones a deadline, which
 		// the round recomputes when it gets there. A never-heard entry reads

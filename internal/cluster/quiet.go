@@ -202,7 +202,7 @@ func (c *Cluster) QuietAnnounced() bool { return c.announced.Load() }
 func (c *Cluster) QuietEpoch() uint64 { return c.annEpoch.Load() }
 
 // QuietEvents returns the announcement transition stream. Events are
-// dropped rather than blocking node actors when the consumer lags;
+// dropped rather than blocking node rounds when the consumer lags;
 // poll QuietAnnounced for the level.
 func (c *Cluster) QuietEvents() <-chan QuietEvent { return c.quietCh }
 

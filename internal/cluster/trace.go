@@ -13,7 +13,7 @@ import (
 // EnableFlightRecorder and drained by FlightTraces / the /gettrace
 // admin route. The rings hang off each node behind an atomic pointer,
 // so the disabled path is one predictable load-and-branch per hook and
-// enabling mid-run needs no coordination with the actors.
+// enabling mid-run needs no coordination with the running rounds.
 
 // defaultFlightCap is the per-node ring capacity when the caller
 // passes none: 8192 events ≈ a few hundred ticks of a busy node.

@@ -40,10 +40,15 @@ type Endpoint interface {
 	// Drain appends the frames delivered since the last call to `into`
 	// and returns it.
 	Drain(into [][]byte) [][]byte
-	// Notify returns a channel signaled after new frames arrive, for
-	// free-running clusters; lockstep-only transports return nil (their
-	// deliveries happen at tick barriers).
+	// Notify returns a channel signaled after new frames arrive, for an
+	// endpoint used on its own; lockstep-only transports return nil (their
+	// deliveries happen at tick barriers), and Serve refuses them.
 	Notify() <-chan struct{}
+	// Wake makes the endpoint call fn, instead of signaling Notify's
+	// channel, after it enqueues frames: how a Serve worker learns which
+	// of its nodes have frames waiting. fn may run on any goroutine and
+	// must not block. Lockstep-only transports ignore it.
+	Wake(fn func())
 	// Close detaches the endpoint.
 	Close() error
 }
@@ -251,6 +256,9 @@ func (ep *chanEndpoint) Drain(into [][]byte) [][]byte {
 
 // Notify implements Endpoint: nil — this transport is lockstep-only.
 func (ep *chanEndpoint) Notify() <-chan struct{} { return nil }
+
+// Wake implements Endpoint: a no-op, deliveries happen at barriers.
+func (ep *chanEndpoint) Wake(func()) {}
 
 // Close implements Endpoint.
 func (ep *chanEndpoint) Close() error { return nil }

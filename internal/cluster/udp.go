@@ -19,7 +19,7 @@ import (
 // this transport to force those faults deterministically on loopback,
 // where the kernel is usually too polite to inject them.
 //
-// The transport is async-only: endpoints have a notify channel and no
+// The transport is async-only: endpoints signal arrivals and have no
 // lockstep Step, so clusters run it with Serve.
 type UDPTransport struct {
 	mu    sync.Mutex
@@ -64,6 +64,7 @@ type udpEndpoint struct {
 	mu     sync.Mutex
 	in     [][]byte
 	notify chan struct{}
+	wake   func() // arrival signal: signals notify until Wake replaces it
 	closed bool
 }
 
@@ -79,6 +80,12 @@ func (tr *UDPTransport) Open(id graph.NodeID) (Endpoint, error) {
 		return nil, fmt.Errorf("cluster: udp bind for node %d: %w", id, err)
 	}
 	ep := &udpEndpoint{tr: tr, id: id, conn: conn, notify: make(chan struct{}, 1)}
+	ep.wake = func() {
+		select {
+		case ep.notify <- struct{}{}:
+		default:
+		}
+	}
 	tr.mu.Lock()
 	if _, dup := tr.addrs[id]; dup {
 		tr.mu.Unlock()
@@ -133,11 +140,9 @@ func (ep *udpEndpoint) readLoop() {
 		ep.tr.bytesRecv.Add(int64(n))
 		ep.mu.Lock()
 		ep.in = append(ep.in, frame)
+		wake := ep.wake
 		ep.mu.Unlock()
-		select {
-		case ep.notify <- struct{}{}:
-		default:
-		}
+		wake()
 	}
 }
 
@@ -200,6 +205,13 @@ func (ep *udpEndpoint) Drain(into [][]byte) [][]byte {
 
 // Notify implements Endpoint.
 func (ep *udpEndpoint) Notify() <-chan struct{} { return ep.notify }
+
+// Wake implements Endpoint.
+func (ep *udpEndpoint) Wake(fn func()) {
+	ep.mu.Lock()
+	ep.wake = fn
+	ep.mu.Unlock()
+}
 
 // Close implements Endpoint.
 func (ep *udpEndpoint) Close() error {
