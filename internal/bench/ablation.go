@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"silentspan/internal/cert"
 	"silentspan/internal/graph"
 	"silentspan/internal/nca"
 	"silentspan/internal/routing"
@@ -169,9 +170,9 @@ func naiveNCABits(t *trees.Tree) int {
 	return max
 }
 
-// A3Schedulers measures the always-on BFS under every scheduler: the
-// paper's bounds hold under the unfair adversary, hence under all of
-// them; the table shows the spread.
+// A3Schedulers measures the always-on BFS under every daemon of the
+// certification registry: the paper's bounds hold under the unfair
+// adversary, hence under all of them; the table shows the spread.
 func A3Schedulers(n int, seed int64) (*Table, error) {
 	t := &Table{
 		Title:  fmt.Sprintf("A3 (ablation): scheduler spread, always-on BFS, n=%d", n),
@@ -180,23 +181,13 @@ func A3Schedulers(n int, seed int64) (*Table, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	g := graph.RandomConnected(n, 3.0/float64(n), rng)
-	scheds := []struct {
-		name string
-		mk   func() runtime.Scheduler
-	}{
-		{"synchronous", runtime.Synchronous},
-		{"central-min-id", runtime.Central},
-		{"round-robin", runtime.RoundRobin},
-		{"adversarial-unfair", runtime.AdversarialUnfair},
-		{"random-subset", func() runtime.Scheduler { return runtime.RandomSubset(rand.New(rand.NewSource(seed))) }},
-	}
-	for _, s := range scheds {
-		net, tr, err := routing.BringUp(g, routing.AlgoBFS, s.mk(), 10_000_000, rand.New(rand.NewSource(seed)), nil)
+	for _, s := range cert.Schedulers() {
+		net, tr, err := routing.BringUp(g, routing.AlgoBFS, s.New(seed), 10_000_000, rand.New(rand.NewSource(seed)), nil)
 		if err != nil {
-			return nil, fmt.Errorf("A3 %s: %w", s.name, err)
+			return nil, fmt.Errorf("A3 %s: %w", s.Name, err)
 		}
 		t.Rows = append(t.Rows, []string{
-			s.name, itoa(net.Rounds()), itoa(net.Moves()), btoa(net.Silent()), btoa(trees.IsBFSTree(tr, g)),
+			s.Name, itoa(net.Rounds()), itoa(net.Moves()), btoa(net.Silent()), btoa(trees.IsBFSTree(tr, g)),
 		})
 	}
 	return t, nil

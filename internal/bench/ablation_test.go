@@ -41,8 +41,8 @@ func TestA3SchedulerAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 5 {
-		t.Fatalf("rows = %d", len(tb.Rows))
+	if len(tb.Rows) != 7 {
+		t.Fatalf("rows = %d, want one per registry daemon (7)", len(tb.Rows))
 	}
 	for _, r := range tb.Rows {
 		if r[3] != "true" || r[4] != "true" {

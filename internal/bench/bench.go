@@ -1,8 +1,8 @@
-// Package bench implements the experiment harness regenerating every
-// claim-level "figure" of the paper (see DESIGN.md §5): each E-function
-// runs one experiment sweep and returns a printable table. cmd/ssbench
-// prints them all; the repository-root benchmarks wrap them for
-// `go test -bench`.
+// Package bench implements the paper's report (see DESIGN.md §5): each
+// E-function pins one claim — rounds, register bits, a strictly falling
+// potential — and each A-function ablates one design choice, as a
+// printable table. cmd/ssbench prints them all. Speed is not measured
+// here; the benchmark/ harness records it.
 package bench
 
 import (

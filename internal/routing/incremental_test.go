@@ -201,7 +201,7 @@ type walkTarget struct {
 // every single operation.
 func equivalenceWalk(rng *rand.Rand, steps int, tgt walkTarget) {
 	g := tgt.g
-	nextID := graph.NodeID(100)
+	nextID := max(100, g.Nodes()[g.N()-1]+1) // joins take fresh identities
 	nextW := graph.Weight(1 << 20)
 	var downed []graph.Edge
 
@@ -318,12 +318,33 @@ func TestLiveLabelerMatchesRebuild(t *testing.T) {
 // registers. The rig attaches only after the first stretch of the walk
 // has churned and corrupted the network — what NewLive reads at attach
 // is held to the same oracle as what the listeners maintain.
+//
+// The serving input is the walk at n=300 over a silent substrate whose
+// pointer writes are the algorithm's own: each pointer step is a
+// synchronous repair window instead of a raw write. Its leaves, flaps
+// and joins on recycled slots must end silent, every node labeled, and
+// every packet between two nodes of one tree delivered.
 func TestLiveMatchesRebuild(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			g := graph.RandomConnected(24, 0.15, rng)
+	for _, tc := range []struct {
+		name          string
+		seed          int64
+		n             int
+		p             float64
+		steps, attach int
+		repair        bool
+	}{
+		{"seed=1", 1, 24, 0.15, 1000, 300, false},
+		{"seed=2", 2, 24, 0.15, 1000, 300, false},
+		{"seed=3", 3, 24, 0.15, 1000, 300, false},
+		{"serving/n=300", 4, 300, 8.0 / 300, 1200, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(tc.seed))
+			g := graph.RandomConnected(tc.n, tc.p, rng)
 			net, err := runtime.NewNetwork(g, spanning.Algorithm{})
+			if tc.repair {
+				net, _, err = BringUp(g, AlgoSpanning, runtime.Synchronous(), 10_000_000, nil, nil)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -333,22 +354,32 @@ func TestLiveMatchesRebuild(t *testing.T) {
 				}
 			}
 			var live *Live
-			writes := 0
-			equivalenceWalk(rng, 1000, walkTarget{
+			writes, recycled := 0, 0
+			equivalenceWalk(rng, tc.steps, walkTarget{
 				g: g,
 				setPointer: func(v, raw graph.NodeID) {
-					if raw == NoParent {
+					switch {
+					case tc.repair:
+						_, err := net.Run(runtime.Synchronous(), net.Moves()+20)
+						must(err)
+					case raw == NoParent:
 						net.SetState(v, nil)
-						return
+					default:
+						net.SetState(v, spanning.State{Root: 1, Parent: raw, Dist: rng.Intn(4)})
 					}
-					net.SetState(v, spanning.State{Root: 1, Parent: raw, Dist: rng.Intn(4)})
 				},
 				removeEdge: func(u, v graph.NodeID) { must(net.RemoveEdge(u, v)) },
 				addEdge:    func(u, v graph.NodeID, w graph.Weight) { must(net.AddEdge(u, v, w)) },
 				removeNode: func(v graph.NodeID) { must(net.RemoveNode(v)) },
-				addNode:    func(id graph.NodeID) { must(net.AddNode(id, nil)) },
+				addNode: func(id graph.NodeID) {
+					slots := net.Dense().Slots()
+					must(net.AddNode(id, nil))
+					if net.Dense().Slots() == slots {
+						recycled++
+					}
+				},
 				check: func(step int) {
-					if step < 300 {
+					if step < tc.attach {
 						return
 					}
 					if live == nil {
@@ -366,6 +397,41 @@ func TestLiveMatchesRebuild(t *testing.T) {
 			if live.Writes() != writes {
 				t.Errorf("rig counted %d register writes, an independent listener %d", live.Writes(), writes)
 			}
+			if !tc.repair {
+				return
+			}
+			if recycled == 0 {
+				t.Fatal("no join landed on a recycled slot")
+			}
+			res, err := net.Run(runtime.Synchronous(), net.Moves()+10_000_000)
+			must(err)
+			if !res.Silent {
+				t.Fatal("no silence after the walk")
+			}
+			must(runtime.CheckSilentStable(net))
+			live.Sync()
+			lab := live.Labeling()
+			if lab.Covered() != g.N() {
+				t.Fatalf("%d of %d nodes labeled at silence", lab.Covered(), g.N())
+			}
+			nodes, delivered := g.Nodes(), 0
+			for i := 0; i < 2000; i++ {
+				u, v := nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]
+				ru, _ := lab.RootOf(u)
+				rv, _ := lab.RootOf(v)
+				if ru != rv {
+					continue
+				}
+				if d := live.Router().Route(u, v); !d.Delivered {
+					t.Fatalf("%d -> %d in one tree dropped: %v", u, v, d.Reason)
+				}
+				delivered++
+			}
+			if delivered == 0 {
+				t.Fatal("no packet had both ends in one tree")
+			}
+			t.Logf("n=%d m=%d after the walk: %d joins on recycled slots, %d packets delivered in one tree",
+				g.N(), g.M(), recycled, delivered)
 		})
 	}
 }
