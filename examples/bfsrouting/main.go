@@ -45,7 +45,7 @@ func main() {
 	stepsChecked := 0
 	net.AddMonitor(runtime.MonitorFunc(func(n *runtime.Network) error {
 		stepsChecked++
-		_, err := switching.ExtractTree(n, switching.RegOf)
+		_, err := switching.ExtractTree(n)
 		return err
 	}))
 
@@ -53,7 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("loop-freedom violated: %v", err)
 	}
-	tree, err := switching.ExtractTree(net, switching.RegOf)
+	tree, err := switching.ExtractTree(net)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tree, err := switching.ExtractTree(net, switching.RegOf)
+	tree, err := switching.ExtractTree(net)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func main() {
 
 	// The silent configuration is locally certified: run the Lemma 4.1
 	// verifier at every node.
-	a, err := switching.ToAssignment(net, switching.RegOf)
+	a, err := switching.ToAssignment(net)
 	if err != nil {
 		log.Fatal(err)
 	}

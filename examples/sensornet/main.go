@@ -100,7 +100,7 @@ func main() {
 	if !res.Silent {
 		log.Fatalf("no re-stabilization after sensor %d died", victim)
 	}
-	repaired, err := switching.ExtractTree(net, switching.RegOf)
+	repaired, err := switching.ExtractTree(net)
 	if err != nil {
 		log.Fatal(err)
 	}

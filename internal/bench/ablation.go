@@ -44,7 +44,7 @@ func (naiveSwitcher) Step(v runtime.View) runtime.State {
 		s.Sw, s.SwTarget = switching.SwIdle, trees.None
 		return s
 	}
-	return switching.StepReg(s, v, switching.RegOf)
+	return switching.StepReg(s, v)
 }
 
 func (naiveSwitcher) ArbitraryState(rng *rand.Rand, v runtime.View) runtime.State {
@@ -84,7 +84,7 @@ func A1Malleability(ns []int, seed int64) (*Table, error) {
 				return 0, 0, err
 			}
 			net.AddMonitor(runtime.MonitorFunc(func(nn *runtime.Network) error {
-				a, err := switching.ToAssignment(nn, switching.RegOf)
+				a, err := switching.ToAssignment(nn)
 				if err != nil {
 					return err
 				}
@@ -93,7 +93,7 @@ func A1Malleability(ns []int, seed int64) (*Table, error) {
 				}
 				return nil // count, do not abort
 			}))
-			if err := switching.InjectSwitch(net, v, target, switching.RegOf); err != nil {
+			if err := switching.InjectSwitch(net, v, target); err != nil {
 				return 0, 0, err
 			}
 			res, err := net.Run(runtime.Synchronous(), 5_000_000)

@@ -108,9 +108,9 @@ func E1Switch(ns []int, seed int64) (*Table, error) {
 		if err := switching.InitFromTree(net, tr); err != nil {
 			return nil, err
 		}
-		net.AddMonitor(switching.LoopFreeMonitor(switching.RegOf))
-		net.AddMonitor(switching.MalleabilityMonitor(switching.RegOf))
-		if err := switching.InjectSwitch(net, v, target, switching.RegOf); err != nil {
+		net.AddMonitor(switching.LoopFreeMonitor())
+		net.AddMonitor(switching.MalleabilityMonitor())
+		if err := switching.InjectSwitch(net, v, target); err != nil {
 			return nil, err
 		}
 		res, err := net.Run(runtime.Synchronous(), 5_000_000)
@@ -397,7 +397,7 @@ func E7FaultRecovery(n int, faults []int, seed int64) (*Table, error) {
 		if !res.Silent {
 			return nil, fmt.Errorf("E7: no recovery from %d faults", k)
 		}
-		tr, err := switching.ExtractTree(net, switching.RegOf)
+		tr, err := switching.ExtractTree(net)
 		if err != nil {
 			return nil, err
 		}
@@ -467,7 +467,7 @@ func (plainSubstrate) Step(v runtime.View) runtime.State {
 	if !ok {
 		return switching.SelfRoot(v.ID)
 	}
-	return switching.StepReg(s, v, switching.RegOf)
+	return switching.StepReg(s, v)
 }
 
 func (plainSubstrate) ArbitraryState(rng *rand.Rand, v runtime.View) runtime.State {

@@ -44,6 +44,9 @@ var _ runtime.Algorithm = Algorithm{}
 // Name implements runtime.Algorithm.
 func (Algorithm) Name() string { return "pls-guided-bfs" }
 
+// Register declares the BFS register: switching's.
+func (Algorithm) Register() *runtime.Schema { return switching.Schema }
+
 // Step implements runtime.Algorithm: switching rules first (construction,
 // sanitization, the three-phase switch, label maintenance); if none is
 // enabled and the node is quiet, the BFS improvement rule may request a
@@ -53,7 +56,7 @@ func (Algorithm) Step(v runtime.View) runtime.State {
 	if !ok {
 		return switching.SelfRoot(v.ID)
 	}
-	next := switching.StepReg(s, v, switching.RegOf)
+	next := switching.StepReg(s, v)
 	if !next.Equal(s) {
 		return next
 	}

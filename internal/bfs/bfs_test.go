@@ -30,7 +30,7 @@ func stabilize(t *testing.T, g *graph.Graph, sched runtime.Scheduler, seed int64
 
 func checkBFS(t *testing.T, net *runtime.Network) *trees.Tree {
 	t.Helper()
-	tr, err := switching.ExtractTree(net, switching.RegOf)
+	tr, err := switching.ExtractTree(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func checkBFS(t *testing.T, net *runtime.Network) *trees.Tree {
 	if !trees.IsBFSTree(tr, g) {
 		t.Error("stabilized tree is not a BFS tree")
 	}
-	a, err := switching.ToAssignment(net, switching.RegOf)
+	a, err := switching.ToAssignment(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestAlwaysOnBFSLoopFreeFromLegalTree(t *testing.T) {
 		if err := switching.InitFromTree(net, tr); err != nil {
 			t.Fatal(err)
 		}
-		net.AddMonitor(switching.LoopFreeMonitor(switching.RegOf))
+		net.AddMonitor(switching.LoopFreeMonitor())
 		res, err := net.Run(runtime.Central(), 4_000_000)
 		if err != nil {
 			t.Fatal(err)

@@ -270,7 +270,7 @@ func RunChaos(cfg ChaosConfig, logf func(format string, args ...any)) (*Certific
 
 	c.FinalSilent = net.Silent()
 	if t, err := a.ExtractTree(net); err == nil {
-		if asg, err2 := switching.ToAssignment(net, switching.RegOf); err2 == nil {
+		if asg, err2 := switching.ToAssignment(net); err2 == nil {
 			c.FinalSpecValid = t.IsSpanningTreeOf(g) && asg.Verify(g) == nil
 		}
 	}

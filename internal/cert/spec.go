@@ -113,14 +113,14 @@ func checkSpanningSpec(g *graph.Graph, net *runtime.Network) error {
 // accepts. With wantBFS (the PLS-guided BFS algorithm) the tree must
 // additionally be a BFS tree: depths equal graph distances.
 func checkSwitchingSpec(g *graph.Graph, net *runtime.Network, wantBFS bool) error {
-	t, err := switching.ExtractTree(net, switching.RegOf)
+	t, err := switching.ExtractTree(net)
 	if err != nil {
 		return err
 	}
 	if t.Root() != g.MinID() {
 		return fmt.Errorf("root %d, want minimum identity %d", t.Root(), g.MinID())
 	}
-	a, err := switching.ToAssignment(net, switching.RegOf)
+	a, err := switching.ToAssignment(net)
 	if err != nil {
 		return err
 	}

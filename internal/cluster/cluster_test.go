@@ -57,7 +57,7 @@ func checkSilentTree(t *testing.T, cl *Cluster) {
 	if _, ok := cl.Algorithm().(spanning.Algorithm); ok {
 		tr, err = spanning.ExtractTree(net)
 	} else {
-		tr, err = switching.ExtractTree(net, switching.RegOf)
+		tr, err = switching.ExtractTree(net)
 	}
 	if err != nil {
 		t.Fatal(err)

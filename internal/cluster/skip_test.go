@@ -192,17 +192,15 @@ func TestIdleRoundSkipEquivalent(t *testing.T) {
 	})
 }
 
-// countingAlg counts one node's δ evaluations. wire.ForAlgorithm selects
-// the codec by type switch, so the wrapper cannot go through New: the
-// tests swap it in for each node's alg afterwards. Only the node's owner
-// writes steps; the tests read it between ticks.
+// countingAlg counts δ evaluations per node id. Only a node's owner
+// writes its slot; the tests read them between ticks.
 type countingAlg struct {
 	spanning.Algorithm
-	steps int
+	steps []int
 }
 
 func (a *countingAlg) Step(v runtime.View) runtime.State {
-	a.steps++
+	a.steps[v.ID]++
 	return a.Algorithm.Step(v)
 }
 
@@ -214,19 +212,15 @@ var raceEnabled = func() bool {
 
 // idleCluster builds the idle-route-chan shape at n nodes — converged,
 // announced, keep-alives fully backed off — with every node's δ counted.
-func idleCluster(t testing.TB, n int) (*Cluster, map[graph.NodeID]*countingAlg) {
+func idleCluster(t testing.TB, n int) (*Cluster, *countingAlg) {
 	rng := rand.New(rand.NewSource(int64(n)))
 	g := graph.RandomConnected(n, 8/float64(n), rng)
-	cl, err := New(g, spanning.Algorithm{}, NewChanTransport(), Config{StalenessTTL: 128})
+	alg := &countingAlg{steps: make([]int, slices.Max(g.Nodes())+1)}
+	cl, err := New(g, alg, NewChanTransport(), Config{StalenessTTL: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Stop)
-	algs := make(map[graph.NodeID]*countingAlg, n)
-	for _, nd := range cl.nodes {
-		algs[nd.id] = new(countingAlg)
-		nd.alg = algs[nd.id]
-	}
 	cl.InitArbitrary(rng)
 	if _, ok := cl.RunUntilQuiet(32*n, 4); !ok {
 		t.Fatal("no quiet")
@@ -243,7 +237,7 @@ func idleCluster(t testing.TB, n int) (*Cluster, map[graph.NodeID]*countingAlg) 
 	for i := 0; i < (fullEvery+1)*cl.cfg.BackoffCap; i++ {
 		cl.Tick()
 	}
-	return cl, algs
+	return cl, alg
 }
 
 // TestIdleClusterSkipsRounds measures the traffic instead of assuming
@@ -253,10 +247,10 @@ func idleCluster(t testing.TB, n int) (*Cluster, map[graph.NodeID]*countingAlg) 
 // by a δ evaluation in the next tick.
 func TestIdleClusterSkipsRounds(t *testing.T) {
 	const n, window = 256, 62
-	cl, algs := idleCluster(t, n)
+	cl, alg := idleCluster(t, n)
 	steps := func() (total int) {
-		for _, a := range algs {
-			total += a.steps
+		for _, k := range alg.steps {
+			total += k
 		}
 		return total
 	}
@@ -278,7 +272,7 @@ func TestIdleClusterSkipsRounds(t *testing.T) {
 	// which finds nothing left to do.
 	victim := cl.nodes[n-1]
 	legit := victim.State()
-	count := func() int { return algs[victim.id].steps }
+	count := func() int { return alg.steps[victim.id] }
 	cl.SetState(victim.id, spanning.State{Root: victim.id, Parent: 0, Dist: 0})
 	for tick, wantWrite := range []bool{true, false} {
 		at, writes := count(), victim.Stats().RegisterWrites

@@ -162,7 +162,7 @@ type gatedNode struct {
 
 func newGatedNode(t *testing.T, id, neighbor graph.NodeID, self runtime.State, cfg Config) *gatedNode {
 	cfg.fill()
-	g := &gatedNode{t: t, alg: new(countingAlg), tr: NewChanTransport(), from: neighbor, cfg: cfg}
+	g := &gatedNode{t: t, alg: &countingAlg{steps: make([]int, id+1)}, tr: NewChanTransport(), from: neighbor, cfg: cfg}
 	ep, err := g.tr.Open(id)
 	if err != nil {
 		t.Fatal(err)
@@ -208,9 +208,9 @@ func (g *gatedNode) sendKeepAlive() {
 // tick advances the node one tick and reports whether δ was evaluated.
 func (g *gatedNode) tick() bool {
 	g.now++
-	before := g.alg.steps
+	before := g.alg.steps[g.nd.id]
 	g.nd.tick(g.now, &g.cfg, nil)
-	return g.alg.steps > before
+	return g.alg.steps[g.nd.id] > before
 }
 
 // TestRoundDeadlinesThroughTick drives one node through tick with its

@@ -210,10 +210,10 @@ func RunDistributed(g *graph.Graph, task Task, opts EngineOptions) (*trees.Tree,
 	trace.MaxRegisterBits = maxInt(trace.MaxRegisterBits, res.MaxRegisterBits)
 
 	if opts.Monitor {
-		net.AddMonitor(switching.LoopFreeMonitor(switching.RegOf))
+		net.AddMonitor(switching.LoopFreeMonitor())
 	}
 
-	t, err := switching.ExtractTree(net, switching.RegOf)
+	t, err := switching.ExtractTree(net)
 	if err != nil {
 		return nil, trace, fmt.Errorf("core: %w", err)
 	}
@@ -270,7 +270,7 @@ func RunDistributed(g *graph.Graph, task Task, opts EngineOptions) (*trees.Tree,
 	if !net.Silent() {
 		return nil, trace, fmt.Errorf("core: final configuration not silent")
 	}
-	a, err := switching.ToAssignment(net, switching.RegOf)
+	a, err := switching.ToAssignment(net)
 	if err != nil {
 		return nil, trace, err
 	}
@@ -295,7 +295,7 @@ func ExecuteSwap(net *runtime.Network, t *trees.Tree, sw Swap, sched runtime.Sch
 	}
 	target := otherEndpoint(sw.Add, path[0])
 	for i, q := range path {
-		if err := switching.InjectSwitch(net, q, target, switching.RegOf); err != nil {
+		if err := switching.InjectSwitch(net, q, target); err != nil {
 			return nil, fmt.Errorf("core: hop %d: %w", i, err)
 		}
 		res, err := net.Run(sched, maxMoves)
@@ -310,7 +310,7 @@ func ExecuteSwap(net *runtime.Network, t *trees.Tree, sw Swap, sched runtime.Sch
 		trace.MaxRegisterBits = maxInt(trace.MaxRegisterBits, res.MaxRegisterBits)
 		target = q
 	}
-	return switching.ExtractTree(net, switching.RegOf)
+	return switching.ExtractTree(net)
 }
 
 // reversalPath returns the nodes that change parent for the swap, in

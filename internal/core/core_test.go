@@ -143,7 +143,7 @@ func TestExecuteSwapMatchesReference(t *testing.T) {
 		if err := switching.InitFromTree(net, tr); err != nil {
 			t.Fatal(err)
 		}
-		net.AddMonitor(switching.LoopFreeMonitor(switching.RegOf))
+		net.AddMonitor(switching.LoopFreeMonitor())
 		var trace Trace
 		got, err := ExecuteSwap(net, tr, Swap{Add: e, Remove: f}, runtime.Central(), 2_000_000, &trace)
 		if err != nil {

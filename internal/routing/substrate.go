@@ -83,7 +83,7 @@ func (a Algo) ExtractTree(net *runtime.Network) (*trees.Tree, error) {
 	if a == AlgoSpanning {
 		return spanning.ExtractTree(net)
 	}
-	return switching.ExtractTree(net, switching.RegOf)
+	return switching.ExtractTree(net)
 }
 
 // BringUp returns a silent network on g whose registers encode a

@@ -39,7 +39,9 @@ import (
 
 // State is the content of a node's register. Implementations must be
 // immutable value-like types: Step must return fresh states rather than
-// mutating shared ones.
+// mutating shared ones. A register type declares its fields once in a
+// Schema, from which its EncodedBits, its String and its wire codec
+// are derived.
 type State interface {
 	// Equal reports whether two register contents are identical. A node
 	// is enabled iff δ applied to its view yields a non-Equal state.
@@ -739,19 +741,4 @@ func (net *Network) applySimultaneous(chosen []graph.NodeID) error {
 		}
 	}
 	return nil
-}
-
-// BitsForValue returns the number of bits needed to store any value in
-// {0..max}: the width used by EncodedBits implementations for bounded
-// integers such as IDs, distances and subtree sizes. BitsForValue(0) and
-// BitsForValue(1) are 1. The width is computed with bits.Len, so the
-// full int range is handled without overflow.
-func BitsForValue(max int) int {
-	if max < 0 {
-		panic("runtime: negative max")
-	}
-	if max <= 1 {
-		return 1
-	}
-	return bits.Len(uint(max))
 }

@@ -41,17 +41,32 @@ func (s State) Equal(o runtime.State) bool {
 }
 
 // EncodedBits implements runtime.State: two identities plus one bounded
-// distance. The width is computed against the node's own field values'
-// natural bounds; callers aggregate the max over nodes.
-func (s State) EncodedBits() int {
-	return runtime.BitsForValue(int(s.Root)) +
-		runtime.BitsForValue(int(s.Parent)) +
-		runtime.BitsForValue(s.Dist)
-}
+// distance, each at its natural width; callers aggregate the max over
+// nodes.
+func (s State) EncodedBits() int { return Schema.EncodedBits(s.values()) }
 
 // String implements runtime.State.
-func (s State) String() string {
-	return fmt.Sprintf("(root=%d par=%d d=%d)", s.Root, s.Parent, s.Dist)
+func (s State) String() string { return Schema.Format(s.values()) }
+
+func (s State) values() runtime.Values {
+	return runtime.Values{int64(s.Root), int64(s.Parent), int64(s.Dist)}
+}
+
+// Schema is the substrate register's field list, in wire order.
+var Schema = &runtime.Schema{
+	Name: "spanning", Code: 1,
+	Fields: []runtime.Field{
+		{Label: "root", Kind: runtime.Int},
+		{Label: "par", Kind: runtime.Int},
+		{Label: "d", Kind: runtime.Int},
+	},
+	Pack: func(st runtime.State) (runtime.Values, bool) {
+		s, ok := st.(State)
+		return s.values(), ok
+	},
+	Unpack: func(v runtime.Values) runtime.State {
+		return State{Root: graph.NodeID(v[0]), Parent: graph.NodeID(v[1]), Dist: int(v[2])}
+	},
 }
 
 // Algorithm is the substrate's transition function.
@@ -61,6 +76,9 @@ var _ runtime.Algorithm = Algorithm{}
 
 // Name implements runtime.Algorithm.
 func (Algorithm) Name() string { return "spanning-substrate" }
+
+// Register declares the substrate's register: its wire codec.
+func (Algorithm) Register() *runtime.Schema { return Schema }
 
 // selfRoot is the reset state of a node.
 func selfRoot(id graph.NodeID) State {

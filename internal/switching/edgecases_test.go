@@ -33,9 +33,9 @@ func TestSwitchOntoAncestor(t *testing.T) {
 	if err := InitFromTree(net, tr); err != nil {
 		t.Fatal(err)
 	}
-	net.AddMonitor(LoopFreeMonitor(RegOf))
-	net.AddMonitor(MalleabilityMonitor(RegOf))
-	if err := InjectSwitch(net, 5, 2, RegOf); err != nil {
+	net.AddMonitor(LoopFreeMonitor())
+	net.AddMonitor(MalleabilityMonitor())
+	if err := InjectSwitch(net, 5, 2); err != nil {
 		t.Fatal(err)
 	}
 	res, err := net.Run(runtime.Central(), 100000)
@@ -45,7 +45,7 @@ func TestSwitchOntoAncestor(t *testing.T) {
 	if !res.Silent {
 		t.Fatal("not silent")
 	}
-	got, err := ExtractTree(net, RegOf)
+	got, err := ExtractTree(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +71,10 @@ func TestSwitchOntoRoot(t *testing.T) {
 	if err := InitFromTree(net, tr); err != nil {
 		t.Fatal(err)
 	}
-	net.AddMonitor(LoopFreeMonitor(RegOf))
-	net.AddMonitor(MalleabilityMonitor(RegOf))
+	net.AddMonitor(LoopFreeMonitor())
+	net.AddMonitor(MalleabilityMonitor())
 	// 6 adopts 1 across the ring-closing edge.
-	if err := InjectSwitch(net, 6, 1, RegOf); err != nil {
+	if err := InjectSwitch(net, 6, 1); err != nil {
 		t.Fatal(err)
 	}
 	res, err := net.Run(runtime.Central(), 100000)
@@ -84,7 +84,7 @@ func TestSwitchOntoRoot(t *testing.T) {
 	if !res.Silent {
 		t.Fatal("not silent")
 	}
-	got, err := ExtractTree(net, RegOf)
+	got, err := ExtractTree(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +114,8 @@ func TestLeafInitiator(t *testing.T) {
 	if err := InitFromTree(net, tr); err != nil {
 		t.Fatal(err)
 	}
-	net.AddMonitor(MalleabilityMonitor(RegOf))
-	if err := InjectSwitch(net, 4, 3, RegOf); err != nil {
+	net.AddMonitor(MalleabilityMonitor())
+	if err := InjectSwitch(net, 4, 3); err != nil {
 		t.Fatal(err)
 	}
 	res, err := net.Run(runtime.Central(), 10000)
@@ -125,7 +125,7 @@ func TestLeafInitiator(t *testing.T) {
 	if !res.Silent {
 		t.Fatal("not silent")
 	}
-	got, err := ExtractTree(net, RegOf)
+	got, err := ExtractTree(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +151,8 @@ func TestSequentialSwapChain(t *testing.T) {
 	if err := InitFromTree(net, tr); err != nil {
 		t.Fatal(err)
 	}
-	net.AddMonitor(LoopFreeMonitor(RegOf))
-	net.AddMonitor(MalleabilityMonitor(RegOf))
+	net.AddMonitor(LoopFreeMonitor())
+	net.AddMonitor(MalleabilityMonitor())
 	performed := 0
 	for step := 0; step < 10; step++ {
 		nte := tr.NonTreeEdges(g)
@@ -176,7 +176,7 @@ func TestSequentialSwapChain(t *testing.T) {
 		if !found {
 			break
 		}
-		if err := InjectSwitch(net, v, target, RegOf); err != nil {
+		if err := InjectSwitch(net, v, target); err != nil {
 			t.Fatal(err)
 		}
 		res, err := net.Run(runtime.Central(), 500000)
@@ -186,7 +186,7 @@ func TestSequentialSwapChain(t *testing.T) {
 		if !res.Silent {
 			t.Fatalf("swap %d: not silent", step)
 		}
-		tr, err = ExtractTree(net, RegOf)
+		tr, err = ExtractTree(net)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestSequentialSwapChain(t *testing.T) {
 	if performed < 3 {
 		t.Fatalf("only %d swaps performed; chain test too weak", performed)
 	}
-	a, err := ToAssignment(net, RegOf)
+	a, err := ToAssignment(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +229,8 @@ func TestInvalidRequestRecovers(t *testing.T) {
 	if err := InitFromTree(net, tr); err != nil {
 		t.Fatal(err)
 	}
-	net.AddMonitor(LoopFreeMonitor(RegOf))
-	if err := InjectSwitch(net, 2, 4, RegOf); err != nil {
+	net.AddMonitor(LoopFreeMonitor())
+	if err := InjectSwitch(net, 2, 4); err != nil {
 		t.Fatal(err)
 	}
 	res, err := net.Run(runtime.Central(), 100000)
@@ -240,7 +240,7 @@ func TestInvalidRequestRecovers(t *testing.T) {
 	if !res.Silent {
 		t.Fatal("invalid request did not quiesce")
 	}
-	got, err := ExtractTree(net, RegOf)
+	got, err := ExtractTree(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestInvalidRequestRecovers(t *testing.T) {
 	if got.Parent(2) != 1 {
 		t.Errorf("invalid switch was executed: parent(2) = %d", got.Parent(2))
 	}
-	a, err := ToAssignment(net, RegOf)
+	a, err := ToAssignment(net)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,8 +41,8 @@ func LoadTree(t *trees.Tree, set func(graph.NodeID, runtime.State)) {
 // InjectSwitch marks node v as the initiator of a local switch adopting
 // neighbor target as its new parent. The network then executes the
 // three-phase protocol of Section IV on its own.
-func InjectSwitch(net *runtime.Network, v, target graph.NodeID, get Getter) error {
-	s, ok := get(net.State(v))
+func InjectSwitch(net *runtime.Network, v, target graph.NodeID) error {
+	s, ok := RegOf(net.State(v))
 	if !ok {
 		return fmt.Errorf("switching: node %d has no switching register", v)
 	}
@@ -60,12 +60,12 @@ func InjectSwitch(net *runtime.Network, v, target graph.NodeID, get Getter) erro
 	return nil
 }
 
-// ExtractTree reads the parent pointers (via get) and validates they form
+// ExtractTree reads the parent pointers and validates they form
 // a spanning tree of the network's graph.
-func ExtractTree(net *runtime.Network, get Getter) (*trees.Tree, error) {
+func ExtractTree(net *runtime.Network) (*trees.Tree, error) {
 	parent := make(map[graph.NodeID]graph.NodeID, net.Graph().N())
 	for _, v := range net.Graph().Nodes() {
-		s, ok := get(net.State(v))
+		s, ok := RegOf(net.State(v))
 		if !ok {
 			return nil, fmt.Errorf("switching: node %d has no switching register", v)
 		}
@@ -84,9 +84,9 @@ func ExtractTree(net *runtime.Network, get Getter) (*trees.Tree, error) {
 // LoopFreeMonitor returns a runtime monitor asserting the paper's
 // loop-freedom claim: the parent pointers form a spanning tree after
 // every single step of the protocol.
-func LoopFreeMonitor(get Getter) runtime.Monitor {
+func LoopFreeMonitor() runtime.Monitor {
 	return runtime.MonitorFunc(func(net *runtime.Network) error {
-		if _, err := ExtractTree(net, get); err != nil {
+		if _, err := ExtractTree(net); err != nil {
 			return fmt.Errorf("loop-freedom violated: %w", err)
 		}
 		return nil
@@ -97,9 +97,9 @@ func LoopFreeMonitor(get Getter) runtime.Monitor {
 // malleability claim: the redundant-label verifier accepts every
 // intermediate configuration of a legal switch (no node ever raises an
 // alarm while the protocol runs).
-func MalleabilityMonitor(get Getter) runtime.Monitor {
+func MalleabilityMonitor() runtime.Monitor {
 	return runtime.MonitorFunc(func(net *runtime.Network) error {
-		a, err := ToAssignment(net, get)
+		a, err := ToAssignment(net)
 		if err != nil {
 			return err
 		}
@@ -112,13 +112,13 @@ func MalleabilityMonitor(get Getter) runtime.Monitor {
 
 // ToAssignment converts the network's switching registers into a
 // pls.Assignment for the Lemma 4.1 verifier.
-func ToAssignment(net *runtime.Network, get Getter) (pls.Assignment, error) {
+func ToAssignment(net *runtime.Network) (pls.Assignment, error) {
 	a := pls.Assignment{
 		Parent: make(map[graph.NodeID]graph.NodeID, net.Graph().N()),
 		Labels: make(map[graph.NodeID]pls.Label, net.Graph().N()),
 	}
 	for _, v := range net.Graph().Nodes() {
-		s, ok := get(net.State(v))
+		s, ok := RegOf(net.State(v))
 		if !ok {
 			return pls.Assignment{}, fmt.Errorf("switching: node %d has no switching register", v)
 		}

@@ -33,7 +33,6 @@
 package switching
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 
@@ -98,38 +97,61 @@ func (s State) Equal(o runtime.State) bool {
 }
 
 // EncodedBits implements runtime.State.
-func (s State) EncodedBits() int {
-	b := runtime.BitsForValue(int(s.Root)) + runtime.BitsForValue(int(s.Parent)) + 2
-	if s.HasD {
-		b += runtime.BitsForValue(s.D)
-	}
-	if s.HasS {
-		b += runtime.BitsForValue(s.S)
-	}
-	b += 2 + 2 + 2 // three phase fields
-	b += runtime.BitsForValue(int(s.SwTarget))
-	return b
-}
+func (s State) EncodedBits() int { return Schema.EncodedBits(s.values()) }
 
 // String implements runtime.State.
-func (s State) String() string {
-	d, sz := "⊥", "⊥"
-	if s.HasD {
-		d = fmt.Sprintf("%d", s.D)
+func (s State) String() string { return Schema.Format(s.values()) }
+
+func (s State) values() runtime.Values {
+	return runtime.Values{bit(s.HasD), bit(s.HasS), int64(s.Root), int64(s.Parent), int64(s.D), int64(s.S),
+		int64(s.Sw), int64(s.SwTarget), int64(s.Pr), int64(s.Sub)}
+}
+
+func bit(b bool) int64 {
+	if b {
+		return 1
 	}
-	if s.HasS {
-		sz = fmt.Sprintf("%d", s.S)
-	}
-	return fmt.Sprintf("(root=%d par=%d d=%s s=%s sw=%d tgt=%d pr=%d sub=%d)",
-		s.Root, s.Parent, d, sz, s.Sw, s.SwTarget, s.Pr, s.Sub)
+	return 0
+}
+
+// Schema is the switching register's field list, in wire order. It is
+// shared by switching, the PLS-guided BFS and the engine-driven
+// MST/MDST. D and S travel raw even while HasD and HasS gate them: the
+// distance-chain coherence layer reads D through the prune (HasD hides
+// it from the verifier, not from the rules), so eliding gated fields
+// would change the algorithm's behavior between the shared-memory and
+// message-passing realizations.
+var Schema = &runtime.Schema{
+	Name: "switching", Code: 2,
+	Fields: []runtime.Field{
+		{Label: "hasD", Kind: runtime.Flag},
+		{Label: "hasS", Kind: runtime.Flag},
+		{Label: "root", Kind: runtime.Int},
+		{Label: "par", Kind: runtime.Int},
+		{Label: "d", Kind: runtime.Int, Gate: 1}, // ⊥ while HasD is clear
+		{Label: "s", Kind: runtime.Int, Gate: 2}, // ⊥ while HasS is clear
+		{Label: "sw", Kind: runtime.Enum, Max: int(SwDone)},
+		{Label: "tgt", Kind: runtime.Int},
+		{Label: "pr", Kind: runtime.Enum, Max: int(PrPruned)},
+		{Label: "sub", Kind: runtime.Enum, Max: int(SubAck)},
+	},
+	Pack: func(st runtime.State) (runtime.Values, bool) {
+		s, ok := RegOf(st)
+		return s.values(), ok
+	},
+	Unpack: func(v runtime.Values) runtime.State {
+		return State{
+			HasD: v[0] != 0, HasS: v[1] != 0,
+			Root: graph.NodeID(v[2]), Parent: graph.NodeID(v[3]), D: int(v[4]), S: int(v[5]),
+			Sw: SwPhase(v[6]), SwTarget: graph.NodeID(v[7]), Pr: PrPhase(v[8]), Sub: SubPhase(v[9]),
+		}
+	},
 }
 
 // Idle reports whether all control fields are at rest.
 func (s State) Idle() bool { return s.Sw == SwIdle && s.Pr == PrOff && s.Sub == SubOff }
 
-// RegOf extracts the switching register from a runtime state. Task
-// algorithms embedding State in larger registers provide their own
-// accessor; the standalone algorithm uses this one.
+// RegOf extracts the switching register from a runtime state.
 func RegOf(s runtime.State) (State, bool) {
 	if s == nil {
 		return State{}, false
@@ -137,9 +159,6 @@ func RegOf(s runtime.State) (State, bool) {
 	r, ok := s.(State)
 	return r, ok
 }
-
-// Getter reads the switching register of a neighbor's runtime state.
-type Getter func(runtime.State) (State, bool)
 
 // SelfRoot is the full reset register of a node: a fresh singleton root
 // with exact labels and idle controls.
@@ -153,12 +172,9 @@ func SelfRoot(id graph.NodeID) State {
 }
 
 // StepReg evaluates the switching rules for one node and returns its next
-// register. get extracts the switching register from a neighbor's state;
-// task layers embedding State pass their own extractor so that the rules
-// read through composite registers. If the returned register equals self,
-// no switching rule is enabled and the task layer may evaluate its own
-// improvement rules.
-func StepReg(self State, v runtime.View, get Getter) State {
+// register. If the returned register equals self, no switching rule is
+// enabled and the task layer may evaluate its own improvement rules.
+func StepReg(self State, v runtime.View) State {
 	// ---- Layer 0: substrate consistency (tree construction/repair).
 	s := self
 	peer := func(u graph.NodeID) (State, bool) {
@@ -169,7 +185,7 @@ func StepReg(self State, v runtime.View, get Getter) State {
 		if !isNbr {
 			return State{}, false
 		}
-		return get(v.PeerAt(j))
+		return RegOf(v.PeerAt(j))
 	}
 
 	if next, acted := substrate(s, v, peer); acted {
@@ -540,13 +556,16 @@ var _ runtime.Algorithm = Algorithm{}
 // Name implements runtime.Algorithm.
 func (Algorithm) Name() string { return "malleable-switching" }
 
+// Register declares the switching register: its wire codec.
+func (Algorithm) Register() *runtime.Schema { return Schema }
+
 // Step implements runtime.Algorithm.
 func (Algorithm) Step(v runtime.View) runtime.State {
 	self, ok := RegOf(v.Self)
 	if !ok {
 		return SelfRoot(v.ID)
 	}
-	return StepReg(self, v, RegOf)
+	return StepReg(self, v)
 }
 
 // ArbitraryState implements runtime.Algorithm.

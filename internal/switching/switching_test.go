@@ -34,11 +34,11 @@ func runToSilence(t *testing.T, net *runtime.Network, sched runtime.Scheduler) r
 // accepted by the Lemma 4.1 verifier with idle controls.
 func checkLegal(t *testing.T, net *runtime.Network) *trees.Tree {
 	t.Helper()
-	tr, err := ExtractTree(net, RegOf)
+	tr, err := ExtractTree(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := ToAssignment(net, RegOf)
+	a, err := ToAssignment(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +141,9 @@ func TestSingleSwitchLoopFreeAndMalleable(t *testing.T) {
 		if err := InitFromTree(net, tr); err != nil {
 			t.Fatal(err)
 		}
-		net.AddMonitor(LoopFreeMonitor(RegOf))
-		net.AddMonitor(MalleabilityMonitor(RegOf))
-		if err := InjectSwitch(net, v, target, RegOf); err != nil {
+		net.AddMonitor(LoopFreeMonitor())
+		net.AddMonitor(MalleabilityMonitor())
+		if err := InjectSwitch(net, v, target); err != nil {
 			t.Fatal(err)
 		}
 		runToSilence(t, net, runtime.Central())
@@ -187,7 +187,7 @@ func TestSwitchRoundsLinear(t *testing.T) {
 		if err := InitFromTree(net, tr); err != nil {
 			t.Fatal(err)
 		}
-		if err := InjectSwitch(net, v, target, RegOf); err != nil {
+		if err := InjectSwitch(net, v, target); err != nil {
 			t.Fatal(err)
 		}
 		res := runToSilence(t, net, runtime.Synchronous())
@@ -213,7 +213,7 @@ func TestConcurrentSwitchesStayLoopFree(t *testing.T) {
 		if err := InitFromTree(net, tr); err != nil {
 			t.Fatal(err)
 		}
-		net.AddMonitor(LoopFreeMonitor(RegOf))
+		net.AddMonitor(LoopFreeMonitor())
 		injected := 0
 		for _, e := range tr.NonTreeEdges(g) {
 			if injected >= 3 {
@@ -227,7 +227,7 @@ func TestConcurrentSwitchesStayLoopFree(t *testing.T) {
 			if s.Sw != SwIdle {
 				continue
 			}
-			if err := InjectSwitch(net, v, target, RegOf); err != nil {
+			if err := InjectSwitch(net, v, target); err != nil {
 				continue
 			}
 			injected++
@@ -263,7 +263,7 @@ func TestFaultsDuringSwitchRecover(t *testing.T) {
 		if err := InitFromTree(net, tr); err != nil {
 			t.Fatal(err)
 		}
-		if err := InjectSwitch(net, v, target, RegOf); err != nil {
+		if err := InjectSwitch(net, v, target); err != nil {
 			t.Fatal(err)
 		}
 		// Run a handful of moves, then corrupt.
@@ -312,13 +312,13 @@ func TestInjectSwitchValidation(t *testing.T) {
 	if err := InitFromTree(net, tr); err != nil {
 		t.Fatal(err)
 	}
-	if err := InjectSwitch(net, 2, 5, RegOf); err == nil {
+	if err := InjectSwitch(net, 2, 5); err == nil {
 		t.Error("accepted non-edge switch")
 	}
-	if err := InjectSwitch(net, 2, 1, RegOf); err == nil {
+	if err := InjectSwitch(net, 2, 1); err == nil {
 		t.Error("accepted switch to current parent")
 	}
-	if err := InjectSwitch(net, 1, 2, RegOf); err == nil {
+	if err := InjectSwitch(net, 1, 2); err == nil {
 		t.Error("accepted root as initiator")
 	}
 }

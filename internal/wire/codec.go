@@ -3,46 +3,59 @@ package wire
 import (
 	"fmt"
 
-	"silentspan/internal/bfs"
 	"silentspan/internal/bits"
-	"silentspan/internal/graph"
 	"silentspan/internal/runtime"
 	"silentspan/internal/spanning"
 	"silentspan/internal/switching"
 )
 
-// Codec serializes one register type. Two codecs cover all five
-// certified algorithms: the spanning substrate stores spanning.State,
-// and the switching family — switching itself, the PLS-guided BFS, and
-// the engine-driven MST/MDST — stores switching.State.
+// Codec serializes one register type. Its encodings are derived from
+// the register's runtime.Schema, field by field in schema order:
+//
+//	anchor  a flag as a raw bit, every other field zig-zag gamma-coded
+//	delta   one bit per field — a flag's flip, another field's change —
+//	        then the changed non-flag fields' values
+//
+// An unchanged register is an all-zero mask: the quiet keep-alive.
 type Codec interface {
 	// Code identifies the codec in the frame header.
 	Code() uint8
 	// Name identifies the codec in logs.
 	Name() string
-	// AppendState encodes s onto the builder. It fails on foreign state
-	// types — a register from another algorithm never goes on the wire.
-	AppendState(b *bits.Builder, s runtime.State) error
-	// DecodeState parses one register off the reader.
-	DecodeState(r *bits.Reader) (runtime.State, error)
-	// AppendDelta encodes cur as a change-mask delta against base: one
-	// changed bit per field, then the changed fields in order. Boolean
-	// fields encode as a bare flip bit. An unchanged register encodes as
-	// an all-zero mask — the quiet keep-alive.
-	AppendDelta(b *bits.Builder, base, cur runtime.State) error
-	// ApplyDelta parses one delta off the reader and applies it onto a
-	// copy of base; an empty change mask returns base itself, so ingesting
-	// a keep-alive allocates nothing. A changed field carrying its base
-	// value is rejected as non-canonical, keeping decode the exact inverse
-	// of encode.
-	ApplyDelta(r *bits.Reader, base runtime.State) (runtime.State, error)
+	// Register returns the schema the codec is derived from.
+	Register() *runtime.Schema
 }
 
-// The codec codes.
-const (
-	codeSpanning  uint8 = 1
-	codeSwitching uint8 = 2
+// registered is an algorithm that declares its register's schema. A
+// wrapper embedding such an algorithm inherits the declaration.
+type registered interface {
+	Register() *runtime.Schema
+}
+
+// schemaCodec is the Codec of the register r declares; its zero value
+// serves when R is a concrete algorithm type.
+type schemaCodec[R registered] struct{ r R }
+
+func (c schemaCodec[R]) Code() uint8               { return c.r.Register().Code }
+func (c schemaCodec[R]) Name() string              { return c.r.Register().Name }
+func (c schemaCodec[R]) Register() *runtime.Schema { return c.r.Register() }
+
+// The codecs of the two register types in use: the spanning substrate
+// stores spanning's, and the switching family — switching itself, the
+// PLS-guided BFS, and the engine-driven MST/MDST — stores switching's.
+type (
+	Spanning  = schemaCodec[spanning.Algorithm]
+	Switching = schemaCodec[switching.Algorithm]
 )
+
+// ForAlgorithm returns the codec of the register alg declares.
+func ForAlgorithm(alg runtime.Algorithm) (Codec, error) {
+	r, ok := alg.(registered)
+	if !ok {
+		return nil, fmt.Errorf("wire: no codec for algorithm %q", alg.Name())
+	}
+	return schemaCodec[registered]{r}, nil
+}
 
 // appendInt gamma-codes a signed field: the zigzag fold maps small
 // magnitudes of either sign to small codes (identities and distances
@@ -70,72 +83,65 @@ func readInt(r *bits.Reader) (int64, error) {
 	return int64(u>>1) ^ -int64(u&1), nil
 }
 
-// appendBit / readBit encode one boolean field.
-func readBit(r *bits.Reader) (bool, error) { return r.ReadBit() }
+// foreign refuses a register of another type: one from another
+// algorithm never goes on the wire.
+func foreign(sc *runtime.Schema, s runtime.State) error {
+	return fmt.Errorf("wire: %s codec got %T", sc.Name, s)
+}
 
-// Spanning is the codec for spanning.State registers.
-type Spanning struct{}
-
-// Code implements Codec.
-func (Spanning) Code() uint8 { return codeSpanning }
-
-// Name implements Codec.
-func (Spanning) Name() string { return "spanning" }
-
-// AppendState implements Codec.
-func (Spanning) AppendState(b *bits.Builder, s runtime.State) error {
-	ss, ok := s.(spanning.State)
+// appendRegister encodes s as an anchor.
+func appendRegister(b *bits.Builder, sc *runtime.Schema, s runtime.State) error {
+	v, ok := sc.Pack(s)
 	if !ok {
-		return fmt.Errorf("wire: spanning codec got %T", s)
+		return foreign(sc, s)
 	}
-	for _, v := range []int64{int64(ss.Root), int64(ss.Parent), int64(ss.Dist)} {
-		if err := appendInt(b, v); err != nil {
+	for i := range sc.Fields {
+		if sc.Fields[i].Kind == runtime.Flag {
+			b.AppendBit(v[i] != 0)
+		} else if err := appendInt(b, v[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// DecodeState implements Codec.
-func (Spanning) DecodeState(r *bits.Reader) (runtime.State, error) {
-	var s spanning.State
-	root, err := readInt(r)
-	if err != nil {
-		return nil, err
+// readRegister parses one anchor off the reader.
+func readRegister(r *bits.Reader, sc *runtime.Schema) (runtime.State, error) {
+	var v runtime.Values
+	for i := range sc.Fields {
+		var err error
+		if sc.Fields[i].Kind == runtime.Flag {
+			var set bool
+			set, err = r.ReadBit()
+			if set {
+				v[i] = 1
+			}
+		} else {
+			v[i], err = readInt(r)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	parent, err := readInt(r)
-	if err != nil {
-		return nil, err
-	}
-	dist, err := readInt(r)
-	if err != nil {
-		return nil, err
-	}
-	s.Root, s.Parent, s.Dist = graph.NodeID(root), graph.NodeID(parent), int(dist)
-	return s, nil
+	return sc.Unpack(v), nil
 }
 
-// AppendDelta implements Codec.
-func (Spanning) AppendDelta(b *bits.Builder, base, cur runtime.State) error {
-	bs, ok := base.(spanning.State)
+// appendChanges encodes cur as a delta against base.
+func appendChanges(b *bits.Builder, sc *runtime.Schema, base, cur runtime.State) error {
+	bv, ok := sc.Pack(base)
 	if !ok {
-		return fmt.Errorf("wire: spanning codec got base %T", base)
+		return foreign(sc, base)
 	}
-	cs, ok := cur.(spanning.State)
+	cv, ok := sc.Pack(cur)
 	if !ok {
-		return fmt.Errorf("wire: spanning codec got %T", cur)
+		return foreign(sc, cur)
 	}
-	fields := [...][2]int64{
-		{int64(bs.Root), int64(cs.Root)},
-		{int64(bs.Parent), int64(cs.Parent)},
-		{int64(bs.Dist), int64(cs.Dist)},
+	for i := range sc.Fields {
+		b.AppendBit(bv[i] != cv[i])
 	}
-	for _, f := range fields {
-		b.AppendBit(f[0] != f[1])
-	}
-	for _, f := range fields {
-		if f[0] != f[1] {
-			if err := appendInt(b, f[1]); err != nil {
+	for i := range sc.Fields {
+		if sc.Fields[i].Kind != runtime.Flag && bv[i] != cv[i] {
+			if err := appendInt(b, cv[i]); err != nil {
 				return err
 			}
 		}
@@ -143,45 +149,40 @@ func (Spanning) AppendDelta(b *bits.Builder, base, cur runtime.State) error {
 	return nil
 }
 
-// ApplyDelta implements Codec.
-func (Spanning) ApplyDelta(r *bits.Reader, base runtime.State) (runtime.State, error) {
-	s, ok := base.(spanning.State)
+// applyChanges parses one delta off the reader and applies it onto a
+// copy of base. An empty change mask returns base itself, so ingesting
+// a keep-alive allocates nothing.
+func applyChanges(r *bits.Reader, sc *runtime.Schema, base runtime.State) (runtime.State, error) {
+	v, ok := sc.Pack(base)
 	if !ok {
-		return nil, fmt.Errorf("wire: spanning codec got base %T", base)
+		return nil, foreign(sc, base)
 	}
-	var mask [3]bool
-	for i := range mask {
-		var err error
-		if mask[i], err = r.ReadBit(); err != nil {
+	var mask uint32
+	for i := range sc.Fields {
+		set, err := r.ReadBit()
+		if err != nil {
 			return nil, err
 		}
+		if set {
+			mask |= 1 << i
+		}
 	}
-	if mask == [3]bool{} {
-		// The keep-alive: hand back the caller's value, not a fresh box.
+	if mask == 0 {
 		return base, nil
 	}
-	if mask[0] {
-		v, err := readChanged(r, int64(s.Root))
-		if err != nil {
-			return nil, err
+	for i := range sc.Fields {
+		switch {
+		case mask&(1<<i) == 0:
+		case sc.Fields[i].Kind == runtime.Flag:
+			v[i] ^= 1
+		default:
+			var err error
+			if v[i], err = readChanged(r, v[i]); err != nil {
+				return nil, err
+			}
 		}
-		s.Root = graph.NodeID(v)
 	}
-	if mask[1] {
-		v, err := readChanged(r, int64(s.Parent))
-		if err != nil {
-			return nil, err
-		}
-		s.Parent = graph.NodeID(v)
-	}
-	if mask[2] {
-		v, err := readChanged(r, int64(s.Dist))
-		if err != nil {
-			return nil, err
-		}
-		s.Dist = int(v)
-	}
-	return s, nil
+	return sc.Unpack(v), nil
 }
 
 // readChanged reads one delta field and rejects the non-canonical case
@@ -196,172 +197,4 @@ func readChanged(r *bits.Reader, old int64) (int64, error) {
 		return 0, fmt.Errorf("wire: non-canonical delta: field unchanged at %d", v)
 	}
 	return v, nil
-}
-
-// Switching is the codec for switching.State registers.
-type Switching struct{}
-
-// Code implements Codec.
-func (Switching) Code() uint8 { return codeSwitching }
-
-// Name implements Codec.
-func (Switching) Name() string { return "switching" }
-
-// AppendState implements Codec.
-func (Switching) AppendState(b *bits.Builder, s runtime.State) error {
-	ss, ok := switching.RegOf(s)
-	if !ok {
-		return fmt.Errorf("wire: switching codec got %T", s)
-	}
-	// The raw D and S fields travel even when their presence bits are
-	// cleared: the protocol's distance-chain coherence layer reads D
-	// through the prune (HasD hides it from the verifier, not from the
-	// rules), so eliding hidden fields would change algorithm behavior
-	// between the shared-memory and message-passing realizations.
-	b.AppendBit(ss.HasD)
-	b.AppendBit(ss.HasS)
-	for _, v := range []int64{int64(ss.Root), int64(ss.Parent), int64(ss.D), int64(ss.S),
-		int64(ss.Sw), int64(ss.SwTarget), int64(ss.Pr), int64(ss.Sub)} {
-		if err := appendInt(b, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DecodeState implements Codec.
-func (Switching) DecodeState(r *bits.Reader) (runtime.State, error) {
-	var s switching.State
-	var err error
-	if s.HasD, err = readBit(r); err != nil {
-		return nil, err
-	}
-	if s.HasS, err = readBit(r); err != nil {
-		return nil, err
-	}
-	var f [8]int64
-	for i := range f {
-		if f[i], err = readInt(r); err != nil {
-			return nil, err
-		}
-	}
-	s.Root, s.Parent = graph.NodeID(f[0]), graph.NodeID(f[1])
-	s.D, s.S = int(f[2]), int(f[3])
-	s.Sw = switching.SwPhase(f[4])
-	s.SwTarget = graph.NodeID(f[5])
-	s.Pr = switching.PrPhase(f[6])
-	s.Sub = switching.SubPhase(f[7])
-	return s, nil
-}
-
-// AppendDelta implements Codec. The two presence booleans encode as
-// flip bits (the mask bit alone carries the change); the eight integer
-// fields follow the mask-then-values layout of the spanning codec.
-func (Switching) AppendDelta(b *bits.Builder, base, cur runtime.State) error {
-	bs, ok := switching.RegOf(base)
-	if !ok {
-		return fmt.Errorf("wire: switching codec got base %T", base)
-	}
-	cs, ok := switching.RegOf(cur)
-	if !ok {
-		return fmt.Errorf("wire: switching codec got %T", cur)
-	}
-	b.AppendBit(bs.HasD != cs.HasD)
-	b.AppendBit(bs.HasS != cs.HasS)
-	fields := [...][2]int64{
-		{int64(bs.Root), int64(cs.Root)},
-		{int64(bs.Parent), int64(cs.Parent)},
-		{int64(bs.D), int64(cs.D)},
-		{int64(bs.S), int64(cs.S)},
-		{int64(bs.Sw), int64(cs.Sw)},
-		{int64(bs.SwTarget), int64(cs.SwTarget)},
-		{int64(bs.Pr), int64(cs.Pr)},
-		{int64(bs.Sub), int64(cs.Sub)},
-	}
-	for _, f := range fields {
-		b.AppendBit(f[0] != f[1])
-	}
-	for _, f := range fields {
-		if f[0] != f[1] {
-			if err := appendInt(b, f[1]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// ApplyDelta implements Codec.
-func (Switching) ApplyDelta(r *bits.Reader, base runtime.State) (runtime.State, error) {
-	s, ok := switching.RegOf(base)
-	if !ok {
-		return nil, fmt.Errorf("wire: switching codec got base %T", base)
-	}
-	flipD, err := r.ReadBit()
-	if err != nil {
-		return nil, err
-	}
-	flipS, err := r.ReadBit()
-	if err != nil {
-		return nil, err
-	}
-	if flipD {
-		s.HasD = !s.HasD
-	}
-	if flipS {
-		s.HasS = !s.HasS
-	}
-	var mask [8]bool
-	for i := range mask {
-		if mask[i], err = r.ReadBit(); err != nil {
-			return nil, err
-		}
-	}
-	if !flipD && !flipS && mask == [8]bool{} {
-		return base, nil // the keep-alive, as in the spanning codec
-	}
-	old := [...]int64{int64(s.Root), int64(s.Parent), int64(s.D), int64(s.S),
-		int64(s.Sw), int64(s.SwTarget), int64(s.Pr), int64(s.Sub)}
-	vals := old
-	for i := range mask {
-		if mask[i] {
-			if vals[i], err = readChanged(r, old[i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	s.Root, s.Parent = graph.NodeID(vals[0]), graph.NodeID(vals[1])
-	s.D, s.S = int(vals[2]), int(vals[3])
-	s.Sw = switching.SwPhase(vals[4])
-	s.SwTarget = graph.NodeID(vals[5])
-	s.Pr = switching.PrPhase(vals[6])
-	s.Sub = switching.SubPhase(vals[7])
-	return s, nil
-}
-
-// ByCode returns the codec registered under the given frame code.
-func ByCode(code uint8) (Codec, bool) {
-	switch code {
-	case codeSpanning:
-		return Spanning{}, true
-	case codeSwitching:
-		return Switching{}, true
-	}
-	return nil, false
-}
-
-// ForAlgorithm selects the register codec matching an algorithm's state
-// type: the spanning substrate uses the spanning codec; the switching
-// family (switching, PLS-guided BFS, and the engine-driven MST/MDST,
-// which run switching registers) uses the switching codec.
-func ForAlgorithm(alg runtime.Algorithm) (Codec, error) {
-	switch alg.(type) {
-	case spanning.Algorithm:
-		return Spanning{}, nil
-	case switching.Algorithm:
-		return Switching{}, nil
-	case bfs.Algorithm:
-		return Switching{}, nil
-	}
-	return nil, fmt.Errorf("wire: no codec for algorithm %q", alg.Name())
 }

@@ -59,12 +59,12 @@ func appendDelta(b *bits.Builder, f Frame, c Codec) error {
 		if f.State == nil {
 			return nil
 		}
-		return c.AppendState(b, f.State)
+		return appendRegister(b, c.Register(), f.State)
 	}
 	if f.Base == nil || f.State == nil {
 		return fmt.Errorf("wire: delta frame needs base and current registers")
 	}
-	return c.AppendDelta(b, f.Base, f.State)
+	return appendChanges(b, c.Register(), f.Base, f.State)
 }
 
 // readDelta parses the delta-specific payload fields into f. For a
@@ -90,7 +90,7 @@ func readDelta(r *bits.Reader, f *Frame, c Codec) error {
 		return fmt.Errorf("%w: %v", ErrPayload, err)
 	}
 	if present {
-		if f.State, err = c.DecodeState(r); err != nil {
+		if f.State, err = readRegister(r, c.Register()); err != nil {
 			return fmt.Errorf("%w: %v", ErrPayload, err)
 		}
 	}
@@ -108,16 +108,16 @@ func ApplyDelta(c Codec, f Frame, base runtime.State) (runtime.State, error) {
 	if base == nil {
 		return nil, fmt.Errorf("wire: ApplyDelta without a base register")
 	}
-	r := getReader(f.delta)
-	defer putReader(r)
+	var r bits.Reader
+	r.Reset(f.delta)
 	if err := r.Skip(f.deltaOff); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrPayload, err)
 	}
-	st, err := c.ApplyDelta(r, base)
+	st, err := applyChanges(&r, c.Register(), base)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrPayload, err)
 	}
-	if err := checkPadding(r); err != nil {
+	if err := checkPadding(&r); err != nil {
 		return nil, err
 	}
 	return st, nil

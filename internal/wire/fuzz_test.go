@@ -68,13 +68,13 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Kind: KindData, Src: 2, Data: Packet{ID: 1, Origin: 2, Dst: 3}},
 		{Kind: KindData, Src: 50000, Seq: 1 << 40, Data: Packet{ID: 1 << 50, Origin: 17, Dst: 9001, Hops: 255}},
 		{Kind: KindData, Src: 2, Seq: 5, Data: Packet{ID: 7, Origin: 2, Dst: 6, Hops: 3}},
-		{Kind: KindDelta, Alg: codeSwitching, Src: 3, Seq: 9, BaseSeq: 9, State: switching.SelfRoot(3)},
-		{Kind: KindDelta, Alg: codeSwitching, Src: 3, Seq: 9, BaseSeq: 4,
+		{Kind: KindDelta, Alg: switching.Schema.Code, Src: 3, Seq: 9, BaseSeq: 9, State: switching.SelfRoot(3)},
+		{Kind: KindDelta, Alg: switching.Schema.Code, Src: 3, Seq: 9, BaseSeq: 4,
 			Base: switching.SelfRoot(3), State: switching.SelfRoot(3)},
-		{Kind: KindResync, Alg: codeSwitching, Src: 8, Seq: 2},
-		{Kind: KindAdvert, Alg: codeSwitching, Src: 5, Seq: 3,
+		{Kind: KindResync, Alg: switching.Schema.Code, Src: 8, Seq: 2},
+		{Kind: KindAdvert, Alg: switching.Schema.Code, Src: 5, Seq: 3,
 			AdminAddr: "127.0.0.1:7070", Neighbors: []graph.NodeID{1, 2, 8}},
-		{Kind: KindLeave, Alg: codeSwitching, Src: 5, Seq: 44},
+		{Kind: KindLeave, Alg: switching.Schema.Code, Src: 5, Seq: 44},
 	}
 	for _, fr := range seedFrames {
 		data, err := Encode(fr, Switching{}, &b, nil)

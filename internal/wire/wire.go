@@ -11,13 +11,15 @@
 // constant-size keep-alive heartbeats flow) and the Θ(log n) space
 // bound of the paper: a frame carries one register, encoded with the
 // Elias-gamma codes of internal/bits, so the frame size tracks the
-// register size within a constant envelope.
+// register size within a constant envelope. The register encodings are
+// derived from the register type's runtime.Schema (codec.go); none is
+// written out per register type.
 //
 // Every frame kind shares one layout (byte offsets):
 //
 //	0  magic 0xA7 (1 byte)
 //	1  version<<4 | kind (1)
-//	2  alg: register codec code (1; 0 for data frames)
+//	2  alg: the register schema's Code (1; 0 for data frames)
 //	3  payload (gamma-coded fields, zero-padded to a byte boundary)
 //	.. crc32-IEEE of everything above (4, big-endian)
 //
@@ -44,7 +46,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sync"
 
 	"silentspan/internal/bits"
 	"silentspan/internal/graph"
@@ -214,27 +215,10 @@ func DecodeBuf(c Codec, data []byte, scratch []uint64) (Frame, []uint64, error) 
 	if err != nil {
 		return f, scratch, fmt.Errorf("%w: %v", ErrPayload, err)
 	}
-	r := getReader(s)
-	err = decodePayload(r, s, &f, c)
-	putReader(r)
-	return f, scratch, err
-}
-
-// readers recycles the bit readers DecodeBuf and ApplyDelta parse with:
-// a Reader handed to a Codec method escapes to the heap, which was one
-// allocation per frame in each of the two. A reader goes back empty, so
-// the pool never pins a caller's scratch buffer.
-var readers = sync.Pool{New: func() any { return new(bits.Reader) }}
-
-func getReader(s bits.String) *bits.Reader {
-	r := readers.Get().(*bits.Reader)
+	var r bits.Reader // does not escape: no heap object per frame
 	r.Reset(s)
-	return r
-}
-
-func putReader(r *bits.Reader) {
-	r.Reset(bits.String{})
-	readers.Put(r)
+	err = decodePayload(&r, s, &f, c)
+	return f, scratch, err
 }
 
 // decodePayload parses the payload bit string s, read through r, into

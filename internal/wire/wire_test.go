@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"silentspan/internal/bfs"
 	"silentspan/internal/bits"
 	"silentspan/internal/graph"
 	"silentspan/internal/runtime"
@@ -185,23 +186,33 @@ func mutate(data []byte, i int, v byte) []byte {
 	return out
 }
 
-// TestForAlgorithm: the five certified algorithms all resolve to a
-// codec; the codec registry round-trips by code.
+// TestForAlgorithm: every algorithm a cluster runs resolves to the
+// codec of the register it declares, a wrapper embedding one inherits
+// it, and an algorithm declaring no register has none.
 func TestForAlgorithm(t *testing.T) {
-	for code := uint8(1); code <= 2; code++ {
-		c, ok := ByCode(code)
-		if !ok || c.Code() != code {
-			t.Fatalf("ByCode(%d) = %v, %v", code, c, ok)
+	type wrapped struct{ spanning.Algorithm }
+	for _, tc := range []struct {
+		alg  runtime.Algorithm
+		want Codec
+	}{
+		{spanning.Algorithm{}, Spanning{}},
+		{switching.Algorithm{}, Switching{}},
+		{bfs.Algorithm{}, Switching{}},
+		{wrapped{}, Spanning{}},
+		{&wrapped{}, Spanning{}},
+		{struct{ runtime.Algorithm }{spanning.Algorithm{}}, nil},
+	} {
+		c, err := ForAlgorithm(tc.alg)
+		switch {
+		case tc.want == nil:
+			if err == nil {
+				t.Errorf("%T: got codec %s, want none", tc.alg, c.Name())
+			}
+		case err != nil:
+			t.Errorf("%T: %v", tc.alg, err)
+		case c.Register() != tc.want.Register() || c.Code() != tc.want.Code() || c.Name() != tc.want.Name():
+			t.Errorf("%T: codec %s/%d, want %s/%d", tc.alg, c.Name(), c.Code(), tc.want.Name(), tc.want.Code())
 		}
-	}
-	if _, ok := ByCode(9); ok {
-		t.Fatal("ByCode(9) resolved")
-	}
-	if c, err := ForAlgorithm(spanning.Algorithm{}); err != nil || c.Code() != codeSpanning {
-		t.Fatalf("spanning: %v %v", c, err)
-	}
-	if c, err := ForAlgorithm(switching.Algorithm{}); err != nil || c.Code() != codeSwitching {
-		t.Fatalf("switching: %v %v", c, err)
 	}
 }
 
