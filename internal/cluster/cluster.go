@@ -31,7 +31,13 @@
 //     frames waiting receives between ticks and forwards the packets that
 //     arrived at once — the deployment shape.
 //
-// Both call Node.tick, and silence is as cheap there as on the wire. A
+// Both call Node.tick and read register activity off one counter,
+// Cluster.regWrites, which every write bumps. At the end of each pass of
+// the cluster clock — a Tick, or a tick pass of Serve's worker 0 — a
+// moved counter refreshes the gateway's labeling and restarts the quiet
+// count (observeWrites; lockstep counts only the tick's δ writes).
+//
+// Silence is as cheap in Node.tick as on the wire. A
 // node's round — the staleness sweep, one δ evaluation, the detector — is
 // a pure function of its inputs, so tick runs it only when an input was
 // written since the last one (Node.dirty, raised by setState,
@@ -182,14 +188,15 @@ type Cluster struct {
 	admin    *AdminServers // non-nil once ServeAdmin ran
 
 	gw *Gateway
-	// stateDirty marks out-of-band register writes (SetState,
-	// InitArbitrary, Corrupt) so the next tick refreshes the gateway
-	// even if no δ evaluation changed anything.
-	stateDirty bool
+	// seenWrites is the regWrites value the last observeWrites saw. Only
+	// the cluster clock touches it — Tick's caller, or Serve's worker 0 —
+	// and the two never share a cluster: Tick needs a Stepper transport,
+	// Serve one whose endpoints Notify.
+	seenWrites int64
 
-	// Lockstep progress. tick/lastChangeTick/changedLast are atomic so
-	// the metrics scrape can read convergence gauges while a tick is in
-	// flight.
+	// Cluster clock: Tick counts lockstep ticks, Serve worker 0's tick
+	// passes. tick/lastChangeTick/changedLast are atomic so the metrics
+	// scrape can read convergence gauges while a pass is in flight.
 	tick           atomic.Uint64
 	lastChangeTick atomic.Uint64
 	changedLast    atomic.Int64
@@ -210,16 +217,14 @@ type Cluster struct {
 	// currently announcing tree roots with their announced epochs;
 	// announced/annEpoch are its atomic projection for gauges and
 	// QuietAnnounced; quietCh carries aggregate transitions. regWrites
-	// and lastWriteNS mirror every register write (δ-driven and
-	// out-of-band) into one counter and one wall-clock stamp, so the
-	// Serve-mode gateway poller and quiet gauge need no O(n) sweeps.
-	annMu       sync.Mutex
-	annRoots    map[graph.NodeID]uint64
-	announced   atomic.Bool
-	annEpoch    atomic.Uint64
-	quietCh     chan QuietEvent
-	regWrites   atomic.Int64
-	lastWriteNS atomic.Int64
+	// counts every register write, δ-driven and out-of-band, so neither
+	// Tick nor Serve sweeps the nodes to learn whether one happened.
+	annMu     sync.Mutex
+	annRoots  map[graph.NodeID]uint64
+	announced atomic.Bool
+	annEpoch  atomic.Uint64
+	quietCh   chan QuietEvent
+	regWrites atomic.Int64
 
 	// metrics is the cluster's operational registry: counters and
 	// gauges over the hot paths, scraped through the admin plane's
@@ -262,7 +267,6 @@ func New(g *graph.Graph, alg runtime.Algorithm, tr Transport, cfg Config) (*Clus
 		annRoots: make(map[graph.NodeID]uint64),
 		quietCh:  make(chan QuietEvent, 16)}
 	c.cfg.fill()
-	c.lastWriteNS.Store(time.Now().UnixNano())
 	for i := 0; i < d.Slots(); i++ {
 		if !d.LiveAt(i) {
 			return nil, fmt.Errorf("cluster: graph has vacated dense slots; coalesce before clustering")
@@ -286,7 +290,6 @@ func (c *Cluster) newMember(id graph.NodeID, i int, ep Endpoint) *Node {
 	nd := newNode(id, i, c.d.N(), neighbors, weights, ep, c.codec, c.alg)
 	nd.noteAnn = c.noteAnnounce
 	nd.writeCount = &c.regWrites
-	nd.writeClock = &c.lastWriteNS
 	ep.Wake(func() {
 		if nd.rx.Swap(true) {
 			return // raised since the last drain: a pass that drains it is due
@@ -334,12 +337,12 @@ func (c *Cluster) registerMetrics() {
 			return float64(t)
 		})
 	}
-	reg.GaugeFunc("ss_cluster_ticks", "Lockstep ticks driven so far.", nil,
+	reg.GaugeFunc("ss_cluster_ticks", "Cluster clock: lockstep ticks, or Serve worker 0's tick passes.", nil,
 		func() float64 { return float64(c.tick.Load()) })
 	reg.GaugeFunc("ss_cluster_changed_last_tick", "Registers that changed in the last lockstep tick (0 = converging toward silence).", nil,
 		func() float64 { return float64(c.changedLast.Load()) })
-	reg.GaugeFunc("ss_cluster_quiet_ticks", "Consecutive ticks without a register change (wall-clock derived in Serve mode).", nil,
-		c.quietTicksGauge)
+	reg.GaugeFunc("ss_cluster_quiet_ticks", "Cluster-clock ticks since the last one that saw a register change.", nil,
+		func() float64 { return float64(c.QuietFor()) })
 	reg.GaugeFunc("ss_cluster_detected_quiet", "In-band termination detector: 1 while a tree root announces cluster-wide quiet.", nil,
 		func() float64 {
 			if c.announced.Load() {
@@ -417,7 +420,6 @@ func (c *Cluster) SetState(id graph.NodeID, s runtime.State) {
 		panic(fmt.Sprintf("cluster: unknown node %d", id))
 	}
 	nd.setState(s)
-	c.stateDirty = true
 }
 
 // InitArbitrary fills every register with an arbitrary state drawn
@@ -436,12 +438,12 @@ func (c *Cluster) InitArbitrary(rng *rand.Rand) {
 		v := runtime.NewView(nd.id, nd.n, nd.neighbors, nd.weights, nil, nd.peers)
 		nd.setState(c.alg.ArbitraryState(rng, v))
 	}
-	c.stateDirty = true
 }
 
 // Corrupt overwrites k distinct registers with arbitrary states drawn
-// from the algorithm — transient faults striking a live deployment.
-// Call between ticks. It returns the victims in activation order. The
+// from the algorithm — transient faults striking a live deployment; k is
+// clamped to [0, live nodes], as runtime.Corrupt clamps it. Call between
+// ticks. It returns the victims in activation order. The
 // view the algorithm draws from is each victim's cache as of its last
 // round — current even for a node that has been skipping rounds, since a
 // round runs in every tick a cache entry or its staleness changes.
@@ -454,9 +456,7 @@ func (c *Cluster) Corrupt(k int, rng *rand.Rand) []graph.NodeID {
 			live = append(live, nd)
 		}
 	}
-	if k > len(live) {
-		k = len(live)
-	}
+	k = min(max(k, 0), len(live))
 	victims := make([]graph.NodeID, 0, k)
 	for _, i := range rng.Perm(len(live))[:k] {
 		nd := live[i]
@@ -464,7 +464,6 @@ func (c *Cluster) Corrupt(k int, rng *rand.Rand) []graph.NodeID {
 		nd.setState(c.alg.ArbitraryState(rng, v))
 		victims = append(victims, nd.id)
 	}
-	c.stateDirty = true
 	return victims
 }
 
@@ -527,31 +526,41 @@ func (c *Cluster) Tick() {
 	c.memMu.RLock()
 	defer c.memMu.RUnlock()
 	tick := c.tick.Add(1)
+	// Between the barriers only δ writes happen, at most one per node:
+	// the counter's step is the number of registers this tick changed.
+	// Out-of-band writes between ticks reach the gateway below but not
+	// the quiet count.
+	before := c.regWrites.Load()
 	c.tickNodes(tick)
+	changed := c.regWrites.Load() - before
 	c.step.Step(tick)
-	changed := int64(0)
-	for _, nd := range c.nodes {
-		if nd == nil {
-			continue
-		}
-		if nd.changed {
-			changed++
-		}
-	}
 	c.changedLast.Store(changed)
 	if changed > 0 {
 		c.lastChangeTick.Store(tick)
 	}
-	// The labeling only moves when some register did: a quiet cluster
-	// skips the O(n) register sweep entirely instead of re-reading every
-	// node per tick forever.
-	if c.gw != nil && (changed > 0 || c.stateDirty) {
-		c.gw.refresh()
-		c.stateDirty = false
-	}
+	c.observeWrites()
 }
 
-// Ticks returns the lockstep tick count so far.
+// observeWrites reports whether some register was written since its
+// last call, and if so refreshes the gateway's labeling. The labeling
+// only moves when some register did, so a quiet cluster never re-reads
+// its n registers; a membership or link event that writes none reaches
+// the labeling through the gateway's topology listener instead. Caller
+// holds memMu and is the cluster clock (see seenWrites).
+func (c *Cluster) observeWrites() bool {
+	w := c.regWrites.Load()
+	if w == c.seenWrites {
+		return false
+	}
+	c.seenWrites = w
+	if c.gw != nil {
+		c.gw.refresh()
+	}
+	return true
+}
+
+// Ticks returns the cluster clock: lockstep ticks driven so far, or in
+// Serve the tick passes of worker 0.
 func (c *Cluster) Ticks() uint64 { return c.tick.Load() }
 
 // ChangedLastTick returns how many registers changed in the last tick.
@@ -626,32 +635,6 @@ func (c *Cluster) Serve(ctx context.Context) error {
 			c.serveWorker(ctx, w, len(wakes), tickers[w].C, wakes[w])
 		}()
 	}
-	// Until ctx is cancelled Serve's own goroutine polls the gateway
-	// labeling (a goroutine of its own could still be inside gw.refresh
-	// when Serve returns). The labeling only moves when some register
-	// did: a quiet cluster skips the O(n) register sweep instead of
-	// re-reading every node per tick forever. regWrites is the
-	// cluster-level write counter every setState bumps — monotone, one
-	// atomic load per poll.
-	var poll <-chan time.Time // stays nil without a gateway
-	if c.gw != nil {
-		ticker := time.NewTicker(c.cfg.Interval)
-		defer ticker.Stop()
-		poll = ticker.C
-	}
-	lastWrites := int64(-1)
-	for ctx.Err() == nil {
-		select {
-		case <-ctx.Done():
-		case <-poll:
-			if w := c.regWrites.Load(); w != lastWrites {
-				lastWrites = w
-				c.memMu.RLock()
-				c.gw.refresh()
-				c.memMu.RUnlock()
-			}
-		}
-	}
 	wg.Wait()
 	return ctx.Err()
 }
@@ -678,7 +661,8 @@ func (c *Cluster) serveWorker(ctx context.Context, w, W int, ticks <-chan time.T
 // mid-round. On a tick every node runs its next local tick; otherwise
 // each node with frames waiting receives and then forwards the packets
 // that just arrived, so a data hop costs one datagram flight and not a
-// wait for the next tick.
+// wait for the next tick. Worker 0's tick pass ends by advancing the
+// cluster clock and observing the write counter, as Tick does.
 func (c *Cluster) servePass(w, W int, tick bool) {
 	c.memMu.RLock()
 	defer c.memMu.RUnlock()
@@ -697,6 +681,11 @@ func (c *Cluster) servePass(w, W int, tick bool) {
 			if c.gw != nil {
 				nd.pump(nd.localTick, c.gw)
 			}
+		}
+	}
+	if tick && w == 0 {
+		if t := c.tick.Add(1); c.observeWrites() {
+			c.lastChangeTick.Store(t)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"silentspan/internal/bfs"
@@ -206,5 +207,103 @@ func TestGatewayDeliveryUnderFaults(t *testing.T) {
 	post := gw.Stats()
 	if post.Delivered-st.Delivered != 100 {
 		t.Fatalf("post-recovery batch: %d of 100 delivered (%+v)", post.Delivered-st.Delivered, post)
+	}
+}
+
+// TestGatewayLabelingMatchesRegisters: the gateway refreshes only when
+// the write counter moved, and leaves membership and link events that
+// write no register to its topology listener. After every Tick of a
+// churned cluster — crashes and joins, links toggled with no write in
+// between, registers overwritten between ticks — its labeling equals
+// one built from scratch off the registers.
+func TestGatewayLabelingMatchesRegisters(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	cl, err := New(graph.Ring(8), spanning.Algorithm{}, NewChanTransport(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	gw := NewGateway(cl)
+	ticks := 0
+	tick := func(k int) {
+		t.Helper()
+		for ; k > 0; k-- {
+			cl.Tick()
+			ticks++
+			g := cl.Graph()
+			d := g.Dense()
+			parents := make([]graph.NodeID, d.Slots())
+			for i := range parents {
+				parents[i] = routing.NoParent
+				if d.LiveAt(i) {
+					parents[i] = routing.ParentOf(cl.State(d.ID(i)))
+				}
+			}
+			got, want := gw.Labeling(), routing.LiveLabeling(g, parents)
+			if got.Covered() != want.Covered() {
+				t.Fatalf("tick %d: gateway labels %d nodes, registers %d", ticks, got.Covered(), want.Covered())
+			}
+			for _, v := range g.Nodes() {
+				gc, gok := got.Coords(v)
+				wc, wok := want.Coords(v)
+				gr, _ := got.RootOf(v)
+				wr, _ := want.RootOf(v)
+				if gok != wok || gr != wr || !slices.Equal(gc, wc) {
+					t.Fatalf("tick %d: node %d labeled %v under %d, registers say %v under %d", ticks, v, gc, gr, wc, wr)
+				}
+			}
+		}
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl.InitArbitrary(rng)
+	tick(60)
+	must(cl.Crash(3))
+	tick(30)
+	must(cl.Join(3, []graph.Edge{{U: 3, V: 2, W: 2}, {U: 3, V: 4, W: 3}}))
+	tick(30)
+	must(cl.AddEdge(1, 5, 20))
+	must(cl.RemoveEdge(1, 5))
+	tick(1)
+	must(cl.AddEdge(2, 6, 21))
+	tick(30)
+	must(cl.RemoveEdge(2, 6))
+	tick(30)
+	cl.SetState(5, spanning.State{Root: 5, Parent: 4, Dist: 1})
+	tick(1)
+	cl.Corrupt(2, rng)
+	tick(100)
+	// Node 5 sits opposite root 1 on the ring: re-hanging it from its
+	// other neighbor is as good a tree, so no δ writes after it and only
+	// the out-of-band write can move the labeling.
+	s, _ := cl.State(5).(spanning.State)
+	if s.Root != 1 || s.Dist != 4 {
+		t.Fatalf("premise: node 5 holds %+v, want root 1 at distance 4", s)
+	}
+	s.Parent = 10 - s.Parent
+	cl.SetState(5, s)
+	tick(30)
+	must(cl.Leave(7))
+	tick(30)
+}
+
+// TestCorruptClampsCount: like runtime.Corrupt, a count above the live
+// size corrupts every node and a negative one none.
+func TestCorruptClampsCount(t *testing.T) {
+	cl, err := New(graph.Ring(6), spanning.Algorithm{}, NewChanTransport(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	cl.InitArbitrary(rand.New(rand.NewSource(1)))
+	if got := cl.Corrupt(1000, rand.New(rand.NewSource(2))); len(got) != 6 {
+		t.Fatalf("count>n: corrupted %d nodes, want all 6", len(got))
+	}
+	if got := cl.Corrupt(-3, rand.New(rand.NewSource(2))); len(got) != 0 {
+		t.Fatalf("negative count: corrupted %d nodes, want 0", len(got))
 	}
 }

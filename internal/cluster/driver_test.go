@@ -155,15 +155,15 @@ func (deafEndpoint) Wake(func())                            {}
 func (deafEndpoint) Close() error                           { return nil }
 
 // TestServeOutlivesItsGoroutines: when Serve returns, nothing it
-// started is still running — in particular not the gateway-labeling
-// poll, which refreshes the labeling under the cluster's locks. The
+// started is still running — in particular not worker 0's end-of-pass
+// labeling refresh, which runs under the cluster's locks. The
 // all-goroutine stack dump taken right after the return must hold no
 // frame of Serve's body, of a worker pass or of a labeling refresh; a
 // worker that already signalled its exit may still be unwinding, so the
 // goroutines Serve created must be gone after a few yields. Register
-// writes are simulated throughout, so every poll tick finds a refresh
-// to do. No sleep: a poll on its own goroutine is caught within the
-// first few rounds.
+// writes are simulated throughout, so every tick pass of worker 0 finds
+// a refresh to do. No sleep: a refresh outliving Serve is caught within
+// the first few rounds.
 func TestServeOutlivesItsGoroutines(t *testing.T) {
 	g := graph.Ring(3)
 	stack := make([]byte, 1<<20)

@@ -12,8 +12,9 @@ import (
 )
 
 // Gateway is the cluster's serving layer: it maintains a
-// routing.LiveLabeler over the nodes' live registers — refreshed
-// between ticks, incremental per changed parent pointer — and carries
+// routing.LiveLabeler over the nodes' live registers — refreshed at the
+// end of a cluster-clock pass that saw a register write, incremental per
+// changed parent pointer — and carries
 // routed packets end-to-end over the cluster's own transport: each hop
 // is a wire data frame from one node actor to the next, subject to the
 // same loss, duplication, reordering and corruption as the heartbeats.
@@ -133,9 +134,10 @@ func (gw *Gateway) registerMetrics(reg *ops.Registry) {
 }
 
 // refresh folds the current registers into the incremental labeling and
-// republishes it to the router. Called by the cluster between lockstep
-// ticks, or periodically in free-running mode. The caller holds the
-// cluster's membership read lock (memMu); labMu nests inside it.
+// republishes it to the router. Called through observeWrites when the
+// cluster's write counter moved: after a lockstep Tick, or at the end of
+// Serve worker 0's tick pass. The caller holds the cluster's membership
+// read lock (memMu); labMu nests inside it.
 func (gw *Gateway) refresh() {
 	gw.labMu.Lock()
 	for _, nd := range gw.c.nodes {

@@ -105,7 +105,6 @@ func (c *Cluster) admit(id graph.NodeID, ep Endpoint) {
 	// Re-row every live node. A rejoin's neighbors start its record
 	// from zero: the old incarnation left their rows when it retired.
 	c.remapAllLocked()
-	c.stateDirty = true
 	c.joins.Add(1)
 }
 
@@ -187,7 +186,6 @@ func (c *Cluster) retire(id graph.NodeID, goodbye bool) error {
 	if c.admin != nil {
 		c.admin.remove(id)
 	}
-	c.stateDirty = true
 	if goodbye {
 		c.leaves.Add(1)
 	} else {
@@ -242,7 +240,6 @@ func (c *Cluster) remapEndpointsLocked(u, v graph.NodeID) {
 			c.remapNodeLocked(nd)
 		}
 	}
-	c.stateDirty = true
 }
 
 // remapAllLocked pushes the current dense rows to every live node.

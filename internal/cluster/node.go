@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"silentspan/internal/bits"
 	"silentspan/internal/graph"
@@ -85,7 +84,6 @@ type Node struct {
 	// opens with a KindAdvert broadcast.
 	advertPending bool
 	peers         []runtime.State // effective view of nbr (staleness applied) as of the last round
-	changed       bool            // register changed during the last tick
 	// wakeAt is the first tick at which the round does something with
 	// unchanged inputs — a freshness pull, a staleness expiry, the local
 	// quiet window closing. step publishes the earliest per-neighbor
@@ -107,12 +105,11 @@ type Node struct {
 
 	// Set once before the node runs, nil for standalone nodes: noteAnn
 	// reports root-announcement transitions to the cluster, writeCount
-	// and writeClock mirror every register write into cluster-level
-	// aggregates, hbCadence (heartbeat intervals) and frameBytes (encoded
-	// frame sizes) are cluster-shared histograms.
+	// counts every register write into the cluster-level total,
+	// hbCadence (heartbeat intervals) and frameBytes (encoded frame
+	// sizes) are cluster-shared histograms.
 	noteAnn    func(root graph.NodeID, epoch uint64, active bool)
 	writeCount *atomic.Int64
-	writeClock *atomic.Int64
 	hbCadence  *ops.Histogram
 	frameBytes *ops.Histogram
 
@@ -331,9 +328,6 @@ func (nd *Node) setState(s runtime.State) {
 	if nd.writeCount != nil {
 		nd.writeCount.Add(1)
 	}
-	if nd.writeClock != nil {
-		nd.writeClock.Store(time.Now().UnixNano())
-	}
 }
 
 // Inject parks a packet at this node (the gateway's entry point).
@@ -377,8 +371,7 @@ func (nd *Node) receive(now uint64, gw *Gateway) {
 // costs a quiet node no δ evaluation and no walk over its neighbor
 // records. A round that writes the register raises dirty itself, so the
 // tick after a write always runs one (and a node without a register,
-// which every round writes, runs every tick), and a skipped round finds
-// changed already false.
+// which every round writes, runs every tick).
 func (nd *Node) tick(now uint64, cfg *Config, gw *Gateway) {
 	nd.receive(now, gw)
 	// Detector-report transitions (subtree-quiet flips, announcement
@@ -645,10 +638,7 @@ func (nd *Node) step(now uint64, cfg *Config) {
 	next := nd.alg.Step(v)
 	if nd.self == nil || !next.Equal(nd.self) {
 		nd.setState(next)
-		nd.changed = true
 		nd.stats[cRegisterWrites].Add(1)
-	} else {
-		nd.changed = false
 	}
 }
 

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"time"
-
 	"silentspan/internal/graph"
 	"silentspan/internal/routing"
 	"silentspan/internal/trace"
@@ -206,33 +204,13 @@ func (c *Cluster) QuietEpoch() uint64 { return c.annEpoch.Load() }
 // poll QuietAnnounced for the level.
 func (c *Cluster) QuietEvents() <-chan QuietEvent { return c.quietCh }
 
-// QuietFor returns the coordinator's ground truth in lockstep mode:
-// consecutive ticks without a δ-driven register change. (Serve mode
-// has no lockstep clock; see the ss_cluster_quiet_ticks gauge for the
-// wall-clock equivalent.)
+// QuietFor returns the coordinator's ground truth: cluster-clock ticks
+// since the last one that saw a register change — in lockstep a δ-driven
+// one, in Serve any write observed at the end of worker 0's tick pass.
 func (c *Cluster) QuietFor() uint64 {
 	t, last := c.tick.Load(), c.lastChangeTick.Load()
 	if t < last {
 		return 0
 	}
 	return t - last
-}
-
-// quietTicksGauge computes ss_cluster_quiet_ticks for both execution
-// modes: lockstep counts ticks since the last changed tick; a
-// free-running cluster (no lockstep clock) derives the equivalent from
-// the wall clock since the last register write.
-func (c *Cluster) quietTicksGauge() float64 {
-	if t := c.tick.Load(); t > 0 {
-		last := c.lastChangeTick.Load()
-		if t < last {
-			return 0
-		}
-		return float64(t - last)
-	}
-	ns := time.Now().UnixNano() - c.lastWriteNS.Load()
-	if ns < 0 {
-		return 0
-	}
-	return float64(time.Duration(ns) / c.cfg.Interval)
 }

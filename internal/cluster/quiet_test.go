@@ -252,9 +252,10 @@ func TestTicksToQuietResetsOnNewRun(t *testing.T) {
 	}
 }
 
-// TestClusterWriteCounter: the cluster-level write counter the Serve
-// gateway poller reads covers every setState — δ-driven and out-of-band
-// — and the func-backed /metrics counter still equals Stats exactly.
+// TestClusterWriteCounter: the cluster-level write counter Tick and
+// Serve read at the end of a pass covers every setState — δ-driven and
+// out-of-band — and the func-backed /metrics counter still equals Stats
+// exactly.
 func TestClusterWriteCounter(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	cl, err := New(graph.Ring(6), spanning.Algorithm{}, NewChanTransport(), Config{})
@@ -269,7 +270,7 @@ func TestClusterWriteCounter(t *testing.T) {
 		t.Fatalf("metrics writes %v != stats writes %d",
 			snap["ss_cluster_register_writes_total"], st.RegisterWrites)
 	}
-	// The atomic poller counter includes the 6 InitArbitrary writes on
+	// The cluster write counter includes the 6 InitArbitrary writes on
 	// top of the δ-driven ones.
 	if got, want := cl.regWrites.Load(), int64(st.RegisterWrites+6); got != want {
 		t.Fatalf("cluster write counter %d, want %d (δ writes + InitArbitrary)", got, want)

@@ -135,6 +135,11 @@ func TestServeForwardsOnArrival(t *testing.T) {
 	stop := serve(cl)
 	defer stop()
 	waitFor(t, 30*time.Second, "quiet announced", cl.QuietAnnounced)
+	// Worker 0's tick passes are Serve's cluster clock, so the quiet
+	// count runs here as it does in lockstep.
+	if q, tk, g := cl.QuietFor(), cl.Ticks(), cl.Metrics().Snapshot()["ss_cluster_quiet_ticks"]; q == 0 || tk == 0 || g == 0 {
+		t.Fatalf("announced, but QuietFor=%d Ticks=%d ss_cluster_quiet_ticks=%v, want all > 0", q, tk, g)
+	}
 	dst := cl.Node(n)
 	send := func() (hops int, ticks uint64) {
 		before, tick0 := gw.Stats(), localTickOf(dst)

@@ -45,9 +45,6 @@ type Label struct {
 	raw bits.String
 }
 
-// Bits returns the underlying bit string.
-func (l Label) Bits() bits.String { return l.raw }
-
 // Len returns the label length in bits — the quantity bounded by
 // O(log n) in the paper.
 func (l Label) Len() int { return l.raw.Len() }

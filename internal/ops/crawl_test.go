@@ -172,7 +172,7 @@ func httpStar(t *testing.T, n int) (string, map[graph.NodeID]graph.NodeID) {
 		admins = append(admins, &fakeAdmin{id: id, parent: 1, neighbors: []graph.NodeID{1}, addrOf: addrOf})
 	}
 	reg := NewRegistry()
-	reg.Counter("ss_test_total", "T.", nil).Inc()
+	reg.CounterFunc("ss_test_total", "T.", nil, func() float64 { return 1 })
 	for _, a := range admins {
 		srv := NewServer(a, reg)
 		addr, err := srv.Start()

@@ -128,37 +128,6 @@ func (r *Registry) register(name, help, typ string, labels Labels, c collector) 
 	f.instances = append(f.instances, c)
 }
 
-// Counter is a monotonically increasing integer metric. Updates are
-// atomic; safe from any goroutine.
-type Counter struct {
-	labels string
-	v      atomic.Int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n (n must be non-negative for Prometheus semantics).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-func (c *Counter) expose(w io.Writer, name string) {
-	fmt.Fprintf(w, "%s%s %d\n", name, c.labels, c.v.Load())
-}
-
-func (c *Counter) sample(into map[string]float64, name string) {
-	into[name+c.labels] = float64(c.v.Load())
-}
-
-// Counter registers and returns a counter.
-func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	c := &Counter{labels: labels.render()}
-	r.register(name, help, "counter", labels, c)
-	return c
-}
-
 // Gauge is a settable integer metric. Updates are atomic.
 type Gauge struct {
 	labels string

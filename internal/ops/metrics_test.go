@@ -3,14 +3,13 @@ package ops
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 func TestCounterGaugeExposition(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("ss_frames_total", "Frames.", Labels{"transport": "chan"})
-	c.Inc()
-	c.Add(2)
+	reg.CounterFunc("ss_frames_total", "Frames.", Labels{"transport": "chan"}, func() float64 { return 3 })
 	g := reg.Gauge("ss_ticks", "Ticks.", nil)
 	g.Set(41)
 	g.Add(1)
@@ -33,8 +32,8 @@ func TestCounterGaugeExposition(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	if c.Value() != 3 || g.Value() != 42 {
-		t.Errorf("Value() = %d, %d; want 3, 42", c.Value(), g.Value())
+	if g.Value() != 42 {
+		t.Errorf("Value() = %d; want 42", g.Value())
 	}
 }
 
@@ -78,7 +77,7 @@ func TestHistogramNoLabels(t *testing.T) {
 
 func TestSnapshot(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("ss_a_total", "A.", nil).Add(5)
+	reg.CounterFunc("ss_a_total", "A.", nil, func() float64 { return 5 })
 	reg.Gauge("ss_b", "B.", Labels{"x": "y"}).Set(-3)
 	h := reg.Histogram("ss_h", "H.", nil, []float64{1})
 	h.Observe(0.5)
@@ -100,15 +99,16 @@ func TestSnapshot(t *testing.T) {
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("ss_dup_total", "D.", Labels{"k": "v"})
+	zero := func() float64 { return 0 }
+	reg.CounterFunc("ss_dup_total", "D.", Labels{"k": "v"}, zero)
 	assertPanics(t, "same name+labels", func() {
-		reg.Counter("ss_dup_total", "D.", Labels{"k": "v"})
+		reg.CounterFunc("ss_dup_total", "D.", Labels{"k": "v"}, zero)
 	})
 	assertPanics(t, "same name different type", func() {
 		reg.Gauge("ss_dup_total", "D.", Labels{"k": "w"})
 	})
 	// Same name, different labels, same type is fine.
-	reg.Counter("ss_dup_total", "D.", Labels{"k": "w"})
+	reg.CounterFunc("ss_dup_total", "D.", Labels{"k": "w"}, zero)
 	assertPanics(t, "unsorted histogram bounds", func() {
 		reg.Histogram("ss_hb", "H.", nil, []float64{4, 1})
 	})
@@ -135,7 +135,8 @@ func TestFormatValue(t *testing.T) {
 
 func TestConcurrentUpdatesWhileScraping(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("ss_conc_total", "C.", nil)
+	var c atomic.Int64
+	reg.CounterFunc("ss_conc_total", "C.", nil, func() float64 { return float64(c.Load()) })
 	h := reg.Histogram("ss_conc_h", "H.", nil, []float64{8, 64})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -143,7 +144,7 @@ func TestConcurrentUpdatesWhileScraping(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				c.Inc()
+				c.Add(1)
 				h.Observe(float64(i % 100))
 			}
 		}()
@@ -154,8 +155,8 @@ func TestConcurrentUpdatesWhileScraping(t *testing.T) {
 		reg.Snapshot()
 	}
 	wg.Wait()
-	if c.Value() != 4000 {
-		t.Errorf("counter = %d, want 4000", c.Value())
+	if got := reg.Snapshot()["ss_conc_total"]; got != 4000 {
+		t.Errorf("counter = %v, want 4000", got)
 	}
 	if h.Count() != 4000 {
 		t.Errorf("histogram count = %d, want 4000", h.Count())
@@ -230,7 +231,7 @@ func TestExpositionEscaping(t *testing.T) {
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := NewRegistry()
-			reg.Counter(tc.metric, tc.help, tc.labels).Inc()
+			reg.CounterFunc(tc.metric, tc.help, tc.labels, func() float64 { return 1 })
 			var b strings.Builder
 			reg.WritePrometheus(&b)
 			out := b.String()

@@ -36,17 +36,6 @@ func (f *Flight) Advance(r *Router, steps int) {
 	}
 }
 
-// Active returns the number of packets still flying.
-func (f *Flight) Active() int {
-	n := 0
-	for _, p := range f.packets {
-		if !p.Done {
-			n++
-		}
-	}
-	return n
-}
-
 // Flush drains the cohort over r's (typically freshly relabeled)
 // routing table with a full hop budget and finalizes the loop/drop
 // classification. Idempotent.
