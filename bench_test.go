@@ -189,9 +189,10 @@ func BenchmarkScaleBFSRouting(b *testing.B) {
 
 // BenchmarkLockstepIdleTick times one lockstep Tick of a silent cluster,
 // the idle-route-chan workload's shape (n=2000, keep-alives backed off
-// to one per 31 ticks): what is left is the driver handing out node
-// ticks, a gate check per node, and ingesting the keep-alives that are
-// due — a node runs its round about twice per 62 ticks. Convergence and
+// to one per 31 ticks): what is left is one pass over the due set, the
+// ticks of the nodes a keep-alive reached or whose own fell due — about
+// one tick in nine — and ingesting those keep-alives; a node runs its
+// round about twice per 62 ticks. Convergence and
 // the in-band quiet announcement happen outside the timer. Compare
 // drivers with -cpu 1,2; it asserts nothing about time. -short runs a
 // size the CI smoke converges in well under a second.

@@ -236,6 +236,22 @@ func (r *Reader) ReadBit() (bool, error) {
 	return b, nil
 }
 
+// ReadBits consumes k ≤ 64 bits and returns them as one word, the
+// first bit read most significant — what k ReadBit calls would yield,
+// including on a read past the end, which consumes the rest and fails.
+func (r *Reader) ReadBits(k int) (uint64, error) {
+	if k < 0 || k > 64 {
+		return 0, fmt.Errorf("bits: cannot read %d bits as one word", k)
+	}
+	if avail := r.Remaining(); k > avail {
+		r.pos += avail
+		return 0, r.errPastEnd()
+	}
+	v := r.s.window(r.pos) >> uint(64-k) // a shift by 64 is 0 in Go
+	r.pos += k
+	return v, nil
+}
+
 // Skip consumes k bits without materializing them.
 func (r *Reader) Skip(k int) error {
 	if k < 0 || r.Remaining() < k {

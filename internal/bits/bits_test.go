@@ -278,6 +278,47 @@ func TestGammaWordwiseMatchesBitwise(t *testing.T) {
 	}
 }
 
+// TestReadBitsMatchesBitwise pins ReadBits to a ReadBit loop on value,
+// error-ness and final position: widths 0, 1, 63 and 64, reads
+// straddling a word boundary, and reads that run past the end.
+func TestReadBitsMatchesBitwise(t *testing.T) {
+	var b Builder
+	for i := 0; i < 150; i++ {
+		b.AppendBit(i%3 == 0 || i%7 == 1)
+	}
+	s := b.String()
+	for _, tc := range []struct{ pos, k int }{
+		{0, 0}, {0, 1}, {0, 8}, {0, 63}, {0, 64}, {1, 64}, {60, 8}, {64, 64},
+		{86, 64}, {100, 50}, {150, 0}, {145, 5},
+		{87, 64}, {149, 2}, {150, 1}, {120, 64},
+	} {
+		fast, slow := &Reader{s: s, pos: tc.pos}, &Reader{s: s, pos: tc.pos}
+		got, gotErr := fast.ReadBits(tc.k)
+		var want uint64
+		var wantErr error
+		for i := 0; i < tc.k && wantErr == nil; i++ {
+			var bit bool
+			bit, wantErr = slow.ReadBit()
+			want <<= 1
+			if bit {
+				want |= 1
+			}
+		}
+		if (gotErr == nil) != (wantErr == nil) || fast.Pos() != slow.Pos() || (gotErr == nil && got != want) {
+			t.Fatalf("ReadBits(%d) at bit %d: %#x, pos %d, err %v; ReadBit loop %#x, pos %d, err %v",
+				tc.k, tc.pos, got, fast.Pos(), gotErr, want, slow.Pos(), wantErr)
+		}
+		if past := tc.pos+tc.k > s.Len(); past != (gotErr != nil) {
+			t.Fatalf("ReadBits(%d) at bit %d of %d: err %v", tc.k, tc.pos, s.Len(), gotErr)
+		}
+	}
+	for _, k := range []int{-1, 65} {
+		if _, err := NewReader(s).ReadBits(k); err == nil {
+			t.Fatalf("ReadBits(%d) accepted", k)
+		}
+	}
+}
+
 // quickGammaRoundTrip is the property: gamma codes round-trip for any v >= 1.
 func TestQuickGammaRoundTrip(t *testing.T) {
 	f := func(raw uint64) bool {

@@ -39,7 +39,7 @@ func adminParent(s runtime.State) graph.NodeID {
 func (nd *Node) adminSnapshot() (self runtime.State, n int, tick uint64, neighbors []graph.NodeID, peers []peerState) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	return nd.self, nd.n, nd.localTick, slices.Clone(nd.neighbors), slices.Clone(nd.nbr)
+	return nd.self, nd.n, nd.clock(), slices.Clone(nd.neighbors), slices.Clone(nd.nbr)
 }
 
 // nodeAdmin implements ops.NodeAdmin over one node. addrOf, when
@@ -147,7 +147,7 @@ func (a nodeAdmin) AdminQuiet() ops.QuietInfo {
 	return ops.QuietInfo{
 		Node:         nd.id,
 		Epoch:        nd.qEpoch,
-		LocalQuiet:   nd.localQuiet(nd.localTick, &a.c.cfg),
+		LocalQuiet:   nd.localQuiet(nd.clock(), &a.c.cfg),
 		SubtreeQuiet: nd.qOut.Sub,
 		Covered:      nd.qOut.Count,
 		Root:         nd.self != nil && routing.ParentOf(nd.self) == trees.None,

@@ -19,12 +19,12 @@
 // Two execution modes share the node logic:
 //
 //   - Lockstep (Tick/RunUntilQuiet, over a Stepper transport such as
-//     ChanTransport): Tick is a parallel-for over the node slots — up
-//     to GOMAXPROCS workers call each node's round between two
-//     barriers, with no goroutine or channel per node; frames travel at
-//     the barrier in deterministic order. Same seed ⇒ identical
-//     execution trace, whatever the worker count, which is what the
-//     certification campaigns and the determinism tests rely on.
+//     ChanTransport): Tick is a parallel-for over the nodes that are due
+//     — up to GOMAXPROCS workers call their ticks between two barriers,
+//     with no goroutine or channel per node; frames travel at the
+//     barrier in deterministic order. Same seed ⇒ identical execution
+//     trace, whatever the worker count, which is what the certification
+//     campaigns and the determinism tests rely on.
 //   - Free-running (Serve, over an async transport such as
 //     UDPTransport): GOMAXPROCS workers, each owning every W-th slot with
 //     one ticker and one wake channel its endpoints signal; a node with
@@ -44,8 +44,9 @@
 // applyRemapLocked, forgetPeerLocked and by ingest for a heartbeat that
 // revives an entry or carries a different register or quiet report) or a
 // deadline the last one published fell due (Node.wakeAt: a freshness
-// pull, a staleness expiry, the local quiet window closing). A quiet
-// node between keep-alives drains an empty inbox and checks two words.
+// pull, a staleness expiry, the local quiet window closing). Lockstep
+// skips the whole tick of a node with nothing due (Cluster.due); readers
+// see the clock it would have had through Node.clock.
 //
 // A Gateway (gateway.go) rides on top, maintaining a
 // routing.LiveLabeler over the live registers and carrying routed
@@ -180,6 +181,10 @@ type Cluster struct {
 	// nothing acquires memMu while holding either.
 	memMu sync.RWMutex
 	nodes []*Node // dense-slot order; nil = vacated slot
+	// due holds, per dense slot, the first Tick that must run its node if
+	// nothing new reaches it (see tickNodes); run is tickNodes' scratch.
+	due []uint64
+	run []int32
 	// seqFloor remembers the last heartbeat seq of every departed id: a
 	// rejoining incarnation opens its counter above it, so old in-flight
 	// frames can never shadow the rejoiner behind receivers' duplicate
@@ -276,6 +281,7 @@ func New(g *graph.Graph, alg runtime.Algorithm, tr Transport, cfg Config) (*Clus
 			return nil, err
 		}
 		c.nodes = append(c.nodes, c.newMember(d.ID(i), i, ep))
+		c.due = append(c.due, 0)
 	}
 	c.registerMetrics()
 	return c, nil
@@ -283,13 +289,19 @@ func New(g *graph.Graph, alg runtime.Algorithm, tr Transport, cfg Config) (*Clus
 
 // newMember builds the node for dense slot i with a cloned neighbor
 // row (the dense rows mutate in place under churn) and wires its
-// endpoint's arrivals to the Serve worker owning the slot.
+// endpoint's arrivals to the due set (a lockstep endpoint: no Notify
+// channel) or else to the Serve worker owning the slot.
 func (c *Cluster) newMember(id graph.NodeID, i int, ep Endpoint) *Node {
 	neighbors := append([]graph.NodeID(nil), c.d.NeighborIDs(i)...)
 	weights := append([]graph.Weight(nil), c.d.Weights(i)...)
 	nd := newNode(id, i, c.d.N(), neighbors, weights, ep, c.codec, c.alg)
 	nd.noteAnn = c.noteAnnounce
 	nd.writeCount = &c.regWrites
+	if ep.Notify() == nil {
+		nd.lockstep = &c.tick
+		ep.Wake(func() { c.markDue(i) })
+		return nd
+	}
 	ep.Wake(func() {
 		if nd.rx.Swap(true) {
 			return // raised since the last drain: a pass that drains it is due
@@ -415,12 +427,24 @@ func (c *Cluster) State(id graph.NodeID) runtime.State {
 // SetState writes node id's register directly — initial configurations
 // and fault injection. Call only between ticks (or before Serve).
 func (c *Cluster) SetState(id graph.NodeID, s runtime.State) {
-	nd := c.Node(id)
+	c.memMu.RLock()
+	defer c.memMu.RUnlock()
+	nd := c.nodeLocked(id)
 	if nd == nil {
 		panic(fmt.Sprintf("cluster: unknown node %d", id))
 	}
-	nd.setState(s)
+	c.write(nd, s)
 }
+
+// write is an out-of-band register write. Caller holds memMu.
+func (c *Cluster) write(nd *Node, s runtime.State) {
+	nd.setState(s)
+	c.markDue(nd.slot)
+}
+
+// markDue makes dense slot i run at the next Tick: an input reached its
+// node from outside its round. Caller holds memMu.
+func (c *Cluster) markDue(i int) { c.due[i] = 0 }
 
 // InitArbitrary fills every register with an arbitrary state drawn
 // from the algorithm — the adversarial initialization of the model.
@@ -436,7 +460,7 @@ func (c *Cluster) InitArbitrary(rng *rand.Rand) {
 			continue
 		}
 		v := runtime.NewView(nd.id, nd.n, nd.neighbors, nd.weights, nil, nd.peers)
-		nd.setState(c.alg.ArbitraryState(rng, v))
+		c.write(nd, c.alg.ArbitraryState(rng, v))
 	}
 }
 
@@ -461,7 +485,7 @@ func (c *Cluster) Corrupt(k int, rng *rand.Rand) []graph.NodeID {
 	for _, i := range rng.Perm(len(live))[:k] {
 		nd := live[i]
 		v := runtime.NewView(nd.id, nd.n, nd.neighbors, nd.weights, nd.State(), nd.peers)
-		nd.setState(c.alg.ArbitraryState(rng, v))
+		c.write(nd, c.alg.ArbitraryState(rng, v))
 		victims = append(victims, nd.id)
 	}
 	return victims
@@ -473,22 +497,32 @@ func (c *Cluster) Corrupt(k int, rng *rand.Rand) []graph.NodeID {
 // stopped by cancelling Serve's context. Ticking after Stop is fine.
 func (c *Cluster) Stop() {}
 
-// tickShard is the run of dense slots a Tick worker claims per bump of
+// tickShard is the run of due slots a Tick worker claims per bump of
 // the shared cursor: long enough that the atomic add is noise against
-// ~32 node rounds, short enough that a few hundred nodes already make
-// more chunks than cores, so a slow chunk does not leave a core idle.
+// ~32 node rounds, short enough that a few hundred due nodes already
+// make more chunks than cores, so a slow chunk does not leave a core idle.
 const tickShard = 32
 
-// tickNodes runs every live node's round for this tick and returns when
-// all are done: workers (the caller being one) claim runs of dense slots
-// through one atomic cursor. Which worker ran which node cannot reach
-// any count — during its round a node touches only its own fields, its
-// own sender-owned transport buffer and the gateway's locks; frame
+// never is the due tick of a vacated slot.
+const never = ^uint64(0)
+
+// tickNodes runs the tick of every node whose due entry has come round,
+// storing the next one its tick returns: one pass over due lists them,
+// then workers (the caller being one) claim runs of the list through
+// one atomic cursor. Which worker ran which node cannot reach any count
+// — during its round a node touches only its own fields and due entry,
+// its own sender-owned transport buffer and the gateway's locks; frame
 // order and fault fates are fixed later, at Step. With one worker
-// (GOMAXPROCS=1, or at most tickShard slots) no goroutine is started.
-// Caller holds memMu.
+// (GOMAXPROCS=1, or at most tickShard due) no goroutine starts. Caller
+// holds memMu.
 func (c *Cluster) tickNodes(tick uint64) {
-	n := len(c.nodes)
+	c.run = c.run[:0]
+	for i, at := range c.due {
+		if at <= tick {
+			c.run = append(c.run, int32(i))
+		}
+	}
+	n := len(c.run)
 	var cursor atomic.Int64
 	work := func() {
 		for {
@@ -496,10 +530,8 @@ func (c *Cluster) tickNodes(tick uint64) {
 			if lo >= n {
 				return
 			}
-			for _, nd := range c.nodes[lo:min(lo+tickShard, n)] {
-				if nd != nil {
-					nd.tick(tick, &c.cfg, c.gw)
-				}
+			for _, i := range c.run[lo:min(lo+tickShard, n)] {
+				c.due[i] = c.nodes[i].tick(tick, &c.cfg, c.gw)
 			}
 		}
 	}
@@ -515,10 +547,10 @@ func (c *Cluster) tickNodes(tick uint64) {
 	wg.Wait()
 }
 
-// Tick runs one lockstep round: every node's round runs between two
+// Tick runs one lockstep round: every due node's tick runs between two
 // barriers, sharded over up to GOMAXPROCS workers (see tickNodes), then
-// the transport delivers what the nodes sent, in deterministic order.
-// Requires a Stepper transport.
+// the transport delivers what the nodes sent, in deterministic order,
+// marking each recipient due. Requires a Stepper transport.
 func (c *Cluster) Tick() {
 	if c.step == nil {
 		panic("cluster: Tick over a transport with no lockstep Step; use Serve")

@@ -162,23 +162,27 @@ func (gw *Gateway) nextHop(cur, dst graph.NodeID) (graph.NodeID, bool) {
 // Labeling returns the gateway's current labeling (between ticks).
 func (gw *Gateway) Labeling() *routing.Labeling { return gw.lb.Labeling() }
 
-// Launch injects one packet per pair at its source node. Packets to
-// self deliver immediately. Call between ticks.
+// Launch injects one packet per pair at its source node, which runs at
+// the next Tick to forward it. Packets to self deliver immediately. Call
+// between ticks.
 func (gw *Gateway) Launch(pairs []routing.Pair) {
+	c := gw.c
+	c.memMu.RLock()
+	defer c.memMu.RUnlock()
 	for _, p := range pairs {
 		gw.mu.Lock()
 		gw.nextID++
 		pkt := wire.Packet{ID: gw.nextID, Origin: p.Src, Dst: p.Dst}
 		gw.stats.Launched++
 		gw.mu.Unlock()
+		nd := c.nodeLocked(p.Src)
 		if p.Src == p.Dst {
-			if nd := gw.c.Node(p.Src); nd != nil {
+			if nd != nil {
 				nd.recordPacketSelf(pkt)
 			}
 			gw.deliver(pkt)
 			continue
 		}
-		nd := gw.c.Node(p.Src)
 		if nd == nil {
 			panic(fmt.Sprintf("cluster: launch from unknown node %d", p.Src))
 		}
@@ -186,6 +190,7 @@ func (gw *Gateway) Launch(pairs []routing.Pair) {
 		gw.pending[pkt.ID] = pkt
 		gw.mu.Unlock()
 		nd.Inject(pkt)
+		c.markDue(nd.slot)
 	}
 }
 

@@ -82,6 +82,7 @@ func (c *Cluster) admit(id graph.NodeID, ep Endpoint) {
 	slot, _ := c.d.IndexOf(id)
 	for len(c.nodes) <= slot {
 		c.nodes = append(c.nodes, nil)
+		c.due = append(c.due, never)
 	}
 	nd := c.newMember(id, slot, ep)
 	// Open the heartbeat counter above every frame any previous
@@ -102,8 +103,9 @@ func (c *Cluster) admit(id graph.NodeID, ep Endpoint) {
 	if c.admin != nil {
 		c.admin.add(c, nd)
 	}
-	// Re-row every live node. A rejoin's neighbors start its record
-	// from zero: the old incarnation left their rows when it retired.
+	// Re-row every live node, which also makes each due, the joiner
+	// included. A rejoin's neighbors start its record from zero: the old
+	// incarnation left their rows when it retired.
 	c.remapAllLocked()
 	c.joins.Add(1)
 }
@@ -160,7 +162,7 @@ func (c *Cluster) retire(id graph.NodeID, goodbye bool) error {
 		if goodbye {
 			coop = 1
 		}
-		nd.recordEpoch(trace.Retire, trace.ClassNone, 0, 0, coop, nd.localTick, nd.qEpoch)
+		nd.recordEpoch(trace.Retire, trace.ClassNone, 0, 0, coop, nd.clock(), nd.qEpoch)
 		evs, dropped := r.Snapshot(nil)
 		c.departedTr = append(c.departedTr, trace.NodeTrace{Node: nd.id, Dropped: dropped, Events: evs})
 		if len(c.departedTr) > departedTraceCap {
@@ -179,6 +181,7 @@ func (c *Cluster) retire(id graph.NodeID, goodbye bool) error {
 	}
 	nd.ep.Close()
 	c.nodes[nd.slot] = nil
+	c.due[nd.slot] = never
 	if err := c.net.RemoveNode(id); err != nil {
 		return err
 	}
@@ -205,7 +208,7 @@ func (c *Cluster) sendGoodbye(nd *Node) {
 		return // a goodbye carries no state; encode cannot fail in practice
 	}
 	nd.ep.Broadcast(nd.neighbors, data)
-	nd.record(trace.FrameTx, trace.ClassLeave, 0, nd.seq, 0, nd.localTick)
+	nd.record(trace.FrameTx, trace.ClassLeave, 0, nd.seq, 0, nd.clock())
 	nd.sent(len(nd.neighbors), data)
 }
 
@@ -253,7 +256,8 @@ func (c *Cluster) remapAllLocked() {
 }
 
 // remapNodeLocked re-derives one node's neighbor row from the shared
-// dense layout. Caller holds memMu write lock.
+// dense layout; the node runs at the next Tick to act on it. Caller
+// holds memMu write lock.
 func (c *Cluster) remapNodeLocked(nd *Node) {
 	i, ok := c.d.IndexOf(nd.id)
 	if !ok {
@@ -263,4 +267,5 @@ func (c *Cluster) remapNodeLocked(nd *Node) {
 	nd.applyRemapLocked(c.d.N(), append([]graph.NodeID(nil), c.d.NeighborIDs(i)...),
 		append([]graph.Weight(nil), c.d.Weights(i)...))
 	nd.mu.Unlock()
+	c.markDue(i)
 }

@@ -100,16 +100,19 @@ type Node struct {
 	gap           uint64
 	nextHB        uint64 // local tick the next keep-alive is due
 	enc           bits.Builder
-	decBuf        []uint64 // reusable frame-decode scratch
+	decBuf        []uint64   // reusable frame-decode scratch
+	rxFrame       wire.Frame // the frame being ingested, decoded in place
 	drainBuf      [][]byte
 
 	// Set once before the node runs, nil for standalone nodes: noteAnn
 	// reports root-announcement transitions to the cluster, writeCount
 	// counts every register write into the cluster-level total,
+	// lockstep is the lockstep cluster clock (nil under Serve; see clock),
 	// hbCadence (heartbeat intervals) and frameBytes (encoded frame
 	// sizes) are cluster-shared histograms.
 	noteAnn    func(root graph.NodeID, epoch uint64, active bool)
 	writeCount *atomic.Int64
+	lockstep   *atomic.Uint64
 	hbCadence  *ops.Histogram
 	frameBytes *ops.Histogram
 
@@ -299,9 +302,20 @@ func (nd *Node) applyRemapLocked(n int, neighbors []graph.NodeID, weights []grap
 	// quiet window.
 	nd.qEpoch++
 	nd.epochMirror.Store(nd.qEpoch)
-	nd.qLastAct = nd.localTick
+	nd.qLastAct = nd.clock()
 	nd.qDirty = true
 	nd.dirty = true
+}
+
+// clock is localTick as a reader outside the round sees it: a lockstep
+// node the due set skipped would only have moved localTick, so once it
+// has ticked it reads the cluster clock. Caller holds nd.mu, or owns
+// the node or the cluster between ticks.
+func (nd *Node) clock() uint64 {
+	if nd.lockstep != nil && nd.localTick != 0 {
+		return nd.lockstep.Load()
+	}
+	return nd.localTick
 }
 
 // ID returns the node's identity.
@@ -323,7 +337,7 @@ func (nd *Node) setState(s runtime.State) {
 	nd.changedSince = true
 	nd.qWrote = true
 	nd.dirty = true
-	nd.recordEpoch(trace.RegWrite, trace.ClassNone, 0, 0, 0, nd.localTick, nd.qEpoch)
+	nd.recordEpoch(trace.RegWrite, trace.ClassNone, 0, 0, 0, nd.clock(), nd.qEpoch)
 	nd.mu.Unlock()
 	if nd.writeCount != nil {
 		nd.writeCount.Add(1)
@@ -333,8 +347,9 @@ func (nd *Node) setState(s runtime.State) {
 // Inject parks a packet at this node (the gateway's entry point).
 func (nd *Node) Inject(p wire.Packet) {
 	nd.mu.Lock()
-	nd.dataQ = append(nd.dataQ, parked{p, nd.localTick})
-	nd.recordEpoch(trace.PacketLaunch, trace.ClassData, 0, p.ID, uint64(p.Hops), nd.localTick, nd.qEpoch)
+	now := nd.clock()
+	nd.dataQ = append(nd.dataQ, parked{p, now})
+	nd.recordEpoch(trace.PacketLaunch, trace.ClassData, 0, p.ID, uint64(p.Hops), now, nd.qEpoch)
 	nd.mu.Unlock()
 }
 
@@ -371,8 +386,10 @@ func (nd *Node) receive(now uint64, gw *Gateway) {
 // costs a quiet node no δ evaluation and no walk over its neighbor
 // records. A round that writes the register raises dirty itself, so the
 // tick after a write always runs one (and a node without a register,
-// which every round writes, runs every tick).
-func (nd *Node) tick(now uint64, cfg *Config, gw *Gateway) {
+// which every round writes, runs every tick). tick returns the next tick
+// with something to do if no input arrives: now+1 while a write, a packet
+// or a broadcast is pending, else the next deadline or keep-alive.
+func (nd *Node) tick(now uint64, cfg *Config, gw *Gateway) uint64 {
 	nd.receive(now, gw)
 	// Detector-report transitions (subtree-quiet flips, announcement
 	// fire/retract) count as urgent like register changes: the
@@ -384,16 +401,15 @@ func (nd *Node) tick(now uint64, cfg *Config, gw *Gateway) {
 	nd.dirty = false
 	urgent := nd.changedSince || nd.qDirty
 	nd.mu.Unlock()
+	dirty := false
 	if run {
 		nd.step(now, cfg)
 		nd.updateQuiet(now, cfg)
 		nd.mu.Lock()
-		urgent = nd.changedSince || nd.qDirty
+		urgent, dirty = nd.changedSince || nd.qDirty, nd.dirty
 		nd.mu.Unlock()
 	}
-	if gw != nil {
-		nd.pump(now, gw)
-	}
+	parked := gw != nil && nd.pump(now, gw)
 	// Heartbeat policy: immediately on a re-anchor request, after a
 	// register change once minGap ticks have passed since the last frame
 	// (convergence latency), and when the keep-alive falls due. The
@@ -407,9 +423,14 @@ func (nd *Node) tick(now uint64, cfg *Config, gw *Gateway) {
 		nd.advertPending = false
 		nd.sendAdvert()
 	}
-	if nd.resyncPending || (urgent && now-nd.lastHB >= minGap) || now >= nd.nextHB {
+	hb := nd.resyncPending || (urgent && now-nd.lastHB >= minGap) || now >= nd.nextHB
+	if hb {
 		nd.sendHB(now, urgent, cfg)
 	}
+	if dirty || parked || (urgent && !hb) || nd.advertPending || nd.resyncPending {
+		return now + 1
+	}
+	return min(nd.wakeAt, nd.nextHB)
 }
 
 // ingest applies one received frame. Undecodable frames — truncated,
@@ -422,7 +443,8 @@ func (nd *Node) tick(now uint64, cfg *Config, gw *Gateway) {
 // without refreshing the cache and answered with a resync request.
 func (nd *Node) ingest(data []byte, now uint64, gw *Gateway) {
 	nd.stats[cFramesRecv].Add(1)
-	f, buf, err := wire.DecodeBuf(nd.codec, data, nd.decBuf)
+	f := &nd.rxFrame
+	buf, err := f.Decode(nd.codec, data, nd.decBuf)
 	nd.decBuf = buf
 	if err != nil {
 		nd.stats[cRxRejected].Add(1)
@@ -454,7 +476,7 @@ func (nd *Node) ingest(data []byte, now uint64, gw *Gateway) {
 		if !anchor {
 			switch {
 			case pr.anchor != nil && pr.anchorSeq == f.BaseSeq:
-				st, err = wire.ApplyDelta(nd.codec, f, pr.anchor)
+				st, err = f.ApplyDelta(nd.codec, pr.anchor)
 				if err != nil {
 					// Matching anchor but an unappliable payload: the
 					// sender and this node disagree on the base. Re-anchor.
@@ -542,7 +564,7 @@ func (nd *Node) ingest(data []byte, now uint64, gw *Gateway) {
 
 // ingestData takes a routed packet off the wire: delivered if this node
 // is its destination, parked for the next pump otherwise.
-func (nd *Node) ingestData(f wire.Frame, now uint64, gw *Gateway) {
+func (nd *Node) ingestData(f *wire.Frame, now uint64, gw *Gateway) {
 	if gw == nil {
 		nd.stats[cRxRejected].Add(1)
 		return
@@ -570,7 +592,7 @@ func (nd *Node) forgetPeerLocked(j int, seq uint64, addr string) {
 	nd.nbr[j] = peerState{lastSeq: seq, admin: addr}
 	nd.qEpoch++
 	nd.epochMirror.Store(nd.qEpoch)
-	nd.qLastAct = nd.localTick
+	nd.qLastAct = nd.clock()
 	nd.dirty = true
 	nd.stats[cNeighborEvictions].Add(1)
 }
@@ -645,8 +667,8 @@ func (nd *Node) step(now uint64, cfg *Config) {
 // pump advances every parked packet one hop over the gateway's current
 // labeling. Unroutable packets stall in place (the labeling may heal);
 // packets exceeding the hop budget or the stall budget are dropped and
-// reported.
-func (nd *Node) pump(now uint64, gw *Gateway) {
+// reported. It reports whether any packet is still parked.
+func (nd *Node) pump(now uint64, gw *Gateway) bool {
 	nd.mu.Lock()
 	q := nd.dataQ
 	nd.dataQ = nil
@@ -689,6 +711,7 @@ func (nd *Node) pump(now uint64, gw *Gateway) {
 		nd.dataQ = append(keep, nd.dataQ...)
 		nd.mu.Unlock()
 	}
+	return len(keep) > 0
 }
 
 // sendHB runs one heartbeat emission: advance the keep-alive schedule

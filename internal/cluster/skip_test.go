@@ -13,13 +13,15 @@ import (
 	"silentspan/internal/spanning"
 )
 
-// This file pins the round gate in Node.tick: a skipped round must be
-// one that would have changed nothing, a quiet node must actually skip,
-// and an idle tick must stay off the allocator.
+// This file pins the round gate in Node.tick and the due set in Tick: a
+// skipped round or node tick must be one that would have changed
+// nothing, a quiet node must actually skip, and an idle tick must stay
+// off the allocator.
 
 // twin is two lockstep clusters built from one seed. gated runs as
-// shipped; every tick the test forces every live node of ref through its
-// round, which is what every node did before the gate existed.
+// shipped; every tick the test marks every live node of ref due and
+// forces it through its round, which is what every node did before the
+// due set and the gate existed.
 type twin struct {
 	t          *testing.T
 	gated, ref *Cluster
@@ -68,6 +70,7 @@ func (tw *twin) tick() {
 	tw.t.Helper()
 	for _, nd := range tw.ref.nodes {
 		if nd != nil {
+			tw.ref.markDue(nd.slot)
 			nd.mu.Lock()
 			nd.dirty = true
 			nd.mu.Unlock()
@@ -101,6 +104,22 @@ func (tw *twin) tick() {
 	}
 	if a, b := flightHash(tw.gated), flightHash(tw.ref); a != b {
 		tw.t.Fatalf("tick %d: flight rings differ: %#x vs %#x", at, a, b)
+	}
+	// A node the due set skipped reads as if it had run.
+	for i, nd := range tw.gated.nodes {
+		if nd == nil {
+			continue
+		}
+		_, _, a, _, _ := nd.adminSnapshot()
+		_, _, b, _, _ := tw.ref.nodes[i].adminSnapshot()
+		if a != b {
+			tw.t.Fatalf("tick %d: node %d clock %d vs %d", at, nd.id, a, b)
+		}
+		qa := nodeAdmin{c: tw.gated, nd: nd}.AdminQuiet()
+		qb := nodeAdmin{c: tw.ref, nd: tw.ref.nodes[i]}.AdminQuiet()
+		if qa != qb {
+			tw.t.Fatalf("tick %d: node %d quiet view %+v vs %+v", at, nd.id, qa, qb)
+		}
 	}
 }
 
@@ -213,10 +232,15 @@ var raceEnabled = func() bool {
 // idleCluster builds the idle-route-chan shape at n nodes — converged,
 // announced, keep-alives fully backed off — with every node's δ counted.
 func idleCluster(t testing.TB, n int) (*Cluster, *countingAlg) {
+	return quietCluster(t, n, Config{StalenessTTL: 128})
+}
+
+// quietCluster is idleCluster under any configuration.
+func quietCluster(t testing.TB, n int, cfg Config) (*Cluster, *countingAlg) {
 	rng := rand.New(rand.NewSource(int64(n)))
 	g := graph.RandomConnected(n, 8/float64(n), rng)
 	alg := &countingAlg{steps: make([]int, slices.Max(g.Nodes())+1)}
-	cl, err := New(g, alg, NewChanTransport(), Config{StalenessTTL: 128})
+	cl, err := New(g, alg, NewChanTransport(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +250,7 @@ func idleCluster(t testing.TB, n int) (*Cluster, *countingAlg) {
 		t.Fatal("no quiet")
 	}
 	for i := 0; !cl.QuietAnnounced(); i++ {
-		if i == 8*128+64 {
+		if i == 8*cl.cfg.StalenessTTL+64 {
 			t.Fatal("silence never announced")
 		}
 		cl.Tick()

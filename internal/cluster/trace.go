@@ -126,7 +126,7 @@ func (nd *Node) recordPacketSelf(p wire.Packet) {
 		return
 	}
 	nd.mu.Lock()
-	tick, epoch := nd.localTick, nd.qEpoch
+	tick, epoch := nd.clock(), nd.qEpoch
 	nd.mu.Unlock()
 	nd.recordEpoch(trace.PacketLaunch, trace.ClassData, 0, p.ID, 0, tick, epoch)
 	nd.recordEpoch(trace.PacketDeliver, trace.ClassData, 0, p.ID, 0, tick, epoch)

@@ -46,8 +46,10 @@ type Endpoint interface {
 	Notify() <-chan struct{}
 	// Wake makes the endpoint call fn, instead of signaling Notify's
 	// channel, after it enqueues frames: how a Serve worker learns which
-	// of its nodes have frames waiting. fn may run on any goroutine and
-	// must not block. Lockstep-only transports ignore it.
+	// of its nodes have frames waiting, and how a lockstep Tick learns
+	// which nodes are due. fn may run on any goroutine and must not block;
+	// a lockstep transport calls it from Step or Evict, as the inbox goes
+	// from empty to non-empty.
 	Wake(fn func())
 	// Close detaches the endpoint.
 	Close() error
@@ -106,8 +108,9 @@ type chanEndpoint struct {
 	id graph.NodeID
 	// out is the sender-owned tick buffer; in is the inbox, filled at
 	// barriers and drained by the owning node during its tick.
-	out []sendReq
-	in  [][]byte
+	out  []sendReq
+	in   [][]byte
+	wake func()
 }
 
 type sendReq struct {
@@ -214,6 +217,9 @@ func (tr *ChanTransport) deliverOne(to graph.NodeID, data []byte, t *deliveryTal
 		t.dropped++
 		return
 	}
+	if len(dst.in) == 0 && dst.wake != nil {
+		dst.wake()
+	}
 	dst.in = append(dst.in, data)
 	t.frames++
 	t.bytes += int64(len(data))
@@ -247,9 +253,10 @@ func (ep *chanEndpoint) Broadcast(dsts []graph.NodeID, frame []byte) error {
 	return nil
 }
 
-// Drain implements Endpoint.
+// Drain implements Endpoint; the kept array drops the frames.
 func (ep *chanEndpoint) Drain(into [][]byte) [][]byte {
 	into = append(into, ep.in...)
+	clear(ep.in)
 	ep.in = ep.in[:0]
 	return into
 }
@@ -257,8 +264,9 @@ func (ep *chanEndpoint) Drain(into [][]byte) [][]byte {
 // Notify implements Endpoint: nil — this transport is lockstep-only.
 func (ep *chanEndpoint) Notify() <-chan struct{} { return nil }
 
-// Wake implements Endpoint: a no-op, deliveries happen at barriers.
-func (ep *chanEndpoint) Wake(func()) {}
+// Wake implements Endpoint: fn runs inside Step or Evict, as the inbox
+// goes from empty to non-empty.
+func (ep *chanEndpoint) Wake(fn func()) { ep.wake = fn }
 
 // Close implements Endpoint.
 func (ep *chanEndpoint) Close() error { return nil }

@@ -194,10 +194,11 @@ func (ep *udpEndpoint) Broadcast(dsts []graph.NodeID, frame []byte) error {
 	return firstErr
 }
 
-// Drain implements Endpoint.
+// Drain implements Endpoint; the kept array drops the frames.
 func (ep *udpEndpoint) Drain(into [][]byte) [][]byte {
 	ep.mu.Lock()
 	into = append(into, ep.in...)
+	clear(ep.in)
 	ep.in = ep.in[:0]
 	ep.mu.Unlock()
 	return into

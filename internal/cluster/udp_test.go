@@ -116,3 +116,40 @@ func TestUDPFaultWrapper(t *testing.T) {
 	}
 	t.Fatal("no convergence over faulty UDP within deadline")
 }
+
+// TestUDPDrainClearsInbox: as TestChanDrainClearsInbox, over sockets.
+func TestUDPDrainClearsInbox(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sockets in -short mode")
+	}
+	tr := NewUDPTransport()
+	defer tr.Close()
+	a, err := tr.Open(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := tr.Open(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := b.(*udpEndpoint)
+	queued := func() int {
+		ep.mu.Lock()
+		defer ep.mu.Unlock()
+		return len(ep.in)
+	}
+	for i := 0; i < 5; i++ {
+		a.Send(2, []byte{byte(i)})
+	}
+	waitFor(t, 5*time.Second, "five datagrams", func() bool { return queued() == 5 })
+	if got := b.Drain(nil); len(got) != 5 {
+		t.Fatalf("drained %d frames, want 5", len(got))
+	}
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	for i, f := range ep.in[:cap(ep.in)] {
+		if f != nil {
+			t.Fatalf("inbox slot %d still holds a frame after Drain", i)
+		}
+	}
+}

@@ -157,26 +157,21 @@ func applyChanges(r *bits.Reader, sc *runtime.Schema, base runtime.State) (runti
 	if !ok {
 		return nil, foreign(sc, base)
 	}
-	var mask uint32
-	for i := range sc.Fields {
-		set, err := r.ReadBit()
-		if err != nil {
-			return nil, err
-		}
-		if set {
-			mask |= 1 << i
-		}
+	// The mask's first bit is field 0's, so field i sits k−1−i bits up.
+	k := len(sc.Fields)
+	mask, err := r.ReadBits(k)
+	if err != nil {
+		return nil, err
 	}
 	if mask == 0 {
 		return base, nil
 	}
 	for i := range sc.Fields {
 		switch {
-		case mask&(1<<i) == 0:
+		case mask>>(k-1-i)&1 == 0:
 		case sc.Fields[i].Kind == runtime.Flag:
 			v[i] ^= 1
 		default:
-			var err error
 			if v[i], err = readChanged(r, v[i]); err != nil {
 				return nil, err
 			}

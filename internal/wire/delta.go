@@ -102,6 +102,12 @@ func readDelta(r *bits.Reader, f *Frame, c Codec) error {
 // enforces the same canonicality contract as Decode: every payload bit
 // is consumed, and trailing padding is all-zero and under one byte.
 func ApplyDelta(c Codec, f Frame, base runtime.State) (runtime.State, error) {
+	return f.ApplyDelta(c, base)
+}
+
+// ApplyDelta is the package-level ApplyDelta over a frame the caller
+// owns, read in place.
+func (f *Frame) ApplyDelta(c Codec, base runtime.State) (runtime.State, error) {
 	if f.Kind != KindDelta || f.BaseSeq >= f.Seq {
 		return nil, fmt.Errorf("wire: ApplyDelta on a non-delta frame (kind %d)", f.Kind)
 	}

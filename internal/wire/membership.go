@@ -92,18 +92,11 @@ func readAdvert(r *bits.Reader, f *Frame) error {
 	if n > 0 {
 		buf := make([]byte, n)
 		for i := range buf {
-			var ch byte
-			for bit := 0; bit < 8; bit++ {
-				set, err := r.ReadBit()
-				if err != nil {
-					return fmt.Errorf("%w: advert addr: %v", ErrPayload, err)
-				}
-				ch <<= 1
-				if set {
-					ch |= 1
-				}
+			ch, err := r.ReadBits(8)
+			if err != nil {
+				return fmt.Errorf("%w: advert addr: %v", ErrPayload, err)
 			}
-			buf[i] = ch
+			buf[i] = byte(ch)
 		}
 		f.AdminAddr = string(buf)
 	}

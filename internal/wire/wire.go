@@ -192,33 +192,41 @@ func Decode(c Codec, data []byte) (Frame, error) {
 // DecodeBuf call with the same buffer.
 func DecodeBuf(c Codec, data []byte, scratch []uint64) (Frame, []uint64, error) {
 	var f Frame
+	scratch, err := f.Decode(c, data, scratch)
+	return f, scratch, err
+}
+
+// Decode is DecodeBuf into a frame the caller owns, so a receiver
+// reuses one Frame instead of copying one out per call. f is zeroed
+// first: no field of the frame it held before survives.
+func (f *Frame) Decode(c Codec, data []byte, scratch []uint64) ([]uint64, error) {
+	*f = Frame{}
 	if len(data) < headerLen+trailerLen {
-		return f, scratch, fmt.Errorf("%w: %d bytes", ErrTruncated, len(data))
+		return scratch, fmt.Errorf("%w: %d bytes", ErrTruncated, len(data))
 	}
 	if data[0] != magic {
-		return f, scratch, ErrMagic
+		return scratch, ErrMagic
 	}
 	if data[1]>>4 != Version {
-		return f, scratch, fmt.Errorf("%w: %d", ErrVersion, data[1]>>4)
+		return scratch, fmt.Errorf("%w: %d", ErrVersion, data[1]>>4)
 	}
 	f.Kind = Kind(data[1] & 0xf)
 	if f.Kind < KindData || f.Kind > KindLeave {
-		return f, scratch, fmt.Errorf("%w: %d", ErrKind, data[1]&0xf)
+		return scratch, fmt.Errorf("%w: %d", ErrKind, data[1]&0xf)
 	}
 	f.Alg = data[2]
 	sum := binary.BigEndian.Uint32(data[len(data)-trailerLen:])
 	if crc32.ChecksumIEEE(data[:len(data)-trailerLen]) != sum {
-		return f, scratch, ErrChecksum
+		return scratch, ErrChecksum
 	}
 	pay := data[headerLen : len(data)-trailerLen]
 	s, scratch, err := bits.FromBytesBuf(scratch, pay, len(pay)*8)
 	if err != nil {
-		return f, scratch, fmt.Errorf("%w: %v", ErrPayload, err)
+		return scratch, fmt.Errorf("%w: %v", ErrPayload, err)
 	}
 	var r bits.Reader // does not escape: no heap object per frame
 	r.Reset(s)
-	err = decodePayload(&r, s, &f, c)
-	return f, scratch, err
+	return scratch, decodePayload(&r, s, f, c)
 }
 
 // decodePayload parses the payload bit string s, read through r, into
@@ -282,14 +290,12 @@ func checkPadding(r *bits.Reader) error {
 	if r.Remaining() >= 8 {
 		return fmt.Errorf("%w: %d trailing payload bits", ErrPayload, r.Remaining())
 	}
-	for r.Remaining() > 0 {
-		b, err := r.ReadBit()
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrPayload, err)
-		}
-		if b {
-			return fmt.Errorf("%w: nonzero padding", ErrPayload)
-		}
+	pad, err := r.ReadBits(r.Remaining())
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrPayload, err)
+	}
+	if pad != 0 {
+		return fmt.Errorf("%w: nonzero padding", ErrPayload)
 	}
 	return nil
 }
