@@ -317,9 +317,12 @@ func ExecuteSwap(net *runtime.Network, t *trees.Tree, sw Swap, sched runtime.Sch
 // switching order: from the in-subtree endpoint of Add up to the deeper
 // endpoint of Remove.
 func reversalPath(t *trees.Tree, sw Swap) ([]graph.NodeID, error) {
-	f := sw.Remove.Canonical()
+	e, f := sw.Add, sw.Remove.Canonical()
+	if !t.Has(e.U) || !t.Has(e.V) || t.HasEdge(e.U, e.V) {
+		return nil, fmt.Errorf("core: %v is not a non-tree edge between nodes of the tree", e)
+	}
 	onCycle := false
-	for _, ce := range t.CycleEdges(sw.Add) {
+	for _, ce := range t.CycleEdges(e) {
 		if graph.SameEndpoints(ce, f) {
 			onCycle = true
 			break

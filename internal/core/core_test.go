@@ -191,3 +191,43 @@ func TestSwapString(t *testing.T) {
 		t.Error("empty format")
 	}
 }
+
+// TestSwapMisuseIsAnError: a tree edge as the added edge, or an added
+// edge with an endpoint outside the tree, is an error from Swap,
+// ApplyNest and ExecuteSwap alike, never a panic.
+func TestSwapMisuseIsAnError(t *testing.T) {
+	g := graph.Ring(6)
+	tr, err := trees.BFSTree(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nte := tr.NonTreeEdges(g)[0]
+	f := tr.CycleEdges(nte)[0]
+	for _, c := range []struct {
+		name string
+		sw   Swap
+	}{
+		{"tree edge added", Swap{Add: f, Remove: f}},
+		{"one endpoint outside the tree", Swap{Add: graph.Edge{U: 1, V: 99}, Remove: f}},
+		{"both endpoints outside the tree", Swap{Add: graph.Edge{U: 98, V: 99}, Remove: f}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := tr.Swap(c.sw.Add, c.sw.Remove); err == nil {
+				t.Error("Swap accepted it")
+			}
+			if _, err := ApplyNest(tr, []Swap{c.sw}); err == nil {
+				t.Error("ApplyNest accepted it")
+			}
+			net, err := runtime.NewNetwork(g, switching.Algorithm{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := switching.InitFromTree(net, tr); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ExecuteSwap(net, tr, c.sw, runtime.Central(), 1000, &Trace{}); err == nil {
+				t.Error("ExecuteSwap accepted it")
+			}
+		})
+	}
+}

@@ -33,6 +33,7 @@
 package switching
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 
@@ -174,21 +175,19 @@ func SelfRoot(id graph.NodeID) State {
 // StepReg evaluates the switching rules for one node and returns its next
 // register. If the returned register equals self, no switching rule is
 // enabled and the task layer may evaluate its own improvement rules.
+//
+// It reads each neighbor's register once, by position, into a
+// neighborhood held on the stack up to degree hoodCap (on the heap
+// above it); the rules iterate that by index, and only the parent and the
+// switch target are found by identity, one binary search each. Up to
+// degree hoodCap an evaluation allocates nothing.
 func StepReg(self State, v runtime.View) State {
+	var buf [hoodCap]peer
+	h := gather(self, v, buf[:0])
+
 	// ---- Layer 0: substrate consistency (tree construction/repair).
 	s := self
-	peer := func(u graph.NodeID) (State, bool) {
-		if u == trees.None {
-			return State{}, false
-		}
-		j, isNbr := slices.BinarySearch(v.Neighbors, u)
-		if !isNbr {
-			return State{}, false
-		}
-		return RegOf(v.PeerAt(j))
-	}
-
-	if next, acted := substrate(s, v, peer); acted {
+	if next, acted := substrate(s, v, &h); acted {
 		return next
 	}
 
@@ -197,48 +196,91 @@ func StepReg(self State, v runtime.View) State {
 	// verifier, not from the protocol): enforcing D = D_parent + 1 with
 	// the n-1 cap on the raw fields erodes parent cycles made of pruned
 	// nodes, which no verifier-visible rule could otherwise detect.
-	if s.Parent != trees.None {
-		if p, ok := peer(s.Parent); ok && s.D != p.D+1 {
-			if p.D+1 > v.N-1 {
-				return SelfRoot(v.ID)
-			}
-			s.D = p.D + 1
-			return s
+	if p := h.par; h.hasPar && s.D != p.D+1 {
+		if p.D+1 > v.N-1 {
+			return SelfRoot(v.ID)
 		}
+		s.D = p.D + 1
+		return s
 	}
 
 	// ---- Layer 2: control-field sanitization.
-	if next, acted := sanitize(s, v, peer); acted {
+	if next, acted := sanitize(s, v, &h); acted {
 		return next
 	}
 
 	// ---- Layer 2: protocol forward rules.
-	if next, acted := protocol(s, v, peer); acted {
+	if next, acted := protocol(s, v, &h); acted {
 		return next
 	}
 
 	// ---- Layer 3: label maintenance (sizes, distances) when quiet.
-	if next, acted := maintain(s, v, peer); acted {
+	if next, acted := maintain(s, v, &h); acted {
 		return next
 	}
 	return s
 }
 
+// hoodCap is the degree up to which StepReg gathers a neighborhood
+// without allocating.
+const hoodCap = 16
+
+// peer is a neighbor's switching register, as gathered for one evaluation.
+type peer struct {
+	id graph.NodeID
+	State
+}
+
+// hood is the neighborhood of one evaluation: the neighbors that hold a
+// switching register, in increasing identity order, and the registers of
+// the evaluating node's parent and switch target among them.
+type hood struct {
+	peers          []peer
+	par, tgt       State
+	hasPar, hasTgt bool
+}
+
+// gather reads every neighbor's register once into buf, whose capacity
+// it grows only when the degree exceeds it. A neighbor with no switching
+// register is left out, exactly as if it were absent.
+func gather(self State, v runtime.View, buf []peer) hood {
+	h := hood{peers: buf}
+	for j, u := range v.Neighbors {
+		if r, ok := RegOf(v.PeerAt(j)); ok {
+			h.peers = append(h.peers, peer{u, r})
+		}
+	}
+	h.par, h.hasPar = h.find(self.Parent)
+	h.tgt, h.hasTgt = h.find(self.SwTarget)
+	return h
+}
+
+// find returns the gathered register of neighbor u.
+func (h *hood) find(u graph.NodeID) (State, bool) {
+	if u == trees.None {
+		return State{}, false
+	}
+	i, ok := slices.BinarySearchFunc(h.peers, u, func(p peer, u graph.NodeID) int { return cmp.Compare(p.id, u) })
+	if !ok {
+		return State{}, false
+	}
+	return h.peers[i].State, true
+}
+
 // substrate enforces tree consistency: reset on structural nonsense and
 // adopt strictly smaller root identities (min-ID leader election). Any
 // substrate action clears the control fields.
-func substrate(s State, v runtime.View, peer func(graph.NodeID) (State, bool)) (State, bool) {
+func substrate(s State, v runtime.View, h *hood) (State, bool) {
 	cap := v.N - 1
 	if s.Parent == trees.None {
 		if s.Root != v.ID || !s.HasD || s.D != 0 {
 			return SelfRoot(v.ID), true
 		}
 	} else {
-		p, ok := peer(s.Parent)
-		if !ok {
+		if !h.hasPar {
 			return SelfRoot(v.ID), true
 		}
-		if s.Root >= v.ID || s.Root <= 0 || p.Root != s.Root {
+		if s.Root >= v.ID || s.Root <= 0 || h.par.Root != s.Root {
 			return SelfRoot(v.ID), true
 		}
 		if s.HasD && (s.D < 1 || s.D > cap) {
@@ -246,20 +288,17 @@ func substrate(s State, v runtime.View, peer func(graph.NodeID) (State, bool)) (
 		}
 	}
 	// Adopt a strictly smaller root from any neighbor.
-	bestU, best := trees.None, s.Root
-	for _, u := range v.Neighbors {
-		p, ok := peer(u)
-		if !ok {
-			continue
-		}
+	bestI, best := -1, s.Root
+	for i := range h.peers {
+		p := &h.peers[i]
 		if p.Root < best && p.HasD && p.D+1 <= cap {
-			bestU, best = u, p.Root
+			bestI, best = i, p.Root
 		}
 	}
-	if bestU != trees.None {
-		p, _ := peer(bestU)
+	if bestI >= 0 {
+		p := &h.peers[bestI]
 		return State{
-			Root: best, Parent: bestU,
+			Root: best, Parent: p.id,
 			HasD: true, D: p.D + 1,
 			HasS: s.HasS, S: s.S,
 			Sw: SwIdle, SwTarget: trees.None, Pr: PrOff, Sub: SubOff,
@@ -268,31 +307,17 @@ func substrate(s State, v runtime.View, peer func(graph.NodeID) (State, bool)) (
 	return s, false
 }
 
-// seedPr reports whether node x is a prune seed: it is the old parent (w)
-// or the designated new parent (w') of a neighboring initiator with a
-// pending request.
-func seedPr(v runtime.View, peer func(graph.NodeID) (State, bool), x graph.NodeID) bool {
-	for _, u := range v.Neighbors {
-		p, ok := peer(u)
-		if !ok {
-			continue
-		}
+// prSupport reports whether a prune request at node x is justified: x is
+// a prune seed — the old parent (w) or the designated new parent (w') of
+// a neighboring initiator with a pending request — or some tree child
+// keeps the request alive below x.
+func prSupport(h *hood, x graph.NodeID) bool {
+	for i := range h.peers {
+		p := &h.peers[i]
 		if p.Sw == SwReq && (p.Parent == x || p.SwTarget == x) {
 			return true
 		}
-	}
-	return false
-}
-
-// childPrSupport reports whether some tree child keeps the prune request
-// alive below x.
-func childPrSupport(v runtime.View, peer func(graph.NodeID) (State, bool), x graph.NodeID) bool {
-	for _, u := range v.Neighbors {
-		p, ok := peer(u)
-		if !ok || p.Parent != x {
-			continue
-		}
-		if p.Pr != PrOff {
+		if p.Parent == x && p.Pr != PrOff {
 			return true
 		}
 	}
@@ -302,7 +327,7 @@ func childPrSupport(v runtime.View, peer func(graph.NodeID) (State, bool), x gra
 // sanitize clears control fields that have lost their justification —
 // the self-stabilization of the protocol layer itself after transient
 // faults corrupt control fields.
-func sanitize(s State, v runtime.View, peer func(graph.NodeID) (State, bool)) (State, bool) {
+func sanitize(s State, v runtime.View, h *hood) (State, bool) {
 	// Initiator sanity.
 	if s.Sw != SwIdle && s.Sw != SwReq && s.Sw != SwDone {
 		s.Sw, s.SwTarget = SwIdle, trees.None
@@ -322,8 +347,8 @@ func sanitize(s State, v runtime.View, peer func(graph.NodeID) (State, bool)) (S
 		return s, true
 	}
 	if s.Sw == SwReq {
-		t, ok := peer(s.SwTarget)
-		bad := !ok || s.SwTarget == s.Parent || !s.HasD || !s.HasS ||
+		t := h.tgt
+		bad := !h.hasTgt || s.SwTarget == s.Parent || !s.HasD || !s.HasS ||
 			s.Parent == trees.None || t.Root != s.Root ||
 			// The target joined this initiator's own subtree-prune wave:
 			// it is a descendant, so the requested switch would create a
@@ -351,7 +376,7 @@ func sanitize(s State, v runtime.View, peer func(graph.NodeID) (State, bool)) (S
 	}
 	if s.Pr == PrReq && s.HasS {
 		// A request with no remaining justification dies out.
-		if !seedPr(v, peer, v.ID) && !childPrSupport(v, peer, v.ID) {
+		if !prSupport(h, v.ID) {
 			s.Pr = PrOff
 			return s, true
 		}
@@ -368,13 +393,13 @@ func sanitize(s State, v runtime.View, peer func(graph.NodeID) (State, bool)) (S
 	// A pruned size with no control context at all: restore directly
 	// (covers faults that cleared Pr but left HasS=false).
 	if !s.HasS && s.Pr == PrOff {
-		if next, ok := restoreSize(s, v, peer); ok {
+		if next, ok := restoreSize(s, v, h); ok {
 			return next, true
 		}
 	}
 	// A pruned distance with no control context: restore directly.
 	if !s.HasD && s.Sub == SubOff {
-		if next, ok := restoreDist(s, v, peer); ok {
+		if next, ok := restoreDist(s, h); ok {
 			return next, true
 		}
 	}
@@ -382,22 +407,16 @@ func sanitize(s State, v runtime.View, peer func(graph.NodeID) (State, bool)) (S
 }
 
 // protocol evaluates the forward rules of the three phases.
-func protocol(s State, v runtime.View, peer func(graph.NodeID) (State, bool)) (State, bool) {
+func protocol(s State, v runtime.View, h *hood) (State, bool) {
+	p := h.par
 	// (a) Ancestor prune request joins.
-	if s.Pr == PrOff && s.HasS &&
-		(seedPr(v, peer, v.ID) || childPrSupport(v, peer, v.ID)) {
+	if s.Pr == PrOff && s.HasS && prSupport(h, v.ID) {
 		s.Pr = PrReq
 		return s, true
 	}
 	// (b) Prune size top-down (C1: parent must already be (d,⊥)).
 	if s.Pr == PrReq && s.HasS {
-		parentPruned := s.Parent == trees.None
-		if !parentPruned {
-			if p, ok := peer(s.Parent); ok && !p.HasS {
-				parentPruned = true
-			}
-		}
-		if parentPruned {
+		if s.Parent == trees.None || h.hasPar && !p.HasS {
 			s.HasS = false
 			s.Pr = PrPruned
 			return s, true
@@ -405,28 +424,25 @@ func protocol(s State, v runtime.View, peer func(graph.NodeID) (State, bool)) (S
 	}
 	// (c) Subtree prune joins (C2: parent keeps its size, which both the
 	// initiator and a (⊥,s) node do).
-	if s.Sub == SubOff && s.HasD && s.Parent != trees.None {
-		if p, ok := peer(s.Parent); ok && (p.Sw == SwReq || p.Sub == SubPrune) {
-			s.Sub = SubPrune
-			s.HasD = false
-			return s, true
-		}
+	if s.Sub == SubOff && s.HasD && h.hasPar && (p.Sw == SwReq || p.Sub == SubPrune) {
+		s.Sub = SubPrune
+		s.HasD = false
+		return s, true
 	}
 	// (d) Subtree acknowledgement bottom-up.
-	if s.Sub == SubPrune && allChildren(v, peer, v.ID, func(c State) bool { return c.Sub == SubAck }) {
+	if s.Sub == SubPrune && allChildren(h, v.ID, SubAck) {
 		s.Sub = SubAck
 		return s, true
 	}
 	// (e) The switch itself.
 	if s.Sw == SwReq {
-		w, okW := peer(s.Parent)
-		t, okT := peer(s.SwTarget)
-		if okW && okT &&
+		t := h.tgt
+		if h.hasPar && h.hasTgt &&
 			s.HasD && s.HasS &&
-			!w.HasS && !t.HasS && // both root paths pruned down to w and w'
+			!p.HasS && !t.HasS && // both root paths pruned down to w and w'
 			t.HasD && // w' still carries d ⇒ w' is outside v's subtree
 			t.Root == s.Root &&
-			allChildren(v, peer, v.ID, func(c State) bool { return c.Sub == SubAck }) {
+			allChildren(h, v.ID, SubAck) {
 			s.Parent = s.SwTarget
 			s.D = t.D + 1
 			s.Sw = SwDone
@@ -435,28 +451,23 @@ func protocol(s State, v runtime.View, peer func(graph.NodeID) (State, bool)) (S
 	}
 	// (f) Size restore bottom-up.
 	if s.Pr == PrPruned && !s.HasS {
-		if next, ok := restoreSize(s, v, peer); ok {
+		if next, ok := restoreSize(s, v, h); ok {
 			return next, true
 		}
 	}
 	// (g) Distance restore top-down.
-	if s.Sub == SubAck && !s.HasD && s.Parent != trees.None {
-		if p, ok := peer(s.Parent); ok &&
-			p.HasD && p.Sub == SubOff && p.Sw != SwReq {
-			s.HasD = true
-			s.D = p.D + 1
-			s.Sub = SubOff
-			return s, true
-		}
+	if s.Sub == SubAck && !s.HasD && h.hasPar &&
+		p.HasD && p.Sub == SubOff && p.Sw != SwReq {
+		s.HasD = true
+		s.D = p.D + 1
+		s.Sub = SubOff
+		return s, true
 	}
 	// (h) Initiator completion.
-	if s.Sw == SwDone {
-		p, ok := peer(s.Parent)
-		if ok && p.HasS && s.HasD && s.HasS &&
-			allChildren(v, peer, v.ID, func(c State) bool { return c.Sub == SubOff }) {
-			s.Sw, s.SwTarget = SwIdle, trees.None
-			return s, true
-		}
+	if s.Sw == SwDone && h.hasPar && p.HasS && s.HasD && s.HasS &&
+		allChildren(h, v.ID, SubOff) {
+		s.Sw, s.SwTarget = SwIdle, trees.None
+		return s, true
 	}
 	return s, false
 }
@@ -464,20 +475,13 @@ func protocol(s State, v runtime.View, peer func(graph.NodeID) (State, bool)) (S
 // restoreSize recomputes s from the children if the protocol context
 // permits: the prune request must be gone (no seeding initiator, no
 // active child request) and every child must carry a size.
-func restoreSize(s State, v runtime.View, peer func(graph.NodeID) (State, bool)) (State, bool) {
-	if seedPr(v, peer, v.ID) || childPrSupport(v, peer, v.ID) {
+func restoreSize(s State, v runtime.View, h *hood) (State, bool) {
+	if prSupport(h, v.ID) {
 		return s, false
 	}
-	sum := 1
-	for _, u := range v.Neighbors {
-		p, ok := peer(u)
-		if !ok || p.Parent != v.ID {
-			continue
-		}
-		if !p.HasS {
-			return s, false
-		}
-		sum += p.S
+	sum, complete := childSizes(h, v.ID)
+	if !complete {
+		return s, false
 	}
 	s.HasS = true
 	s.S = sum
@@ -486,13 +490,13 @@ func restoreSize(s State, v runtime.View, peer func(graph.NodeID) (State, bool))
 }
 
 // restoreDist recomputes d from the parent if available.
-func restoreDist(s State, v runtime.View, peer func(graph.NodeID) (State, bool)) (State, bool) {
+func restoreDist(s State, h *hood) (State, bool) {
 	if s.Parent == trees.None {
 		s.HasD, s.D = true, 0
 		return s, true
 	}
-	p, ok := peer(s.Parent)
-	if !ok || !p.HasD || p.Sub != SubOff || p.Sw == SwReq {
+	p := h.par
+	if !h.hasPar || !p.HasD || p.Sub != SubOff || p.Sw == SwReq {
 		return s, false
 	}
 	s.HasD = true
@@ -504,27 +508,14 @@ func restoreDist(s State, v runtime.View, peer func(graph.NodeID) (State, bool))
 // maintain keeps distances and sizes at their exact values when the node
 // and its neighborhood are quiet — the steady-state convergecast and
 // broadcast of the labels.
-func maintain(s State, v runtime.View, peer func(graph.NodeID) (State, bool)) (State, bool) {
+func maintain(s State, v runtime.View, h *hood) (State, bool) {
 	if !s.Idle() {
 		return s, false
 	}
 	// (The distance chain is maintained unconditionally in StepReg.)
 	// Size is one plus the children's sum.
 	if s.HasS {
-		sum := 1
-		complete := true
-		for _, u := range v.Neighbors {
-			p, ok := peer(u)
-			if !ok || p.Parent != v.ID {
-				continue
-			}
-			if !p.HasS {
-				complete = false
-				break
-			}
-			sum += p.S
-		}
-		if complete && s.S != sum {
+		if sum, complete := childSizes(h, v.ID); complete && s.S != sum {
 			s.S = sum
 			return s, true
 		}
@@ -532,15 +523,29 @@ func maintain(s State, v runtime.View, peer func(graph.NodeID) (State, bool)) (S
 	return s, false
 }
 
-// allChildren reports whether pred holds for every neighbor whose parent
-// pointer designates x (vacuously true without children).
-func allChildren(v runtime.View, peer func(graph.NodeID) (State, bool), x graph.NodeID, pred func(State) bool) bool {
-	for _, u := range v.Neighbors {
-		p, ok := peer(u)
-		if !ok || p.Parent != x {
+// childSizes returns one plus the sizes of the neighbors whose parent
+// pointer designates x, and whether every one of them carries a size.
+func childSizes(h *hood, x graph.NodeID) (int, bool) {
+	sum := 1
+	for i := range h.peers {
+		p := &h.peers[i]
+		if p.Parent != x {
 			continue
 		}
-		if !pred(p) {
+		if !p.HasS {
+			return sum, false
+		}
+		sum += p.S
+	}
+	return sum, true
+}
+
+// allChildren reports whether every neighbor whose parent pointer
+// designates x is in subtree-prune phase sub (vacuously true without
+// children).
+func allChildren(h *hood, x graph.NodeID, sub SubPhase) bool {
+	for i := range h.peers {
+		if p := &h.peers[i]; p.Parent == x && p.Sub != sub {
 			return false
 		}
 	}

@@ -330,3 +330,47 @@ func log2ceil(n int) int {
 	}
 	return b
 }
+
+var stepSink State
+
+// TestStepRegAllocatesNothing: up to degree hoodCap an evaluation reads
+// its neighborhood without a heap allocation — at a quiet root with d
+// children, and at a quiet inner node with a parent and d-1 children.
+func TestStepRegAllocatesNothing(t *testing.T) {
+	idle := func(root, parent graph.NodeID, d, s int) State {
+		return State{Root: root, Parent: parent, HasD: true, D: d, HasS: true, S: s,
+			Sw: SwIdle, SwTarget: trees.None, Pr: PrOff, Sub: SubOff}
+	}
+	for d := 1; d <= hoodCap; d++ {
+		nbrs := make([]graph.NodeID, d)
+		peers := make([]runtime.State, d)
+		for j := range nbrs {
+			nbrs[j] = graph.NodeID(j + 2)
+			peers[j] = idle(1, 1, 1, 1)
+		}
+		weights := make([]graph.Weight, d)
+		rootSelf := idle(1, trees.None, 0, d+1)
+		root := runtime.NewView(1, d+2, nbrs, weights, rootSelf, peers)
+
+		inner := make([]runtime.State, d)
+		inner[0] = idle(1, trees.None, 0, d+1)
+		for j := 1; j < d; j++ {
+			inner[j] = idle(1, graph.NodeID(d+2), 2, 1)
+		}
+		innerNbrs := append([]graph.NodeID{1}, nbrs[1:]...)
+		innerSelf := idle(1, 1, 1, d)
+		mid := runtime.NewView(graph.NodeID(d+2), d+2, innerNbrs, weights, innerSelf, inner)
+
+		for _, c := range []struct {
+			self State
+			v    runtime.View
+		}{{rootSelf, root}, {innerSelf, mid}} {
+			if got := StepReg(c.self, c.v); got != c.self {
+				t.Fatalf("degree %d: node %d is not quiet: %v -> %v", d, c.v.ID, c.self, got)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { stepSink = StepReg(c.self, c.v) }); allocs != 0 {
+				t.Errorf("degree %d, node %d: %.1f allocations per StepReg, want 0", d, c.v.ID, allocs)
+			}
+		}
+	}
+}

@@ -39,19 +39,8 @@ func Decompose(t *Tree) *HeavyPathDecomposition {
 		heavyChild: make(map[graph.NodeID]graph.NodeID, t.N()),
 		size:       t.SubtreeSizes(),
 	}
-	children := make(map[graph.NodeID][]graph.NodeID, t.N())
 	for _, v := range t.Nodes() {
-		p := t.Parent(v)
-		if p != None {
-			children[p] = append(children[p], v)
-		}
-	}
-	for v, cs := range children {
-		slices.Sort(cs)
-		children[v] = cs
-	}
-	for _, v := range t.Nodes() {
-		d.heavyChild[v] = heavyChildOf(v, children[v], d.size)
+		d.heavyChild[v] = heavyChildOf(v, t.children[v], d.size)
 	}
 	// Walk each heavy path from its head. Heads are: the root, and every
 	// node that is not the heavy child of its parent.

@@ -1,21 +1,20 @@
 package trees
 
 import (
+	"maps"
 	"slices"
 
 	"silentspan/internal/graph"
 )
 
 // Index is a precomputed read-only view of a Tree for traversal-heavy
-// consumers such as the routing coordinate labeler: children lists,
-// depths, and a breadth-first order, all built in one O(n) pass. The
-// Tree's own Children is O(n) per call (it scans the parent map), which
-// makes naive top-down traversals quadratic; at the 10k-node scale of
-// the routing experiments that is the difference between milliseconds
-// and minutes.
+// consumers such as the routing coordinate labeler: depths, height and a
+// breadth-first order, built in one O(n) pass, and the tree's own child
+// lists, handed out without the copy Tree.Children makes.
 //
 // The Index snapshots the tree at construction time: it does not observe
-// later AddChild calls.
+// later AddChild calls, which replace or extend a list past the length
+// the Index holds but never edit it.
 type Index struct {
 	t        *Tree
 	children map[graph.NodeID][]graph.NodeID
@@ -28,30 +27,14 @@ type Index struct {
 func NewIndex(t *Tree) *Index {
 	ix := &Index{
 		t:        t,
-		children: make(map[graph.NodeID][]graph.NodeID, t.N()),
+		children: maps.Clone(t.children),
 		depth:    make(map[graph.NodeID]int, t.N()),
+		order:    t.bfsOrder(),
 	}
-	for v, p := range t.parent {
-		if p != None {
-			ix.children[p] = append(ix.children[p], v)
-		}
-	}
-	for _, cs := range ix.children {
-		slices.Sort(cs)
-	}
-	ix.order = make([]graph.NodeID, 0, t.N())
-	ix.order = append(ix.order, t.root)
-	ix.depth[t.root] = 0
-	for i := 0; i < len(ix.order); i++ {
-		v := ix.order[i]
-		d := ix.depth[v] + 1
-		for _, c := range ix.children[v] {
-			ix.depth[c] = d
-			ix.order = append(ix.order, c)
-			if d > ix.height {
-				ix.height = d
-			}
-		}
+	for _, v := range ix.order[1:] {
+		d := ix.depth[t.parent[v]] + 1
+		ix.depth[v] = d
+		ix.height = max(ix.height, d)
 	}
 	return ix
 }
@@ -60,8 +43,9 @@ func NewIndex(t *Tree) *Index {
 func (ix *Index) Tree() *Tree { return ix.t }
 
 // Children returns the children of v in increasing ID order. The slice
-// is owned by the index; callers must not mutate it.
-func (ix *Index) Children(v graph.NodeID) []graph.NodeID { return ix.children[v] }
+// is shared with the tree; callers must not mutate it. It is clipped, so
+// an append to it copies instead of writing into the tree's list.
+func (ix *Index) Children(v graph.NodeID) []graph.NodeID { return slices.Clip(ix.children[v]) }
 
 // Depth returns the depth of v (0 at the root).
 func (ix *Index) Depth(v graph.NodeID) int { return ix.depth[v] }

@@ -9,6 +9,7 @@ package trees
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"silentspan/internal/graph"
@@ -18,18 +19,39 @@ import (
 const None graph.NodeID = 0
 
 // Tree is a rooted tree encoded as a parent map, the distributed encoding
-// of the paper. Construct with NewTree or FromParentMap.
+// of the paper, plus the ascending child lists that map implies.
+// Construct with NewTree or FromParentMap.
 type Tree struct {
 	root   graph.NodeID
 	parent map[graph.NodeID]graph.NodeID
+	// children[v] lists v's children in increasing order; leaves have no
+	// entry. A stored list is never written below its length, so a slice
+	// an Index or a Clone already holds keeps reading the same children.
+	children map[graph.NodeID][]graph.NodeID
 }
 
 // NewTree returns the single-node tree rooted at root.
 func NewTree(root graph.NodeID) *Tree {
 	return &Tree{
-		root:   root,
-		parent: map[graph.NodeID]graph.NodeID{root: None},
+		root:     root,
+		parent:   map[graph.NodeID]graph.NodeID{root: None},
+		children: map[graph.NodeID][]graph.NodeID{},
 	}
+}
+
+// withParents returns the tree rooted at root with the given parent map,
+// which it takes ownership of, and builds its child lists.
+func withParents(root graph.NodeID, parent map[graph.NodeID]graph.NodeID) *Tree {
+	t := &Tree{root: root, parent: parent, children: make(map[graph.NodeID][]graph.NodeID)}
+	for v, p := range parent {
+		if p != None {
+			t.children[p] = append(t.children[p], v)
+		}
+	}
+	for _, cs := range t.children {
+		slices.Sort(cs)
+	}
+	return t
 }
 
 // FromParentMap validates that the given parent assignment encodes a tree
@@ -49,10 +71,6 @@ func FromParentMap(parent map[graph.NodeID]graph.NodeID) (*Tree, error) {
 	if root == None {
 		return nil, fmt.Errorf("trees: no root (no node with parent ⊥)")
 	}
-	t := &Tree{root: root, parent: make(map[graph.NodeID]graph.NodeID, len(parent))}
-	for v, p := range parent {
-		t.parent[v] = p
-	}
 	// Every node must reach the root without revisiting a node.
 	for v := range parent {
 		seen := map[graph.NodeID]bool{}
@@ -69,7 +87,7 @@ func FromParentMap(parent map[graph.NodeID]graph.NodeID) (*Tree, error) {
 			x = p
 		}
 	}
-	return t, nil
+	return withParents(root, maps.Clone(parent)), nil
 }
 
 // Root returns the root of t.
@@ -114,18 +132,19 @@ func (t *Tree) AddChild(parent, child graph.NodeID) {
 		panic(fmt.Sprintf("trees: child %d already in tree", child))
 	}
 	t.parent[child] = parent
+	cs := t.children[parent]
+	if i, _ := slices.BinarySearch(cs, child); i < len(cs) {
+		// Not past the end: insert into a fresh list.
+		t.children[parent] = slices.Insert(slices.Clip(cs), i, child)
+		return
+	}
+	t.children[parent] = append(cs, child)
 }
 
-// Children returns the children of v in increasing ID order.
+// Children returns the children of v in increasing ID order, in a slice
+// the caller owns. It costs O(deg(v)).
 func (t *Tree) Children(v graph.NodeID) []graph.NodeID {
-	var out []graph.NodeID
-	for c, p := range t.parent {
-		if p == v {
-			out = append(out, c)
-		}
-	}
-	slices.Sort(out)
-	return out
+	return slices.Clone(t.children[v])
 }
 
 // HasEdge reports whether {u,v} is a tree edge.
@@ -133,9 +152,10 @@ func (t *Tree) HasEdge(u, v graph.NodeID) bool {
 	return t.parent[u] == v || t.parent[v] == u
 }
 
-// Degree returns the degree of v in the tree (children + parent edge).
+// Degree returns the degree of v in the tree (children + parent edge)
+// in O(1).
 func (t *Tree) Degree(v graph.NodeID) int {
-	d := len(t.Children(v))
+	d := len(t.children[v])
 	if t.Parent(v) != None {
 		d++
 	}
@@ -143,7 +163,7 @@ func (t *Tree) Degree(v graph.NodeID) int {
 }
 
 // MaxDegree returns deg(T), the maximum node degree — the quantity the
-// MDST task minimizes (Section II-B).
+// MDST task minimizes (Section II-B) — in O(n).
 func (t *Tree) MaxDegree() int {
 	max := 0
 	for v := range t.parent {
@@ -155,7 +175,7 @@ func (t *Tree) MaxDegree() int {
 }
 
 // DegreeCount returns the number of nodes whose tree degree is exactly d —
-// the N_T term in the MDST potential function of Section VIII.
+// the N_T term in the MDST potential function of Section VIII — in O(n).
 func (t *Tree) DegreeCount(d int) int {
 	count := 0
 	for v := range t.parent {
@@ -198,21 +218,29 @@ func (t *Tree) Depths() map[graph.NodeID]int {
 
 // SubtreeSizes returns, for every node v, the size s(v) of the subtree
 // rooted at v — the quantity certified by the size-based labeling of the
-// malleable scheme (Section IV): s(v) = 1 + sum of children's sizes.
+// malleable scheme (Section IV): s(v) = 1 + sum of children's sizes. It
+// costs O(n).
 func (t *Tree) SubtreeSizes() map[graph.NodeID]int {
 	size := make(map[graph.NodeID]int, len(t.parent))
-	// Process in decreasing depth order.
-	nodes := t.Nodes()
-	depth := t.Depths()
-	slices.SortFunc(nodes, func(a, b graph.NodeID) int { return depth[b] - depth[a] })
-	for _, v := range nodes {
-		s := 1
-		for _, c := range t.Children(v) {
-			s += size[c]
+	order := t.bfsOrder()
+	for i := len(order) - 1; i >= 0; i-- {
+		v := order[i]
+		size[v]++
+		if p := t.parent[v]; p != None {
+			size[p] += size[v]
 		}
-		size[v] = s
 	}
 	return size
+}
+
+// bfsOrder returns the nodes in breadth-first order from the root,
+// children in increasing order.
+func (t *Tree) bfsOrder() []graph.NodeID {
+	order := append(make([]graph.NodeID, 0, len(t.parent)), t.root)
+	for i := 0; i < len(order); i++ {
+		order = append(order, t.children[order[i]]...)
+	}
+	return order
 }
 
 // PathToRoot returns the node sequence v, p(v), ..., root.
@@ -286,8 +314,13 @@ func (t *Tree) CycleEdges(e graph.Edge) []graph.Edge {
 // Swap returns the tree T + e - f: the non-tree edge e is added and the
 // tree edge f (which must lie on the fundamental cycle of T + e) is
 // removed. Swap is the primitive transformation τ of Definition 4.1, the
-// basis of the PLS-guided local search. The receiver is unchanged.
+// basis of the PLS-guided local search. The receiver is unchanged. It
+// returns an error if e is not a non-tree edge between nodes of t, f is
+// off e's fundamental cycle, or the result is disconnected.
 func (t *Tree) Swap(e, f graph.Edge) (*Tree, error) {
+	if !t.Has(e.U) || !t.Has(e.V) || t.HasEdge(e.U, e.V) {
+		return nil, fmt.Errorf("trees: %v is not a non-tree edge between nodes of the tree", e)
+	}
 	onCycle := false
 	for _, ce := range t.CycleEdges(e) {
 		if graph.SameEndpoints(ce, f) {
@@ -314,23 +347,23 @@ func (t *Tree) Swap(e, f graph.Edge) (*Tree, error) {
 		addEdge(v, p)
 	}
 	addEdge(e.U, e.V)
-	out := &Tree{root: t.root, parent: make(map[graph.NodeID]graph.NodeID, len(t.parent))}
-	out.parent[t.root] = None
+	parent := make(map[graph.NodeID]graph.NodeID, len(t.parent))
+	parent[t.root] = None
 	stack := []graph.NodeID{t.root}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, u := range adj[v] {
-			if _, ok := out.parent[u]; !ok {
-				out.parent[u] = v
+			if _, ok := parent[u]; !ok {
+				parent[u] = v
 				stack = append(stack, u)
 			}
 		}
 	}
-	if len(out.parent) != len(t.parent) {
+	if len(parent) != len(t.parent) {
 		return nil, fmt.Errorf("trees: swap (%v, %v) disconnected the tree", e, f)
 	}
-	return out, nil
+	return withParents(t.root, parent), nil
 }
 
 // Reroot returns the same undirected tree re-rooted at newRoot.
@@ -338,31 +371,28 @@ func (t *Tree) Reroot(newRoot graph.NodeID) *Tree {
 	if !t.Has(newRoot) {
 		panic(fmt.Sprintf("trees: node %d not in tree", newRoot))
 	}
-	out := &Tree{root: newRoot, parent: make(map[graph.NodeID]graph.NodeID, len(t.parent))}
-	for v, p := range t.parent {
-		out.parent[v] = p
-	}
+	parent := t.ParentMap()
 	// Reverse the edges on the path from newRoot to the old root.
 	path := t.PathToRoot(newRoot)
 	for i := 0; i+1 < len(path); i++ {
-		out.parent[path[i+1]] = path[i]
+		parent[path[i+1]] = path[i]
 	}
-	out.parent[newRoot] = None
-	return out
+	parent[newRoot] = None
+	return withParents(newRoot, parent)
 }
 
 // ParentMap returns a copy of the parent assignment.
-func (t *Tree) ParentMap() map[graph.NodeID]graph.NodeID {
-	out := make(map[graph.NodeID]graph.NodeID, len(t.parent))
-	for v, p := range t.parent {
-		out[v] = p
+func (t *Tree) ParentMap() map[graph.NodeID]graph.NodeID { return maps.Clone(t.parent) }
+
+// Clone returns a deep copy of t. The copies share child lists, clipped so
+// that an AddChild on either side reallocates instead of writing into the
+// other's list.
+func (t *Tree) Clone() *Tree {
+	out := &Tree{root: t.root, parent: t.ParentMap(), children: make(map[graph.NodeID][]graph.NodeID, len(t.children))}
+	for v, cs := range t.children {
+		out.children[v] = slices.Clip(cs)
 	}
 	return out
-}
-
-// Clone returns a deep copy of t.
-func (t *Tree) Clone() *Tree {
-	return &Tree{root: t.root, parent: t.ParentMap()}
 }
 
 // Edges returns the tree edges (canonically oriented, sorted).
