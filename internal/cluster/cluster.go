@@ -274,7 +274,7 @@ func New(g *graph.Graph, alg runtime.Algorithm, tr Transport, cfg Config) (*Clus
 	c.cfg.fill()
 	for i := 0; i < d.Slots(); i++ {
 		if !d.LiveAt(i) {
-			return nil, fmt.Errorf("cluster: graph has vacated dense slots; coalesce before clustering")
+			return nil, fmt.Errorf("cluster: graph has vacated dense slots; cluster its Graph.Clone instead")
 		}
 		ep, err := tr.Open(d.ID(i))
 		if err != nil {

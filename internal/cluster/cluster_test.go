@@ -3,6 +3,7 @@ package cluster
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"silentspan/internal/bfs"
@@ -306,4 +307,26 @@ func TestCorruptClampsCount(t *testing.T) {
 	if got := cl.Corrupt(-3, rand.New(rand.NewSource(2))); len(got) != 0 {
 		t.Fatalf("negative count: corrupted %d nodes, want 0", len(got))
 	}
+}
+
+// TestNewRejectsVacatedSlots: a graph whose Dense has a vacated slot
+// cannot be clustered, and the error names the remedy that works — a
+// Graph.Clone numbers its slots afresh, with no holes.
+func TestNewRejectsVacatedSlots(t *testing.T) {
+	g := graph.Ring(6)
+	g.Dense()
+	if err := g.RemoveNode(4); err != nil {
+		t.Fatal(err)
+	}
+	_, err := New(g, spanning.Algorithm{}, NewChanTransport(), Config{})
+	if err == nil || !strings.Contains(err.Error(), "Graph.Clone") {
+		t.Fatalf("New over a vacated slot: err = %v, want one naming Graph.Clone", err)
+	}
+	cl, err := New(g.Clone(), spanning.Algorithm{}, NewChanTransport(), Config{})
+	if err != nil {
+		t.Fatalf("New over the clone: %v", err)
+	}
+	defer cl.Stop()
+	converge(t, cl, 400)
+	checkSilentTree(t, cl)
 }

@@ -7,46 +7,50 @@ import "slices"
 // (strictly positive), so the sentinel can never collide.
 const NoNode NodeID = -1
 
-// Dense is an index-addressed representation of a graph: node
-// identities are mapped to contiguous slots 0..Slots()-1 and the
-// adjacency is laid out in CSR form — one shared arc array per field,
-// sliced per slot. It exists for the hot layers above the graph (the
-// simulation engine's register file, the router's forwarding loop),
-// where per-call maps and defensive copies dominate the profile: every
-// accessor below returns shared read-only slices and performs no
-// allocation.
+// Dense is the graph's adjacency store, index-addressed: node
+// identities are mapped to slots 0..Slots()-1, and each slot's row
+// holds its neighbour identities in ascending order with their slots
+// and edge weights in parallel. The hot layers above the graph (the
+// simulation engine's register file, the router's forwarding loop) read
+// it directly: every accessor below returns shared read-only slices and
+// performs no allocation.
 //
-// A Dense is live: Graph mutators keep it in sync incrementally through
-// an epoch-stamped patch overlay. Structural mutations never move
-// existing slots — a removed node vacates its slot (ids[slot] becomes
-// NoNode) and a later AddNode reuses it — so index-addressed layers
-// (register files, labelings, routers) stay valid across churn as long
-// as they re-check liveness. Mutated adjacency rows are materialized as
-// copy-on-write overlay rows; when the overlay exceeds a density
-// threshold it is coalesced back into a full CSR rebuild (slot
-// assignment preserved). Every structural mutation bumps Epoch, so
-// layers holding derived structures can detect staleness exactly.
+// A Dense passes through three states, in one direction:
+//   - building: before the graph's first Dense() call, each slot owns
+//     one row, edited in place by the Graph mutators;
+//   - packed: the first Dense() fixes the slot assignment (ascending
+//     identity order, no holes, both epochs 0) and packs the rows into
+//     CSR arrays — one shared arc array per field, sliced per slot;
+//   - unpacked: the first structural mutation after that clones every
+//     row out of the CSR, and each slot owns its row again, for good.
+//
+// Weight updates patch arcs in place in every state. Structural
+// mutations after the first Dense() never move existing slots — a
+// removed node vacates its slot (ids[slot] becomes NoNode) and a later
+// AddNode reuses it — so index-addressed layers (register files,
+// labelings, routers) stay valid across churn as long as they re-check
+// liveness. Every structural mutation bumps Epoch, so layers holding
+// derived structures can detect staleness exactly.
 type Dense struct {
-	ids    []NodeID // ids[i] is the identity of slot i; NoNode marks holes
-	off    []int32  // CSR offsets: base arcs of slot i live in [off[i], off[i+1])
-	nbrIDs []NodeID // neighbor identities, sorted ascending per slot
-	nbrIdx []int32  // dense slots parallel to nbrIDs
+	ids  []NodeID         // ids[i] is the identity of slot i; NoNode marks holes
+	idx  map[NodeID]int32 // identity -> slot; nil while ids ascend with no holes
+	free []int32          // vacated slots available for reuse
+	live int              // number of live (non-hole) slots
+
+	rows []denseRow // per-slot rows; nil while packed
+
+	packed bool     // the rows live in the CSR arrays below
+	off    []int32  // CSR offsets: the arcs of slot i live in [off[i], off[i+1])
+	nbrIDs []NodeID // neighbour identities, ascending per slot
+	nbrIdx []int32  // neighbour slots parallel to nbrIDs
 	wts    []Weight // incident edge weights parallel to nbrIDs
 
-	// Mutation overlay. All nil/zero until the first structural
-	// mutation, so a never-churned Dense pays nothing.
-	epoch     uint64           // bumped on every structural mutation
-	nodeEpoch uint64           // bumped only when the slot assignment changes
-	live      int              // number of live (non-hole) slots
-	sorted    bool             // ids ascending with no holes: binary-search mode
-	idx       map[NodeID]int32 // identity -> slot; maintained once churn starts
-	rowRef    []int32          // slot -> overlay row index, -1 = base CSR row
-	rows      []denseRow       // copy-on-write overlay rows
-	free      []int32          // vacated slots available for reuse
-	ovArcs    int              // arcs held in overlay rows; drives coalescing
+	fixed     bool   // Dense() has fixed the slot assignment
+	epoch     uint64 // bumped on every structural mutation
+	nodeEpoch uint64 // bumped only when the slot assignment changes
 }
 
-// denseRow is one copy-on-write adjacency row: neighbor identities in
+// denseRow is one slot's adjacency row: neighbour identities in
 // ascending order, with parallel slot and weight arrays.
 type denseRow struct {
 	ids []NodeID
@@ -54,38 +58,72 @@ type denseRow struct {
 	wts []Weight
 }
 
-// Dense returns the dense representation of g, building it on first use
-// and maintaining it incrementally across later mutations. The returned
-// value and every slice reachable from it are shared and read-only.
+// Dense returns the graph's adjacency store, fixing its slot assignment
+// and packing it on first use; later mutations maintain it in place.
+// The returned value and every slice reachable from it are shared and
+// read-only.
 func (g *Graph) Dense() *Dense {
-	if g.dense != nil {
-		return g.dense
+	if !g.d.fixed {
+		g.d.pack(g.nodes)
 	}
-	n := len(g.nodes)
-	d := &Dense{
-		ids:    slices.Clone(g.nodes), // detach from in-place inserts
-		off:    make([]int32, n+1),
-		live:   n,
-		sorted: true,
+	return &g.d
+}
+
+// pack renumbers the slots in ascending identity order with no holes
+// and lays the rows out as CSR arrays in one O(m) pass. nodes is the
+// graph's sorted identity list.
+func (d *Dense) pack(nodes []NodeID) {
+	var slotOf []int32 // old slot -> new slot; nil when they coincide
+	if d.idx != nil {
+		slotOf = make([]int32, len(d.ids))
+		for k, v := range nodes {
+			slotOf[d.idx[v]] = int32(k)
+		}
 	}
 	arcs := 0
-	for _, v := range g.nodes {
-		arcs += len(g.nbr[v])
+	for i := range d.rows {
+		arcs += len(d.rows[i].ids)
 	}
-	d.nbrIDs = make([]NodeID, 0, arcs)
-	d.nbrIdx = make([]int32, 0, arcs)
-	d.wts = make([]Weight, 0, arcs)
-	for i, v := range g.nodes {
-		for _, u := range g.nbr[v] {
-			j, _ := slices.BinarySearch(g.nodes, u)
-			d.nbrIDs = append(d.nbrIDs, u)
-			d.nbrIdx = append(d.nbrIdx, int32(j))
-			d.wts = append(d.wts, g.adj[v][u])
+	off := make([]int32, len(nodes)+1)
+	nbrIDs := make([]NodeID, 0, arcs)
+	nbrIdx := make([]int32, 0, arcs)
+	wts := make([]Weight, 0, arcs)
+	for k, v := range nodes {
+		r := &d.rows[k]
+		if slotOf != nil {
+			r = &d.rows[d.idx[v]]
 		}
-		d.off[i+1] = int32(len(d.nbrIDs))
+		nbrIDs = append(nbrIDs, r.ids...)
+		wts = append(wts, r.wts...)
+		if slotOf == nil {
+			nbrIdx = append(nbrIdx, r.idx...)
+		} else {
+			for _, j := range r.idx {
+				nbrIdx = append(nbrIdx, slotOf[j])
+			}
+		}
+		off[k+1] = int32(len(nbrIDs))
 	}
-	g.dense = d
-	return d
+	*d = Dense{ids: slices.Clone(nodes), live: len(nodes), fixed: true,
+		packed: true, off: off, nbrIDs: nbrIDs, nbrIdx: nbrIdx, wts: wts}
+}
+
+// unpack gives every slot its own row again, ahead of the first
+// structural mutation after packing. The rows are cloned out of the CSR
+// as capacity-capped windows of one copy per field: an insertion moves
+// only the row it grows, and untouched rows keep the CSR's locality.
+func (d *Dense) unpack() {
+	if !d.packed {
+		return
+	}
+	ids, idx, wts := slices.Clone(d.nbrIDs), slices.Clone(d.nbrIdx), slices.Clone(d.wts)
+	d.rows = make([]denseRow, len(d.ids))
+	for i := range d.rows {
+		a, b := d.off[i], d.off[i+1]
+		d.rows[i] = denseRow{ids: ids[a:b:b], idx: idx[a:b:b], wts: wts[a:b:b]}
+	}
+	d.packed = false
+	d.off, d.nbrIDs, d.nbrIdx, d.wts = nil, nil, nil, nil
 }
 
 // N returns the number of live nodes.
@@ -101,7 +139,7 @@ func (d *Dense) LiveAt(i int) bool { return d.ids[i] != NoNode }
 
 // Epoch returns the structural-mutation counter: zero for a
 // never-churned graph, bumped once per AddNode/RemoveNode/AddEdge/
-// RemoveEdge that reaches this Dense. Weight updates do not count —
+// RemoveEdge after the first Dense(). Weight updates do not count —
 // they patch arcs in place without changing the shape.
 func (d *Dense) Epoch() uint64 { return d.epoch }
 
@@ -115,7 +153,7 @@ func (d *Dense) NodeEpoch() uint64 { return d.nodeEpoch }
 // no holes — true until node churn first vacates or reuses a slot out
 // of order. Layers that binary-search identity spaces check this to
 // decide between search and map lookup.
-func (d *Dense) Sorted() bool { return d.sorted }
+func (d *Dense) Sorted() bool { return d.idx == nil }
 
 // IDs returns the identities indexed by slot; vacated slots read
 // NoNode. The slice is shared and read-only, and is only ascending
@@ -126,31 +164,30 @@ func (d *Dense) IDs() []NodeID { return d.ids }
 func (d *Dense) ID(i int) NodeID { return d.ids[i] }
 
 // IndexOf returns the slot of identity v; ok is false if v is not a
-// live node.
+// live node. While the slots are sorted it first tries the slot that
+// consecutively numbered identities would give v, then binary-searches.
 func (d *Dense) IndexOf(v NodeID) (int, bool) {
 	if d.idx != nil {
 		i, ok := d.idx[v]
 		return int(i), ok
 	}
+	if len(d.ids) == 0 {
+		return 0, false
+	}
+	if i := int(v - d.ids[0]); i >= 0 && i < len(d.ids) && d.ids[i] == v {
+		return i, true
+	}
 	return slices.BinarySearch(d.ids, v)
 }
 
-// row returns slot i's adjacency row, overlay row if one exists. The
-// never-churned path (rowRef nil) costs one branch over the plain CSR
-// slicing: no overlay implies no appended slots, so the base arrays
-// cover every index.
+// row returns slot i's adjacency row.
 func (d *Dense) row(i int) (ids []NodeID, idx []int32, wts []Weight) {
-	if d.rowRef == nil {
-		return d.nbrIDs[d.off[i]:d.off[i+1]], d.nbrIdx[d.off[i]:d.off[i+1]], d.wts[d.off[i]:d.off[i+1]]
+	if d.packed {
+		a, b := d.off[i], d.off[i+1]
+		return d.nbrIDs[a:b], d.nbrIdx[a:b], d.wts[a:b]
 	}
-	if r := d.rowRef[i]; r >= 0 {
-		row := &d.rows[r]
-		return row.ids, row.idx, row.wts
-	}
-	if i < len(d.off)-1 {
-		return d.nbrIDs[d.off[i]:d.off[i+1]], d.nbrIdx[d.off[i]:d.off[i+1]], d.wts[d.off[i]:d.off[i+1]]
-	}
-	return nil, nil, nil
+	r := &d.rows[i]
+	return r.ids, r.idx, r.wts
 }
 
 // Degree returns the degree of slot i.
@@ -183,192 +220,108 @@ func (d *Dense) Weights(i int) []Weight {
 	return wts
 }
 
-// setWeight patches the arc u->v's weight in place. Callers (only
-// Graph.UpdateEdgeWeight) keep the graph's own adjacency in sync, so
-// the dense layout never diverges from the graph it mirrors.
-func (d *Dense) setWeight(u, v NodeID, w Weight) {
-	i, ok := d.IndexOf(u)
-	if !ok {
-		return
+// arc returns the slot of u and the position of v in u's row; ok is
+// false if {u,v} is not an edge.
+func (d *Dense) arc(u, v NodeID) (i, j int, ok bool) {
+	if i, ok = d.IndexOf(u); !ok {
+		return 0, 0, false
 	}
-	ids, _, wts := d.row(i)
-	j, ok := slices.BinarySearch(ids, v)
-	if !ok {
-		return
-	}
-	wts[j] = w
+	ids, _, _ := d.row(i)
+	j, ok = slices.BinarySearch(ids, v)
+	return i, j, ok
 }
 
-// beginOverlay materializes the overlay bookkeeping on first mutation.
-func (d *Dense) beginOverlay() {
-	if d.rowRef != nil {
+// setWeight patches the weight of the existing edge {u,v} in place, in
+// both rows.
+func (d *Dense) setWeight(u, v NodeID, w Weight) {
+	i, j, _ := d.arc(u, v)
+	d.Weights(i)[j] = w
+	i, j, _ = d.arc(v, u)
+	d.Weights(i)[j] = w
+}
+
+// mutate unpacks the rows and stamps one structural mutation.
+func (d *Dense) mutate() {
+	d.unpack()
+	d.epoch++
+}
+
+// unsort switches identity lookups from search to the map, once slot
+// order first departs from identity order.
+func (d *Dense) unsort() {
+	if d.idx != nil {
 		return
-	}
-	d.rowRef = make([]int32, len(d.ids))
-	for i := range d.rowRef {
-		d.rowRef[i] = -1
 	}
 	d.idx = make(map[NodeID]int32, len(d.ids))
 	for i, v := range d.ids {
-		if v != NoNode {
-			d.idx[v] = int32(i)
-		}
+		d.idx[v] = int32(i)
 	}
 }
 
-// patchRow returns a mutable overlay row for slot i, copying the base
-// CSR row on first touch.
-func (d *Dense) patchRow(i int) *denseRow {
-	if r := d.rowRef[i]; r >= 0 {
-		return &d.rows[r]
-	}
-	ids, idx, wts := d.row(i)
-	row := denseRow{
-		ids: slices.Clone(ids),
-		idx: slices.Clone(idx),
-		wts: slices.Clone(wts),
-	}
-	d.rowRef[i] = int32(len(d.rows))
-	d.rows = append(d.rows, row)
-	d.ovArcs += len(ids)
-	return &d.rows[len(d.rows)-1]
-}
-
-// addNode inserts identity id into the slot space, reusing a vacated
-// slot when one exists. It returns the assigned slot.
-func (d *Dense) addNode(id NodeID) int {
-	d.beginOverlay()
-	d.epoch++
+// addNode gives identity id a slot, reusing a vacated slot when one
+// exists.
+func (d *Dense) addNode(id NodeID) {
+	d.mutate()
 	d.nodeEpoch++
 	d.live++
 	if len(d.free) > 0 {
 		slot := d.free[len(d.free)-1]
 		d.free = d.free[:len(d.free)-1]
 		d.ids[slot] = id
-		d.idx[id] = slot
-		d.sorted = false // reused slots break identity order
-		return int(slot)
+		d.idx[id] = slot // a hole exists, so the map does too
+		return
 	}
 	slot := len(d.ids)
-	d.ids = append(d.ids, id)
-	d.rowRef = append(d.rowRef, -1) // base row beyond off is empty
-	d.idx[id] = int32(slot)
-	if d.sorted && slot > 0 && d.ids[slot-1] >= id {
-		d.sorted = false
+	if slot > 0 && d.ids[slot-1] >= id {
+		d.unsort()
 	}
-	return slot
+	d.ids = append(d.ids, id)
+	d.rows = append(d.rows, denseRow{})
+	if d.idx != nil {
+		d.idx[id] = int32(slot)
+	}
 }
 
 // removeNode vacates identity id's slot. The caller (Graph.RemoveNode)
 // has already removed every incident edge, so the slot's row is empty.
 func (d *Dense) removeNode(id NodeID) {
-	d.beginOverlay()
-	i, ok := d.idx[id]
-	if !ok {
-		return
-	}
-	d.epoch++
+	d.mutate()
 	d.nodeEpoch++
 	d.live--
+	d.unsort()
+	i := d.idx[id]
 	d.ids[i] = NoNode
 	delete(d.idx, id)
 	d.free = append(d.free, i)
-	d.sorted = false // a hole breaks the binary-search invariant
 }
 
-// addEdge inserts the arc pair of edge {u,v} with weight w.
+// addEdge inserts the arc pair of the new edge {u,v} with weight w.
 func (d *Dense) addEdge(u, v NodeID, w Weight) {
-	d.beginOverlay()
-	d.epoch++
+	d.mutate()
 	iu, _ := d.IndexOf(u)
 	iv, _ := d.IndexOf(v)
-	d.insertArc(iu, v, int32(iv), w)
-	d.insertArc(iv, u, int32(iu), w)
-	d.maybeCoalesce()
+	d.rows[iu].insert(v, int32(iv), w)
+	d.rows[iv].insert(u, int32(iu), w)
 }
 
-func (d *Dense) insertArc(i int, nbr NodeID, nbrSlot int32, w Weight) {
-	row := d.patchRow(i)
-	j, found := slices.BinarySearch(row.ids, nbr)
-	if found {
-		row.wts[j] = w
-		return
-	}
-	row.ids = slices.Insert(row.ids, j, nbr)
-	row.idx = slices.Insert(row.idx, j, nbrSlot)
-	row.wts = slices.Insert(row.wts, j, w)
-	d.ovArcs++
+func (r *denseRow) insert(nbr NodeID, slot int32, w Weight) {
+	j, _ := slices.BinarySearch(r.ids, nbr)
+	r.ids = slices.Insert(r.ids, j, nbr)
+	r.idx = slices.Insert(r.idx, j, slot)
+	r.wts = slices.Insert(r.wts, j, w)
 }
 
-// removeEdge deletes the arc pair of edge {u,v}. Removals grow the
-// overlay exactly like insertions (a touched row is copied whole), so
-// they drive the coalescing threshold too.
+// removeEdge deletes the arc pair of the existing edge {u,v}.
 func (d *Dense) removeEdge(u, v NodeID) {
-	d.beginOverlay()
-	d.epoch++
-	iu, _ := d.IndexOf(u)
-	iv, _ := d.IndexOf(v)
-	d.removeArc(iu, v)
-	d.removeArc(iv, u)
-	d.maybeCoalesce()
+	d.mutate()
+	d.removeArc(u, v)
+	d.removeArc(v, u)
 }
 
-func (d *Dense) removeArc(i int, nbr NodeID) {
-	row := d.patchRow(i)
-	j, found := slices.BinarySearch(row.ids, nbr)
-	if !found {
-		return
-	}
-	row.ids = slices.Delete(row.ids, j, j+1)
-	row.idx = slices.Delete(row.idx, j, j+1)
-	row.wts = slices.Delete(row.wts, j, j+1)
-	d.ovArcs--
+func (d *Dense) removeArc(u, v NodeID) {
+	i, j, _ := d.arc(u, v)
+	r := &d.rows[i]
+	r.ids = slices.Delete(r.ids, j, j+1)
+	r.idx = slices.Delete(r.idx, j, j+1)
+	r.wts = slices.Delete(r.wts, j, j+1)
 }
-
-// maybeCoalesce rebuilds the base CSR arrays from the overlay once the
-// overlay holds more than a quarter of all arcs (and at least 256), so
-// steady churn amortizes to O(1) extra arcs scanned per accessor while
-// the rebuild itself amortizes to O(1) per mutation. Slot assignment is
-// preserved: no index-addressed layer needs remapping.
-func (d *Dense) maybeCoalesce() {
-	total := len(d.nbrIDs)
-	if d.ovArcs < 256 || 4*d.ovArcs <= total {
-		return
-	}
-	d.Coalesce()
-}
-
-// Coalesce folds the overlay back into the base CSR arrays, preserving
-// slot assignment. It is exported for benchmarks that want to measure
-// the rebuild in isolation; mutators call it automatically past the
-// density threshold.
-func (d *Dense) Coalesce() {
-	slots := len(d.ids)
-	arcs := 0
-	for i := 0; i < slots; i++ {
-		arcs += d.Degree(i)
-	}
-	off := make([]int32, slots+1)
-	nbrIDs := make([]NodeID, 0, arcs)
-	nbrIdx := make([]int32, 0, arcs)
-	wts := make([]Weight, 0, arcs)
-	for i := 0; i < slots; i++ {
-		ids, idx, w := d.row(i)
-		nbrIDs = append(nbrIDs, ids...)
-		nbrIdx = append(nbrIdx, idx...)
-		wts = append(wts, w...)
-		off[i+1] = int32(len(nbrIDs))
-	}
-	d.off, d.nbrIDs, d.nbrIdx, d.wts = off, nbrIDs, nbrIdx, wts
-	for i := range d.rowRef {
-		d.rowRef[i] = -1
-	}
-	clear(d.rows) // release the folded rows' arc slices to the GC
-	d.rows = d.rows[:0]
-	d.ovArcs = 0
-}
-
-// OverlayArcs returns the number of arcs currently held in overlay rows
-// (0 for a never-churned or freshly coalesced Dense) — observability
-// for tests and benchmarks of the coalescing policy.
-func (d *Dense) OverlayArcs() int { return d.ovArcs }

@@ -54,54 +54,30 @@ func (e Edge) Other(x NodeID) NodeID {
 	panic(fmt.Sprintf("graph: node %d not an endpoint of edge %v", x, e))
 }
 
-// Graph is a simple undirected graph. The zero value is an empty graph;
-// use New or a generator to obtain a usable instance.
+// Graph is a simple undirected graph: a sorted identity list over its
+// one adjacency store, the Dense. The zero value is an empty graph.
 type Graph struct {
-	nodes []NodeID
-	adj   map[NodeID]map[NodeID]Weight
-	// nbr mirrors adj as sorted neighbor slices, maintained incrementally
-	// so that Neighbors — the hottest call of the runtime's view building
-	// and of the routing forwarding loop — needs no per-call sort.
-	nbr map[NodeID][]NodeID
-	// dense caches the index-addressed layout of Dense(); once built,
-	// mutations keep it in sync incrementally through its patch overlay
-	// instead of invalidating it, so index-addressed layers (register
-	// files, labelings, routers) survive live topology churn.
-	dense *Dense
+	nodes []NodeID // identities in increasing order
+	m     int      // number of edges
+	d     Dense
 }
 
 // New returns an empty graph.
-func New() *Graph {
-	return &Graph{
-		adj: make(map[NodeID]map[NodeID]Weight),
-		nbr: make(map[NodeID][]NodeID),
-	}
-}
-
-// insertSorted inserts id into the sorted slice s if absent.
-func insertSorted(s []NodeID, id NodeID) []NodeID {
-	i, found := slices.BinarySearch(s, id)
-	if found {
-		return s
-	}
-	return slices.Insert(s, i, id)
-}
+func New() *Graph { return &Graph{} }
 
 // AddNode inserts a node. Adding an existing node is a no-op. Negative
 // identities are rejected (the paper draws IDs from {1..n^c}; the dense
 // layer reserves NoNode for vacated slots).
 func (g *Graph) AddNode(id NodeID) {
-	if _, ok := g.adj[id]; ok {
+	if g.HasNode(id) {
 		return
 	}
 	if id < 0 {
 		panic(fmt.Sprintf("graph: negative node identity %d", id))
 	}
-	g.adj[id] = make(map[NodeID]Weight)
-	g.nodes = insertSorted(g.nodes, id)
-	if g.dense != nil {
-		g.dense.addNode(id)
-	}
+	i, _ := slices.BinarySearch(g.nodes, id)
+	g.nodes = slices.Insert(g.nodes, i, id)
+	g.d.addNode(id)
 }
 
 // AddEdge inserts an undirected edge with weight w, adding missing
@@ -113,37 +89,23 @@ func (g *Graph) AddEdge(u, v NodeID, w Weight) error {
 	}
 	g.AddNode(u)
 	g.AddNode(v)
-	_, existed := g.adj[u][v]
-	if !existed {
-		g.nbr[u] = insertSorted(g.nbr[u], v)
-		g.nbr[v] = insertSorted(g.nbr[v], u)
+	if g.HasEdge(u, v) {
+		g.d.setWeight(u, v, w)
+		return nil
 	}
-	g.adj[u][v] = w
-	g.adj[v][u] = w
-	if g.dense != nil {
-		if existed {
-			g.dense.setWeight(u, v, w)
-			g.dense.setWeight(v, u, w)
-		} else {
-			g.dense.addEdge(u, v, w)
-		}
-	}
+	g.d.addEdge(u, v, w)
+	g.m++
 	return nil
 }
 
 // RemoveEdge deletes the edge {u,v}. It returns an error if the edge is
 // absent, so double-removal is loud rather than silently idempotent.
 func (g *Graph) RemoveEdge(u, v NodeID) error {
-	if _, ok := g.adj[u][v]; !ok {
+	if !g.HasEdge(u, v) {
 		return fmt.Errorf("graph: no edge {%d,%d}", u, v)
 	}
-	delete(g.adj[u], v)
-	delete(g.adj[v], u)
-	g.nbr[u] = deleteSorted(g.nbr[u], v)
-	g.nbr[v] = deleteSorted(g.nbr[v], u)
-	if g.dense != nil {
-		g.dense.removeEdge(u, v)
-	}
+	g.d.removeEdge(u, v)
+	g.m--
 	return nil
 }
 
@@ -151,49 +113,31 @@ func (g *Graph) RemoveEdge(u, v NodeID) error {
 // error if the node is absent. The node's dense slot is vacated and
 // becomes available for a later AddNode.
 func (g *Graph) RemoveNode(id NodeID) error {
-	if _, ok := g.adj[id]; !ok {
+	if !g.HasNode(id) {
 		return fmt.Errorf("graph: no node %d", id)
 	}
-	for _, u := range slices.Clone(g.nbr[id]) {
+	for _, u := range g.Neighbors(id) {
 		if err := g.RemoveEdge(id, u); err != nil {
 			return err
 		}
 	}
-	delete(g.adj, id)
-	delete(g.nbr, id)
-	g.nodes = deleteSorted(g.nodes, id)
-	if g.dense != nil {
-		g.dense.removeNode(id)
-	}
+	i, _ := slices.BinarySearch(g.nodes, id)
+	g.nodes = slices.Delete(g.nodes, i, i+1)
+	g.d.removeNode(id)
 	return nil
 }
 
-// deleteSorted removes id from the sorted slice s if present.
-func deleteSorted(s []NodeID, id NodeID) []NodeID {
-	i, found := slices.BinarySearch(s, id)
-	if !found {
-		return s
-	}
-	return slices.Delete(s, i, i+1)
-}
-
-// UpdateEdgeWeight overwrites the weight of the existing edge {u,v}
-// without invalidating the dense snapshot: the snapshot's weight arcs
-// are patched in place, so index-addressed layers holding the snapshot
-// (the runtime's register file, the router) observe the new weight
-// immediately. It is the graph half of live topology churn — the
+// UpdateEdgeWeight overwrites the weight of the existing edge {u,v} in
+// place, in every state of the dense store, so index-addressed layers
+// holding it (the runtime's register file, the router) observe the new
+// weight immediately. It is the graph half of live topology churn — the
 // structural shape stays fixed, only the cost surface moves. It returns
 // an error if the edge is absent.
 func (g *Graph) UpdateEdgeWeight(u, v NodeID, w Weight) error {
-	if _, ok := g.adj[u][v]; !ok {
+	if !g.HasEdge(u, v) {
 		return fmt.Errorf("graph: no edge {%d,%d}", u, v)
 	}
-	g.adj[u][v] = w
-	g.adj[v][u] = w
-	if d := g.dense; d != nil {
-		d.setWeight(u, v, w)
-		d.setWeight(v, u, w)
-	}
+	g.d.setWeight(u, v, w)
 	return nil
 }
 
@@ -208,45 +152,38 @@ func (g *Graph) MustAddEdge(u, v NodeID, w Weight) {
 func (g *Graph) N() int { return len(g.nodes) }
 
 // M returns the number of edges.
-func (g *Graph) M() int {
-	m := 0
-	for _, nbrs := range g.adj {
-		m += len(nbrs)
-	}
-	return m / 2
-}
+func (g *Graph) M() int { return g.m }
 
 // Nodes returns the node identities in increasing order. The returned
 // slice is a copy: callers may mutate it freely.
-func (g *Graph) Nodes() []NodeID {
-	out := make([]NodeID, len(g.nodes))
-	copy(out, g.nodes)
-	return out
-}
+func (g *Graph) Nodes() []NodeID { return slices.Clone(g.nodes) }
 
 // HasNode reports whether id is a node of g.
 func (g *Graph) HasNode(id NodeID) bool {
-	_, ok := g.adj[id]
+	_, ok := g.d.IndexOf(id)
 	return ok
 }
 
 // HasEdge reports whether {u,v} is an edge of g.
 func (g *Graph) HasEdge(u, v NodeID) bool {
-	_, ok := g.adj[u][v]
+	_, _, ok := g.d.arc(u, v)
 	return ok
 }
 
 // EdgeWeight returns the weight of edge {u,v}; ok is false if the edge is
 // absent.
 func (g *Graph) EdgeWeight(u, v NodeID) (Weight, bool) {
-	w, ok := g.adj[u][v]
-	return w, ok
+	i, j, ok := g.d.arc(u, v)
+	if !ok {
+		return 0, false
+	}
+	return g.d.Weights(i)[j], true
 }
 
 // Neighbors returns the neighbors of v in increasing ID order. The slice
 // is a copy.
 func (g *Graph) Neighbors(v NodeID) []NodeID {
-	return slices.Clone(g.nbr[v])
+	return slices.Clone(g.NeighborsShared(v))
 }
 
 // NeighborsShared returns the neighbors of v in increasing ID order
@@ -256,31 +193,38 @@ func (g *Graph) Neighbors(v NodeID) []NodeID {
 // decisions of the router, where the defensive copy of Neighbors
 // dominates the profile.
 func (g *Graph) NeighborsShared(v NodeID) []NodeID {
-	return g.nbr[v]
+	i, ok := g.d.IndexOf(v)
+	if !ok {
+		return nil
+	}
+	return g.d.NeighborIDs(i)
 }
 
 // Degree returns the degree of v in g.
-func (g *Graph) Degree(v NodeID) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v NodeID) int { return len(g.NeighborsShared(v)) }
 
 // MaxDegree returns the maximum node degree in g (0 for the empty graph).
 func (g *Graph) MaxDegree() int {
-	max := 0
-	for _, nbrs := range g.adj {
-		if len(nbrs) > max {
-			max = len(nbrs)
-		}
+	deg := 0
+	for i := range g.d.ids {
+		deg = max(deg, g.d.Degree(i))
 	}
-	return max
+	return deg
 }
 
 // Edges returns all edges, canonically oriented (U < V), sorted by
 // (U, V). The slice is a copy.
 func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, g.M())
-	for _, u := range g.nodes {
-		for _, v := range g.nbr[u] {
+	out := make([]Edge, 0, g.m)
+	for k, u := range g.nodes {
+		i := k // slot order is identity order while sorted
+		if !g.d.Sorted() {
+			i, _ = g.d.IndexOf(u)
+		}
+		ids, _, wts := g.d.row(i)
+		for k, v := range ids {
 			if u < v {
-				out = append(out, Edge{U: u, V: v, W: g.adj[u][v]})
+				out = append(out, Edge{U: u, V: v, W: wts[k]})
 			}
 		}
 	}
@@ -339,27 +283,35 @@ func (g *Graph) Connected() bool {
 // BFSDistances returns the hop distance from root to every node, or an
 // error if some node is unreachable.
 func (g *Graph) BFSDistances(root NodeID) (map[NodeID]int, error) {
-	if !g.HasNode(root) {
+	r, ok := g.d.IndexOf(root)
+	if !ok {
 		return nil, fmt.Errorf("graph: unknown root %d", root)
 	}
-	dist := make(map[NodeID]int, len(g.nodes))
-	dist[root] = 0
-	queue := []NodeID{root}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range g.nbr[v] {
-			if _, ok := dist[u]; !ok {
+	dist := make([]int32, len(g.d.ids))
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[r] = 0
+	queue := make([]int32, 1, len(g.nodes))
+	queue[0] = int32(r)
+	for q := 0; q < len(queue); q++ {
+		v := queue[q]
+		for _, u := range g.d.NeighborIndices(int(v)) {
+			if dist[u] < 0 {
 				dist[u] = dist[v] + 1
 				queue = append(queue, u)
 			}
 		}
 	}
-	if len(dist) != len(g.nodes) {
+	if len(queue) != len(g.nodes) {
 		return nil, fmt.Errorf("graph: %d of %d nodes unreachable from %d",
-			len(g.nodes)-len(dist), len(g.nodes), root)
+			len(g.nodes)-len(queue), len(g.nodes), root)
 	}
-	return dist, nil
+	out := make(map[NodeID]int, len(queue))
+	for _, v := range queue {
+		out[g.d.ids[v]] = int(dist[v])
+	}
+	return out, nil
 }
 
 // Clone returns a deep copy of g.

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -221,5 +222,26 @@ func TestDistinctWeightsDetectsDuplicates(t *testing.T) {
 	g.MustAddEdge(2, 3, 7)
 	if g.DistinctWeights() {
 		t.Error("DistinctWeights missed a duplicate")
+	}
+}
+
+func TestZeroValueGraph(t *testing.T) {
+	var g Graph
+	if g.N() != 0 || g.M() != 0 || len(g.Edges()) != 0 || g.Dense().Slots() != 0 {
+		t.Fatal("zero Graph is not empty")
+	}
+	var h Graph
+	h.AddNode(3)
+	h.MustAddEdge(2, 1, 10)
+	h.MustAddEdge(3, 2, 20)
+	if h.N() != 3 || h.M() != 2 {
+		t.Fatalf("N=%d M=%d, want 3, 2", h.N(), h.M())
+	}
+	if want := []Edge{{1, 2, 10}, {2, 3, 20}}; !slices.Equal(h.Edges(), want) {
+		t.Fatalf("Edges() = %v, want %v", h.Edges(), want)
+	}
+	d := h.Dense()
+	if !slices.Equal(d.IDs(), []NodeID{1, 2, 3}) || !slices.Equal(d.NeighborIndices(1), []int32{0, 2}) {
+		t.Fatalf("Dense slots %v, row of 2 %v", d.IDs(), d.NeighborIndices(1))
 	}
 }

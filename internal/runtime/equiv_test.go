@@ -326,7 +326,7 @@ func TestDenseEngineMatchesReferenceEngine(t *testing.T) {
 // configurations, stabilize, get the same seeded churn batch (joins,
 // leaves, link flaps), stabilize again, and so on — traces, results,
 // and final registers must agree at every phase. This is the guard
-// that slot recycling, the patch overlay, and the incremental
+// that slot recycling, the unpacked adjacency rows, and the incremental
 // enabled-set maintenance change no observable semantics.
 func TestDenseEngineMatchesReferenceUnderChurn(t *testing.T) {
 	for schedName, mkSched := range equivSchedulers() {
