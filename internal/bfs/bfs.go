@@ -50,14 +50,15 @@ func (Algorithm) Register() *runtime.Schema { return switching.Schema }
 // Step implements runtime.Algorithm: switching rules first (construction,
 // sanitization, the three-phase switch, label maintenance); if none is
 // enabled and the node is quiet, the BFS improvement rule may request a
-// switch onto a strictly closer neighbor.
+// switch onto a strictly closer neighbor. A node neither enables gets
+// v.Self back, not a fresh box of the same register: a disabled δ
+// allocates nothing.
 func (Algorithm) Step(v runtime.View) runtime.State {
 	s, ok := switching.RegOf(v.Self)
 	if !ok {
 		return switching.SelfRoot(v.ID)
 	}
-	next := switching.StepReg(s, v)
-	if !next.Equal(s) {
+	if next := switching.StepReg(s, v); next != s {
 		return next
 	}
 	if target, ok := improvement(s, v); ok {
@@ -65,7 +66,7 @@ func (Algorithm) Step(v runtime.View) runtime.State {
 		s.SwTarget = target
 		return s
 	}
-	return s
+	return v.Self
 }
 
 // improvement is the PLS-guided BFS rule: node u with a neighbor v such

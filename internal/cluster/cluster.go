@@ -508,13 +508,13 @@ const never = ^uint64(0)
 
 // tickNodes runs the tick of every node whose due entry has come round,
 // storing the next one its tick returns: one pass over due lists them,
-// then workers (the caller being one) claim runs of the list through
-// one atomic cursor. Which worker ran which node cannot reach any count
-// — during its round a node touches only its own fields and due entry,
-// its own sender-owned transport buffer and the gateway's locks; frame
-// order and fault fates are fixed later, at Step. With one worker
-// (GOMAXPROCS=1, or at most tickShard due) no goroutine starts. Caller
-// holds memMu.
+// then runtime.ParallelFor shards the list over up to GOMAXPROCS
+// workers, the caller being one. Which worker ran which node cannot
+// reach any count — during its round a node touches only its own fields
+// and due entry, its own sender-owned transport buffer and the gateway's
+// locks; frame order and fault fates are fixed later, at Step. With one
+// worker (GOMAXPROCS=1, or at most tickShard due) no goroutine starts.
+// Caller holds memMu.
 func (c *Cluster) tickNodes(tick uint64) {
 	c.run = c.run[:0]
 	for i, at := range c.due {
@@ -522,29 +522,11 @@ func (c *Cluster) tickNodes(tick uint64) {
 			c.run = append(c.run, int32(i))
 		}
 	}
-	n := len(c.run)
-	var cursor atomic.Int64
-	work := func() {
-		for {
-			lo := int(cursor.Add(tickShard)) - tickShard
-			if lo >= n {
-				return
-			}
-			for _, i := range c.run[lo:min(lo+tickShard, n)] {
-				c.due[i] = c.nodes[i].tick(tick, &c.cfg, c.gw)
-			}
+	runtime.ParallelFor(len(c.run), tickShard, func(lo, hi int) {
+		for _, i := range c.run[lo:hi] {
+			c.due[i] = c.nodes[i].tick(tick, &c.cfg, c.gw)
 		}
-	}
-	var wg sync.WaitGroup
-	for w := min(goruntime.GOMAXPROCS(0), (n+tickShard-1)/tickShard); w > 1; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+	})
 }
 
 // Tick runs one lockstep round: every due node's tick runs between two

@@ -55,22 +55,25 @@ func Corrupt(net *Network, count int, rng *rand.Rand) []graph.NodeID {
 	return victims
 }
 
-// CorruptField overwrites the register of one specific node with the
-// given state — targeted corruption for regression tests.
-func CorruptField(net *Network, v graph.NodeID, s State) error {
-	if !net.Graph().HasNode(v) {
-		return fmt.Errorf("runtime: unknown node %d", v)
-	}
-	net.SetState(v, s)
-	return nil
-}
-
 // CheckSilentStable verifies the silence property (Section II-A): in a
 // silent configuration, re-examining every node must leave all registers
-// unchanged. It returns an error naming the first node that would move.
+// unchanged. It evaluates δ at every node straight from the register
+// file — not from the engine's dirty worklist, transition cache or
+// enabled set — so it is an oracle independent of the incremental
+// bookkeeping it checks, and it returns an error naming the first node
+// (in slot order) that would move. It then requires the enabled set to
+// agree that no node is enabled.
 func CheckSilentStable(net *Network) error {
+	for i, s := range net.states {
+		if !net.d.LiveAt(i) {
+			continue
+		}
+		if next := net.alg.Step(net.viewAt(i)); !next.Equal(s) {
+			return fmt.Errorf("runtime: configuration not silent: node %d would move %v -> %v", net.d.ID(i), s, next)
+		}
+	}
 	if !net.Silent() {
-		return fmt.Errorf("runtime: configuration not silent: node %d enabled", net.Enabled()[0])
+		return fmt.Errorf("runtime: δ moves no node, but the enabled set holds node %d", net.enabled.MinID())
 	}
 	return nil
 }

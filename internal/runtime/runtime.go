@@ -26,22 +26,29 @@
 // only depends on the 1-hop neighborhood), and the worklist is drained
 // before any read of the set, so one move costs O(deg) instead of the
 // O(n) per-activation scan of a map-backed engine.
+//
+// A worklist longer than one shard is evaluated on GOMAXPROCS workers
+// (ParallelFor, shared with the cluster's lockstep Tick), then settled
+// into the set and the round frontier in worklist order; a shorter one
+// is drained in one pass on the caller's goroutine and allocates
+// nothing. No result, trace or register depends on the worker count.
 package runtime
 
 import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	goruntime "runtime"
 	"slices"
 
 	"silentspan/internal/graph"
 )
 
 // State is the content of a node's register. Implementations must be
-// immutable value-like types: Step must return fresh states rather than
-// mutating shared ones. A register type declares its fields once in a
-// Schema, from which its EncodedBits, its String and its wire codec
-// are derived.
+// immutable value-like types: Step never mutates a state it reads, it
+// returns either a new state or the view's own Self unchanged. A
+// register type declares its fields once in a Schema, from which its
+// EncodedBits, its String and its wire codec are derived.
 type State interface {
 	// Equal reports whether two register contents are identical. A node
 	// is enabled iff δ applied to its view yields a non-Equal state.
@@ -149,8 +156,14 @@ func (v View) EdgeWeight(u graph.NodeID) graph.Weight {
 type Algorithm interface {
 	// Step applies δ to the view and returns the node's next state. The
 	// node is enabled iff the result differs (Equal is false) from
-	// view.Self. Step must not mutate the view's states and must not
-	// retain the view past the call (its slices are reused).
+	// view.Self; a disabled node may return view.Self itself, which
+	// spares boxing a copy. Step must not mutate the view's states and
+	// must not retain the view past the call (its slices are reused).
+	//
+	// The engine calls Step concurrently for distinct nodes of one
+	// network (a large drain is fanned out over GOMAXPROCS workers), so
+	// Step must write no state shared between calls: δ is a pure
+	// function of the view.
 	Step(v View) State
 	// ArbitraryState returns an arbitrary register content for the node:
 	// the adversarial initialization of the self-stabilization model.
@@ -184,6 +197,12 @@ type Network struct {
 	dirty     []bool
 	dirtyList []int32
 	nextCache []State
+
+	// drainBuf and enBuf are drainParallel's reused scratch: the
+	// collected dirty indices, and each one's freshly computed
+	// enabledness.
+	drainBuf []int32
+	enBuf    []bool
 
 	// pendingEpoch marks the round's frontier X (paper round
 	// accounting): index i is in the frontier iff pendingEpoch[i] equals
@@ -280,9 +299,17 @@ func (net *Network) markDirtyAround(i int32) {
 // observed transitioning to disabled leaves the round frontier, exactly
 // as the paper's round definition requires. Cost is O(Σ deg) over the
 // dirtied nodes; Step is pure, so recomputation order is immaterial.
+//
+// A worklist of at most one shard (drainShard), or any worklist under
+// GOMAXPROCS = 1, is drained in one pass on the caller's goroutine,
+// which allocates nothing. A longer one goes to drainParallel.
 func (net *Network) drain() {
 	if net.d.Epoch() != net.syncedEpoch {
 		panic("runtime: graph mutated behind the network's back; topology churn must go through Network.AddNode/RemoveNode/AddEdge/RemoveEdge")
+	}
+	if len(net.dirtyList) > drainShard && goruntime.GOMAXPROCS(0) > 1 {
+		net.drainParallel()
+		return
 	}
 	for len(net.dirtyList) > 0 {
 		i := net.dirtyList[len(net.dirtyList)-1]
@@ -305,6 +332,49 @@ func (net *Network) drain() {
 				net.pendingEpoch[i] = 0
 				net.pendingCount--
 			}
+		}
+	}
+}
+
+// drainParallel is drain in three phases. Collect pops the worklist, in
+// the order drain pops it, into drainBuf. Evaluate runs δ once per
+// collected node on up to GOMAXPROCS workers (ParallelFor), each
+// evaluation writing only its node's nextCache entry and its slot of
+// enBuf — Step is pure, so the workers share nothing else. Settle then
+// updates the enabled set and the round frontier on the caller's
+// goroutine, in list order, exactly as the one-pass drain would have.
+// No count, trace or register depends on the worker count.
+func (net *Network) drainParallel() {
+	list := net.drainBuf[:0]
+	for k := len(net.dirtyList) - 1; k >= 0; k-- {
+		i := net.dirtyList[k]
+		if net.dirty[i] {
+			net.dirty[i] = false
+			if net.d.LiveAt(int(i)) {
+				list = append(list, i)
+			}
+		}
+	}
+	net.dirtyList = net.dirtyList[:0]
+	en := slices.Grow(net.enBuf[:0], len(list))[:len(list)]
+	net.drainBuf, net.enBuf = list, en
+	ParallelFor(len(list), drainShard, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			i := list[k]
+			next := net.alg.Step(net.viewAt(int(i)))
+			net.nextCache[i] = next
+			en[k] = !next.Equal(net.states[i])
+		}
+	})
+	for k, i := range list {
+		if en[k] {
+			net.enabled.add(int(i))
+			continue
+		}
+		net.enabled.remove(int(i))
+		if net.pendingEpoch[i] == net.epoch {
+			net.pendingEpoch[i] = 0
+			net.pendingCount--
 		}
 	}
 }

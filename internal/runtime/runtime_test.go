@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"silentspan/internal/graph"
@@ -247,6 +248,47 @@ func TestEnabledCacheConsistency(t *testing.T) {
 				t.Fatalf("fresh scan says %d enabled, cache disagrees", u)
 			}
 		}
+	}
+}
+
+// TestCheckSilentStableIsIndependent: CheckSilentStable re-evaluates δ
+// from the register file, so it catches a write the engine's worklist
+// never saw — and an enabled set that disagrees with δ — where a check
+// reading only the maintained set would pass.
+func TestCheckSilentStableIsIndependent(t *testing.T) {
+	g := graph.Path(6)
+	net := newTestNetwork(t, g)
+	net.InitArbitrary(rand.New(rand.NewSource(8)))
+	if res, err := net.Run(Synchronous(), 1000); err != nil || !res.Silent {
+		t.Fatalf("not silent: %+v, %v", res, err)
+	}
+	if err := CheckSilentStable(net); err != nil {
+		t.Fatalf("silent network rejected: %v", err)
+	}
+	for i := 0; i < net.d.Slots(); i++ {
+		if net.StateAt(i) != net.State(net.d.ID(i)) {
+			t.Fatalf("StateAt(%d) disagrees with State(%d)", i, net.d.ID(i))
+		}
+	}
+
+	// A register written behind the worklist: the set still says silent.
+	i, _ := net.d.IndexOf(4)
+	net.states[i] = minState{min: 3}
+	if !net.Silent() {
+		t.Fatal("the write behind the worklist reached the enabled set")
+	}
+	err := CheckSilentStable(net)
+	if err == nil || !strings.Contains(err.Error(), "node 4 would move") {
+		t.Fatalf("CheckSilentStable = %v, want node 4 named", err)
+	}
+	net.states[i] = minState{min: 1}
+
+	// An enabled set holding a node δ leaves unchanged.
+	j, _ := net.d.IndexOf(2)
+	net.enabled.add(j)
+	err = CheckSilentStable(net)
+	if err == nil || !strings.Contains(err.Error(), "holds node 2") {
+		t.Fatalf("CheckSilentStable = %v, want the stale member 2 named", err)
 	}
 }
 

@@ -93,6 +93,9 @@ func selfRoot(id graph.NodeID) State {
 //	    within the distance cap.
 //	R2 (track): distances follow the parent's (within the cap; beyond it,
 //	    reset).
+//
+// A node no rule enables gets v.Self back, not a fresh box of the same
+// register: a disabled δ allocates nothing.
 func (Algorithm) Step(v runtime.View) runtime.State {
 	s, ok := v.Self.(State)
 	if !ok {
@@ -125,7 +128,7 @@ func (Algorithm) Step(v runtime.View) runtime.State {
 			return selfRoot(v.ID)
 		}
 	}
-	return s
+	return v.Self
 }
 
 // consistent reports local structural sanity of s at node v: a self-root

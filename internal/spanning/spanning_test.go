@@ -226,3 +226,24 @@ func log2ceil(n int) int {
 	}
 	return b
 }
+
+var stepSink runtime.State
+
+// TestQuietStepAllocatesNothing: at every node of a silent network δ
+// hands the node its own register back, so a disabled Step boxes
+// nothing.
+func TestQuietStepAllocatesNothing(t *testing.T) {
+	net, _ := stabilize(t, graph.Grid(4, 4), runtime.Synchronous(), 3)
+	d := net.Dense()
+	for i := 0; i < d.Slots(); i++ {
+		idx := d.NeighborIndices(i)
+		peers := make([]runtime.State, len(idx))
+		for j, k := range idx {
+			peers[j] = net.StateAt(int(k))
+		}
+		v := runtime.NewView(d.ID(i), d.N(), d.NeighborIDs(i), d.Weights(i), net.StateAt(i), peers)
+		if allocs := testing.AllocsPerRun(100, func() { stepSink = Algorithm{}.Step(v) }); allocs != 0 {
+			t.Errorf("node %d: %.1f allocations per quiet Step, want 0", v.ID, allocs)
+		}
+	}
+}

@@ -564,13 +564,18 @@ func (Algorithm) Name() string { return "malleable-switching" }
 // Register declares the switching register: its wire codec.
 func (Algorithm) Register() *runtime.Schema { return Schema }
 
-// Step implements runtime.Algorithm.
+// Step implements runtime.Algorithm. A node no rule enables gets v.Self
+// back, not a fresh box of the same register: a disabled δ allocates
+// nothing.
 func (Algorithm) Step(v runtime.View) runtime.State {
 	self, ok := RegOf(v.Self)
 	if !ok {
 		return SelfRoot(v.ID)
 	}
-	return StepReg(self, v)
+	if next := StepReg(self, v); next != self {
+		return next
+	}
+	return v.Self
 }
 
 // ArbitraryState implements runtime.Algorithm.

@@ -331,11 +331,16 @@ func log2ceil(n int) int {
 	return b
 }
 
-var stepSink State
+var (
+	stepSink State
+	algSink  runtime.State
+)
 
 // TestStepRegAllocatesNothing: up to degree hoodCap an evaluation reads
 // its neighborhood without a heap allocation — at a quiet root with d
 // children, and at a quiet inner node with a parent and d-1 children.
+// Algorithm.Step hands such a node its own register back, so it boxes
+// nothing either.
 func TestStepRegAllocatesNothing(t *testing.T) {
 	idle := func(root, parent graph.NodeID, d, s int) State {
 		return State{Root: root, Parent: parent, HasD: true, D: d, HasS: true, S: s,
@@ -370,6 +375,9 @@ func TestStepRegAllocatesNothing(t *testing.T) {
 			}
 			if allocs := testing.AllocsPerRun(100, func() { stepSink = StepReg(c.self, c.v) }); allocs != 0 {
 				t.Errorf("degree %d, node %d: %.1f allocations per StepReg, want 0", d, c.v.ID, allocs)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { algSink = Algorithm{}.Step(c.v) }); allocs != 0 {
+				t.Errorf("degree %d, node %d: %.1f allocations per Algorithm.Step, want 0", d, c.v.ID, allocs)
 			}
 		}
 	}
