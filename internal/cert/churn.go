@@ -318,7 +318,7 @@ type ChurnTarget interface {
 type NetworkTarget struct{ *runtime.Network }
 
 func (t NetworkTarget) Join(id graph.NodeID, edges []graph.Edge) error {
-	if err := t.AddNode(id, nil); err != nil {
+	if err := t.AddNode(id); err != nil {
 		return err
 	}
 	for _, e := range edges {

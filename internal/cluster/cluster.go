@@ -50,7 +50,10 @@
 //
 // A Gateway (gateway.go) rides on top, maintaining a
 // routing.LiveLabeler over the live registers and carrying routed
-// packets hop-by-hop as data frames through the same transport.
+// packets hop-by-hop as data frames through the same transport. The
+// cluster's graph is its one topology: Join, Leave, Crash, AddEdge and
+// RemoveEdge validate, change it in place, and hand each applied change
+// to the gateway (Gateway.applyTopo).
 //
 // Locking: Cluster.memMu guards the membership view and nests outside
 // everything else. A Node's mu guards what other goroutines see of it —
@@ -164,15 +167,6 @@ type Cluster struct {
 	step  Stepper // nil when the transport is async-only
 	cfg   Config
 
-	// net is the membership engine: a runtime.Network over the same
-	// graph whose registers stay untouched — the cluster uses only its
-	// validated topology mutators (AddNode/RemoveNode/AddEdge/
-	// RemoveEdge) and their TopoEvent stream, which the gateway's
-	// labeler subscribes to. Mirror() builds fresh networks per call;
-	// this one persists so slot recycling and event fan-out match the
-	// simulator's churn semantics exactly.
-	net *runtime.Network
-
 	// memMu guards the membership view: the nodes slice (nil-holed at
 	// vacated dense slots), the seq floors of departed incarnations, and
 	// the admin server set. Read-locked for every iteration (ticks,
@@ -261,14 +255,10 @@ func New(g *graph.Graph, alg runtime.Algorithm, tr Transport, cfg Config) (*Clus
 	if err != nil {
 		return nil, err
 	}
-	net, err := runtime.NewNetwork(g, alg)
-	if err != nil {
-		return nil, err
-	}
 	d := g.Dense()
 	st, _ := tr.(Stepper)
 	c := &Cluster{g: g, d: d, alg: alg, codec: codec, tr: tr, step: st, cfg: cfg,
-		net: net, seqFloor: make(map[graph.NodeID]uint64),
+		seqFloor: make(map[graph.NodeID]uint64),
 		annRoots: make(map[graph.NodeID]uint64),
 		quietCh:  make(chan QuietEvent, 16)}
 	c.cfg.fill()
@@ -558,8 +548,8 @@ func (c *Cluster) Tick() {
 // observeWrites reports whether some register was written since its
 // last call, and if so refreshes the gateway's labeling. The labeling
 // only moves when some register did, so a quiet cluster never re-reads
-// its n registers; a membership or link event that writes none reaches
-// the labeling through the gateway's topology listener instead. Caller
+// its n registers; a membership or link change that writes none reaches
+// the labeling through the mutator's own Gateway.applyTopo call. Caller
 // holds memMu and is the cluster clock (see seenWrites).
 func (c *Cluster) observeWrites() bool {
 	w := c.regWrites.Load()

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	goruntime "runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -212,14 +213,16 @@ func TestGatewayDeliveryUnderFaults(t *testing.T) {
 }
 
 // TestGatewayLabelingMatchesRegisters: the gateway refreshes only when
-// the write counter moved, and leaves membership and link events that
-// write no register to its topology listener. After every Tick of a
-// churned cluster — crashes and joins, links toggled with no write in
-// between, registers overwritten between ticks — its labeling equals
-// one built from scratch off the registers.
+// the write counter moved, and learns of membership and link changes
+// that write no register from the mutators' own applyTopo calls. After
+// every Tick of a churned cluster — crashes and joins, rejected joins
+// (a bad edge list, a present id, an id the transport refuses), links
+// toggled with no write in between, registers overwritten between
+// ticks — its labeling equals one built from scratch off the registers.
 func TestGatewayLabelingMatchesRegisters(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	cl, err := New(graph.Ring(8), spanning.Algorithm{}, NewChanTransport(), Config{})
+	tr := NewChanTransport()
+	cl, err := New(graph.Ring(8), spanning.Algorithm{}, tr, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,6 +268,27 @@ func TestGatewayLabelingMatchesRegisters(t *testing.T) {
 	tick(60)
 	must(cl.Crash(3))
 	tick(30)
+	if _, err := tr.Open(9); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []struct {
+		id    graph.NodeID
+		edges []graph.Edge
+	}{
+		{3, []graph.Edge{{U: 3, V: 2, W: 2}, {U: 5, V: 1, W: 20}}},
+		{3, []graph.Edge{{U: 3, V: 2, W: 2}, {U: 3, V: 9, W: 20}}},
+		{3, []graph.Edge{{U: 3, V: 2, W: 2}, {U: 2, V: 3, W: 20}}},
+		{4, []graph.Edge{{U: 4, V: 2, W: 20}}},
+		{9, []graph.Edge{{U: 9, V: 2, W: 20}}}, // open refused
+	} {
+		if err := cl.Join(j.id, j.edges); err == nil {
+			t.Fatalf("Join(%d, %v) accepted", j.id, j.edges)
+		}
+		if g := cl.Graph(); g.N() != 7 || g.M() != 6 {
+			t.Fatalf("rejected Join(%d, %v) left N=%d M=%d, want 7, 6", j.id, j.edges, g.N(), g.M())
+		}
+		tick(1)
+	}
 	must(cl.Join(3, []graph.Edge{{U: 3, V: 2, W: 2}, {U: 3, V: 4, W: 3}}))
 	tick(30)
 	must(cl.AddEdge(1, 5, 20))
@@ -329,4 +353,34 @@ func TestNewRejectsVacatedSlots(t *testing.T) {
 	defer cl.Stop()
 	converge(t, cl, 400)
 	checkSilentTree(t, cl)
+}
+
+// TestClusterResidentBytesPerNode pins the live heap a cluster holds per
+// node: the heap delta across New over an already built
+// RandomConnected(n, 8/n) (average degree about 10), running spanning
+// over the channel transport. Each node keeps
+// its register, a cloned neighbor row with one receive record per
+// neighbor, its endpoint and its counters; the cluster adds no register
+// file of its own. The logged figure is the cluster's bytes-per-node
+// point (about 2.5 kB on amd64); the ceiling leaves headroom over it.
+func TestClusterResidentBytesPerNode(t *testing.T) {
+	for _, n := range []int{2000, 20000} {
+		g := graph.RandomConnected(n, 8/float64(n), rand.New(rand.NewSource(1)))
+		var before, after goruntime.MemStats
+		goruntime.GC()
+		goruntime.ReadMemStats(&before)
+		cl, err := New(g, spanning.Algorithm{}, NewChanTransport(), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		goruntime.GC()
+		goruntime.ReadMemStats(&after)
+		perNode := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(n)
+		goruntime.KeepAlive(cl)
+		cl.Stop()
+		t.Logf("n=%d, %d edges: %.1f B of live heap per node", n, g.M(), perNode)
+		if perNode > 3072 {
+			t.Fatalf("n=%d: %.1f B of live heap per node, want at most 3072", n, perNode)
+		}
+	}
 }

@@ -99,18 +99,23 @@ func NewGateway(c *Cluster) *Gateway {
 	gw.router = routing.NewRouter(c.g, lb.Labeling(), routing.Options{})
 	gw.maxHops = gw.router.MaxHops()
 	c.gw = gw
-	// Membership changes flow into the labeling as topology events: the
-	// labeler adds/removes slots and the router republishes. Events fire
-	// from the cluster's mutators under memMu, so the lock order is
-	// always memMu → labMu.
-	c.net.AddTopologyListener(func(ev runtime.TopoEvent) {
-		gw.labMu.Lock()
-		gw.lb.ApplyTopo(ev)
-		gw.router.SetLabeling(gw.lb.Labeling())
-		gw.labMu.Unlock()
-	})
 	gw.registerMetrics(c.metrics)
 	return gw
+}
+
+// applyTopo folds one applied membership or link change into the
+// labeling — the labeler adds/removes slots or rechecks the endpoints'
+// pointers — and republishes the router. The cluster's mutators call it
+// under memMu, so the lock order is always memMu → labMu. A cluster
+// without a gateway has a nil one, and nothing to fold.
+func (gw *Gateway) applyTopo(ev runtime.TopoEvent) {
+	if gw == nil {
+		return
+	}
+	gw.labMu.Lock()
+	gw.lb.ApplyTopo(ev)
+	gw.router.SetLabeling(gw.lb.Labeling())
+	gw.labMu.Unlock()
 }
 
 // registerMetrics exposes the data-plane accounting: counters are

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"silentspan/internal/graph"
+	"silentspan/internal/runtime"
 	"silentspan/internal/trace"
 	"silentspan/internal/wire"
 )
@@ -14,8 +16,9 @@ import (
 // derives from the wire (an advert can only refresh a neighbor the
 // topology already granted; see Node.ingest). The moving parts:
 //
-//   - The persistent runtime.Network (c.net) validates every topology
-//     mutation and fans TopoEvents out to the gateway's labeler.
+//   - The cluster's graph is its one topology: each mutator validates
+//     before its first change, applies it to c.g, and hands the applied
+//     change to the gateway's labeler (Gateway.applyTopo).
 //   - Every live node gets its neighbor row re-derived from the shared
 //     dense layout, synchronously: the mutators hold memMu's write lock,
 //     and every round — a Tick's or a Serve worker's pass — runs under its
@@ -39,7 +42,7 @@ type evictor interface {
 }
 
 // Join adds node id to the running cluster, connected by the given
-// edges (each must touch id and an existing member). The new node
+// edges (each must join id to a distinct existing member). The new node
 // starts with an empty register — the algorithm's bootstrap rule fires
 // on its first activation — and opens with a membership advert followed
 // by a self-contained heartbeat, so its neighbors evict whatever they
@@ -47,37 +50,42 @@ type evictor interface {
 // lands. Safe at any point: before the first tick, between ticks (the
 // next Tick runs the joiner's first round with everyone else's), or
 // mid-Serve (the worker owning its slot picks it up on its next pass).
+// A rejected join changes nothing: every check runs before the
+// transport opens the id, and the topology changes only once it has.
 func (c *Cluster) Join(id graph.NodeID, edges []graph.Edge) error {
 	c.memMu.Lock()
 	defer c.memMu.Unlock()
-	if err := c.net.AddNode(id, nil); err != nil {
+	if c.g.HasNode(id) {
+		return fmt.Errorf("cluster: node %d already present", id)
+	}
+	for i, e := range edges {
+		if e.U != id && e.V != id {
+			return fmt.Errorf("cluster: join edge %v does not touch node %d", e, id)
+		}
+		v := e.Other(id)
+		if !c.g.HasNode(v) {
+			return fmt.Errorf("cluster: join edge %v: %d is not a member", e, v)
+		}
+		if slices.ContainsFunc(edges[:i], func(f graph.Edge) bool { return f.Other(id) == v }) {
+			return fmt.Errorf("cluster: join edge %v listed twice", e)
+		}
+	}
+	ep, err := c.tr.Open(id)
+	if err != nil {
 		return err
 	}
-	added := 0
-	var err error
+	c.g.AddNode(id)
+	c.gw.applyTopo(runtime.TopoEvent{Kind: runtime.TopoAddNode, U: id})
 	for _, e := range edges {
-		if err = c.net.AddEdge(e.U, e.V, e.W); err != nil {
-			break
-		}
-		added++
+		c.g.MustAddEdge(e.U, e.V, e.W) // checked above: a new link to a member
+		c.gw.applyTopo(runtime.TopoEvent{Kind: runtime.TopoAddEdge, U: e.U, V: e.V})
 	}
-	if err == nil {
-		var ep Endpoint
-		if ep, err = c.tr.Open(id); err == nil {
-			c.admit(id, ep)
-			return nil
-		}
-	}
-	// Roll the topology back so a failed join leaves no trace.
-	for _, e := range edges[:added] {
-		c.net.RemoveEdge(e.U, e.V)
-	}
-	c.net.RemoveNode(id)
-	return err
+	c.admit(id, ep)
+	return nil
 }
 
-// admit finishes a join once the topology mutators and the transport
-// have accepted id. Caller holds memMu write lock.
+// admit finishes a join once the transport has opened id and the graph
+// holds it. Caller holds memMu write lock.
 func (c *Cluster) admit(id graph.NodeID, ep Endpoint) {
 	slot, _ := c.d.IndexOf(id)
 	for len(c.nodes) <= slot {
@@ -182,9 +190,10 @@ func (c *Cluster) retire(id graph.NodeID, goodbye bool) error {
 	nd.ep.Close()
 	c.nodes[nd.slot] = nil
 	c.due[nd.slot] = never
-	if err := c.net.RemoveNode(id); err != nil {
+	if err := c.g.RemoveNode(id); err != nil {
 		return err
 	}
+	c.gw.applyTopo(runtime.TopoEvent{Kind: runtime.TopoRemoveNode, U: id})
 	c.remapAllLocked()
 	if c.admin != nil {
 		c.admin.remove(id)
@@ -217,9 +226,10 @@ func (c *Cluster) sendGoodbye(nd *Node) {
 func (c *Cluster) AddEdge(u, v graph.NodeID, w graph.Weight) error {
 	c.memMu.Lock()
 	defer c.memMu.Unlock()
-	if err := c.net.AddEdge(u, v, w); err != nil {
+	if err := c.g.AddLink(u, v, w); err != nil {
 		return err
 	}
+	c.gw.applyTopo(runtime.TopoEvent{Kind: runtime.TopoAddEdge, U: u, V: v})
 	c.remapEndpointsLocked(u, v)
 	return nil
 }
@@ -230,9 +240,10 @@ func (c *Cluster) AddEdge(u, v graph.NodeID, w graph.Weight) error {
 func (c *Cluster) RemoveEdge(u, v graph.NodeID) error {
 	c.memMu.Lock()
 	defer c.memMu.Unlock()
-	if err := c.net.RemoveEdge(u, v); err != nil {
+	if err := c.g.RemoveEdge(u, v); err != nil {
 		return err
 	}
+	c.gw.applyTopo(runtime.TopoEvent{Kind: runtime.TopoRemoveEdge, U: u, V: v})
 	c.remapEndpointsLocked(u, v)
 	return nil
 }

@@ -305,6 +305,44 @@ func TestAdvertNeverCreatesPhantom(t *testing.T) {
 	checkSilentTree(t, cl)
 }
 
+// TestJoinRejectsForeignEdges: Join's edges must each join the new id
+// to a distinct member. A join that breaks the contract — or names an id
+// already present — returns an error and changes nothing: the graph
+// keeps its nodes and edges, and the transport never opens the id (the
+// final, valid join of the same id opens it).
+func TestJoinRejectsForeignEdges(t *testing.T) {
+	cl, err := New(graph.Path(6), spanning.Algorithm{}, NewChanTransport(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	g := cl.Graph()
+	for _, tc := range []struct {
+		name  string
+		id    graph.NodeID
+		edges []graph.Edge
+	}{
+		{"foreign edge", 99, []graph.Edge{{U: 99, V: 1, W: 50}, {U: 2, V: 5, W: 51}}},
+		{"edge to a non-member", 99, []graph.Edge{{U: 99, V: 1, W: 50}, {U: 99, V: 7, W: 51}}},
+		{"self-loop", 99, []graph.Edge{{U: 99, V: 99, W: 50}}},
+		{"duplicate edge", 99, []graph.Edge{{U: 99, V: 1, W: 50}, {U: 1, V: 99, W: 51}}},
+		{"id already present", 3, []graph.Edge{{U: 3, V: 1, W: 50}}},
+	} {
+		if err := cl.Join(tc.id, tc.edges); err == nil {
+			t.Errorf("%s: Join(%d, %v) accepted", tc.name, tc.id, tc.edges)
+		}
+		if g.N() != 6 || g.M() != 5 || cl.Nodes() != 6 {
+			t.Fatalf("%s: rejected join left N=%d M=%d members=%d, want 6, 5, 6", tc.name, g.N(), g.M(), cl.Nodes())
+		}
+	}
+	if err := cl.Join(99, []graph.Edge{{U: 99, V: 1, W: 50}, {U: 6, V: 99, W: 51}}); err != nil {
+		t.Fatalf("valid join after the rejected ones: %v", err)
+	}
+	if g.N() != 7 || g.M() != 7 || !g.HasEdge(6, 99) {
+		t.Fatalf("valid join: N=%d M=%d, want 7, 7", g.N(), g.M())
+	}
+}
+
 // TestGatewayResolutionExclusive: the data-plane ledger's resolution is
 // single-shot across all four outcomes — whatever races (duplicate
 // copies delivering, dropping, expiring, or dying with a retiring node)

@@ -98,6 +98,20 @@ func (g *Graph) AddEdge(u, v NodeID, w Weight) error {
 	return nil
 }
 
+// AddLink inserts the new edge {u,v} between two existing nodes — a link
+// coming up in a live topology. Unlike AddEdge it adds no node and
+// overwrites no weight: a missing endpoint, an edge already present or
+// a self-loop is an error, and g is left unchanged.
+func (g *Graph) AddLink(u, v NodeID, w Weight) error {
+	if !g.HasNode(u) || !g.HasNode(v) {
+		return fmt.Errorf("graph: edge {%d,%d} needs both endpoints present", u, v)
+	}
+	if g.HasEdge(u, v) {
+		return fmt.Errorf("graph: edge {%d,%d} already present", u, v)
+	}
+	return g.AddEdge(u, v, w)
+}
+
 // RemoveEdge deletes the edge {u,v}. It returns an error if the edge is
 // absent, so double-removal is loud rather than silently idempotent.
 func (g *Graph) RemoveEdge(u, v NodeID) error {
@@ -141,7 +155,8 @@ func (g *Graph) UpdateEdgeWeight(u, v NodeID, w Weight) error {
 	return nil
 }
 
-// MustAddEdge is AddEdge that panics on error; for generators and tests.
+// MustAddEdge is AddEdge that panics on error; for generators, tests and
+// callers that have validated the edge.
 func (g *Graph) MustAddEdge(u, v NodeID, w Weight) {
 	if err := g.AddEdge(u, v, w); err != nil {
 		panic(err)

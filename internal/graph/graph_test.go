@@ -13,6 +13,24 @@ func TestAddEdgeRejectsSelfLoop(t *testing.T) {
 	}
 }
 
+func TestAddLinkNeedsTwoMembersAndANewEdge(t *testing.T) {
+	g := Path(3)
+	for _, e := range []Edge{{U: 1, V: 9}, {U: 9, V: 1}, {U: 1, V: 2}, {U: 2, V: 1}, {U: 2, V: 2}} {
+		if err := g.AddLink(e.U, e.V, 50); err == nil {
+			t.Errorf("AddLink(%d, %d) accepted", e.U, e.V)
+		}
+	}
+	if g.N() != 3 || g.M() != 2 {
+		t.Fatalf("rejected links changed the graph: N=%d M=%d", g.N(), g.M())
+	}
+	if w, _ := g.EdgeWeight(1, 2); w == 50 {
+		t.Fatal("a rejected link overwrote a weight")
+	}
+	if err := g.AddLink(3, 1, 50); err != nil || !g.HasEdge(1, 3) || g.M() != 3 {
+		t.Fatalf("AddLink(3, 1) = %v, M=%d", err, g.M())
+	}
+}
+
 func TestBasicAccessors(t *testing.T) {
 	g := New()
 	g.MustAddEdge(3, 1, 10)

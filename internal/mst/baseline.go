@@ -38,7 +38,7 @@ func DistributedBoruvka(g *graph.Graph, root graph.NodeID) (*BaselineResult, err
 	}
 	nodes := g.Nodes()
 	uf := graph.NewUnionFind(nodes)
-	adj := make(map[graph.NodeID][]graph.NodeID, len(nodes))
+	var merged []graph.Edge
 	res := &BaselineResult{}
 	for uf.Sets() > 1 {
 		res.Phases++
@@ -72,25 +72,13 @@ func DistributedBoruvka(g *graph.Graph, root graph.NodeID) (*BaselineResult, err
 		res.Rounds += 2 * maxSize
 		for _, e := range chosen {
 			if uf.Union(e.U, e.V) {
-				adj[e.U] = append(adj[e.U], e.V)
-				adj[e.V] = append(adj[e.V], e.U)
+				merged = append(merged, e)
 			}
 		}
 	}
-	t := trees.NewTree(root)
-	stack := []graph.NodeID{root}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, u := range adj[v] {
-			if !t.Has(u) {
-				t.AddChild(v, u)
-				stack = append(stack, u)
-			}
-		}
-	}
-	if t.N() != g.N() {
-		return nil, fmt.Errorf("mst: baseline produced a non-spanning structure")
+	t, err := trees.FromEdges(root, merged)
+	if err != nil {
+		return nil, fmt.Errorf("mst: baseline: %w", err)
 	}
 	// Working registers: fragment ID, phase counter, best-edge candidate
 	// (two IDs and a weight): O(log n) bits.

@@ -22,29 +22,16 @@ func Kruskal(g *graph.Graph, root graph.NodeID) (*trees.Tree, error) {
 		return nil, fmt.Errorf("mst: unknown root %d", root)
 	}
 	uf := graph.NewUnionFind(g.Nodes())
-	adj := make(map[graph.NodeID][]graph.NodeID, g.N())
+	var forest []graph.Edge
 	for _, e := range g.EdgesByWeight() {
 		if uf.Union(e.U, e.V) {
-			adj[e.U] = append(adj[e.U], e.V)
-			adj[e.V] = append(adj[e.V], e.U)
+			forest = append(forest, e)
 		}
 	}
 	if uf.Sets() != 1 {
 		return nil, fmt.Errorf("mst: graph not connected (%d components)", uf.Sets())
 	}
-	t := trees.NewTree(root)
-	stack := []graph.NodeID{root}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, u := range adj[v] {
-			if !t.Has(u) {
-				t.AddChild(v, u)
-				stack = append(stack, u)
-			}
-		}
-	}
-	return t, nil
+	return trees.FromEdges(root, forest)
 }
 
 // IsMST reports whether t is a minimum-weight spanning tree of g, by

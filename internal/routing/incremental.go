@@ -133,13 +133,14 @@ func (lb *LiveLabeler) SetParent(v graph.NodeID, raw graph.NodeID) {
 	lb.apply(i, raw)
 }
 
-// ApplyTopo folds one engine topology event into the labeling:
+// ApplyTopo folds one applied topology change into the labeling:
 //   - edge events recheck the credibility of the two endpoints'
 //     pointers (a downed link orphans the subtree hanging on it; a new
 //     link can legitimize a pointer that was noise before);
 //   - node events grow/vacate the slot and detach its neighborhood.
 //
-// Wire it with net.AddTopologyListener(lb.ApplyTopo).
+// Wire it with net.AddTopologyListener(lb.ApplyTopo) on a simulator; the
+// cluster's gateway calls it from the membership and link mutators.
 func (lb *LiveLabeler) ApplyTopo(ev runtime.TopoEvent) {
 	switch ev.Kind {
 	case runtime.TopoAddEdge, runtime.TopoRemoveEdge:
@@ -153,8 +154,6 @@ func (lb *LiveLabeler) ApplyTopo(ev runtime.TopoEvent) {
 		lb.nodeAdded(ev.U)
 	case runtime.TopoRemoveNode:
 		lb.nodeRemoved(ev.U)
-	case runtime.TopoReweigh:
-		// Weights do not enter coordinates; nothing to do.
 	}
 }
 

@@ -294,7 +294,7 @@ func TestLiveLabelerMatchesRebuild(t *testing.T) {
 				},
 				addEdge: func(u, v graph.NodeID, w graph.Weight) {
 					g.MustAddEdge(u, v, w)
-					lb.ApplyTopo(runtime.TopoEvent{Kind: runtime.TopoAddEdge, U: u, V: v, W: w})
+					lb.ApplyTopo(runtime.TopoEvent{Kind: runtime.TopoAddEdge, U: u, V: v})
 				},
 				removeNode: func(v graph.NodeID) {
 					must(g.RemoveNode(v))
@@ -373,7 +373,7 @@ func TestLiveMatchesRebuild(t *testing.T) {
 				removeNode: func(v graph.NodeID) { must(net.RemoveNode(v)) },
 				addNode: func(id graph.NodeID) {
 					slots := net.Dense().Slots()
-					must(net.AddNode(id, nil))
+					must(net.AddNode(id))
 					if net.Dense().Slots() == slots {
 						recycled++
 					}

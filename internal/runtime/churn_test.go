@@ -173,7 +173,7 @@ func TestNetworkChurnTableCases(t *testing.T) {
 		}
 		// Node 9 joins on the vacated slot, wired to 5 — healing 5's
 		// orphaned component back via 9? No: 9-5 and 9-3 re-join it.
-		if err := net.AddNode(9, nil); err != nil {
+		if err := net.AddNode(9); err != nil {
 			t.Fatal(err)
 		}
 		if got, _ := net.Dense().IndexOf(9); got != slot {
@@ -194,7 +194,7 @@ func TestNetworkChurnTableCases(t *testing.T) {
 
 	t.Run("idempotence-and-errors", func(t *testing.T) {
 		_, net := build()
-		if err := net.AddNode(2, nil); err == nil {
+		if err := net.AddNode(2); err == nil {
 			t.Error("duplicate AddNode accepted")
 		}
 		if err := net.AddEdge(1, 2, 50); err == nil {
@@ -378,7 +378,7 @@ func TestChurnUnderSequentialRuns(t *testing.T) {
 							}
 						}
 					default:
-						if err := net.AddNode(nextID, nil); err != nil {
+						if err := net.AddNode(nextID); err != nil {
 							t.Fatal(err)
 						}
 						anchor := nodes[rng.Intn(len(nodes))]

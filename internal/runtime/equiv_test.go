@@ -413,7 +413,7 @@ func TestDenseEngineMatchesReferenceUnderChurn(t *testing.T) {
 								t.Fatal(err)
 							}
 						default: // join
-							if err := dense.AddNode(nextID, nil); err != nil {
+							if err := dense.AddNode(nextID); err != nil {
 								t.Fatal(err)
 							}
 							ref.addNode(nextID)

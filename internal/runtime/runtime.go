@@ -503,7 +503,8 @@ func (net *Network) RoundPending(v graph.NodeID) bool {
 // the register file reads through, then invalidates the cached
 // enabledness of the two endpoints (they are the only nodes whose views
 // contain the edge). Unlike the structural mutators below it does not
-// change the graph's shape, so no slot bookkeeping moves.
+// change the graph's shape, so no slot bookkeeping moves and no
+// TopologyListener fires (weights enter no coordinate labeling).
 func (net *Network) PerturbEdgeWeight(u, v graph.NodeID, w graph.Weight) error {
 	if err := net.g.UpdateEdgeWeight(u, v, w); err != nil {
 		return fmt.Errorf("runtime: %w", err)
@@ -512,7 +513,6 @@ func (net *Network) PerturbEdgeWeight(u, v graph.NodeID, w graph.Weight) error {
 	iv, _ := net.d.IndexOf(v)
 	net.markDirtyAt(int32(iu))
 	net.markDirtyAt(int32(iv))
-	net.notifyTopology(TopoEvent{Kind: TopoReweigh, U: u, V: v, W: w})
 	return nil
 }
 
@@ -525,7 +525,6 @@ const (
 	TopoRemoveEdge
 	TopoAddNode
 	TopoRemoveNode
-	TopoReweigh
 )
 
 // TopoEvent describes one applied topology mutation: the kind plus the
@@ -533,7 +532,6 @@ const (
 type TopoEvent struct {
 	Kind TopoKind
 	U, V graph.NodeID
-	W    graph.Weight
 }
 
 // TopologyListener observes applied topology mutations. Serving layers
@@ -572,13 +570,7 @@ func (net *Network) growTo(slots int) {
 // absent. Only the two endpoints observe the new link, so only their
 // cached enabledness is invalidated.
 func (net *Network) AddEdge(u, v graph.NodeID, w graph.Weight) error {
-	if !net.g.HasNode(u) || !net.g.HasNode(v) {
-		return fmt.Errorf("runtime: edge {%d,%d} needs both endpoints in the network", u, v)
-	}
-	if net.g.HasEdge(u, v) {
-		return fmt.Errorf("runtime: edge {%d,%d} already present", u, v)
-	}
-	if err := net.g.AddEdge(u, v, w); err != nil {
+	if err := net.g.AddLink(u, v, w); err != nil {
 		return fmt.Errorf("runtime: %w", err)
 	}
 	net.syncedEpoch = net.d.Epoch()
@@ -586,7 +578,7 @@ func (net *Network) AddEdge(u, v graph.NodeID, w graph.Weight) error {
 	iv, _ := net.d.IndexOf(v)
 	net.markDirtyAt(int32(iu))
 	net.markDirtyAt(int32(iv))
-	net.notifyTopology(TopoEvent{Kind: TopoAddEdge, U: u, V: v, W: w})
+	net.notifyTopology(TopoEvent{Kind: TopoAddEdge, U: u, V: v})
 	return nil
 }
 
@@ -607,13 +599,11 @@ func (net *Network) RemoveEdge(u, v graph.NodeID) error {
 	return nil
 }
 
-// AddNode joins node id to the live network with the given initial
-// register content (nil models a node booting with an empty register;
-// its first activation runs the algorithm's bootstrap rule). The node
-// reuses a vacated register-file slot when one exists, otherwise the
-// per-slot arrays grow. The new node starts outside the current round's
-// frontier.
-func (net *Network) AddNode(id graph.NodeID, init State) error {
+// AddNode joins node id to the live network with an empty register: its
+// first activation runs the algorithm's bootstrap rule. The node reuses
+// a vacated register-file slot when one exists, otherwise the per-slot
+// arrays grow. The new node starts outside the current round's frontier.
+func (net *Network) AddNode(id graph.NodeID) error {
 	if net.g.HasNode(id) {
 		return fmt.Errorf("runtime: node %d already present", id)
 	}
@@ -621,18 +611,12 @@ func (net *Network) AddNode(id graph.NodeID, init State) error {
 	net.syncedEpoch = net.d.Epoch()
 	slot, _ := net.d.IndexOf(id)
 	net.growTo(net.d.Slots())
-	net.states[slot] = init
+	net.states[slot] = nil
 	net.nextCache[slot] = nil
 	net.pendingEpoch[slot] = 0
 	net.enabled.insertID(slot, id)
 	net.markDirtyAt(int32(slot))
-	// Topology first, then the register write: listeners learn the node
-	// exists before they see its initial register content, so a labeler
-	// wired to both hooks does not drop the join's parent pointer.
 	net.notifyTopology(TopoEvent{Kind: TopoAddNode, U: id})
-	if init != nil {
-		net.notify(id, nil, init)
-	}
 	return nil
 }
 

@@ -3,7 +3,6 @@ package trees
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"silentspan/internal/graph"
 )
@@ -69,31 +68,49 @@ func RandomSpanningTree(g *graph.Graph, root graph.NodeID, rng *rand.Rand) (*Tre
 	edges := g.Edges()
 	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 	uf := graph.NewUnionFind(g.Nodes())
-	adj := make(map[graph.NodeID][]graph.NodeID, g.N())
+	var forest []graph.Edge
 	for _, e := range edges {
 		if uf.Union(e.U, e.V) {
-			adj[e.U] = append(adj[e.U], e.V)
-			adj[e.V] = append(adj[e.V], e.U)
+			forest = append(forest, e)
 		}
 	}
 	if uf.Sets() != 1 {
 		return nil, fmt.Errorf("trees: graph not connected (%d components)", uf.Sets())
 	}
-	t := NewTree(root)
+	return FromEdges(root, forest)
+}
+
+// FromEdges orients an edge set away from root: it returns the tree
+// rooted at root whose edges are exactly the given ones (weights are
+// ignored). The orientation is unique, so the order of edges does not
+// matter. It errors unless the edges form one tree containing root; no
+// edges at all make the single-node tree.
+func FromEdges(root graph.NodeID, edges []graph.Edge) (*Tree, error) {
+	adj := make(map[graph.NodeID][]graph.NodeID, len(edges)+1)
+	for _, e := range edges {
+		adj[e.U] = append(adj[e.U], e.V)
+		adj[e.V] = append(adj[e.V], e.U)
+	}
+	parent := make(map[graph.NodeID]graph.NodeID, len(edges)+1)
+	parent[root] = None
 	stack := []graph.NodeID{root}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		nbrs := adj[v]
-		sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
-		for _, u := range nbrs {
-			if !t.Has(u) {
-				t.AddChild(v, u)
+		for _, u := range adj[v] {
+			if _, seen := parent[u]; !seen {
+				parent[u] = v
 				stack = append(stack, u)
 			}
 		}
 	}
-	return t, nil
+	// The walk reached len(parent) nodes over len(parent)-1 edges; any
+	// edge left over closes a cycle or lies outside root's component.
+	if len(parent) != len(edges)+1 {
+		return nil, fmt.Errorf("trees: %d edges do not form one tree containing %d (%d nodes reached)",
+			len(edges), root, len(parent))
+	}
+	return withParents(root, parent), nil
 }
 
 // IsBFSTree reports whether t realizes graph distances from its root:

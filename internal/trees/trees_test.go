@@ -1,7 +1,9 @@
 package trees
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"silentspan/internal/graph"
@@ -47,6 +49,45 @@ func TestFromParentMapRejects(t *testing.T) {
 				t.Errorf("FromParentMap accepted %v", c.pm)
 			}
 		})
+	}
+}
+
+func TestFromEdges(t *testing.T) {
+	type P = map[graph.NodeID]graph.NodeID
+	for _, tc := range []struct {
+		name  string
+		root  graph.NodeID
+		edges []graph.Edge
+		want  P // nil: rejected
+	}{
+		{"single node", 4, nil, P{4: None}},
+		{"path from its middle", 2, []graph.Edge{{U: 3, V: 2}, {U: 1, V: 2}, {U: 4, V: 3}}, P{2: None, 1: 2, 3: 2, 4: 3}},
+		{"star from a leaf", 3, []graph.Edge{{U: 1, V: 4}, {U: 1, V: 2}, {U: 3, V: 1}}, P{3: None, 1: 3, 2: 1, 4: 1}},
+		{"cycle", 1, []graph.Edge{{U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 1}}, nil},
+		{"edge listed twice", 1, []graph.Edge{{U: 1, V: 2}, {U: 2, V: 1}}, nil},
+		{"self-loop", 1, []graph.Edge{{U: 1, V: 2}, {U: 2, V: 2}}, nil},
+		{"forest", 1, []graph.Edge{{U: 1, V: 2}, {U: 3, V: 4}}, nil},
+		{"root absent", 9, []graph.Edge{{U: 1, V: 2}, {U: 2, V: 3}}, nil},
+	} {
+		tr, err := FromEdges(tc.root, tc.edges)
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("%s: accepted as %v", tc.name, tr.ParentMap())
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if tr.Root() != tc.root || !maps.Equal(tr.ParentMap(), tc.want) {
+			t.Errorf("%s: root %d parents %v, want root %d parents %v", tc.name, tr.Root(), tr.ParentMap(), tc.root, tc.want)
+		}
+		for v := range tc.want {
+			if cs := tr.Children(v); !slices.IsSorted(cs) {
+				t.Errorf("%s: children of %d not ascending: %v", tc.name, v, cs)
+			}
+		}
 	}
 }
 
