@@ -142,6 +142,46 @@ func BenchmarkSequentialEngineMST(b *testing.B) {
 	}
 }
 
+// BenchmarkDistributedConstruction times the paper's MST and MDST
+// constructions on the state-model engine, core.RunDistributed — the
+// tree stage of the benchmark harness's sim-stack workload. Each
+// iteration builds both trees on four RandomConnected(24, 0.2) graphs
+// from fixed arbitrary starts (seeds clear of the starts on which the
+// first injected switch is dropped). It reports the cost per engine
+// move: ns/move and allocs/move, the second counting every allocation
+// of the run (labeling and improvement search included).
+func BenchmarkDistributedConstruction(b *testing.B) {
+	type input struct {
+		g    *graph.Graph
+		seed int64
+	}
+	var inputs []input
+	for s := int64(1); s <= 4; s++ {
+		rng := rand.New(rand.NewSource(s))
+		inputs = append(inputs, input{graph.RandomConnected(24, 0.2, rng), rng.Int63()})
+	}
+	b.ReportAllocs()
+	moves := 0
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, in := range inputs {
+			for _, task := range []core.Task{mst.Task{}, mdst.Task{}} {
+				_, trace, err := core.RunDistributed(in.g, task, core.EngineOptions{Rng: rand.New(rand.NewSource(in.seed))})
+				if err != nil {
+					b.Fatalf("%s, engine seed %d: %v", task.Name(), in.seed, err)
+				}
+				moves += trace.Moves
+			}
+		}
+	}
+	b.StopTimer()
+	goruntime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(moves), "ns/move")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(moves), "allocs/move")
+}
+
 // BenchmarkScaleBFSRouting is the 100k-node serving-scale run: stabilize
 // the BFS substrate, label the tree with routing coordinates, and drive
 // a packet batch — the full stack at a size the map-backed engine could

@@ -61,7 +61,7 @@ func (Algorithm) Step(v runtime.View) runtime.State {
 	if next := switching.StepReg(s, v); next != s {
 		return next
 	}
-	if target, ok := improvement(s, v); ok {
+	if target, ok := improvement(s, &v); ok {
 		s.Sw = switching.SwReq
 		s.SwTarget = target
 		return s
@@ -73,7 +73,7 @@ func (Algorithm) Step(v runtime.View) runtime.State {
 // that d(v) + 1 < d(u) requests the switch e = {u,v}, f = {u,p(u)}. It
 // fires only in a locally quiet neighborhood, so requests are based on
 // settled labels.
-func improvement(s switching.State, v runtime.View) (graph.NodeID, bool) {
+func improvement(s switching.State, v *runtime.View) (graph.NodeID, bool) {
 	if !s.Idle() || !s.HasD || !s.HasS || s.Parent == trees.None {
 		return trees.None, false
 	}

@@ -317,7 +317,12 @@ type ChurnTarget interface {
 // RemoveEdge are the network's own.
 type NetworkTarget struct{ *runtime.Network }
 
+// Join checks the whole join before it adds the node, as Cluster.Join
+// does, so a rejected join leaves the network as it was.
 func (t NetworkTarget) Join(id graph.NodeID, edges []graph.Edge) error {
+	if err := t.Graph().CheckJoin(id, edges); err != nil {
+		return fmt.Errorf("cert: %w", err)
+	}
 	if err := t.AddNode(id); err != nil {
 		return err
 	}

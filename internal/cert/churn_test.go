@@ -11,6 +11,42 @@ import (
 	"silentspan/internal/spanning"
 )
 
+// TestNetworkTargetJoinRejectsWhole: the simulator's Join checks the
+// whole join first, as the cluster's does. A join with an edge between
+// two old members, or with a bad edge after a good one, is an error and
+// leaves no node and no edge behind; the valid join of the same id then
+// lands.
+func TestNetworkTargetJoinRejectsWhole(t *testing.T) {
+	net, err := runtime.NewNetwork(graph.Path(6), spanning.Algorithm{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, target := net.Graph(), NetworkTarget{net}
+	for _, tc := range []struct {
+		name  string
+		id    graph.NodeID
+		edges []graph.Edge
+	}{
+		{"foreign edge", 99, []graph.Edge{{U: 99, V: 1, W: 50}, {U: 2, V: 5, W: 51}}},
+		{"edge to a non-member", 99, []graph.Edge{{U: 99, V: 1, W: 50}, {U: 99, V: 7, W: 51}}},
+		{"duplicate edge", 99, []graph.Edge{{U: 99, V: 1, W: 50}, {U: 1, V: 99, W: 51}}},
+		{"id already present", 3, []graph.Edge{{U: 3, V: 1, W: 50}}},
+	} {
+		if err := target.Join(tc.id, tc.edges); err == nil {
+			t.Errorf("%s: Join(%d, %v) accepted", tc.name, tc.id, tc.edges)
+		}
+		if g.N() != 6 || g.M() != 5 || g.HasNode(99) {
+			t.Fatalf("%s: rejected join left N=%d M=%d, want 6, 5", tc.name, g.N(), g.M())
+		}
+	}
+	if err := target.Join(99, []graph.Edge{{U: 99, V: 1, W: 50}, {U: 6, V: 99, W: 51}}); err != nil {
+		t.Fatalf("valid join after the rejected ones: %v", err)
+	}
+	if g.N() != 7 || g.M() != 7 || !g.HasEdge(6, 99) {
+		t.Fatalf("valid join: N=%d M=%d, want 7, 7", g.N(), g.M())
+	}
+}
+
 // TestChurnScheduleGeneratorInvariants: every generated schedule must
 // replay cleanly against a live network (ops valid in order) and leave
 // the final graph connected.

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"slices"
 
 	"silentspan/internal/graph"
 	"silentspan/internal/runtime"
@@ -55,20 +54,8 @@ type evictor interface {
 func (c *Cluster) Join(id graph.NodeID, edges []graph.Edge) error {
 	c.memMu.Lock()
 	defer c.memMu.Unlock()
-	if c.g.HasNode(id) {
-		return fmt.Errorf("cluster: node %d already present", id)
-	}
-	for i, e := range edges {
-		if e.U != id && e.V != id {
-			return fmt.Errorf("cluster: join edge %v does not touch node %d", e, id)
-		}
-		v := e.Other(id)
-		if !c.g.HasNode(v) {
-			return fmt.Errorf("cluster: join edge %v: %d is not a member", e, v)
-		}
-		if slices.ContainsFunc(edges[:i], func(f graph.Edge) bool { return f.Other(id) == v }) {
-			return fmt.Errorf("cluster: join edge %v listed twice", e)
-		}
+	if err := c.g.CheckJoin(id, edges); err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
 	ep, err := c.tr.Open(id)
 	if err != nil {

@@ -112,6 +112,32 @@ func (g *Graph) AddLink(u, v NodeID, w Weight) error {
 	return g.AddEdge(u, v, w)
 }
 
+// CheckJoin reports whether node id may join g through edges: id is a
+// new, non-negative identity and every edge joins it to a distinct
+// existing node. It changes nothing, so a live topology that runs it
+// before its first mutation rejects a bad join whole.
+func (g *Graph) CheckJoin(id NodeID, edges []Edge) error {
+	if id < 0 {
+		return fmt.Errorf("graph: negative node identity %d", id)
+	}
+	if g.HasNode(id) {
+		return fmt.Errorf("graph: node %d already present", id)
+	}
+	for i, e := range edges {
+		if e.U != id && e.V != id {
+			return fmt.Errorf("graph: join edge %v does not touch node %d", e, id)
+		}
+		v := e.Other(id)
+		if !g.HasNode(v) {
+			return fmt.Errorf("graph: join edge %v: %d is not a member", e, v)
+		}
+		if slices.ContainsFunc(edges[:i], func(f Edge) bool { return f.Other(id) == v }) {
+			return fmt.Errorf("graph: join edge %v listed twice", e)
+		}
+	}
+	return nil
+}
+
 // RemoveEdge deletes the edge {u,v}. It returns an error if the edge is
 // absent, so double-removal is loud rather than silently idempotent.
 func (g *Graph) RemoveEdge(u, v NodeID) error {

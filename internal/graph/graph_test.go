@@ -31,6 +31,36 @@ func TestAddLinkNeedsTwoMembersAndANewEdge(t *testing.T) {
 	}
 }
 
+// TestCheckJoinNeedsANewIDAndDistinctMembers: a join names a new,
+// non-negative identity and links it only to distinct existing nodes.
+func TestCheckJoinNeedsANewIDAndDistinctMembers(t *testing.T) {
+	g := Path(6)
+	for _, tc := range []struct {
+		name  string
+		id    NodeID
+		edges []Edge
+	}{
+		{"foreign edge", 99, []Edge{{U: 99, V: 1, W: 50}, {U: 2, V: 5, W: 51}}},
+		{"edge to a non-member", 99, []Edge{{U: 99, V: 1, W: 50}, {U: 99, V: 7, W: 51}}},
+		{"self-loop", 99, []Edge{{U: 99, V: 99, W: 50}}},
+		{"duplicate edge", 99, []Edge{{U: 99, V: 1, W: 50}, {U: 1, V: 99, W: 51}}},
+		{"id already present", 3, []Edge{{U: 3, V: 1, W: 50}}},
+		{"negative id", -1, nil},
+	} {
+		if err := g.CheckJoin(tc.id, tc.edges); err == nil {
+			t.Errorf("%s: CheckJoin(%d, %v) accepted", tc.name, tc.id, tc.edges)
+		}
+	}
+	for _, edges := range [][]Edge{nil, {{U: 99, V: 1, W: 50}, {U: 6, V: 99, W: 51}}} {
+		if err := g.CheckJoin(99, edges); err != nil {
+			t.Errorf("CheckJoin(99, %v): %v", edges, err)
+		}
+	}
+	if g.N() != 6 || g.M() != 5 {
+		t.Fatalf("CheckJoin changed the graph: N=%d M=%d", g.N(), g.M())
+	}
+}
+
 func TestBasicAccessors(t *testing.T) {
 	g := New()
 	g.MustAddEdge(3, 1, 10)

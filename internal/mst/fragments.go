@@ -27,13 +27,19 @@ type Trace struct {
 	K int
 	// Levels maps each node to its K level labels.
 	Levels map[graph.NodeID][]LevelLabel
+	// out[i] maps each level-(i+1) fragment to the minimum-weight edge of
+	// G leaving it; a fragment with no outgoing edge has no entry.
+	out []map[graph.NodeID]graph.Edge
 }
 
 // ComputeTrace runs the virtual Borůvka execution on T (edge weights
-// taken from g) and returns the labels.
+// taken from g) and returns the labels. Per level it also records each
+// fragment's minimum-weight outgoing edge in G, one pass over g's edges,
+// which is what the potential and the violation search compare against.
 func ComputeTrace(g *graph.Graph, t *trees.Tree) (*Trace, error) {
 	nodes := t.Nodes()
 	tr := &Trace{Levels: make(map[graph.NodeID][]LevelLabel, len(nodes))}
+	graphEdges := g.Edges()
 	treeEdges := t.Edges()
 	for i := range treeEdges {
 		w, ok := g.EdgeWeight(treeEdges[i].U, treeEdges[i].V)
@@ -75,6 +81,20 @@ func ComputeTrace(g *graph.Graph, t *trees.Tree) (*Trace, error) {
 			}
 			tr.Levels[x] = append(tr.Levels[x], ll)
 		}
+		out := make(map[graph.NodeID]graph.Edge, fragments)
+		for _, e := range graphEdges {
+			fu, oku := frag[e.U]
+			fv, okv := frag[e.V]
+			if !oku || !okv || fu == fv {
+				continue
+			}
+			for _, f := range []graph.NodeID{fu, fv} {
+				if best, ok := out[f]; !ok || lighter(e, best) {
+					out[f] = e.Canonical()
+				}
+			}
+		}
+		tr.out = append(tr.out, out)
 		tr.K = level + 1
 		if fragments == 1 {
 			return tr, nil
@@ -129,10 +149,11 @@ func (tr *Trace) FragmentAt(x graph.NodeID, i int) graph.NodeID {
 
 // NodePotential returns φ_x(T): the largest i in [0, K] such that for
 // every j ≤ i, f_j(x) is the minimum-weight edge of G leaving F_j(x)
-// (levels without an outgoing graph edge count as satisfied).
-func (tr *Trace) NodePotential(g *graph.Graph, x graph.NodeID) int {
+// (levels without an outgoing graph edge count as satisfied). G is the
+// graph the trace was computed on.
+func (tr *Trace) NodePotential(x graph.NodeID) int {
 	for i := 1; i <= tr.K; i++ {
-		if !tr.LevelSatisfied(g, x, i) {
+		if !tr.LevelSatisfied(x, i) {
 			return i - 1
 		}
 	}
@@ -141,47 +162,31 @@ func (tr *Trace) NodePotential(g *graph.Graph, x graph.NodeID) int {
 
 // LevelSatisfied reports whether f_i(x) is the minimum-weight outgoing
 // edge of F_i(x) in G (1-based level i).
-func (tr *Trace) LevelSatisfied(g *graph.Graph, x graph.NodeID, i int) bool {
+func (tr *Trace) LevelSatisfied(x graph.NodeID, i int) bool {
 	ll := tr.Levels[x][i-1]
-	best, hasBest := tr.MinOutgoing(g, ll.Fragment, i)
+	best, hasBest := tr.MinOutgoing(ll.Fragment, i)
 	if !hasBest {
 		return !ll.HasEdge
 	}
 	if !ll.HasEdge {
 		return false
 	}
-	return ll.Edge.Canonical() == best.Canonical()
+	return ll.Edge.Canonical() == best
 }
 
 // MinOutgoing returns the minimum-weight edge of G leaving the level-i
-// fragment identified by rep (1-based level).
-func (tr *Trace) MinOutgoing(g *graph.Graph, rep graph.NodeID, level int) (graph.Edge, bool) {
-	var best graph.Edge
-	found := false
-	for x, lvls := range tr.Levels {
-		if lvls[level-1].Fragment != rep {
-			continue
-		}
-		for _, u := range g.Neighbors(x) {
-			if tr.Levels[u][level-1].Fragment == rep {
-				continue
-			}
-			w, _ := g.EdgeWeight(x, u)
-			e := graph.Edge{U: x, V: u, W: w}
-			if !found || lighter(e, best) {
-				best, found = e, true
-			}
-		}
-	}
-	return best.Canonical(), found
+// fragment identified by rep (1-based level), in canonical form.
+func (tr *Trace) MinOutgoing(rep graph.NodeID, level int) (graph.Edge, bool) {
+	e, ok := tr.out[level-1][rep]
+	return e, ok
 }
 
 // Potential returns the paper's φ(T) = K·n − Σ_x φ_x(T): non-negative,
-// zero iff T is the MST of g.
-func (tr *Trace) Potential(g *graph.Graph) int {
+// zero iff T is the MST of G.
+func (tr *Trace) Potential() int {
 	phi := tr.K * len(tr.Levels)
 	for x := range tr.Levels {
-		phi -= tr.NodePotential(g, x)
+		phi -= tr.NodePotential(x)
 	}
 	return phi
 }
@@ -189,7 +194,7 @@ func (tr *Trace) Potential(g *graph.Graph) int {
 // Violation returns a node x and level i with φ_x = i < K (a witness
 // that T is not the MST), choosing the smallest (i, x); ok is false when
 // every node is fully satisfied (φ = 0).
-func (tr *Trace) Violation(g *graph.Graph) (graph.NodeID, int, bool) {
+func (tr *Trace) Violation() (graph.NodeID, int, bool) {
 	bestX, bestI, found := graph.NodeID(0), 0, false
 	nodes := make([]graph.NodeID, 0, len(tr.Levels))
 	for x := range tr.Levels {
@@ -197,7 +202,7 @@ func (tr *Trace) Violation(g *graph.Graph) (graph.NodeID, int, bool) {
 	}
 	slices.Sort(nodes)
 	for _, x := range nodes {
-		i := tr.NodePotential(g, x)
+		i := tr.NodePotential(x)
 		if i < tr.K && (!found || i < bestI) {
 			bestX, bestI, found = x, i, true
 		}

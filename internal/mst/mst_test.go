@@ -134,10 +134,10 @@ func TestTraceOnMSTHasZeroPotential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if phi := tr.Potential(g); phi != 0 {
+		if phi := tr.Potential(); phi != 0 {
 			t.Errorf("trial %d: φ(MST) = %d, want 0", trial, phi)
 		}
-		if _, _, found := tr.Violation(g); found {
+		if _, _, found := tr.Violation(); found {
 			t.Errorf("trial %d: violation reported on the MST", trial)
 		}
 	}
@@ -163,10 +163,10 @@ func TestTraceOnNonMSTHasPositivePotential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if phi := tr.Potential(g); phi <= 0 {
+		if phi := tr.Potential(); phi <= 0 {
 			t.Errorf("trial %d: φ(non-MST) = %d, want > 0", trial, phi)
 		}
-		if _, _, found := tr.Violation(g); !found {
+		if _, _, found := tr.Violation(); !found {
 			t.Errorf("trial %d: no violation found on a non-MST", trial)
 		}
 		positives++
@@ -174,6 +174,111 @@ func TestTraceOnNonMSTHasPositivePotential(t *testing.T) {
 	if positives == 0 {
 		t.Fatal("no non-MST trees generated; test vacuous")
 	}
+}
+
+// TestTraceMatchesPerNodeDefinition: the per-level table of lightest
+// outgoing edges ComputeTrace records gives the same MinOutgoing,
+// NodePotential, Potential and Violation as the per-node definition —
+// for every fragment, scan every member's graph neighbors — on random
+// (graph, tree) pairs, with tied weights on half of them and the MST on
+// every fourth.
+func TestTraceMatchesPerNodeDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	violations := 0
+	for trial := 0; trial < 240; trial++ {
+		g := graph.RandomConnected(2+rng.Intn(30), 0.1+0.4*rng.Float64(), rng)
+		if trial%2 == 1 {
+			tied := graph.New()
+			for _, e := range g.Edges() {
+				tied.MustAddEdge(e.U, e.V, e.W%3+1)
+			}
+			g = tied
+		}
+		var tree *trees.Tree
+		var err error
+		if trial%4 == 0 {
+			tree, err = Kruskal(g, g.MinID())
+		} else {
+			tree, err = trees.RandomSpanningTree(g, g.MinID(), rng)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := ComputeTrace(g, tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for x, lvls := range tr.Levels {
+			for i := 1; i <= tr.K; i++ {
+				got, gotOK := tr.MinOutgoing(lvls[i-1].Fragment, i)
+				want, wantOK := oracleMinOutgoing(tr, g, lvls[i-1].Fragment, i)
+				if got != want || gotOK != wantOK {
+					t.Fatalf("trial %d: level %d fragment %d: MinOutgoing %v,%v, want %v,%v",
+						trial, i, lvls[i-1].Fragment, got, gotOK, want, wantOK)
+				}
+			}
+			if got, want := tr.NodePotential(x), oraclePotential(tr, g, x); got != want {
+				t.Fatalf("trial %d: φ_%d = %d, want %d", trial, x, got, want)
+			}
+		}
+		wantPhi, wantX, wantI, wantFound := tr.K*len(tr.Levels), graph.NodeID(0), 0, false
+		for _, x := range tree.Nodes() {
+			i := oraclePotential(tr, g, x)
+			wantPhi -= i
+			if i < tr.K && (!wantFound || i < wantI) {
+				wantX, wantI, wantFound = x, i, true
+			}
+		}
+		if got := tr.Potential(); got != wantPhi {
+			t.Fatalf("trial %d: φ = %d, want %d", trial, got, wantPhi)
+		}
+		x, i, found := tr.Violation()
+		if x != wantX || i != wantI || found != wantFound {
+			t.Fatalf("trial %d: Violation = (%d, %d, %v), want (%d, %d, %v)", trial, x, i, found, wantX, wantI, wantFound)
+		}
+		if found {
+			violations++
+		}
+	}
+	if violations == 0 {
+		t.Fatal("no trial had a violation; test vacuous")
+	}
+}
+
+// oracleMinOutgoing is the per-node definition of the minimum-weight
+// edge of g leaving the level-i fragment rep: every member scans its
+// graph neighbors.
+func oracleMinOutgoing(tr *Trace, g *graph.Graph, rep graph.NodeID, level int) (graph.Edge, bool) {
+	var best graph.Edge
+	found := false
+	for x, lvls := range tr.Levels {
+		if lvls[level-1].Fragment != rep {
+			continue
+		}
+		for _, u := range g.Neighbors(x) {
+			if tr.Levels[u][level-1].Fragment == rep {
+				continue
+			}
+			w, _ := g.EdgeWeight(x, u)
+			e := graph.Edge{U: x, V: u, W: w}
+			if !found || lighter(e, best) {
+				best, found = e, true
+			}
+		}
+	}
+	return best.Canonical(), found
+}
+
+// oraclePotential is φ_x(T) from oracleMinOutgoing.
+func oraclePotential(tr *Trace, g *graph.Graph, x graph.NodeID) int {
+	for i := 1; i <= tr.K; i++ {
+		ll := tr.Levels[x][i-1]
+		best, ok := oracleMinOutgoing(tr, g, ll.Fragment, i)
+		if ok != ll.HasEdge || ok && ll.Edge.Canonical() != best {
+			return i - 1
+		}
+	}
+	return tr.K
 }
 
 func TestTraceLevelsLogarithmic(t *testing.T) {

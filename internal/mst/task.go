@@ -62,13 +62,13 @@ func (Task) FindImprovement(g *graph.Graph, t *trees.Tree) ([]core.Swap, int, bo
 			height = d
 		}
 	}
-	x, i, found := tr.Violation(g)
+	x, i, found := tr.Violation()
 	if !found {
 		return nil, 2 * (height + 1), false, nil
 	}
 	// e = min-weight outgoing edge of F_{i+1}(x) in G.
 	rep := tr.FragmentAt(x, i+1)
-	e, ok := tr.MinOutgoing(g, rep, i+1)
+	e, ok := tr.MinOutgoing(rep, i+1)
 	if !ok {
 		return nil, 0, false, fmt.Errorf("mst: violated fragment %d has no outgoing edge", rep)
 	}
@@ -105,5 +105,5 @@ func PaperPotential(g *graph.Graph, t *trees.Tree) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return tr.Potential(g), nil
+	return tr.Potential(), nil
 }

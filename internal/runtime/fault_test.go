@@ -66,10 +66,11 @@ func TestPerturbEdgeWeightVisibleToViews(t *testing.T) {
 	if err := net.PerturbEdgeWeight(2, 3, 777); err != nil {
 		t.Fatal(err)
 	}
-	if w := net.view(2).EdgeWeight(3); w != 777 {
+	v2, v3 := net.view(2), net.view(3)
+	if w := v2.EdgeWeight(3); w != 777 {
 		t.Fatalf("view of node 2 sees weight %d, want 777", w)
 	}
-	if w := net.view(3).EdgeWeight(2); w != 777 {
+	if w := v3.EdgeWeight(2); w != 777 {
 		t.Fatalf("view of node 3 sees weight %d, want 777", w)
 	}
 	if w, _ := g.EdgeWeight(2, 3); w != 777 {

@@ -70,6 +70,12 @@ type State interface {
 // out of the engine's register file through precomputed dense indices
 // or from a snapshot slice parallel to Neighbors (NewView); weights come
 // from a slice parallel to Neighbors too.
+//
+// A View is 19 words, so its accessors take a pointer: a rule that reads
+// its neighborhood through them copies nothing. Algorithm.Step still
+// takes the view by value on purpose. Step is an interface call, and a
+// *View passed through one escapes to the heap; by value, every δ
+// allocates nothing.
 type View struct {
 	// ID is the node's own identity (incorruptible constant).
 	ID graph.NodeID
@@ -115,7 +121,7 @@ func NewView(id graph.NodeID, n int, neighbors []graph.NodeID, weights []graph.W
 }
 
 // peerAt returns the register of Neighbors[j].
-func (v View) peerAt(j int) State {
+func (v *View) peerAt(j int) State {
 	if v.peers != nil {
 		return v.peers[j]
 	}
@@ -125,14 +131,14 @@ func (v View) peerAt(j int) State {
 // PeerAt returns the register content of Neighbors[j]: the positional
 // accessor for rules that iterate the Neighbors slice. Unlike Peer it
 // performs no search, so a full neighborhood scan is O(deg).
-func (v View) PeerAt(j int) State { return v.peerAt(j) }
+func (v *View) PeerAt(j int) State { return v.peerAt(j) }
 
 // WeightAt returns the weight of the incident edge to Neighbors[j].
-func (v View) WeightAt(j int) graph.Weight { return v.weights[j] }
+func (v *View) WeightAt(j int) graph.Weight { return v.weights[j] }
 
 // Peer returns the register content of neighbor u. It panics if u is not
 // a neighbor: reading a non-neighbor's register would violate the model.
-func (v View) Peer(u graph.NodeID) State {
+func (v *View) Peer(u graph.NodeID) State {
 	j, ok := slices.BinarySearch(v.Neighbors, u)
 	if !ok {
 		panic(fmt.Sprintf("runtime: node %d read non-neighbor %d", v.ID, u))
@@ -142,7 +148,7 @@ func (v View) Peer(u graph.NodeID) State {
 
 // EdgeWeight returns the weight of the incident edge to neighbor u (an
 // incorruptible constant, per Section II-A).
-func (v View) EdgeWeight(u graph.NodeID) graph.Weight {
+func (v *View) EdgeWeight(u graph.NodeID) graph.Weight {
 	j, ok := slices.BinarySearch(v.Neighbors, u)
 	if !ok {
 		panic(fmt.Sprintf("runtime: node %d has no edge to %d", v.ID, u))

@@ -104,12 +104,12 @@ func (Algorithm) Step(v runtime.View) runtime.State {
 	cap := v.N - 1
 
 	// R0: structural consistency.
-	if !consistent(s, v) {
+	if !consistent(s, &v) {
 		return selfRoot(v.ID)
 	}
 
 	// R1: adopt a strictly better offer.
-	if u, offer, found := bestOffer(v, cap); found {
+	if u, offer, found := bestOffer(&v, cap); found {
 		if better(offer, s) {
 			return State{Root: offer.Root, Parent: u, Dist: offer.Dist}
 		}
@@ -137,7 +137,7 @@ func (Algorithm) Step(v runtime.View) runtime.State {
 // (the root is the global minimum, so every non-root's claim is below its
 // own identity), a distance within the cap, and no claim below the
 // smallest identity it could legitimately learn.
-func consistent(s State, v runtime.View) bool {
+func consistent(s State, v *runtime.View) bool {
 	if s.Parent == trees.None {
 		return s.Root == v.ID && s.Dist == 0
 	}
@@ -168,7 +168,7 @@ func consistent(s State, v runtime.View) bool {
 
 // bestOffer returns the neighbor u minimizing (root, dist+1)
 // lexicographically among offers within the distance cap.
-func bestOffer(v runtime.View, cap int) (graph.NodeID, State, bool) {
+func bestOffer(v *runtime.View, cap int) (graph.NodeID, State, bool) {
 	var (
 		bestU graph.NodeID
 		best  State

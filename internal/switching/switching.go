@@ -33,9 +33,7 @@
 package switching
 
 import (
-	"cmp"
 	"math/rand"
-	"slices"
 
 	"silentspan/internal/graph"
 	"silentspan/internal/runtime"
@@ -73,20 +71,27 @@ const (
 )
 
 // State is the register of the switching algorithm.
+//
+// Its fields are laid out widest first — the three identities and the
+// two integers, then the five one-byte fields — so the register is 48
+// bytes, not 72: StepReg copies it into and out of every rule, and a
+// gathered neighbor carries one. Keep that order when adding a field.
+// The wire order is Schema's, by name, so the layout is free to differ.
 type State struct {
 	// Root, Parent, D, S are the malleable label of Lemma 4.1: root
 	// identity, parent pointer, distance (HasD=false encodes d=⊥) and
 	// subtree size (HasS=false encodes s=⊥).
 	Root   graph.NodeID
 	Parent graph.NodeID
-	HasD   bool
-	D      int
-	HasS   bool
-	S      int
-	// Sw / SwTarget drive a switch this node initiates.
-	Sw       SwPhase
+	// SwTarget is the new parent a switch this node initiates adopts.
 	SwTarget graph.NodeID
-	// Pr is the ancestor prune control; Sub the subtree prune control.
+	D        int
+	S        int
+	HasD     bool
+	HasS     bool
+	// Sw drives a switch this node initiates; Pr is the ancestor prune
+	// control, Sub the subtree prune control.
+	Sw  SwPhase
 	Pr  PrPhase
 	Sub SubPhase
 }
@@ -180,14 +185,15 @@ func SelfRoot(id graph.NodeID) State {
 // neighborhood held on the stack up to degree hoodCap (on the heap
 // above it); the rules iterate that by index, and only the parent and the
 // switch target are found by identity, one binary search each. Up to
-// degree hoodCap an evaluation allocates nothing.
+// degree hoodCap an evaluation allocates nothing. No rule copies the
+// view or a gathered register: each takes the neighborhood by pointer.
 func StepReg(self State, v runtime.View) State {
 	var buf [hoodCap]peer
-	h := gather(self, v, buf[:0])
+	h := gather(&self, &v, buf[:0])
 
 	// ---- Layer 0: substrate consistency (tree construction/repair).
 	s := self
-	if next, acted := substrate(s, v, &h); acted {
+	if next, acted := substrate(s, &h); acted {
 		return next
 	}
 
@@ -196,26 +202,26 @@ func StepReg(self State, v runtime.View) State {
 	// verifier, not from the protocol): enforcing D = D_parent + 1 with
 	// the n-1 cap on the raw fields erodes parent cycles made of pruned
 	// nodes, which no verifier-visible rule could otherwise detect.
-	if p := h.par; h.hasPar && s.D != p.D+1 {
-		if p.D+1 > v.N-1 {
-			return SelfRoot(v.ID)
+	if p := h.parent(); p != nil && s.D != p.D+1 {
+		if p.D+1 > h.n-1 {
+			return SelfRoot(h.id)
 		}
 		s.D = p.D + 1
 		return s
 	}
 
 	// ---- Layer 2: control-field sanitization.
-	if next, acted := sanitize(s, v, &h); acted {
+	if next, acted := sanitize(s, &h); acted {
 		return next
 	}
 
 	// ---- Layer 2: protocol forward rules.
-	if next, acted := protocol(s, v, &h); acted {
+	if next, acted := protocol(s, &h); acted {
 		return next
 	}
 
 	// ---- Layer 3: label maintenance (sizes, distances) when quiet.
-	if next, acted := maintain(s, v, &h); acted {
+	if next, acted := maintain(s, &h); acted {
 		return next
 	}
 	return s
@@ -231,60 +237,89 @@ type peer struct {
 	State
 }
 
-// hood is the neighborhood of one evaluation: the neighbors that hold a
-// switching register, in increasing identity order, and the registers of
-// the evaluating node's parent and switch target among them.
+// hood is the neighborhood of one evaluation: the evaluating node's
+// identity and the network size (its incorruptible constants), the
+// neighbors that hold a switching register, in increasing identity
+// order, and the positions among them of the node's parent and switch
+// target (-1 when absent).
 type hood struct {
-	peers          []peer
-	par, tgt       State
-	hasPar, hasTgt bool
+	peers    []peer
+	id       graph.NodeID
+	n        int
+	par, tgt int
 }
 
 // gather reads every neighbor's register once into buf, whose capacity
 // it grows only when the degree exceeds it. A neighbor with no switching
-// register is left out, exactly as if it were absent.
-func gather(self State, v runtime.View, buf []peer) hood {
-	h := hood{peers: buf}
+// register is left out, exactly as if it were absent. The neighborhood
+// is built here and returned by value: appending through a *hood would
+// move buf to the heap.
+func gather(self *State, v *runtime.View, buf []peer) hood {
+	h := hood{peers: buf, id: v.ID, n: v.N}
 	for j, u := range v.Neighbors {
 		if r, ok := RegOf(v.PeerAt(j)); ok {
 			h.peers = append(h.peers, peer{u, r})
 		}
 	}
-	h.par, h.hasPar = h.find(self.Parent)
-	h.tgt, h.hasTgt = h.find(self.SwTarget)
+	h.par = h.find(self.Parent)
+	h.tgt = h.find(self.SwTarget)
 	return h
 }
 
-// find returns the gathered register of neighbor u.
-func (h *hood) find(u graph.NodeID) (State, bool) {
+// find returns the position of neighbor u in peers, or -1.
+func (h *hood) find(u graph.NodeID) int {
 	if u == trees.None {
-		return State{}, false
+		return -1
 	}
-	i, ok := slices.BinarySearchFunc(h.peers, u, func(p peer, u graph.NodeID) int { return cmp.Compare(p.id, u) })
-	if !ok {
-		return State{}, false
+	lo, hi := 0, len(h.peers)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if h.peers[m].id < u {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	return h.peers[i].State, true
+	if lo < len(h.peers) && h.peers[lo].id == u {
+		return lo
+	}
+	return -1
+}
+
+// parent returns the gathered register of the evaluating node's parent,
+// or nil.
+func (h *hood) parent() *peer { return h.at(h.par) }
+
+// target returns the gathered register of the evaluating node's switch
+// target, or nil.
+func (h *hood) target() *peer { return h.at(h.tgt) }
+
+func (h *hood) at(i int) *peer {
+	if i < 0 {
+		return nil
+	}
+	return &h.peers[i]
 }
 
 // substrate enforces tree consistency: reset on structural nonsense and
 // adopt strictly smaller root identities (min-ID leader election). Any
 // substrate action clears the control fields.
-func substrate(s State, v runtime.View, h *hood) (State, bool) {
-	cap := v.N - 1
+func substrate(s State, h *hood) (State, bool) {
+	cap := h.n - 1
 	if s.Parent == trees.None {
-		if s.Root != v.ID || !s.HasD || s.D != 0 {
-			return SelfRoot(v.ID), true
+		if s.Root != h.id || !s.HasD || s.D != 0 {
+			return SelfRoot(h.id), true
 		}
 	} else {
-		if !h.hasPar {
-			return SelfRoot(v.ID), true
+		p := h.parent()
+		if p == nil {
+			return SelfRoot(h.id), true
 		}
-		if s.Root >= v.ID || s.Root <= 0 || h.par.Root != s.Root {
-			return SelfRoot(v.ID), true
+		if s.Root >= h.id || s.Root <= 0 || p.Root != s.Root {
+			return SelfRoot(h.id), true
 		}
 		if s.HasD && (s.D < 1 || s.D > cap) {
-			return SelfRoot(v.ID), true
+			return SelfRoot(h.id), true
 		}
 	}
 	// Adopt a strictly smaller root from any neighbor.
@@ -327,7 +362,7 @@ func prSupport(h *hood, x graph.NodeID) bool {
 // sanitize clears control fields that have lost their justification —
 // the self-stabilization of the protocol layer itself after transient
 // faults corrupt control fields.
-func sanitize(s State, v runtime.View, h *hood) (State, bool) {
+func sanitize(s State, h *hood) (State, bool) {
 	// Initiator sanity.
 	if s.Sw != SwIdle && s.Sw != SwReq && s.Sw != SwDone {
 		s.Sw, s.SwTarget = SwIdle, trees.None
@@ -347,13 +382,13 @@ func sanitize(s State, v runtime.View, h *hood) (State, bool) {
 		return s, true
 	}
 	if s.Sw == SwReq {
-		t := h.tgt
-		bad := !h.hasTgt || s.SwTarget == s.Parent || !s.HasD || !s.HasS ||
+		t := h.target()
+		bad := t == nil || s.SwTarget == s.Parent || !s.HasD || !s.HasS ||
 			s.Parent == trees.None || t.Root != s.Root ||
 			// The target joined this initiator's own subtree-prune wave:
 			// it is a descendant, so the requested switch would create a
 			// cycle. Abort; the waves die out and the restores run.
-			t.Sub != SubOff || t.Parent == v.ID
+			t.Sub != SubOff || t.Parent == h.id
 		if bad {
 			s.Sw, s.SwTarget = SwIdle, trees.None
 			return s, true
@@ -376,7 +411,7 @@ func sanitize(s State, v runtime.View, h *hood) (State, bool) {
 	}
 	if s.Pr == PrReq && s.HasS {
 		// A request with no remaining justification dies out.
-		if !prSupport(h, v.ID) {
+		if !prSupport(h, h.id) {
 			s.Pr = PrOff
 			return s, true
 		}
@@ -393,7 +428,7 @@ func sanitize(s State, v runtime.View, h *hood) (State, bool) {
 	// A pruned size with no control context at all: restore directly
 	// (covers faults that cleared Pr but left HasS=false).
 	if !s.HasS && s.Pr == PrOff {
-		if next, ok := restoreSize(s, v, h); ok {
+		if next, ok := restoreSize(s, h); ok {
 			return next, true
 		}
 	}
@@ -407,16 +442,16 @@ func sanitize(s State, v runtime.View, h *hood) (State, bool) {
 }
 
 // protocol evaluates the forward rules of the three phases.
-func protocol(s State, v runtime.View, h *hood) (State, bool) {
-	p := h.par
+func protocol(s State, h *hood) (State, bool) {
+	p := h.parent()
 	// (a) Ancestor prune request joins.
-	if s.Pr == PrOff && s.HasS && prSupport(h, v.ID) {
+	if s.Pr == PrOff && s.HasS && prSupport(h, h.id) {
 		s.Pr = PrReq
 		return s, true
 	}
 	// (b) Prune size top-down (C1: parent must already be (d,⊥)).
 	if s.Pr == PrReq && s.HasS {
-		if s.Parent == trees.None || h.hasPar && !p.HasS {
+		if s.Parent == trees.None || p != nil && !p.HasS {
 			s.HasS = false
 			s.Pr = PrPruned
 			return s, true
@@ -424,25 +459,25 @@ func protocol(s State, v runtime.View, h *hood) (State, bool) {
 	}
 	// (c) Subtree prune joins (C2: parent keeps its size, which both the
 	// initiator and a (⊥,s) node do).
-	if s.Sub == SubOff && s.HasD && h.hasPar && (p.Sw == SwReq || p.Sub == SubPrune) {
+	if s.Sub == SubOff && s.HasD && p != nil && (p.Sw == SwReq || p.Sub == SubPrune) {
 		s.Sub = SubPrune
 		s.HasD = false
 		return s, true
 	}
 	// (d) Subtree acknowledgement bottom-up.
-	if s.Sub == SubPrune && allChildren(h, v.ID, SubAck) {
+	if s.Sub == SubPrune && allChildren(h, h.id, SubAck) {
 		s.Sub = SubAck
 		return s, true
 	}
 	// (e) The switch itself.
 	if s.Sw == SwReq {
-		t := h.tgt
-		if h.hasPar && h.hasTgt &&
+		t := h.target()
+		if p != nil && t != nil &&
 			s.HasD && s.HasS &&
 			!p.HasS && !t.HasS && // both root paths pruned down to w and w'
 			t.HasD && // w' still carries d ⇒ w' is outside v's subtree
 			t.Root == s.Root &&
-			allChildren(h, v.ID, SubAck) {
+			allChildren(h, h.id, SubAck) {
 			s.Parent = s.SwTarget
 			s.D = t.D + 1
 			s.Sw = SwDone
@@ -451,12 +486,12 @@ func protocol(s State, v runtime.View, h *hood) (State, bool) {
 	}
 	// (f) Size restore bottom-up.
 	if s.Pr == PrPruned && !s.HasS {
-		if next, ok := restoreSize(s, v, h); ok {
+		if next, ok := restoreSize(s, h); ok {
 			return next, true
 		}
 	}
 	// (g) Distance restore top-down.
-	if s.Sub == SubAck && !s.HasD && h.hasPar &&
+	if s.Sub == SubAck && !s.HasD && p != nil &&
 		p.HasD && p.Sub == SubOff && p.Sw != SwReq {
 		s.HasD = true
 		s.D = p.D + 1
@@ -464,8 +499,8 @@ func protocol(s State, v runtime.View, h *hood) (State, bool) {
 		return s, true
 	}
 	// (h) Initiator completion.
-	if s.Sw == SwDone && h.hasPar && p.HasS && s.HasD && s.HasS &&
-		allChildren(h, v.ID, SubOff) {
+	if s.Sw == SwDone && p != nil && p.HasS && s.HasD && s.HasS &&
+		allChildren(h, h.id, SubOff) {
 		s.Sw, s.SwTarget = SwIdle, trees.None
 		return s, true
 	}
@@ -475,11 +510,11 @@ func protocol(s State, v runtime.View, h *hood) (State, bool) {
 // restoreSize recomputes s from the children if the protocol context
 // permits: the prune request must be gone (no seeding initiator, no
 // active child request) and every child must carry a size.
-func restoreSize(s State, v runtime.View, h *hood) (State, bool) {
-	if prSupport(h, v.ID) {
+func restoreSize(s State, h *hood) (State, bool) {
+	if prSupport(h, h.id) {
 		return s, false
 	}
-	sum, complete := childSizes(h, v.ID)
+	sum, complete := childSizes(h, h.id)
 	if !complete {
 		return s, false
 	}
@@ -495,8 +530,8 @@ func restoreDist(s State, h *hood) (State, bool) {
 		s.HasD, s.D = true, 0
 		return s, true
 	}
-	p := h.par
-	if !h.hasPar || !p.HasD || p.Sub != SubOff || p.Sw == SwReq {
+	p := h.parent()
+	if p == nil || !p.HasD || p.Sub != SubOff || p.Sw == SwReq {
 		return s, false
 	}
 	s.HasD = true
@@ -508,14 +543,14 @@ func restoreDist(s State, h *hood) (State, bool) {
 // maintain keeps distances and sizes at their exact values when the node
 // and its neighborhood are quiet — the steady-state convergecast and
 // broadcast of the labels.
-func maintain(s State, v runtime.View, h *hood) (State, bool) {
+func maintain(s State, h *hood) (State, bool) {
 	if !s.Idle() {
 		return s, false
 	}
 	// (The distance chain is maintained unconditionally in StepReg.)
 	// Size is one plus the children's sum.
 	if s.HasS {
-		if sum, complete := childSizes(h, v.ID); complete && s.S != sum {
+		if sum, complete := childSizes(h, h.id); complete && s.S != sum {
 			s.S = sum
 			return s, true
 		}

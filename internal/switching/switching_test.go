@@ -3,6 +3,7 @@ package switching
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"silentspan/internal/graph"
 	"silentspan/internal/runtime"
@@ -335,6 +336,16 @@ var (
 	stepSink State
 	algSink  runtime.State
 )
+
+// TestStateLayout: the register is at most 48 bytes, its fields laid
+// out widest first (see State). StepReg copies it into and out of every
+// rule and each gathered neighbor carries one, so a field added in the
+// wrong place costs every δ.
+func TestStateLayout(t *testing.T) {
+	if size := unsafe.Sizeof(State{}); size > 48 {
+		t.Fatalf("switching.State is %d bytes, want at most 48", size)
+	}
+}
 
 // TestStepRegAllocatesNothing: up to degree hoodCap an evaluation reads
 // its neighborhood without a heap allocation — at a quiet root with d
