@@ -1,8 +1,9 @@
 package silentspan_test
 
 // Micro-benchmarks for the primitives no benchmark/ row times, the
-// 100k-node serving-stack run and the lockstep idle tick. The paper's
-// tables are cmd/ssbench; speed is recorded by the benchmark/ harness.
+// 100k-node serving-stack run, the routed batch and the lockstep idle
+// tick. The paper's tables are cmd/ssbench; speed is recorded by the
+// benchmark/ harness.
 
 import (
 	"math/rand"
@@ -225,6 +226,51 @@ func BenchmarkScaleBFSRouting(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkRouteBatch times routing.Drive alone, the sim-stack
+// workload's routed batch: 30 000 uniform pairs over the labeled
+// spanning tree a 20 000-node network stabilised to from arbitrary
+// registers, stretch off. Drive shards the batch over GOMAXPROCS
+// workers, so compare with -cpu 1,2. It reports ns/pkt and ns/hop and
+// asserts full delivery; -short shrinks it tenfold for the CI smoke.
+func BenchmarkRouteBatch(b *testing.B) {
+	n, packets := 20_000, 30_000
+	if testing.Short() {
+		n, packets = 2_000, 3_000
+	}
+	rng := rand.New(rand.NewSource(int64(n)))
+	g := graph.RandomConnected(n, 8/float64(n), rng)
+	net, err := runtime.NewNetwork(g, spanning.Algorithm{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	net.InitArbitrary(rng)
+	if res, err := net.Run(runtime.Synchronous(), 1<<40); err != nil || !res.Silent {
+		b.Fatalf("not silent: %+v, %v", res, err)
+	}
+	tr, err := spanning.ExtractTree(net)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := routing.NewRouter(g, routing.Label(tr), routing.Options{})
+	pairs := routing.UniformPairs(g.Nodes(), packets, rng)
+	hops := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stats, err := routing.Drive(r, pairs, routing.DriveOptions{MaxExactSources: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if stats.Delivered != stats.Sent {
+			b.Fatalf("delivered %d of %d", stats.Delivered, stats.Sent)
+		}
+		hops += stats.HopSum
+	}
+	b.StopTimer()
+	ns := float64(b.Elapsed().Nanoseconds())
+	b.ReportMetric(ns/float64(b.N*packets), "ns/pkt")
+	b.ReportMetric(ns/float64(hops), "ns/hop")
 }
 
 // BenchmarkLockstepIdleTick times one lockstep Tick of a silent cluster,

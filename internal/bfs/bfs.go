@@ -140,33 +140,25 @@ func (Task) Value(g *graph.Graph, t *trees.Tree) (int, error) {
 // most n−1 deeper than its graph distance).
 func (Task) MaxValue(g *graph.Graph) int { return g.N() * g.N() }
 
-// Label implements core.Task. The BFS labels are the distance labels the
-// substrate already maintains: one top-down wave of depth assignments,
-// so t_label is the tree height and s_label is one O(log n)-bit integer.
-func (Task) Label(g *graph.Graph, t *trees.Tree) (core.LabelInfo, error) {
-	height := 0
-	for _, d := range t.Depths() {
-		if d > height {
-			height = d
-		}
-	}
-	return core.LabelInfo{
-		MaxBits: runtime.BitsForValue(g.N() - 1),
-		Rounds:  height + 1,
-	}, nil
-}
-
-// FindImprovement implements core.Task: pick the rejecting node with the
-// largest depth excess (the root's selection among candidates, as in the
-// paper's example), and return the single swap e = {u,v}, f = {u,p(u)}.
-// Discovery is one convergecast plus one broadcast: 2·height rounds.
-func (Task) FindImprovement(g *graph.Graph, t *trees.Tree) ([]core.Swap, int, bool, error) {
+// Improve implements core.Task. The BFS labels are the distance labels
+// the substrate already maintains: one top-down wave of depth
+// assignments, so t_label is the tree height and s_label is one
+// O(log n)-bit integer. The improvement picks the rejecting node with
+// the largest depth excess (the root's selection among candidates, as
+// in the paper's example), and returns the single swap e = {u,v},
+// f = {u,p(u)}. Discovery is one convergecast plus one broadcast:
+// 2·height rounds.
+func (Task) Improve(g *graph.Graph, t *trees.Tree) (core.LabelInfo, []core.Swap, int, bool, error) {
 	depth := t.Depths()
 	height := 0
 	for _, d := range depth {
 		if d > height {
 			height = d
 		}
+	}
+	info := core.LabelInfo{
+		MaxBits: runtime.BitsForValue(g.N() - 1),
+		Rounds:  height + 1,
 	}
 	var (
 		found    bool
@@ -186,11 +178,11 @@ func (Task) FindImprovement(g *graph.Graph, t *trees.Tree) ([]core.Swap, int, bo
 		}
 	}
 	if !found {
-		return nil, 2 * (height + 1), false, nil
+		return info, nil, 2 * (height + 1), false, nil
 	}
 	sw := core.Swap{
 		Add:    graph.Edge{U: bestU, V: bestV},
 		Remove: graph.Edge{U: bestU, V: t.Parent(bestU)},
 	}
-	return []core.Swap{sw}, 2 * (height + 1), true, nil
+	return info, []core.Swap{sw}, 2 * (height + 1), true, nil
 }

@@ -66,15 +66,16 @@ type Task interface {
 	// MaxValue returns φ_max for an n-node instance (the iteration bound
 	// of Lemma 3.1/7.1).
 	MaxValue(g *graph.Graph) int
-	// Label computes/refreshes the task's labels for the tree and
-	// reports their cost. Implementations emulate the convergecast and
-	// broadcast waves of the paper and charge rounds accordingly.
-	Label(g *graph.Graph, t *trees.Tree) (LabelInfo, error)
-	// FindImprovement returns a well-nested sequence of swaps strictly
-	// lowering φ (a single swap for cyclical-decreasing families), with
-	// the rounds charged for the distributed discovery (t_find).
-	// ok is false when φ(T) = 0.
-	FindImprovement(g *graph.Graph, t *trees.Tree) (swaps []Swap, rounds int, ok bool, err error)
+	// Improve is one improvement step's work on the tree: it
+	// computes/refreshes the task's labels and reports their cost, then
+	// returns a well-nested sequence of swaps strictly lowering φ (a
+	// single swap for cyclical-decreasing families) with the rounds
+	// charged for the distributed discovery (t_find). ok is false when
+	// φ(T) = 0. Labels and search read the same structure (a Borůvka
+	// trace, an FR marking), so one call builds it once.
+	// Implementations emulate the convergecast and broadcast waves of
+	// the paper and charge rounds accordingly.
+	Improve(g *graph.Graph, t *trees.Tree) (info LabelInfo, swaps []Swap, findRounds int, ok bool, err error)
 }
 
 // Trace records one framework execution.
@@ -114,12 +115,9 @@ func RunSequential(g *graph.Graph, t0 *trees.Tree, task Task) (*trees.Tree, Trac
 		if iter >= maxIter {
 			return nil, trace, fmt.Errorf("core: %s exceeded φ_max = %d iterations", task.Name(), maxIter)
 		}
-		if _, err := task.Label(g, t); err != nil {
-			return nil, trace, fmt.Errorf("core: labeling: %w", err)
-		}
-		swaps, _, ok, err := task.FindImprovement(g, t)
+		_, swaps, _, ok, err := task.Improve(g, t)
 		if err != nil {
-			return nil, trace, fmt.Errorf("core: find improvement: %w", err)
+			return nil, trace, fmt.Errorf("core: improvement step: %w", err)
 		}
 		if !ok || len(swaps) == 0 {
 			return nil, trace, fmt.Errorf("core: %s has φ = %d > 0 but no improvement", task.Name(), phi)
@@ -231,18 +229,12 @@ func RunDistributed(g *graph.Graph, task Task, opts EngineOptions) (*trees.Tree,
 		if iter >= maxIter {
 			return nil, trace, fmt.Errorf("core: %s exceeded φ_max = %d iterations", task.Name(), maxIter)
 		}
-		info, err := task.Label(g, t)
+		info, swaps, findRounds, ok, err := task.Improve(g, t)
 		if err != nil {
-			return nil, trace, fmt.Errorf("core: labeling: %w", err)
+			return nil, trace, fmt.Errorf("core: improvement step: %w", err)
 		}
-		trace.Rounds += info.Rounds
+		trace.Rounds += info.Rounds + findRounds
 		trace.MaxLabelBits = maxInt(trace.MaxLabelBits, info.MaxBits)
-
-		swaps, findRounds, ok, err := task.FindImprovement(g, t)
-		if err != nil {
-			return nil, trace, fmt.Errorf("core: find improvement: %w", err)
-		}
-		trace.Rounds += findRounds
 		if !ok || len(swaps) == 0 {
 			return nil, trace, fmt.Errorf("core: %s has φ = %d > 0 but no improvement", task.Name(), phi)
 		}

@@ -28,11 +28,8 @@ func (depthTask) Value(g *graph.Graph, t *trees.Tree) (int, error) {
 
 func (depthTask) MaxValue(g *graph.Graph) int { return g.N() * g.N() }
 
-func (depthTask) Label(g *graph.Graph, t *trees.Tree) (LabelInfo, error) {
-	return LabelInfo{MaxBits: runtime.BitsForValue(g.N()), Rounds: 1}, nil
-}
-
-func (depthTask) FindImprovement(g *graph.Graph, t *trees.Tree) ([]Swap, int, bool, error) {
+func (depthTask) Improve(g *graph.Graph, t *trees.Tree) (LabelInfo, []Swap, int, bool, error) {
+	info := LabelInfo{MaxBits: runtime.BitsForValue(g.N()), Rounds: 1}
 	root := t.Root()
 	var deep graph.NodeID
 	best := 1
@@ -42,9 +39,9 @@ func (depthTask) FindImprovement(g *graph.Graph, t *trees.Tree) ([]Swap, int, bo
 		}
 	}
 	if deep == 0 {
-		return nil, 1, false, nil
+		return info, nil, 1, false, nil
 	}
-	return []Swap{{
+	return info, []Swap{{
 		Add:    graph.Edge{U: deep, V: root},
 		Remove: graph.Edge{U: deep, V: t.Parent(deep)},
 	}}, 1, true, nil
@@ -53,8 +50,8 @@ func (depthTask) FindImprovement(g *graph.Graph, t *trees.Tree) ([]Swap, int, bo
 // brokenTask claims positive potential but offers no improvement.
 type brokenTask struct{ depthTask }
 
-func (brokenTask) FindImprovement(g *graph.Graph, t *trees.Tree) ([]Swap, int, bool, error) {
-	return nil, 1, false, nil
+func (brokenTask) Improve(g *graph.Graph, t *trees.Tree) (LabelInfo, []Swap, int, bool, error) {
+	return LabelInfo{MaxBits: runtime.BitsForValue(g.N()), Rounds: 1}, nil, 1, false, nil
 }
 
 // nonDecreasingTask proposes a swap that does not lower φ.

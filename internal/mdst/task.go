@@ -37,13 +37,17 @@ func (Task) Value(g *graph.Graph, t *trees.Tree) (int, error) {
 // MaxValue implements core.Task: Δ_T ≤ n−1 and N_T ≤ n.
 func (Task) MaxValue(g *graph.Graph) int { return g.N()*g.N() + g.N() }
 
-// Label implements core.Task: compute the marking and its Lemma 8.1
-// certificates. Construction is the scan itself — each promotion is one
-// cycle wave — plus the witness- and fragment-distance broadcasts.
-func (Task) Label(g *graph.Graph, t *trees.Tree) (core.LabelInfo, error) {
+// Improve implements core.Task with one FR marking per step: run the
+// scan, then label and search over its result. Label construction is
+// the scan itself — each promotion is one cycle wave — plus the
+// witness- and fragment-distance broadcasts. If a degree-K node is
+// promoted, the step emits the well-nested improvement sequence that
+// lowers its degree; discovery rounds are the scan's cycle waves plus
+// one tree wave per emitted swap.
+func (Task) Improve(g *graph.Graph, t *trees.Tree) (core.LabelInfo, []core.Swap, int, bool, error) {
 	m, err := Mark(g, t)
 	if err != nil {
-		return core.LabelInfo{}, err
+		return core.LabelInfo{}, nil, 0, false, err
 	}
 	height := 0
 	for _, d := range t.Depths() {
@@ -51,17 +55,25 @@ func (Task) Label(g *graph.Graph, t *trees.Tree) (core.LabelInfo, error) {
 			height = d
 		}
 	}
-	rounds := (m.ScanSteps + 2) * (2*height + 2)
-	if m.Promoted != trees.None {
-		// Not an FR-tree: labels exist but certify nothing; the scan
-		// rounds are still charged.
-		return core.LabelInfo{MaxBits: labelBitsBound(g), Rounds: rounds}, nil
+	wave := 2*height + 2
+	info := core.LabelInfo{Rounds: (m.ScanSteps + 2) * wave}
+	scanRounds := (m.ScanSteps + 1) * wave
+	if m.Promoted == trees.None {
+		a, err := FromMarking(g, t, m)
+		if err != nil {
+			return core.LabelInfo{}, nil, 0, false, err
+		}
+		info.MaxBits = a.MaxLabelBits(g.N())
+		return info, nil, scanRounds, false, nil
 	}
-	a, err := FromMarking(g, t, m)
+	// Not an FR-tree: labels exist but certify nothing; the scan rounds
+	// are still charged.
+	info.MaxBits = labelBitsBound(g)
+	swaps, _, err := BuildNest(g, t, m)
 	if err != nil {
-		return core.LabelInfo{}, err
+		return info, nil, 0, false, fmt.Errorf("mdst: building improvement: %w", err)
 	}
-	return core.LabelInfo{MaxBits: a.MaxLabelBits(g.N()), Rounds: rounds}, nil
+	return info, swaps, scanRounds + len(swaps)*wave, true, nil
 }
 
 func labelBitsBound(g *graph.Graph) int {
@@ -71,31 +83,4 @@ func labelBitsBound(g *graph.Graph) int {
 		WitnessDist: g.N() - 1,
 		FragDist:    g.N() - 1,
 	}.EncodedBits(g.N())
-}
-
-// FindImprovement implements core.Task: run the scan; if a degree-K node
-// is promoted, emit the well-nested improvement sequence that lowers its
-// degree. Discovery rounds: the scan's cycle waves plus one tree wave
-// per emitted swap.
-func (Task) FindImprovement(g *graph.Graph, t *trees.Tree) ([]core.Swap, int, bool, error) {
-	m, err := Mark(g, t)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	height := 0
-	for _, d := range t.Depths() {
-		if d > height {
-			height = d
-		}
-	}
-	scanRounds := (m.ScanSteps + 1) * (2*height + 2)
-	if m.Promoted == trees.None {
-		return nil, scanRounds, false, nil
-	}
-	swaps, _, err := BuildNest(g, t, m)
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("mdst: building improvement: %w", err)
-	}
-	rounds := scanRounds + len(swaps)*(2*height+2)
-	return swaps, rounds, true, nil
 }

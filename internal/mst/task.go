@@ -31,30 +31,23 @@ func (Task) Value(g *graph.Graph, t *trees.Tree) (int, error) {
 // MaxValue implements core.Task: the surplus is at most n·m rank units.
 func (Task) MaxValue(g *graph.Graph) int { return g.N() * g.M() }
 
-// Label implements core.Task: (re)compute the Borůvka-trace labels and
-// charge their wave construction (Section VI: "standard convergecast and
-// broadcast operations... in poly(n) rounds, using O(log n) bits" per
-// level, Θ(log² n) total).
-func (Task) Label(g *graph.Graph, t *trees.Tree) (core.LabelInfo, error) {
+// Improve implements core.Task with one Borůvka trace per step. The
+// labels are the trace's, charged their wave construction (Section VI:
+// "standard convergecast and broadcast operations... in poly(n) rounds,
+// using O(log n) bits" per level, Θ(log² n) total). The improvement is
+// the red-rule step of Algorithm 2: let x be a node with φ_x = i < k; e
+// is the minimum-weight edge of G leaving F_{i+1}(x), and f the
+// maximum-weight tree edge on the fundamental cycle of T + e. Discovery
+// costs one convergecast and one broadcast over the tree plus one
+// relaxation along the cycle.
+func (Task) Improve(g *graph.Graph, t *trees.Tree) (core.LabelInfo, []core.Swap, int, bool, error) {
 	tr, err := ComputeTrace(g, t)
 	if err != nil {
-		return core.LabelInfo{}, err
+		return core.LabelInfo{}, nil, 0, false, err
 	}
-	return core.LabelInfo{
+	info := core.LabelInfo{
 		MaxBits: tr.MaxLabelBits(g),
 		Rounds:  tr.ConstructionRounds(t),
-	}, nil
-}
-
-// FindImprovement implements core.Task: the red-rule step of Algorithm 2.
-// Let x be a node with φ_x = i < k; e is the minimum-weight edge of G
-// leaving F_{i+1}(x), and f the maximum-weight tree edge on the
-// fundamental cycle of T + e. Discovery costs one convergecast and one
-// broadcast over the tree plus one relaxation along the cycle.
-func (Task) FindImprovement(g *graph.Graph, t *trees.Tree) ([]core.Swap, int, bool, error) {
-	tr, err := ComputeTrace(g, t)
-	if err != nil {
-		return nil, 0, false, err
 	}
 	height := 0
 	for _, d := range t.Depths() {
@@ -64,16 +57,16 @@ func (Task) FindImprovement(g *graph.Graph, t *trees.Tree) ([]core.Swap, int, bo
 	}
 	x, i, found := tr.Violation()
 	if !found {
-		return nil, 2 * (height + 1), false, nil
+		return info, nil, 2 * (height + 1), false, nil
 	}
 	// e = min-weight outgoing edge of F_{i+1}(x) in G.
 	rep := tr.FragmentAt(x, i+1)
 	e, ok := tr.MinOutgoing(rep, i+1)
 	if !ok {
-		return nil, 0, false, fmt.Errorf("mst: violated fragment %d has no outgoing edge", rep)
+		return info, nil, 0, false, fmt.Errorf("mst: violated fragment %d has no outgoing edge", rep)
 	}
 	if t.HasEdge(e.U, e.V) {
-		return nil, 0, false, fmt.Errorf("mst: improvement edge %v is already a tree edge", e)
+		return info, nil, 0, false, fmt.Errorf("mst: improvement edge %v is already a tree edge", e)
 	}
 	// f = max-weight tree edge on the fundamental cycle of T + e.
 	var f graph.Edge
@@ -81,7 +74,7 @@ func (Task) FindImprovement(g *graph.Graph, t *trees.Tree) ([]core.Swap, int, bo
 	for _, ce := range t.CycleEdges(e) {
 		w, ok := g.EdgeWeight(ce.U, ce.V)
 		if !ok {
-			return nil, 0, false, fmt.Errorf("mst: cycle edge %v not in graph", ce)
+			return info, nil, 0, false, fmt.Errorf("mst: cycle edge %v not in graph", ce)
 		}
 		ce.W = w
 		if !haveF || lighter(f, ce) {
@@ -89,14 +82,14 @@ func (Task) FindImprovement(g *graph.Graph, t *trees.Tree) ([]core.Swap, int, bo
 		}
 	}
 	if !haveF {
-		return nil, 0, false, fmt.Errorf("mst: empty fundamental cycle for %v", e)
+		return info, nil, 0, false, fmt.Errorf("mst: empty fundamental cycle for %v", e)
 	}
 	if f.W <= e.W {
-		return nil, 0, false, fmt.Errorf("mst: red rule degenerate: max cycle edge %v not heavier than %v", f, e)
+		return info, nil, 0, false, fmt.Errorf("mst: red rule degenerate: max cycle edge %v not heavier than %v", f, e)
 	}
 	cycleLen := len(t.FundamentalCycle(e))
 	rounds := 2*(height+1) + cycleLen
-	return []core.Swap{{Add: e, Remove: f}}, rounds, true, nil
+	return info, []core.Swap{{Add: e, Remove: f}}, rounds, true, nil
 }
 
 // PaperPotential exposes the paper's φ(T) = kn − Σ φ_x for experiments.

@@ -69,18 +69,35 @@ type Options struct {
 // routing is loop-free and always delivers; over a decayed labeling
 // (mid-reconvergence) packets may stall, loop, or drop — which is
 // exactly what the fault-interplay experiments measure.
+//
+// One forwarding kernel serves every entry point: Route and Drive
+// resolve a packet's endpoints to labeling indices once and then walk
+// hop by hop on indices; NextHop, the cluster gateway's per-hop call,
+// resolves both endpoints and takes one step of the same kernel.
+//
+// Route, NextHop and Drive only read the router, its labeling and its
+// graph: they are safe for concurrent use while nobody calls
+// SetLabeling or mutates the graph (Drive itself shards a batch over
+// every core). Advance is not, because each Packet owns its own visits
+// map.
 type Router struct {
 	g   *graph.Graph
 	d   *graph.Dense
 	lab *Labeling
 	opt Options
-	// aligned reports that the labeling's index space is exactly the
-	// graph's dense snapshot, so forwarding can address coordinates by
-	// neighbor index with no identity lookups. True for every labeling
-	// built over this graph (Label of a spanning tree, LiveLabeling);
-	// false only for labelings of foreign node sets, which fall back to
-	// per-identity binary searches.
+	// aligned reports that, when SetLabeling ran, the labeling's index
+	// space was exactly the graph's dense slot space, so forwarding can
+	// address coordinates by slot, resolve identities through the
+	// Dense and read neighbors by slot. True for every labeling built
+	// over this graph (Label of a spanning tree, LiveLabeling); false
+	// for labelings of foreign node sets, which go through the
+	// labeling's own identity index.
 	aligned bool
+	// epoch is d.NodeEpoch() when SetLabeling ran. The aligned path is
+	// taken only while the Dense still reports it (alignedNow): a join
+	// or leave since then may have recycled a slot the labeling still
+	// holds a dead node's coordinate for.
+	epoch uint64
 }
 
 // NewRouter builds a router over g with the given labeling.
@@ -107,22 +124,28 @@ func (r *Router) MaxHops() int { return r.opt.MaxHops }
 // labels. The dense layout is refreshed alongside, so adjacency
 // mutated since the router was built is picked up with the new labels.
 //
-// The slot-aligned fast path requires a labeling built over this
-// graph's own dense layout at the *current* slot assignment (same
-// Dense, same NodeEpoch): after a join or leave, an older labeling's
-// indices may point at recycled slots, so the router falls back to
-// identity lookups until a fresh labeling arrives. Edge churn never
-// breaks alignment. Tree-built labelings align by identity-space
-// equality, which node churn breaks naturally (holes/reordering).
+// The slot-aligned path requires a labeling built over this graph's
+// own dense layout at the *current* slot assignment (same Dense, same
+// NodeEpoch), and stays in force only until the next join or leave:
+// after one, the labeling's indices may point at recycled slots, so
+// the router takes the identity path until SetLabeling runs again.
+// Edge churn never breaks alignment. Tree-built labelings align by
+// identity-space equality, which node churn breaks naturally
+// (holes/reordering).
 func (r *Router) SetLabeling(lab *Labeling) {
 	r.d = r.g.Dense()
 	r.lab = lab
+	r.epoch = r.d.NodeEpoch()
 	if lab.d != nil {
-		r.aligned = lab.d == r.d && lab.nodeEpoch == r.d.NodeEpoch()
+		r.aligned = lab.d == r.d && lab.nodeEpoch == r.epoch
 	} else {
 		r.aligned = sameIDSpace(r.d.IDs(), lab.ids)
 	}
 }
+
+// alignedNow reports whether a call may take the slot-aligned path:
+// the labeling was aligned when set, and no node joined or left since.
+func (r *Router) alignedNow() bool { return r.aligned && r.d.NodeEpoch() == r.epoch }
 
 // sameIDSpace reports whether the two sorted identity slices are
 // identical (cheap alias check first; labelings built from the graph's
@@ -140,58 +163,114 @@ func sameIDSpace(a, b []graph.NodeID) bool {
 // fatal for an in-flight packet (the labeling may heal), so callers
 // decide whether to stall or drop.
 func (r *Router) NextHop(cur, dst graph.NodeID) (graph.NodeID, DropReason, bool) {
-	lab := r.lab
-	ci, okC := lab.indexOf(cur)
-	if !okC || !lab.has[ci] {
-		return 0, DropNoSourceCoord, false
+	aligned := r.alignedNow()
+	ci, di, reason := r.endpoints(cur, dst, aligned)
+	if reason != DropNone {
+		return 0, reason, false
 	}
-	cc := lab.crds[ci]
-	di, okD := lab.indexOf(dst)
-	if !okD || !lab.has[di] || lab.root[ci] != lab.root[di] {
-		return 0, DropNoDestCoord, false
-	}
-	cd := lab.crds[di]
-	curDist := cc.Dist(cd)
-	best := graph.NodeID(0)
-	bestDist := curDist
-	space := lab.root[ci]
-	if r.aligned {
-		// Fast path: the labeling index IS the dense index, so neighbor
-		// coordinates are addressed directly.
-		ids := r.d.NeighborIDs(ci)
-		for k, ui := range r.d.NeighborIndices(ci) {
-			// A join between labeling refreshes can grow the slot space
-			// past the labeling's arrays; such slots carry no label yet.
-			if int(ui) >= len(lab.has) || !lab.has[ui] || lab.root[ui] != space {
-				continue
-			}
-			uc := lab.crds[ui]
-			if r.opt.TreeOnly && !treeNeighbors(cc, uc) {
-				continue
-			}
-			if d := uc.Dist(cd); d < bestDist {
-				best, bestDist = ids[k], d
-			}
-		}
-	} else {
-		for _, u := range r.g.NeighborsShared(cur) {
-			ui, ok := lab.indexOf(u)
-			if !ok || !lab.has[ui] || lab.root[ui] != space {
-				continue
-			}
-			uc := lab.crds[ui]
-			if r.opt.TreeOnly && !treeNeighbors(cc, uc) {
-				continue
-			}
-			if d := uc.Dist(cd); d < bestDist {
-				best, bestDist = u, d
-			}
-		}
-	}
-	if bestDist >= curDist {
+	next := r.hop(ci, di, aligned)
+	if next < 0 {
 		return 0, DropDeadEnd, false
 	}
-	return best, DropNone, true
+	return r.lab.ids[next], DropNone, true
+}
+
+// indexOf resolves v to a labeling index: through the Dense on the
+// aligned path (O(1) for the consecutive identities every generator
+// produces), through the labeling's own identity space otherwise.
+func (r *Router) indexOf(v graph.NodeID, aligned bool) (int, bool) {
+	if aligned {
+		return r.d.IndexOf(v)
+	}
+	return r.lab.indexOf(v)
+}
+
+// endpoints resolves a packet's current node and destination to
+// labeling indices, or names why it cannot be forwarded at all: cur
+// carries no coordinate, or dst none in cur's coordinate space.
+func (r *Router) endpoints(cur, dst graph.NodeID, aligned bool) (ci, di int, reason DropReason) {
+	lab := r.lab
+	ci, ok := r.indexOf(cur, aligned)
+	if !ok || !lab.has[ci] {
+		return 0, 0, DropNoSourceCoord
+	}
+	di, ok = r.indexOf(dst, aligned)
+	if !ok || !lab.has[di] || lab.root[ci] != lab.root[di] {
+		return 0, 0, DropNoDestCoord
+	}
+	return ci, di, DropNone
+}
+
+// hop is the forwarding kernel: the labeling index of ci's neighbor
+// strictly closest to di in tree distance (the first such in ascending
+// identity order on ties), or -1 at a dead end. ci and di are labeled
+// and share one coordinate space, so every node hop returns does too.
+func (r *Router) hop(ci, di int, aligned bool) int {
+	lab := r.lab
+	cc, cd, space := lab.crds[ci], lab.crds[di], lab.root[ci]
+	best, bestDist := -1, cc.Dist(cd)
+	if aligned {
+		// The labeling index IS the dense slot, so neighbor coordinates
+		// are addressed directly.
+		for _, ui := range r.d.NeighborIndices(ci) {
+			if !lab.has[ui] || lab.root[ui] != space {
+				continue
+			}
+			uc := lab.crds[ui]
+			if r.opt.TreeOnly && !treeNeighbors(cc, uc) {
+				continue
+			}
+			if d := uc.Dist(cd); d < bestDist {
+				best, bestDist = int(ui), d
+			}
+		}
+		return best
+	}
+	for _, u := range r.g.NeighborsShared(lab.ids[ci]) {
+		ui, ok := lab.indexOf(u)
+		if !ok || !lab.has[ui] || lab.root[ui] != space {
+			continue
+		}
+		uc := lab.crds[ui]
+		if r.opt.TreeOnly && !treeNeighbors(cc, uc) {
+			continue
+		}
+		if d := uc.Dist(cd); d < bestDist {
+			best, bestDist = ui, d
+		}
+	}
+	return best
+}
+
+// walk routes one packet from src to dst: its endpoints are resolved
+// once, then it moves hop by hop on labeling indices. It returns the
+// hops taken and DropNone on delivery, else why the packet was dropped;
+// with path non-nil, every node reached is appended to it.
+func (r *Router) walk(src, dst graph.NodeID, aligned bool, path *[]graph.NodeID) (int, DropReason) {
+	if src == dst {
+		return 0, DropNone
+	}
+	if r.opt.MaxHops <= 0 {
+		return 0, DropTTL
+	}
+	ci, di, reason := r.endpoints(src, dst, aligned)
+	if reason != DropNone {
+		return 0, reason
+	}
+	hops := 0
+	for ci != di {
+		if hops >= r.opt.MaxHops {
+			return hops, DropTTL
+		}
+		if ci = r.hop(ci, di, aligned); ci < 0 {
+			return hops, DropDeadEnd
+		}
+		hops++
+		if path != nil {
+			*path = append(*path, r.lab.ids[ci])
+		}
+	}
+	return hops, DropNone
 }
 
 // treeNeighbors reports whether the coordinates a and b label adjacent
@@ -221,27 +300,13 @@ type Delivery struct {
 // most TreeDist(src, dst) hops; shortcuts can only shorten it.
 func (r *Router) Route(src, dst graph.NodeID) Delivery {
 	d := Delivery{Src: src, Dst: dst}
+	var path *[]graph.NodeID
 	if r.opt.RecordPaths {
 		d.Path = append(d.Path, src)
+		path = &d.Path
 	}
-	cur := src
-	for cur != dst {
-		if d.Hops >= r.opt.MaxHops {
-			d.Reason = DropTTL
-			return d
-		}
-		next, reason, ok := r.NextHop(cur, dst)
-		if !ok {
-			d.Reason = reason
-			return d
-		}
-		cur = next
-		d.Hops++
-		if r.opt.RecordPaths {
-			d.Path = append(d.Path, cur)
-		}
-	}
-	d.Delivered = true
+	d.Hops, d.Reason = r.walk(src, dst, r.alignedNow(), path)
+	d.Delivered = d.Reason == DropNone
 	return d
 }
 

@@ -23,10 +23,15 @@
 //     pointers read out of a live network), with compact encoded labels
 //     whose size is accounted in bits via internal/bits;
 //   - Router: hop-by-hop greedy forwarding with tree-only and
-//     shortcutting modes, loop and drop detection;
+//     shortcutting modes, loop and drop detection, through one kernel
+//     over labeling indices — Route and Drive resolve a packet's
+//     endpoints once, NextHop resolves them per call. Route, NextHop
+//     and Drive are safe for concurrent use while nobody calls
+//     SetLabeling or mutates the graph; Packet/Advance are not;
 //   - the traffic engine: workload generators (uniform pairs, hotspot,
 //     all-pairs samples) and a driver measuring delivery, hop counts,
-//     and stretch against exact shortest paths;
+//     and stretch against exact shortest paths, which routes a batch
+//     on every core and folds its statistics in pair order;
 //   - the serving episode's parts, each written once for the
 //     campaigns, benches and commands built on them: the algorithm
 //     registry and substrate bring-up (Algo, BringUp), the reader of a

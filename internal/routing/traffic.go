@@ -3,8 +3,10 @@ package routing
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"silentspan/internal/graph"
+	"silentspan/internal/runtime"
 )
 
 // Pair is one packet's endpoints.
@@ -34,8 +36,12 @@ func UniformPairs(nodes []graph.NodeID, count int, rng *rand.Rand) []Pair {
 // HotspotPairs draws a root-heavy workload: a fraction toHub of packets
 // go to the hub (sensor readings converging on the sink), the rest come
 // from the hub (commands fanning out), modelling the sensor-network
-// traffic the paper's MDST construction is motivated by.
+// traffic the paper's MDST construction is motivated by. A pool holding
+// no node other than the hub admits no pair: the result is empty.
 func HotspotPairs(nodes []graph.NodeID, hub graph.NodeID, count int, toHub float64, rng *rand.Rand) []Pair {
+	if !slices.ContainsFunc(nodes, func(v graph.NodeID) bool { return v != hub }) {
+		return nil
+	}
 	out := make([]Pair, 0, count)
 	for len(out) < count {
 		v := nodes[rng.Intn(len(nodes))]
@@ -129,26 +135,54 @@ type DriveOptions struct {
 	MaxExactSources int
 }
 
+// driveShard is the run of packets a Drive worker claims at a time, and
+// the longest batch Drive routes on the caller's goroutine. One packet
+// costs a few microseconds over a large graph, so a run is about a
+// millisecond of work; the churn campaigns' post-churn batches (a few
+// packets per node of a small graph) never start a goroutine.
+const driveShard = 256
+
+// outcome is one packet's result in a Drive batch: the hops it took and
+// why it was dropped (DropNone when delivered).
+type outcome struct {
+	hops   int
+	reason DropReason
+}
+
 // Drive routes every pair and aggregates statistics. Stretch is
 // measured against exact shortest paths computed per distinct source up
 // to the configured cap.
+//
+// The packets are independent, so the batch is sharded over every core
+// (runtime.ParallelFor); each packet's outcome lands in its own slot of
+// one slice. The statistics are then folded sequentially in pair order,
+// stretch BFS included, so they do not depend on the number of workers
+// — MeanStretch is summed in the same order, bit for bit.
 func Drive(r *Router, pairs []Pair, opt DriveOptions) (Stats, error) {
 	if opt.MaxExactSources == 0 {
 		opt.MaxExactSources = 256
 	}
+	out := make([]outcome, len(pairs))
+	aligned := r.alignedNow()
+	runtime.ParallelFor(len(pairs), driveShard, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i].hops, out[i].reason = r.walk(pairs[i].Src, pairs[i].Dst, aligned, nil)
+		}
+	})
+
 	stats := Stats{DropByReason: make(map[DropReason]int)}
 	exact := make(map[graph.NodeID]map[graph.NodeID]int)
 	g := r.g
-	for _, p := range pairs {
+	for i, p := range pairs {
 		stats.Sent++
-		d := r.Route(p.Src, p.Dst)
-		if !d.Delivered {
+		o := out[i]
+		if o.reason != DropNone {
 			stats.Dropped++
-			stats.DropByReason[d.Reason]++
+			stats.DropByReason[o.reason]++
 			continue
 		}
 		stats.Delivered++
-		stats.HopSum += d.Hops
+		stats.HopSum += o.hops
 		if opt.MaxExactSources < 0 {
 			continue
 		}
@@ -168,7 +202,7 @@ func Drive(r *Router, pairs []Pair, opt DriveOptions) (Stats, error) {
 		if sp <= 0 {
 			return stats, fmt.Errorf("routing: zero shortest path %d -> %d", p.Src, p.Dst)
 		}
-		stretch := float64(d.Hops) / float64(sp)
+		stretch := float64(o.hops) / float64(sp)
 		stats.StretchSamples++
 		stats.MeanStretch += stretch
 		if stretch > stats.MaxStretch {
