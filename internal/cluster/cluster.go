@@ -278,9 +278,10 @@ func New(g *graph.Graph, alg runtime.Algorithm, tr Transport, cfg Config) (*Clus
 }
 
 // newMember builds the node for dense slot i with a cloned neighbor
-// row (the dense rows mutate in place under churn) and wires its
-// endpoint's arrivals to the due set (a lockstep endpoint: no Notify
-// channel) or else to the Serve worker owning the slot.
+// row (the dense rows mutate in place under churn) and wires its input
+// signal, nd.wake, to the due set (a lockstep endpoint: no Notify
+// channel) or else to the Serve worker owning the slot. The endpoint
+// calls the same closure on every arrival, Launch on every injection.
 func (c *Cluster) newMember(id graph.NodeID, i int, ep Endpoint) *Node {
 	neighbors := append([]graph.NodeID(nil), c.d.NeighborIDs(i)...)
 	weights := append([]graph.Weight(nil), c.d.Weights(i)...)
@@ -289,20 +290,21 @@ func (c *Cluster) newMember(id graph.NodeID, i int, ep Endpoint) *Node {
 	nd.writeCount = &c.regWrites
 	if ep.Notify() == nil {
 		nd.lockstep = &c.tick
-		ep.Wake(func() { c.markDue(i) })
-		return nd
-	}
-	ep.Wake(func() {
-		if nd.rx.Swap(true) {
-			return // raised since the last drain: a pass that drains it is due
-		}
-		if ws := c.wakes.Load(); ws != nil {
-			select {
-			case (*ws)[i%len(*ws)] <- struct{}{}:
-			default:
+		nd.wake = func() { c.markDue(i) }
+	} else {
+		nd.wake = func() {
+			if nd.rx.Swap(true) {
+				return // raised since the last drain: a pass that drains it is due
+			}
+			if ws := c.wakes.Load(); ws != nil {
+				select {
+				case (*ws)[i%len(*ws)] <- struct{}{}:
+				default:
+				}
 			}
 		}
-	})
+	}
+	ep.Wake(nd.wake)
 	return nd
 }
 

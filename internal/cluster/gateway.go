@@ -167,9 +167,10 @@ func (gw *Gateway) nextHop(cur, dst graph.NodeID) (graph.NodeID, bool) {
 // Labeling returns the gateway's current labeling (between ticks).
 func (gw *Gateway) Labeling() *routing.Labeling { return gw.lb.Labeling() }
 
-// Launch injects one packet per pair at its source node, which runs at
-// the next Tick to forward it. Packets to self deliver immediately. Call
-// between ticks.
+// Launch injects one packet per pair at its source node and wakes that
+// node: under Serve the source's worker forwards it at once, in a wake
+// pass; in lockstep the source runs at the next Tick to forward it.
+// Packets to self deliver immediately. In lockstep, call between ticks.
 func (gw *Gateway) Launch(pairs []routing.Pair) {
 	c := gw.c
 	c.memMu.RLock()
@@ -195,7 +196,7 @@ func (gw *Gateway) Launch(pairs []routing.Pair) {
 		gw.pending[pkt.ID] = pkt
 		gw.mu.Unlock()
 		nd.Inject(pkt)
-		c.markDue(nd.slot)
+		nd.wake()
 	}
 }
 

@@ -105,12 +105,15 @@ type Node struct {
 	drainBuf      [][]byte
 
 	// Set once before the node runs, nil for standalone nodes: noteAnn
-	// reports root-announcement transitions to the cluster, writeCount
+	// reports root-announcement transitions to the cluster, wake is the
+	// input signal the endpoint's Wake callback also is (the due set in
+	// lockstep, the owning Serve worker otherwise), writeCount
 	// counts every register write into the cluster-level total,
 	// lockstep is the lockstep cluster clock (nil under Serve; see clock),
 	// hbCadence (heartbeat intervals) and frameBytes (encoded frame
 	// sizes) are cluster-shared histograms.
 	noteAnn    func(root graph.NodeID, epoch uint64, active bool)
+	wake       func()
 	writeCount *atomic.Int64
 	lockstep   *atomic.Uint64
 	hbCadence  *ops.Histogram
@@ -122,8 +125,8 @@ type Node struct {
 	// mid-Serve needs no worker coordination and the disabled hook path is
 	// one load-and-branch. epochMirror shadows qEpoch for hooks that
 	// record outside mu; it is written at every qEpoch write site. rx says
-	// frames wait at the endpoint: its Wake callback raises it, the Serve
-	// worker clears it before draining.
+	// input waits: frames at the endpoint, or packets Launch injected.
+	// wake raises it, the Serve worker clears it before draining.
 	stats       nodeCounters
 	ring        atomic.Pointer[trace.Ring]
 	epochMirror atomic.Uint64

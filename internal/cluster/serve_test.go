@@ -118,8 +118,8 @@ func TestServeGoroutineBudget(t *testing.T) {
 
 // TestServeForwardsOnArrival: a packet routed end to end over an
 // 8-node path crosses its 7 hops while the destination's clock advances
-// by at most 2 ticks — it waits for its source's next tick, then each
-// hop is one datagram flight, not one tick.
+// by at most 2 ticks — its source forwards it in the wake pass Launch
+// signals, and each hop is one datagram flight, not one tick.
 func TestServeForwardsOnArrival(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets in -short mode")
@@ -150,6 +150,35 @@ func TestServeForwardsOnArrival(t *testing.T) {
 	send() // the first packet may still meet a labeling refresh in flight
 	if hops, ticks := send(); hops < 5 || ticks > 2 {
 		t.Fatalf("a %d-hop packet took %d destination ticks, want at least 5 hops within 2 ticks", hops, ticks)
+	}
+}
+
+// TestServeLaunchNeedsNoTick: a packet launched on a served cluster
+// whose Interval never elapses still crosses a legitimate 6-node path
+// tree. Launch wakes the source's worker, which forwards the packet in
+// a wake pass, and every later hop is an arrival, so no node ticks.
+func TestServeLaunchNeedsNoTick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sockets in -short mode")
+	}
+	const n = 6
+	tr := NewUDPTransport()
+	defer tr.Close()
+	cl, err := New(graph.Path(n), spanning.Algorithm{}, tr, Config{Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := graph.NodeID(1); v <= n; v++ {
+		cl.SetState(v, spanning.State{Root: 1, Parent: v - 1, Dist: int(v) - 1})
+	}
+	gw := NewGateway(cl)
+	stop := serve(cl)
+	defer stop()
+	waitFor(t, 10*time.Second, "Serve installs its wake channels", func() bool { return cl.wakes.Load() != nil })
+	gw.Launch([]routing.Pair{{Src: 1, Dst: n}})
+	waitFor(t, 30*time.Second, "delivery", func() bool { return gw.Stats().Delivered == 1 })
+	if hops, ticks := gw.Stats().HopsTotal, cl.Ticks(); hops != n-1 || ticks != 0 {
+		t.Fatalf("delivered in %d hops after %d cluster ticks, want %d hops and no tick", hops, ticks, n-1)
 	}
 }
 
