@@ -256,3 +256,40 @@ func TestInvalidRequestRecovers(t *testing.T) {
 		t.Fatalf("labels not restored after abort: %v", err)
 	}
 }
+
+// TestPrunedChildJoinsPruneWave: on the path 1-2-3, node 2 is in a
+// subtree-prune wave (d = ⊥, SubPrune) and its child 3 has already lost
+// its distance but not joined (d = ⊥, SubOff). The child must join the
+// wave so the parent can acknowledge and both restore; otherwise
+// neither node is enabled and the configuration is silent with pruned
+// labels and an active control.
+func TestPrunedChildJoinsPruneWave(t *testing.T) {
+	g := graph.Path(3)
+	tr, err := trees.FromParentMap(map[graph.NodeID]graph.NodeID{
+		1: trees.None, 2: 1, 3: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legal := newNet(t, g)
+	if err := InitFromTree(legal, tr); err != nil {
+		t.Fatal(err)
+	}
+	net := newNet(t, g)
+	if err := InitFromTree(net, tr); err != nil {
+		t.Fatal(err)
+	}
+	s2 := net.State(2).(State)
+	s2.HasD, s2.D, s2.Sub = false, 0, SubPrune
+	net.SetState(2, s2)
+	s3 := net.State(3).(State)
+	s3.HasD, s3.D = false, 0
+	net.SetState(3, s3)
+	runToSilence(t, net, runtime.Synchronous())
+	checkLegal(t, net)
+	for _, v := range g.Nodes() {
+		if got, want := net.State(v), legal.State(v); !got.Equal(want) {
+			t.Errorf("node %d holds %v at silence, want %v", v, got, want)
+		}
+	}
+}

@@ -458,8 +458,12 @@ func protocol(s State, h *hood) (State, bool) {
 		}
 	}
 	// (c) Subtree prune joins (C2: parent keeps its size, which both the
-	// initiator and a (⊥,s) node do).
-	if s.Sub == SubOff && s.HasD && p != nil && (p.Sw == SwReq || p.Sub == SubPrune) {
+	// initiator and a (⊥,s) node do). A node whose d is already ⊥ joins
+	// too, changing only Sub: it cannot restore d under a pruning parent,
+	// and the parent's acknowledgement (d) waits for it, so excluding it
+	// would leave both nodes disabled in a silent, illegitimate
+	// configuration.
+	if s.Sub == SubOff && p != nil && (p.Sw == SwReq || p.Sub == SubPrune) {
 		s.Sub = SubPrune
 		s.HasD = false
 		return s, true
