@@ -642,10 +642,15 @@ func runRules(a routing.Algo, g *graph.Graph, sched runtime.Scheduler, rng *rand
 	for i := 0; i < faults; i++ {
 		victims := runtime.Corrupt(net, 1+rng.Intn(3), rng)
 		fmt.Printf("\ninjected faults at nodes %v\n", victims)
-		res, err = net.Run(sched, maxMoves)
+		// Result counts run since the network was built: report, and
+		// cap, this recovery's own.
+		moves0, rounds0 := net.Moves(), net.Rounds()
+		res, err = net.Run(sched, moves0+maxMoves)
 		if err != nil {
 			fatal(err)
 		}
+		res.Moves -= moves0
+		res.Rounds -= rounds0
 		report(net, res, a)
 	}
 }

@@ -56,11 +56,12 @@ func main() {
 	// repairs on its own — that is self-stabilization.
 	victims := runtime.Corrupt(net, 3, rng)
 	fmt.Printf("\ncorrupted registers at nodes %v\n", victims)
-	res, err = net.Run(runtime.AdversarialUnfair(), 1_000_000)
+	moves0 := net.Moves()
+	res, err = net.Run(runtime.AdversarialUnfair(), moves0+1_000_000)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("recovered: silent=%v extra-moves=%d\n", res.Silent, res.Moves)
+	fmt.Printf("recovered: silent=%v extra-moves=%d\n", res.Silent, res.Moves-moves0)
 	if err := runtime.CheckSilentStable(net); err != nil {
 		log.Fatal(err)
 	}

@@ -196,16 +196,13 @@ func RunDistributed(g *graph.Graph, task Task, opts EngineOptions) (*trees.Tree,
 		return nil, trace, fmt.Errorf("core: %w", err)
 	}
 	net.InitArbitrary(opts.Rng)
-	res, err := net.Run(opts.Scheduler, opts.MaxMovesPerPhase)
+	silent, err := runPhase(net, opts.Scheduler, opts.MaxMovesPerPhase, &trace)
 	if err != nil {
 		return nil, trace, fmt.Errorf("core: substrate: %w", err)
 	}
-	if !res.Silent {
-		return nil, trace, fmt.Errorf("core: substrate did not stabilize within %d moves", res.Moves)
+	if !silent {
+		return nil, trace, fmt.Errorf("core: substrate did not stabilize within %d moves", opts.MaxMovesPerPhase)
 	}
-	trace.Rounds += res.Rounds
-	trace.Moves += res.Moves
-	trace.MaxRegisterBits = maxInt(trace.MaxRegisterBits, res.MaxRegisterBits)
 
 	if opts.Monitor {
 		net.AddMonitor(switching.LoopFreeMonitor())
@@ -290,19 +287,31 @@ func ExecuteSwap(net *runtime.Network, t *trees.Tree, sw Swap, sched runtime.Sch
 		if err := switching.InjectSwitch(net, q, target); err != nil {
 			return nil, fmt.Errorf("core: hop %d: %w", i, err)
 		}
-		res, err := net.Run(sched, maxMoves)
+		silent, err := runPhase(net, sched, maxMoves, trace)
 		if err != nil {
 			return nil, fmt.Errorf("core: hop %d: %w", i, err)
 		}
-		if !res.Silent {
+		if !silent {
 			return nil, fmt.Errorf("core: hop %d did not quiesce", i)
 		}
-		trace.Rounds += res.Rounds
-		trace.Moves += res.Moves
-		trace.MaxRegisterBits = maxInt(trace.MaxRegisterBits, res.MaxRegisterBits)
 		target = q
 	}
 	return switching.ExtractTree(net)
+}
+
+// runPhase runs net to silence, or for at most maxMoves further moves,
+// and charges trace with this run's own rounds and moves: the network's
+// Result counts are running totals since it was built.
+func runPhase(net *runtime.Network, sched runtime.Scheduler, maxMoves int, trace *Trace) (bool, error) {
+	moves0, rounds0 := net.Moves(), net.Rounds()
+	res, err := net.Run(sched, moves0+maxMoves)
+	if err != nil {
+		return false, err
+	}
+	trace.Rounds += res.Rounds - rounds0
+	trace.Moves += res.Moves - moves0
+	trace.MaxRegisterBits = maxInt(trace.MaxRegisterBits, res.MaxRegisterBits)
+	return res.Silent, nil
 }
 
 // reversalPath returns the nodes that change parent for the swap, in

@@ -685,8 +685,14 @@ func (net *Network) MaxRegisterBits() int {
 func (net *Network) AddMonitor(m Monitor) { net.monitors = append(net.monitors, m) }
 
 // Result summarizes a run.
+//
+// Rounds and Moves are running totals since the network was built, the
+// values of Network.Rounds and Network.Moves, not this run's own: a
+// caller charging one of several runs on a network subtracts the counts
+// it read before the run, and maxMoves caps the same total.
 type Result struct {
-	// Rounds is the number of rounds until silence (or until the cap).
+	// Rounds is the number of rounds completed (until silence, or until
+	// the cap).
 	Rounds int
 	// Moves is the number of individual node steps.
 	Moves int
