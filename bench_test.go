@@ -147,10 +147,9 @@ func BenchmarkSequentialEngineMST(b *testing.B) {
 // constructions on the state-model engine, core.RunDistributed — the
 // tree stage of the benchmark harness's sim-stack workload. Each
 // iteration builds both trees on four RandomConnected(24, 0.2) graphs
-// from fixed arbitrary starts (seeds clear of the starts on which the
-// first injected switch is dropped). It reports the cost per engine
-// move: ns/move and allocs/move, the second counting every allocation
-// of the run (labeling and improvement search included).
+// from fixed arbitrary starts. It reports the cost per engine move:
+// ns/move and allocs/move, both over the whole run (labeling and
+// improvement search included), divided by the moves the engine made.
 func BenchmarkDistributedConstruction(b *testing.B) {
 	type input struct {
 		g    *graph.Graph

@@ -105,10 +105,10 @@ type Node struct {
 	drainBuf      [][]byte
 
 	// Set once before the node runs, nil for standalone nodes: noteAnn
-	// reports root-announcement transitions to the cluster, wake is the
-	// input signal the endpoint's Wake callback also is (the due set in
-	// lockstep, the owning Serve worker otherwise), writeCount
-	// counts every register write into the cluster-level total,
+	// reports root-announcement transitions to the cluster, wake says
+	// input waits — to the due set in lockstep, to the owning Serve
+	// worker otherwise — and is also the endpoint's Wake callback,
+	// writeCount counts every register write into the cluster-level total,
 	// lockstep is the lockstep cluster clock (nil under Serve; see clock),
 	// hbCadence (heartbeat intervals) and frameBytes (encoded frame
 	// sizes) are cluster-shared histograms.
