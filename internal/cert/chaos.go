@@ -197,60 +197,31 @@ func RunChaos(cfg ChaosConfig, logf func(format string, args ...any)) (*Certific
 	maxWeight := int64(cfg.N) * int64(cfg.N-1) / 2 * 1000
 	for b := 0; b < cfg.Bursts; b++ {
 		rec := BurstRecord{Burst: b}
-		flight := routing.NewFlight(routing.UniformPairs(nodes, cfg.InFlight, rng))
-
 		// The burst: corruption, wipes, weight churn.
-		rec.Corrupted = len(runtime.Corrupt(net, cfg.CorruptPerBurst, rng))
-		for i := 0; i < cfg.WipesPerBurst; i++ {
-			net.SetState(nodes[rng.Intn(len(nodes))], nil)
-			rec.Wiped++
-		}
-		for i := 0; i < cfg.ReweighsPerBurst; i++ {
-			e := edges[rng.Intn(len(edges))]
-			if err := net.PerturbEdgeWeight(e.U, e.V, graph.Weight(rng.Int63n(maxWeight)+1)); err != nil {
-				return c, err
+		br, err := live.Burst(a, sched, rng, cfg.InFlight, cfg.MovesPerWindow, cfg.TrafficBatch, func() error {
+			rec.Corrupted = len(runtime.Corrupt(net, cfg.CorruptPerBurst, rng))
+			for i := 0; i < cfg.WipesPerBurst; i++ {
+				net.SetState(nodes[rng.Intn(len(nodes))], nil)
+				rec.Wiped++
 			}
-			rec.Reweighed++
-		}
-
-		// Recovery: repair windows interleaved with routing windows.
-		movesBefore, roundsBefore, writesBefore := net.Moves(), net.Rounds(), live.Writes()
-		rec.Windows, err = live.Reconverge(sched, cfg.MovesPerWindow, cfg.StepsPerWindow, cfg.MaxWindows, flight)
+			for i := 0; i < cfg.ReweighsPerBurst; i++ {
+				e := edges[rng.Intn(len(edges))]
+				if err := net.PerturbEdgeWeight(e.U, e.V, graph.Weight(rng.Int63n(maxWeight)+1)); err != nil {
+					return err
+				}
+				rec.Reweighed++
+			}
+			return nil
+		})
 		if err != nil {
-			return c, fmt.Errorf("cert: burst %d %w", b, err)
-		}
-		rec.RecoveryMoves = net.Moves() - movesBefore
-		rec.RecoveryRounds = net.Rounds() - roundsBefore
-		rec.TopologyWrites = live.Writes() - writesBefore
-		if !net.Silent() {
-			return c, fmt.Errorf("cert: burst %d did not re-stabilize within %d windows", b, cfg.MaxWindows)
-		}
-		if err := runtime.CheckSilentStable(net); err != nil {
 			return c, fmt.Errorf("cert: burst %d: %w", b, err)
 		}
-
-		// Validate the repaired tree, flush the cohort, measure service.
-		tree2, err := a.ExtractTree(net)
-		if err != nil {
-			return c, fmt.Errorf("cert: burst %d repaired configuration: %w", b, err)
-		}
-		if !live.Labeling().Complete() {
-			return c, fmt.Errorf("cert: burst %d: labeling incomplete after re-stabilization: %d labeled", b, live.Labeling().Covered())
-		}
-		rec.TreeHeight, rec.TreeMaxDegree = trees.NewIndex(tree2).Height(), tree2.MaxDegree()
-		flight.Flush(live.Router())
-		fs := flight.Stats()
-		rec.Delivered = fs.Delivered()
-		rec.DuringRepair = fs.DeliveredDuring
-		rec.Looped, rec.Dropped, rec.StallWindows = fs.Looped, fs.Dropped, fs.StallWindows
+		rec.RecoveryMoves, rec.RecoveryRounds, rec.Windows, rec.TopologyWrites = br.Moves, br.Rounds, br.Windows, br.Writes
+		rec.TreeHeight, rec.TreeMaxDegree = trees.NewIndex(br.Tree).Height(), br.Tree.MaxDegree()
+		rec.Delivered, rec.DuringRepair = br.Cohort.Delivered(), br.Cohort.DeliveredDuring
+		rec.Looped, rec.Dropped, rec.StallWindows = br.Cohort.Looped, br.Cohort.Dropped, br.Cohort.StallWindows
 		rec.RegisterBits = net.MaxRegisterBits()
-
-		post, err := routing.Drive(live.Router(), routing.UniformPairs(nodes, cfg.TrafficBatch, rng), routing.DriveOptions{})
-		if err != nil {
-			return c, err
-		}
-		rec.PostStretch = post.MeanStretch
-		rec.PostDelivery = post.DeliveryRate()
+		rec.PostStretch, rec.PostDelivery = br.Post.MeanStretch, br.Post.DeliveryRate()
 
 		c.Bursts = append(c.Bursts, rec)
 		c.Worst.RecoveryMoves = max(c.Worst.RecoveryMoves, rec.RecoveryMoves)
@@ -265,7 +236,7 @@ func RunChaos(cfg ChaosConfig, logf func(format string, args ...any)) (*Certific
 			c.Worst.MinDelivery = rec.PostDelivery
 		}
 		logf("burst %d: %d moves %d rounds %d windows, %d/%d delivered, stretch %.3f",
-			b, rec.RecoveryMoves, rec.RecoveryRounds, rec.Windows, rec.Delivered, fs.Sent, rec.PostStretch)
+			b, rec.RecoveryMoves, rec.RecoveryRounds, rec.Windows, rec.Delivered, br.Cohort.Sent, rec.PostStretch)
 	}
 
 	c.FinalSilent = net.Silent()

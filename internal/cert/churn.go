@@ -559,7 +559,7 @@ func (ep ChurnEpisode) Run(net *runtime.Network, ops []ChurnOp, rng *rand.Rand) 
 		if err != nil {
 			return out, fmt.Errorf("op %d (%s): %w", oi, op, err)
 		}
-		if err := live.Window(ep.Sched, ep.MovesPerWindow, 2, flight); err != nil {
+		if err := live.Window(ep.Sched, ep.MovesPerWindow, flight); err != nil {
 			return out, fmt.Errorf("op %d (%s) repair: %w", oi, op, err)
 		}
 		if ep.OnOp != nil {
@@ -576,9 +576,6 @@ func (ep ChurnEpisode) Run(net *runtime.Network, ops []ChurnOp, rng *rand.Rand) 
 	if !res.Silent {
 		return out, fmt.Errorf("no re-stabilization within %d moves of the final op", ep.MaxMoves)
 	}
-	if err := runtime.CheckSilentStable(net); err != nil {
-		return out, err
-	}
 	if !g.Connected() {
 		return out, fmt.Errorf("schedule bug: final graph disconnected")
 	}
@@ -589,24 +586,14 @@ func (ep ChurnEpisode) Run(net *runtime.Network, ops []ChurnOp, rng *rand.Rand) 
 		return out, fmt.Errorf("register width %d bits exceeds final-graph bound %d", out.Stats.RegisterBits, bound)
 	}
 
-	// The incremental labeling must now be the complete labeling of the
-	// re-stabilized tree. The cohort flushes over it: packets that
-	// survived the transition must all arrive; packets the decay
-	// classified as looped/dropped mid-churn are legal casualties and
-	// are reported, not failed (the chaos campaigns' contract). A fresh
-	// post-churn batch must deliver 100% — the serving-layer claim on
-	// the final graph.
-	live.Sync()
-	if !live.Labeling().Complete() {
-		return out, fmt.Errorf("labeling incomplete after re-stabilization: %d labeled", live.Labeling().Covered())
-	}
-	flight.Flush(live.Router())
-	out.Cohort = flight.Stats()
-	if out.Cohort.Delivered()+out.Cohort.Dropped != out.Cohort.Sent {
-		return out, fmt.Errorf("cohort unaccounted: %d delivered + %d dropped of %d",
-			out.Cohort.Delivered(), out.Cohort.Dropped, out.Cohort.Sent)
-	}
-	out.Post, err = routing.Drive(live.Router(), routing.UniformPairs(g.Nodes(), ep.PostBatch*g.N(), rng), routing.DriveOptions{})
+	// Settle: the incremental labeling must now be the complete
+	// labeling of the re-stabilized tree, and the cohort flushes over it.
+	// Packets the decay classified as looped/dropped mid-churn are legal
+	// casualties and are reported, not failed (the chaos campaigns'
+	// contract). A fresh post-churn batch must deliver 100% — the
+	// serving-layer claim on the final graph.
+	s, err := live.Settle(ep.Algo, rng, flight, ep.PostBatch*g.N())
+	out.Cohort, out.Post = s.Cohort, s.Post
 	if err != nil {
 		return out, err
 	}

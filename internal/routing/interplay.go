@@ -142,39 +142,18 @@ func RunInterplay(g *graph.Graph, cfg InterplayConfig) (*InterplayReport, error)
 		return nil, err
 	}
 
-	// Launch the in-flight packets, then let the faults hit.
-	flight := NewFlight(UniformPairs(nodes, cfg.InFlight, rng))
-	runtime.Corrupt(net, cfg.Faults, rng)
-
-	movesBefore, writesBefore := net.Moves(), live.Writes()
-	rep.Windows, err = live.Reconverge(cfg.Scheduler, cfg.MovesPerWindow, cfg.StepsPerWindow, cfg.MaxWindows, flight)
-	if err != nil {
-		return nil, fmt.Errorf("routing: reconvergence %w", err)
-	}
-	rep.ReconvergeMoves = net.Moves() - movesBefore
-	rep.TopologyWrites = live.Writes() - writesBefore
-	rep.InFlight = flight.Stats()
+	// Launch the in-flight packets, let the faults hit, repair under
+	// traffic, and measure the recovered service.
+	b, err := live.Burst(cfg.Substrate, cfg.Scheduler, rng, cfg.InFlight, cfg.MovesPerWindow, cfg.BatchPackets,
+		func() error { runtime.Corrupt(net, cfg.Faults, rng); return nil })
+	rep.Windows, rep.ReconvergeMoves, rep.TopologyWrites = b.Windows, b.Moves, b.Writes
+	rep.InFlight, rep.Post = b.Cohort, b.Post
 	rep.Restabilized = net.Silent()
-	if !rep.Restabilized {
-		return rep, fmt.Errorf("routing: %s substrate did not re-stabilize within %d windows", rep.Substrate, cfg.MaxWindows)
+	if b.Tree != nil {
+		rep.PostHeight, rep.PostMaxDegree = trees.NewIndex(b.Tree).Height(), b.Tree.MaxDegree()
 	}
-
-	// Re-stabilized: validate the repaired tree, flush the remaining
-	// in-flight packets, and measure the recovered service.
-	tree2, err := cfg.Substrate.ExtractTree(net)
 	if err != nil {
-		return rep, fmt.Errorf("routing: repaired configuration: %w", err)
-	}
-	if !live.Labeling().Complete() {
-		return rep, fmt.Errorf("routing: labeling incomplete after re-stabilization: %d labeled", live.Labeling().Covered())
-	}
-	rep.PostHeight, rep.PostMaxDegree = trees.NewIndex(tree2).Height(), tree2.MaxDegree()
-	flight.Flush(live.Router())
-	rep.InFlight = flight.Stats()
-
-	rep.Post, err = Drive(live.Router(), UniformPairs(nodes, cfg.BatchPackets, rng), DriveOptions{})
-	if err != nil {
-		return rep, err
+		return rep, fmt.Errorf("routing: %s substrate: %w", rep.Substrate, err)
 	}
 	return rep, nil
 }

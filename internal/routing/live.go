@@ -2,9 +2,11 @@ package routing
 
 import (
 	"fmt"
+	"math/rand"
 
 	"silentspan/internal/graph"
 	"silentspan/internal/runtime"
+	"silentspan/internal/trees"
 )
 
 // Live is the live-router rig of a serving episode: a Router kept
@@ -58,15 +60,22 @@ func (lv *Live) Writes() int { return lv.writes }
 // slot space after node churn.
 func (lv *Live) Sync() { lv.router.SetLabeling(lv.lb.Labeling()) }
 
+// windowSteps is each in-flight packet's hop budget per routing window,
+// and maxWindows bounds one reconvergence.
+const (
+	windowSteps = 2
+	maxWindows  = 100_000
+)
+
 // Window is one repair window followed by one routing window: up to
-// moves steps of sched, then every packet of flight advances up to steps
-// hops over whatever labeling the registers now support.
-func (lv *Live) Window(sched runtime.Scheduler, moves, steps int, flight *Flight) error {
+// moves steps of sched, then every packet of flight advances up to
+// windowSteps hops over whatever labeling the registers now support.
+func (lv *Live) Window(sched runtime.Scheduler, moves int, flight *Flight) error {
 	if _, err := lv.net.Run(sched, lv.net.Moves()+moves); err != nil {
 		return err
 	}
 	lv.Sync()
-	flight.Advance(lv.router, steps)
+	flight.Advance(lv.router, windowSteps)
 	return nil
 }
 
@@ -74,13 +83,88 @@ func (lv *Live) Window(sched runtime.Scheduler, moves, steps int, flight *Flight
 // maxWindows have run, and returns how many it took; the caller checks
 // net.Silent() for which of the two ended it. The router is current on
 // return, zero windows included.
-func (lv *Live) Reconverge(sched runtime.Scheduler, movesPerWindow, stepsPerWindow, maxWindows int, flight *Flight) (int, error) {
+func (lv *Live) Reconverge(sched runtime.Scheduler, movesPerWindow int, flight *Flight) (int, error) {
 	lv.Sync()
 	w := 0
 	for ; w < maxWindows && !lv.net.Silent(); w++ {
-		if err := lv.Window(sched, movesPerWindow, stepsPerWindow, flight); err != nil {
+		if err := lv.Window(sched, movesPerWindow, flight); err != nil {
 			return w + 1, fmt.Errorf("window %d: %w", w, err)
 		}
 	}
 	return w, nil
+}
+
+// Settled is what Settle measured on a re-stabilized network.
+type Settled struct {
+	// Tree is the repaired tree.
+	Tree *trees.Tree
+	// Cohort accounts the packets that flew through the faults.
+	Cohort InFlightStats
+	// Post is the fresh batch served over the repaired tree.
+	Post Stats
+}
+
+// BurstReport is what one Burst measured: the repair's cost from the fault to
+// silence — windows run, and the moves, rounds and register writes the
+// repair made (the fault's own writes do not count) — then what Settle
+// measured.
+type BurstReport struct {
+	Windows, Moves, Rounds, Writes int
+	Settled
+}
+
+// Burst is one fault episode under live traffic: launch a cohort of
+// packets between uniform pairs drawn from rng, let fault hit the
+// network, reconverge under sched with movesPerWindow-move repair
+// windows interleaved with routing windows over the decaying labeling,
+// then Settle. On error it returns what it measured up to the failure.
+func (lv *Live) Burst(a Algo, sched runtime.Scheduler, rng *rand.Rand, cohort, movesPerWindow, batch int, fault func() error) (BurstReport, error) {
+	var b BurstReport
+	flight := NewFlight(UniformPairs(lv.net.Graph().Nodes(), cohort, rng))
+	b.Cohort = flight.Stats()
+	if err := fault(); err != nil {
+		return b, err
+	}
+	moves, rounds, writes := lv.net.Moves(), lv.net.Rounds(), lv.writes
+	w, err := lv.Reconverge(sched, movesPerWindow, flight)
+	b.Windows = w
+	b.Moves, b.Rounds, b.Writes = lv.net.Moves()-moves, lv.net.Rounds()-rounds, lv.writes-writes
+	b.Cohort = flight.Stats()
+	if err != nil {
+		return b, fmt.Errorf("reconvergence %w", err)
+	}
+	if !lv.net.Silent() {
+		return b, fmt.Errorf("did not re-stabilize within %d windows", maxWindows)
+	}
+	b.Settled, err = lv.Settle(a, rng, flight, batch)
+	return b, err
+}
+
+// Settle closes an episode on a network that is silent again: check the
+// configuration is terminal and closed, extract and validate the
+// repaired tree, republish the labeling and check it is complete, flush
+// the cohort over it and check every packet is accounted delivered or
+// dropped, and serve a fresh batch of uniform pairs drawn from rng. On
+// error it returns what it measured up to the failure.
+func (lv *Live) Settle(a Algo, rng *rand.Rand, flight *Flight, batch int) (Settled, error) {
+	s := Settled{Cohort: flight.Stats()}
+	if err := runtime.CheckSilentStable(lv.net); err != nil {
+		return s, err
+	}
+	t, err := a.ExtractTree(lv.net)
+	if err != nil {
+		return s, fmt.Errorf("repaired configuration: %w", err)
+	}
+	s.Tree = t
+	lv.Sync()
+	if lab := lv.Labeling(); !lab.Complete() {
+		return s, fmt.Errorf("labeling incomplete after re-stabilization: %d labeled", lab.Covered())
+	}
+	flight.Flush(lv.router)
+	s.Cohort = flight.Stats()
+	if c := s.Cohort; c.Delivered()+c.Dropped != c.Sent {
+		return s, fmt.Errorf("cohort unaccounted: %d delivered + %d dropped of %d", c.Delivered(), c.Dropped, c.Sent)
+	}
+	s.Post, err = Drive(lv.router, UniformPairs(lv.net.Graph().Nodes(), batch, rng), DriveOptions{})
+	return s, err
 }
