@@ -95,7 +95,7 @@ func ChaosTable(c *cert.Certificate) *Table {
 			itoa(b.Burst),
 			fmt.Sprintf("%dc+%dw+%dr", b.Corrupted, b.Wiped, b.Reweighed),
 			itoa(b.RecoveryMoves), itoa(b.RecoveryRounds), itoa(b.Windows),
-			fmt.Sprintf("%d/%d", b.Delivered, c.Config.InFlight),
+			fmt.Sprintf("%d/%d", b.Delivered, b.Delivered+b.Dropped),
 			itoa(b.Dropped),
 			fmt.Sprintf("%.3f", b.PostStretch),
 			itoa(b.RegisterBits),

@@ -30,30 +30,24 @@ type ChaosConfig struct {
 	Scheduler string `json:"scheduler"`
 	// Bursts is the number of fault bursts (default 5).
 	Bursts int `json:"bursts"`
-	// CorruptPerBurst registers are overwritten with arbitrary states,
-	// WipesPerBurst registers are erased outright, and
-	// ReweighsPerBurst edges get fresh random weights, per burst
-	// (defaults 8, 2, 4).
-	CorruptPerBurst  int `json:"corrupt_per_burst"`
-	WipesPerBurst    int `json:"wipes_per_burst"`
-	ReweighsPerBurst int `json:"reweighs_per_burst"`
-	// InFlight packets are launched right before each burst and keep
-	// flying over the decaying labeling during repair (default 64).
-	InFlight int `json:"in_flight"`
-	// MovesPerWindow / StepsPerWindow / MaxWindows shape the
-	// repair-vs-routing interleaving (defaults 200, 2, 100000).
-	MovesPerWindow int `json:"moves_per_window"`
-	StepsPerWindow int `json:"steps_per_window"`
-	MaxWindows     int `json:"max_windows"`
-	// TrafficBatch sizes the post-recovery stretch measurement
-	// (default 256).
-	TrafficBatch int `json:"traffic_batch"`
-	// StabilizeMoves caps the initial stabilization and each burst's
-	// recovery (default 20,000,000).
-	StabilizeMoves int `json:"stabilize_moves"`
 	// Seed drives all randomness.
 	Seed int64 `json:"seed"`
 }
+
+// The shape of one chaos burst: chaosCorrupt registers are overwritten
+// with arbitrary states, chaosWipes registers are erased outright and
+// chaosReweighs edges get fresh random weights, while a cohort of
+// chaosInFlight packets launched right before it keeps flying over the
+// decaying labeling. Repair runs chaosMovesPerWindow moves between
+// routing windows, and chaosBatch packets measure the recovered stretch.
+const (
+	chaosCorrupt        = 8
+	chaosWipes          = 2
+	chaosReweighs       = 4
+	chaosInFlight       = 64
+	chaosMovesPerWindow = 200
+	chaosBatch          = 256
+)
 
 func (c *ChaosConfig) fill() {
 	if c.N == 0 {
@@ -70,33 +64,6 @@ func (c *ChaosConfig) fill() {
 	}
 	if c.Bursts == 0 {
 		c.Bursts = 5
-	}
-	if c.CorruptPerBurst == 0 {
-		c.CorruptPerBurst = 8
-	}
-	if c.WipesPerBurst == 0 {
-		c.WipesPerBurst = 2
-	}
-	if c.ReweighsPerBurst == 0 {
-		c.ReweighsPerBurst = 4
-	}
-	if c.InFlight == 0 {
-		c.InFlight = 64
-	}
-	if c.MovesPerWindow == 0 {
-		c.MovesPerWindow = 200
-	}
-	if c.StepsPerWindow == 0 {
-		c.StepsPerWindow = 2
-	}
-	if c.MaxWindows == 0 {
-		c.MaxWindows = 100_000
-	}
-	if c.TrafficBatch == 0 {
-		c.TrafficBatch = 256
-	}
-	if c.StabilizeMoves == 0 {
-		c.StabilizeMoves = 20_000_000
 	}
 }
 
@@ -176,7 +143,7 @@ func RunChaos(cfg ChaosConfig, logf func(format string, args ...any)) (*Certific
 	}
 
 	g := graph.RandomConnected(cfg.N, cfg.EdgeProb, rng)
-	net, _, err := routing.BringUp(g, a, sched, cfg.StabilizeMoves, rng, referenceTree(a))
+	net, _, err := routing.BringUp(g, a, sched, routing.BringUpMoves, rng, referenceTree(a))
 	if err != nil {
 		return nil, err
 	}
@@ -198,13 +165,13 @@ func RunChaos(cfg ChaosConfig, logf func(format string, args ...any)) (*Certific
 	for b := 0; b < cfg.Bursts; b++ {
 		rec := BurstRecord{Burst: b}
 		// The burst: corruption, wipes, weight churn.
-		br, err := live.Burst(a, sched, rng, cfg.InFlight, cfg.MovesPerWindow, cfg.TrafficBatch, func() error {
-			rec.Corrupted = len(runtime.Corrupt(net, cfg.CorruptPerBurst, rng))
-			for i := 0; i < cfg.WipesPerBurst; i++ {
+		br, err := live.Burst(a, sched, rng, chaosInFlight, chaosMovesPerWindow, chaosBatch, func() error {
+			rec.Corrupted = len(runtime.Corrupt(net, chaosCorrupt, rng))
+			for i := 0; i < chaosWipes; i++ {
 				net.SetState(nodes[rng.Intn(len(nodes))], nil)
 				rec.Wiped++
 			}
-			for i := 0; i < cfg.ReweighsPerBurst; i++ {
+			for i := 0; i < chaosReweighs; i++ {
 				e := edges[rng.Intn(len(edges))]
 				if err := net.PerturbEdgeWeight(e.U, e.V, graph.Weight(rng.Int63n(maxWeight)+1)); err != nil {
 					return err

@@ -14,7 +14,6 @@ func TestChaosCampaignSmall(t *testing.T) {
 		t.Run(sub, func(t *testing.T) {
 			c, err := RunChaos(ChaosConfig{
 				N: 300, Substrate: sub, Bursts: 2, Seed: 7,
-				InFlight: 16, TrafficBatch: 64,
 			}, t.Logf)
 			if err != nil {
 				t.Fatal(err)
@@ -29,9 +28,9 @@ func TestChaosCampaignSmall(t *testing.T) {
 				if b.Corrupted == 0 || b.Wiped == 0 || b.Reweighed == 0 {
 					t.Errorf("burst %d injected nothing: %+v", b.Burst, b)
 				}
-				if b.Delivered+b.Dropped != c.Config.InFlight {
+				if b.Delivered+b.Dropped != chaosInFlight {
 					t.Errorf("burst %d: %d delivered + %d dropped != %d in flight",
-						b.Burst, b.Delivered, b.Dropped, c.Config.InFlight)
+						b.Burst, b.Delivered, b.Dropped, chaosInFlight)
 				}
 				if b.PostDelivery < 1 {
 					t.Errorf("burst %d: post-recovery delivery %.3f < 1 over a consistent labeling",
@@ -61,7 +60,7 @@ func TestChaosCampaignSmall(t *testing.T) {
 // certificates — the property that makes diffing against committed
 // bounds meaningful.
 func TestChaosDeterministic(t *testing.T) {
-	cfg := ChaosConfig{N: 200, Bursts: 2, Seed: 11, InFlight: 8, TrafficBatch: 32}
+	cfg := ChaosConfig{N: 200, Bursts: 2, Seed: 11}
 	a, err := RunChaos(cfg, nil)
 	if err != nil {
 		t.Fatal(err)

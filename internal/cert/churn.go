@@ -381,10 +381,6 @@ type ChurnConfig struct {
 	Schedules int
 	// Length: churn ops per schedule (default 10).
 	Length int
-	// InFlight: packet cohort size launched before the churn (default 8).
-	InFlight int
-	// MovesPerWindow: repair budget between packet steps (default 40).
-	MovesPerWindow int
 	// MaxMoves caps every stabilization (default 200000).
 	MaxMoves int
 	// Seed drives schedules, inits, and daemons.
@@ -404,12 +400,6 @@ func (c *ChurnConfig) fill() {
 	}
 	if c.Length == 0 {
 		c.Length = 10
-	}
-	if c.InFlight == 0 {
-		c.InFlight = 8
-	}
-	if c.MovesPerWindow == 0 {
-		c.MovesPerWindow = 40
 	}
 	if c.MaxMoves == 0 {
 		c.MaxMoves = 200_000
@@ -433,6 +423,13 @@ type ChurnReport struct {
 	Worst          map[string]WorstCase `json:"worst"`
 	Ledger
 }
+
+// Each certified churn run launches a cohort of churnInFlight packets
+// and repairs churnMovesPerWindow moves after each op.
+const (
+	churnInFlight       = 8
+	churnMovesPerWindow = 40
+)
 
 // churnGraphs is the instance set: per size, a path (worst diameter), a
 // complete graph (worst degree), and a seeded random instance.
@@ -503,7 +500,7 @@ func runOneChurn(a routing.Algo, ng NamedGraph, spec SchedulerSpec, cfg ChurnCon
 		return ChurnOutcome{}, fmt.Errorf("substrate: %w", err)
 	}
 	return ChurnEpisode{
-		Algo: a, Sched: sched, InFlight: cfg.InFlight, MovesPerWindow: cfg.MovesPerWindow,
+		Algo: a, Sched: sched, InFlight: churnInFlight, MovesPerWindow: churnMovesPerWindow,
 		MaxMoves: cfg.MaxMoves, PostBatch: 2,
 	}.Run(net, ops, rng)
 }

@@ -52,6 +52,15 @@ func ClusterProfiles() []ClusterProfile {
 	}
 }
 
+// Each certified cluster run launches a cohort of clusterInFlight
+// packets mid-convergence and declares quiet after clusterQuietTicks
+// ticks of register stability, a window that must exceed the heartbeat
+// period plus the worst fault delay.
+const (
+	clusterInFlight   = 8
+	clusterQuietTicks = 12
+)
+
 // ClusterConfig parameterizes the cluster certification campaign. Zero
 // values take the documented defaults.
 type ClusterConfig struct {
@@ -59,14 +68,8 @@ type ClusterConfig struct {
 	MaxN int `json:"max_n"`
 	// Runs per (graph, algorithm, profile) (default 1).
 	Runs int `json:"runs"`
-	// InFlight: packet cohort launched mid-convergence (default 8).
-	InFlight int `json:"in_flight"`
 	// MaxTicks caps each convergence (default 50000).
 	MaxTicks int `json:"max_ticks"`
-	// QuietTicks: register-stability window declaring quiet; must
-	// exceed the heartbeat period plus the worst fault delay
-	// (default 12).
-	QuietTicks int `json:"quiet_ticks"`
 	// ChurnOps is the length of the live-membership churn schedule
 	// driven through Cluster.Join/Leave/Crash/AddEdge/RemoveEdge after
 	// the first stabilization, followed by a crash-and-rejoin coda on a
@@ -87,14 +90,8 @@ func (c *ClusterConfig) fill() {
 	if c.Runs == 0 {
 		c.Runs = 1
 	}
-	if c.InFlight == 0 {
-		c.InFlight = 8
-	}
 	if c.MaxTicks == 0 {
 		c.MaxTicks = 50_000
-	}
-	if c.QuietTicks == 0 {
-		c.QuietTicks = 12
 	}
 	if len(c.Algos) == 0 {
 		c.Algos = routing.AllAlgos()
@@ -225,8 +222,8 @@ func checkCrawl(cl *cluster.Cluster, net *runtime.Network, g *graph.Graph, rng *
 // headroom for the lossy profiles — reports ride every keep-alive, so a
 // lost frame retries within one back-off gap.
 func quietAnnounceBound(cl *cluster.Cluster, cfg ClusterConfig) int {
-	window := 4 * cfg.QuietTicks // the pinned StalenessTTL
-	cap := max(1, cfg.QuietTicks/3)
+	window := 4 * clusterQuietTicks // the pinned StalenessTTL
+	cap := max(1, clusterQuietTicks/3)
 	return 2*window + 8*(cl.Nodes()+2)*(cap+2)
 }
 
@@ -272,8 +269,8 @@ func runOneCluster(a routing.Algo, ng NamedGraph, prof ClusterProfile, cfg Clust
 	// under a lossy adversary it is only as trustworthy as the number of
 	// refresh opportunities inside the window.
 	cl, err := cluster.New(g, alg, ft, cluster.Config{
-		StalenessTTL: 4 * cfg.QuietTicks,
-		BackoffCap:   max(1, cfg.QuietTicks/3),
+		StalenessTTL: 4 * clusterQuietTicks,
+		BackoffCap:   max(1, clusterQuietTicks/3),
 	})
 	if err != nil {
 		return 0, 0, st, gws, err
@@ -290,9 +287,9 @@ func runOneCluster(a routing.Algo, ng NamedGraph, prof ClusterProfile, cfg Clust
 	for i := 0; i < 3; i++ {
 		cl.Tick()
 	}
-	gw.Launch(routing.UniformPairs(g.Nodes(), cfg.InFlight, rng))
+	gw.Launch(routing.UniformPairs(g.Nodes(), clusterInFlight, rng))
 
-	ticks, quiet := cl.RunUntilQuiet(cfg.MaxTicks, cfg.QuietTicks)
+	ticks, quiet := cl.RunUntilQuiet(cfg.MaxTicks, clusterQuietTicks)
 	st = cl.Stats()
 	gws = gw.Stats()
 	if !quiet {
@@ -316,7 +313,7 @@ func runOneCluster(a routing.Algo, ng NamedGraph, prof ClusterProfile, cfg Clust
 		if err := driveClusterChurn(cl, g, cfg, rng, seed); err != nil {
 			return ticks, cl.MaxRegisterBits(), cl.Stats(), gw.Stats(), err
 		}
-		churnTicks, quiet := cl.RunUntilQuiet(cfg.MaxTicks, cfg.QuietTicks)
+		churnTicks, quiet := cl.RunUntilQuiet(cfg.MaxTicks, clusterQuietTicks)
 		ticks += churnTicks
 		st = cl.Stats()
 		gws = gw.Stats()
@@ -412,7 +409,7 @@ func runOneCluster(a routing.Algo, ng NamedGraph, prof ClusterProfile, cfg Clust
 	if !retracted {
 		return ticks, registerBits, st, gws, fmt.Errorf("announcement not retracted within %d ticks of a register write", bound)
 	}
-	if _, q := cl.RunUntilQuiet(cfg.MaxTicks, cfg.QuietTicks); !q {
+	if _, q := cl.RunUntilQuiet(cfg.MaxTicks, clusterQuietTicks); !q {
 		return ticks, registerBits, st, gws, fmt.Errorf("no requiet after detector coda within %d ticks", cfg.MaxTicks)
 	}
 	if err := checkQuietAnnounce(cl, cfg); err != nil {

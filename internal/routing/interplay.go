@@ -24,22 +24,17 @@ type InterplayConfig struct {
 	// BatchPackets sizes the pre- and post-stabilization measurement
 	// batches (default 256).
 	BatchPackets int
-	// MovesPerWindow is the stabilization budget between routing windows
-	// (default 50): smaller values interleave routing and repair more
-	// finely.
-	MovesPerWindow int
-	// StepsPerWindow is each in-flight packet's hop budget per window
-	// (default 2).
-	StepsPerWindow int
-	// MaxWindows bounds the reconvergence loop (default 100000).
-	MaxWindows int
-	// StabilizeMoves caps each full stabilization (default 20,000,000).
-	StabilizeMoves int
-	// Seed drives all randomness (graph-independent).
+	// Seed drives all randomness (graph-independent); the daemon is a
+	// random-subset one seeded with Seed+1.
 	Seed int64
-	// Scheduler defaults to a random-subset daemon derived from Seed.
-	Scheduler runtime.Scheduler
 }
+
+// interplayMovesPerWindow is the repair budget between routing windows.
+const interplayMovesPerWindow = 50
+
+// BringUpMoves caps the stabilization that brings a campaign-scale
+// substrate up.
+const BringUpMoves = 20_000_000
 
 func (c *InterplayConfig) fill() {
 	if c.Faults == 0 {
@@ -50,18 +45,6 @@ func (c *InterplayConfig) fill() {
 	}
 	if c.BatchPackets == 0 {
 		c.BatchPackets = 256
-	}
-	if c.MovesPerWindow == 0 {
-		c.MovesPerWindow = 50
-	}
-	if c.StepsPerWindow == 0 {
-		c.StepsPerWindow = 2
-	}
-	if c.MaxWindows == 0 {
-		c.MaxWindows = 100000
-	}
-	if c.StabilizeMoves == 0 {
-		c.StabilizeMoves = 20_000_000
 	}
 }
 
@@ -120,14 +103,12 @@ type InterplayReport struct {
 func RunInterplay(g *graph.Graph, cfg InterplayConfig) (*InterplayReport, error) {
 	cfg.fill()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	if cfg.Scheduler == nil {
-		cfg.Scheduler = runtime.RandomSubset(rand.New(rand.NewSource(cfg.Seed + 1)))
-	}
+	sched := runtime.RandomSubset(rand.New(rand.NewSource(cfg.Seed + 1)))
 	rep := &InterplayReport{Substrate: cfg.Substrate.String(), N: g.N(), M: g.M()}
 
-	net, tree, err := BringUp(g, cfg.Substrate, cfg.Scheduler, cfg.StabilizeMoves, rng,
+	net, tree, err := BringUp(g, cfg.Substrate, sched, BringUpMoves, rng,
 		func(g *graph.Graph) (*trees.Tree, error) {
-			t, _, err := core.RunDistributed(g, cfg.Substrate.Task(), core.EngineOptions{Rng: rng, Scheduler: cfg.Scheduler})
+			t, _, err := core.RunDistributed(g, cfg.Substrate.Task(), core.EngineOptions{Rng: rng, Scheduler: sched})
 			return t, err
 		})
 	if err != nil {
@@ -144,7 +125,7 @@ func RunInterplay(g *graph.Graph, cfg InterplayConfig) (*InterplayReport, error)
 
 	// Launch the in-flight packets, let the faults hit, repair under
 	// traffic, and measure the recovered service.
-	b, err := live.Burst(cfg.Substrate, cfg.Scheduler, rng, cfg.InFlight, cfg.MovesPerWindow, cfg.BatchPackets,
+	b, err := live.Burst(cfg.Substrate, sched, rng, cfg.InFlight, interplayMovesPerWindow, cfg.BatchPackets,
 		func() error { runtime.Corrupt(net, cfg.Faults, rng); return nil })
 	rep.Windows, rep.ReconvergeMoves, rep.TopologyWrites = b.Windows, b.Moves, b.Writes
 	rep.InFlight, rep.Post = b.Cohort, b.Post

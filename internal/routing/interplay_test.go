@@ -128,7 +128,9 @@ var updatePinned = flag.Bool("update", false, "rewrite testdata/interplay_pinned
 // one seeded run field for field against committed values: every rng
 // draw (bring-up, batches, cohort, victims), the write count and the
 // window loop are pinned, so a refactor of the episode that moves one
-// of them fails here. Regenerate with
+// of them fails here. Eight faults make every substrate's repair span
+// several windows, so the pin covers routing over a decaying labeling.
+// Regenerate with
 //
 //	go test ./internal/routing -run TestInterplayReportsPinned -update
 func TestInterplayReportsPinned(t *testing.T) {
@@ -136,9 +138,12 @@ func TestInterplayReportsPinned(t *testing.T) {
 	var got []*InterplayReport
 	for _, sub := range []Algo{AlgoBFS, AlgoMST, AlgoMDST} {
 		g := graph.RandomConnected(24, 0.15, rand.New(rand.NewSource(20)))
-		rep, err := RunInterplay(g, InterplayConfig{Substrate: sub, Faults: 4, MovesPerWindow: 5, Seed: 7})
+		rep, err := RunInterplay(g, InterplayConfig{Substrate: sub, Faults: 8, Seed: 7})
 		if err != nil {
 			t.Fatalf("%s: %v", sub, err)
+		}
+		if rep.Windows < 2 {
+			t.Errorf("%s: repair spans %d window(s), want at least 2", sub, rep.Windows)
 		}
 		got = append(got, rep)
 	}
