@@ -218,6 +218,11 @@ type Network struct {
 	pendingEpoch []uint64
 	epoch        uint64
 	pendingCount int
+	// roundOpen reports that the frontier is still the one Run left:
+	// no register was written and the graph was not reshaped from
+	// outside since, so the next Run resumes the round in progress. A
+	// run split into windows then counts the rounds one run would.
+	roundOpen bool
 
 	// chosenBuf, nextBuf and idxBuf are reusable per-activation scratch.
 	chosenBuf []graph.NodeID
@@ -417,6 +422,7 @@ func (net *Network) SetState(v graph.NodeID, s State) {
 	}
 	old := net.states[i]
 	net.states[i] = s
+	net.roundOpen = false
 	net.markDirtyAround(int32(i))
 	changed := (old == nil) != (s == nil) ||
 		(old != nil && s != nil && !s.Equal(old))
@@ -446,6 +452,7 @@ func (net *Network) InitArbitrary(rng *rand.Rand) {
 		}
 		net.states[i] = net.alg.ArbitraryState(rng, net.viewAt(i))
 	}
+	net.roundOpen = false
 	net.markAllDirty()
 }
 
@@ -515,6 +522,7 @@ func (net *Network) PerturbEdgeWeight(u, v graph.NodeID, w graph.Weight) error {
 	if err := net.g.UpdateEdgeWeight(u, v, w); err != nil {
 		return fmt.Errorf("runtime: %w", err)
 	}
+	net.roundOpen = false
 	iu, _ := net.d.IndexOf(u)
 	iv, _ := net.d.IndexOf(v)
 	net.markDirtyAt(int32(iu))
@@ -580,6 +588,7 @@ func (net *Network) AddEdge(u, v graph.NodeID, w graph.Weight) error {
 		return fmt.Errorf("runtime: %w", err)
 	}
 	net.syncedEpoch = net.d.Epoch()
+	net.roundOpen = false
 	iu, _ := net.d.IndexOf(u)
 	iv, _ := net.d.IndexOf(v)
 	net.markDirtyAt(int32(iu))
@@ -597,6 +606,7 @@ func (net *Network) RemoveEdge(u, v graph.NodeID) error {
 		return fmt.Errorf("runtime: %w", err)
 	}
 	net.syncedEpoch = net.d.Epoch()
+	net.roundOpen = false
 	iu, _ := net.d.IndexOf(u)
 	iv, _ := net.d.IndexOf(v)
 	net.markDirtyAt(int32(iu))
@@ -615,6 +625,7 @@ func (net *Network) AddNode(id graph.NodeID) error {
 	}
 	net.g.AddNode(id)
 	net.syncedEpoch = net.d.Epoch()
+	net.roundOpen = false
 	slot, _ := net.d.IndexOf(id)
 	net.growTo(net.d.Slots())
 	net.states[slot] = nil
@@ -641,6 +652,7 @@ func (net *Network) RemoveNode(id graph.NodeID) error {
 		return fmt.Errorf("runtime: %w", err)
 	}
 	net.syncedEpoch = net.d.Epoch()
+	net.roundOpen = false
 	old := net.states[slot]
 	net.states[slot] = nil
 	net.nextCache[slot] = nil
@@ -726,13 +738,20 @@ func (net *Network) startRound() {
 // of enabled nodes is recorded; the round completes once every node of X
 // has taken a step or has become disabled by its neighbors' actions.
 // Disabled transitions are observed incrementally by the drain, so round
-// accounting costs O(|chosen|) per activation, not O(n).
+// accounting costs O(|chosen|) per activation, not O(n). A Run resumes
+// the round the previous one left open unless the network was written
+// or reshaped from outside in between (SetState, InitArbitrary,
+// PerturbEdgeWeight, AddNode, RemoveNode, AddEdge, RemoveEdge), in which
+// case it starts a fresh one.
 func (net *Network) Run(sched Scheduler, maxMoves int) (Result, error) {
 	if na, ok := sched.(NetworkAware); ok {
 		na.BindNetwork(net)
 	}
 	net.drain()
-	net.startRound()
+	if !net.roundOpen {
+		net.startRound()
+		net.roundOpen = true
+	}
 	for net.moves < maxMoves {
 		if net.enabled.Len() == 0 {
 			break
