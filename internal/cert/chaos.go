@@ -7,7 +7,6 @@ import (
 	"silentspan/internal/graph"
 	"silentspan/internal/routing"
 	"silentspan/internal/runtime"
-	"silentspan/internal/switching"
 	"silentspan/internal/trees"
 )
 
@@ -207,10 +206,6 @@ func RunChaos(cfg ChaosConfig, logf func(format string, args ...any)) (*Certific
 	}
 
 	c.FinalSilent = net.Silent()
-	if t, err := a.ExtractTree(net); err == nil {
-		if asg, err2 := switching.ToAssignment(net); err2 == nil {
-			c.FinalSpecValid = t.IsSpanningTreeOf(g) && asg.Verify(g) == nil
-		}
-	}
+	c.FinalSpecValid = checkSpec(a, g, net) == nil
 	return c, nil
 }

@@ -3,6 +3,12 @@ package cert
 import (
 	"encoding/json"
 	"testing"
+
+	"silentspan/internal/graph"
+	"silentspan/internal/routing"
+	"silentspan/internal/runtime"
+	"silentspan/internal/switching"
+	"silentspan/internal/trees"
 )
 
 // TestChaosCampaignSmall runs a seeded campaign per substrate on a
@@ -53,6 +59,52 @@ func TestChaosCampaignSmall(t *testing.T) {
 				t.Errorf("worst-case block did not round-trip: %+v vs %+v", back.Worst, c.Worst)
 			}
 		})
+	}
+}
+
+// TestSpecRejectsMalleableLabels: chaos's final_spec_valid is checkSpec,
+// not the malleable verifier. On the 3-node prune-wave deadlock — a path
+// rooted at 1 whose node 2 has d = ⊥ mid-prune and node 3 d = ⊥ — the
+// parent pointers form a tree and switching's Verify accepts the ⊥
+// labels, since they are legal mid-switch; checkSpec wants idle
+// registers with exact labels and must reject it.
+func TestSpecRejectsMalleableLabels(t *testing.T) {
+	g := graph.Path(3)
+	tr, err := trees.FromParentMap(map[graph.NodeID]graph.NodeID{1: trees.None, 2: 1, 3: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := runtime.NewNetwork(g, switching.Algorithm{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := switching.InitFromTree(net, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkSpec(routing.AlgoMST, g, net); err != nil {
+		t.Fatalf("legal configuration rejected: %v", err)
+	}
+	s2, _ := switching.RegOf(net.State(2))
+	s2.HasD, s2.D, s2.Sub = false, 0, switching.SubPrune
+	net.SetState(2, s2)
+	s3, _ := switching.RegOf(net.State(3))
+	s3.HasD, s3.D = false, 0
+	net.SetState(3, s3)
+	if s3.Sub != switching.SubOff {
+		t.Fatalf("node 3 holds Sub %v, want SubOff", s3.Sub)
+	}
+
+	asg, err := switching.ToAssignment(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := asg.Verify(g); err != nil {
+		t.Fatalf("malleable verifier rejects the deadlock (%v); the test no longer shows the gap", err)
+	}
+	for _, a := range []routing.Algo{routing.AlgoBFS, routing.AlgoMST, routing.AlgoMDST} {
+		if err := checkSpec(a, g, net); err == nil {
+			t.Errorf("%s: checkSpec accepts d = ⊥ labels mid-prune", a)
+		}
 	}
 }
 
