@@ -264,8 +264,8 @@ func runOneCluster(a routing.Algo, ng NamedGraph, prof ClusterProfile, cfg Clust
 	faults.Seed = seed + 1
 	ft := cluster.NewFaultTransport(cluster.NewChanTransport(), faults)
 	// BackoffCap is tightened below its TTL-derived default so the
-	// QuietTicks stability window always spans several keep-alives per
-	// edge: the silence verdict is read off the registers alone, and
+	// clusterQuietTicks stability window always spans several keep-alives
+	// per edge: the silence verdict is read off the registers alone, and
 	// under a lossy adversary it is only as trustworthy as the number of
 	// refresh opportunities inside the window.
 	cl, err := cluster.New(g, alg, ft, cluster.Config{
