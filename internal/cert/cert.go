@@ -17,15 +17,20 @@
 //   - RunCluster (cluster.go): the same claims over the message-passing
 //     transform under transport faults, optionally with a churn schedule
 //     driven through the cluster's own mutators;
-//   - RunChaos (chaos.go): fault bursts on large graphs, distilled into a
-//     certificate CI diffs against committed bounds (bounds.go).
+//   - RunChaos (chaos.go): fault bursts on large graphs, each one
+//     routing.Live.Burst, distilled into a certificate CI diffs against
+//     committed bounds (bounds.go).
 //
 // The serving episode is written once. A substrate is brought up; a
 // routing.Live rig keeps a router current over its live registers; a
 // packet cohort flies while faults or churn hit, one repair window and
-// one routing window at a time (Live.Window, Live.Reconverge); the
-// network re-stabilizes and the claim set is checked on what it
-// stabilized to. Churn ops reach a simulator network or a cluster
+// one routing window at a time; the network re-stabilizes and
+// Live.Settle checks the silent tree, flushes the cohort and serves a
+// fresh batch. A chaos burst is one Live.Burst; a churn episode runs a
+// Live.Window per op and its own final run, then Live.Settle, and
+// checks the spec, the register bound and full delivery itself. The
+// campaigns' cohort sizes and window budgets are constants, not config
+// fields. Churn ops reach a simulator network or a cluster
 // through one applier (ApplyChurnOp over ChurnTarget), and the three
 // hunting campaigns keep one Ledger of counterexamples and worst cases.
 package cert

@@ -117,11 +117,9 @@ type Certificate struct {
 }
 
 // RunChaos executes one campaign: bring up the substrate and attach the
-// live-router rig, then repeat fault bursts — register corruption,
-// register wipes, edge-weight churn — each with a cohort of packets
-// already in flight, reconverging under the configured daemon (repair
-// windows interleaved with routing windows over the decaying labeling)
-// until silence returns. Worst cases across all bursts are distilled
+// live-router rig, then repeat fault bursts, each one Live.Burst whose
+// fault is register corruption, register wipes and edge-weight churn,
+// repaired under the configured daemon. Worst cases across all bursts are distilled
 // into the certificate.
 func RunChaos(cfg ChaosConfig, logf func(format string, args ...any)) (*Certificate, error) {
 	cfg.fill()

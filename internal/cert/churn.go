@@ -510,7 +510,8 @@ func runOneChurn(a routing.Algo, ng NamedGraph, spec SchedulerSpec, cfg ChurnCon
 // packet cohort between nodes the schedule never removes, apply the
 // schedule op by op — one bounded repair window and one routing window
 // over the decaying labeling after each — then re-stabilize on the final
-// graph and check the full claim set there. The churn campaign certifies
+// graph, check its spec and register bound, Live.Settle, and require
+// full delivery of the fresh batch. The churn campaign certifies
 // exactly this; sstsim -churn runs it with a print hook.
 type ChurnEpisode struct {
 	Algo  routing.Algo

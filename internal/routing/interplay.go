@@ -95,10 +95,9 @@ type InterplayReport struct {
 }
 
 // RunInterplay executes the serving episode on g: bring the substrate
-// up, attach the rig and measure a traffic batch, corrupt registers
-// under live traffic, reconverge — repair windows interleaved with
-// routing windows over the decaying labeling — then re-measure once
-// silent. The rig's listeners are what keep the router current,
+// up, attach the rig and measure a traffic batch, then run one
+// Live.Burst whose fault corrupts registers under live traffic. The
+// rig's listeners are what keep the router current,
 // exercising the topology-change notification path end to end.
 func RunInterplay(g *graph.Graph, cfg InterplayConfig) (*InterplayReport, error) {
 	cfg.fill()

@@ -38,11 +38,15 @@
 //     tree claim out of a raw register (ParentOf), and the live-router
 //     rig (Live) — a LiveLabeler fed by the network's state and topology
 //     listeners, so the router forwards over exactly what the registers
-//     currently support while the tree repairs itself underneath it;
+//     currently support while the tree repairs itself underneath it —
+//     with the episode's recovery as two of its methods: Burst (launch
+//     a cohort, let a fault hit, reconverge in repair windows
+//     interleaved with routing windows) and Settle (check the silent
+//     tree and the labeling, flush and account the cohort, serve a
+//     fresh batch);
 //   - the fault-interplay runner (RunInterplay), the episode in its
-//     plainest form: corrupt registers mid-traffic, keep routing over
-//     the decaying labeling through the repair windows, and measure how
-//     many in-flight packets loop or drop, per substrate.
+//     plainest form: one Burst that corrupts registers mid-traffic,
+//     measuring how many in-flight packets loop or drop, per substrate.
 package routing
 
 import (
