@@ -119,8 +119,8 @@ type Certificate struct {
 // RunChaos executes one campaign: bring up the substrate and attach the
 // live-router rig, then repeat fault bursts, each one Live.Burst whose
 // fault is register corruption, register wipes and edge-weight churn,
-// repaired under the configured daemon. Worst cases across all bursts are distilled
-// into the certificate.
+// repaired under the configured daemon. Worst cases across all bursts
+// are distilled into the certificate.
 func RunChaos(cfg ChaosConfig, logf func(format string, args ...any)) (*Certificate, error) {
 	cfg.fill()
 	if logf == nil {
@@ -193,12 +193,8 @@ func RunChaos(cfg ChaosConfig, logf func(format string, args ...any)) (*Certific
 		c.Worst.Windows = max(c.Worst.Windows, rec.Windows)
 		c.Worst.RegisterBits = max(c.Worst.RegisterBits, rec.RegisterBits)
 		c.Worst.Dropped = max(c.Worst.Dropped, rec.Dropped)
-		if rec.PostStretch > c.Worst.Stretch {
-			c.Worst.Stretch = rec.PostStretch
-		}
-		if rec.PostDelivery < c.Worst.MinDelivery {
-			c.Worst.MinDelivery = rec.PostDelivery
-		}
+		c.Worst.Stretch = max(c.Worst.Stretch, rec.PostStretch)
+		c.Worst.MinDelivery = min(c.Worst.MinDelivery, rec.PostDelivery)
 		logf("burst %d: %d moves %d rounds %d windows, %d/%d delivered, stretch %.3f",
 			b, rec.RecoveryMoves, rec.RecoveryRounds, rec.Windows, rec.Delivered, br.Cohort.Sent, rec.PostStretch)
 	}

@@ -32,10 +32,6 @@ type InterplayConfig struct {
 // interplayMovesPerWindow is the repair budget between routing windows.
 const interplayMovesPerWindow = 50
 
-// BringUpMoves caps the stabilization that brings a campaign-scale
-// substrate up.
-const BringUpMoves = 20_000_000
-
 func (c *InterplayConfig) fill() {
 	if c.Faults == 0 {
 		c.Faults = 3
@@ -97,8 +93,8 @@ type InterplayReport struct {
 // RunInterplay executes the serving episode on g: bring the substrate
 // up, attach the rig and measure a traffic batch, then run one
 // Live.Burst whose fault corrupts registers under live traffic. The
-// rig's listeners are what keep the router current,
-// exercising the topology-change notification path end to end.
+// rig's listeners are what keep the router current, exercising the
+// topology-change notification path end to end.
 func RunInterplay(g *graph.Graph, cfg InterplayConfig) (*InterplayReport, error) {
 	cfg.fill()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -116,8 +112,7 @@ func RunInterplay(g *graph.Graph, cfg InterplayConfig) (*InterplayReport, error)
 	rep.PreHeight, rep.PreMaxDegree = trees.NewIndex(tree).Height(), tree.MaxDegree()
 
 	live := NewLive(net)
-	nodes := g.Nodes()
-	rep.Pre, err = Drive(live.Router(), UniformPairs(nodes, cfg.BatchPackets, rng), DriveOptions{})
+	rep.Pre, err = Drive(live.Router(), UniformPairs(g.Nodes(), cfg.BatchPackets, rng), DriveOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -94,77 +94,64 @@ func (lv *Live) Reconverge(sched runtime.Scheduler, movesPerWindow int, flight *
 	return w, nil
 }
 
-// Settled is what Settle measured on a re-stabilized network.
-type Settled struct {
-	// Tree is the repaired tree.
-	Tree *trees.Tree
-	// Cohort accounts the packets that flew through the faults.
-	Cohort InFlightStats
-	// Post is the fresh batch served over the repaired tree.
-	Post Stats
-}
-
-// BurstReport is what one Burst measured: the repair's cost from the fault to
-// silence — windows run, and the moves, rounds and register writes the
-// repair made (the fault's own writes do not count) — then what Settle
-// measured.
-type BurstReport struct {
+// Recovery is what Burst measured: the repair's windows, and the moves,
+// rounds and register writes it made (the fault's own writes do not
+// count); then, as Settle measures them, the repaired tree, the cohort's
+// fate and the fresh batch. On error it holds what was measured up to
+// the failure.
+type Recovery struct {
 	Windows, Moves, Rounds, Writes int
-	Settled
+	Tree                           *trees.Tree
+	Cohort                         InFlightStats
+	Post                           Stats
 }
 
 // Burst is one fault episode under live traffic: launch a cohort of
 // packets between uniform pairs drawn from rng, let fault hit the
 // network, reconverge under sched with movesPerWindow-move repair
 // windows interleaved with routing windows over the decaying labeling,
-// then Settle. On error it returns what it measured up to the failure.
-func (lv *Live) Burst(a Algo, sched runtime.Scheduler, rng *rand.Rand, cohort, movesPerWindow, batch int, fault func() error) (BurstReport, error) {
-	var b BurstReport
+// then Settle.
+func (lv *Live) Burst(a Algo, sched runtime.Scheduler, rng *rand.Rand, cohort, movesPerWindow, batch int, fault func() error) (Recovery, error) {
 	flight := NewFlight(UniformPairs(lv.net.Graph().Nodes(), cohort, rng))
-	b.Cohort = flight.Stats()
 	if err := fault(); err != nil {
-		return b, err
+		return Recovery{Cohort: flight.Stats()}, err
 	}
 	moves, rounds, writes := lv.net.Moves(), lv.net.Rounds(), lv.writes
 	w, err := lv.Reconverge(sched, movesPerWindow, flight)
-	b.Windows = w
-	b.Moves, b.Rounds, b.Writes = lv.net.Moves()-moves, lv.net.Rounds()-rounds, lv.writes-writes
-	b.Cohort = flight.Stats()
-	if err != nil {
-		return b, fmt.Errorf("reconvergence %w", err)
+	if err == nil && !lv.net.Silent() {
+		err = fmt.Errorf("did not re-stabilize within %d windows", maxWindows)
 	}
-	if !lv.net.Silent() {
-		return b, fmt.Errorf("did not re-stabilize within %d windows", maxWindows)
+	r := Recovery{Cohort: flight.Stats()}
+	if err == nil {
+		r, err = lv.Settle(a, rng, flight, batch)
 	}
-	b.Settled, err = lv.Settle(a, rng, flight, batch)
-	return b, err
+	r.Windows, r.Moves, r.Rounds, r.Writes = w, lv.net.Moves()-moves, lv.net.Rounds()-rounds, lv.writes-writes
+	return r, err
 }
 
 // Settle closes an episode on a network that is silent again: check the
 // configuration is terminal and closed, extract and validate the
 // repaired tree, republish the labeling and check it is complete, flush
 // the cohort over it and check every packet is accounted delivered or
-// dropped, and serve a fresh batch of uniform pairs drawn from rng. On
-// error it returns what it measured up to the failure.
-func (lv *Live) Settle(a Algo, rng *rand.Rand, flight *Flight, batch int) (Settled, error) {
-	s := Settled{Cohort: flight.Stats()}
-	if err := runtime.CheckSilentStable(lv.net); err != nil {
-		return s, err
+// dropped, and serve a fresh batch of uniform pairs drawn from rng. It
+// fills Tree, Cohort and Post.
+func (lv *Live) Settle(a Algo, rng *rand.Rand, flight *Flight, batch int) (r Recovery, err error) {
+	r.Cohort = flight.Stats()
+	if err = runtime.CheckSilentStable(lv.net); err != nil {
+		return r, err
 	}
-	t, err := a.ExtractTree(lv.net)
-	if err != nil {
-		return s, fmt.Errorf("repaired configuration: %w", err)
+	if r.Tree, err = a.ExtractTree(lv.net); err != nil {
+		return r, fmt.Errorf("repaired configuration: %w", err)
 	}
-	s.Tree = t
 	lv.Sync()
 	if lab := lv.Labeling(); !lab.Complete() {
-		return s, fmt.Errorf("labeling incomplete after re-stabilization: %d labeled", lab.Covered())
+		return r, fmt.Errorf("labeling incomplete after re-stabilization: %d labeled", lab.Covered())
 	}
 	flight.Flush(lv.router)
-	s.Cohort = flight.Stats()
-	if c := s.Cohort; c.Delivered()+c.Dropped != c.Sent {
-		return s, fmt.Errorf("cohort unaccounted: %d delivered + %d dropped of %d", c.Delivered(), c.Dropped, c.Sent)
+	r.Cohort = flight.Stats()
+	if c := r.Cohort; c.Delivered()+c.Dropped != c.Sent {
+		return r, fmt.Errorf("cohort unaccounted: %d delivered + %d dropped of %d", c.Delivered(), c.Dropped, c.Sent)
 	}
-	s.Post, err = Drive(lv.router, UniformPairs(lv.net.Graph().Nodes(), batch, rng), DriveOptions{})
-	return s, err
+	r.Post, err = Drive(lv.router, UniformPairs(lv.net.Graph().Nodes(), batch, rng), DriveOptions{})
+	return r, err
 }

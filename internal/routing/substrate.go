@@ -86,6 +86,10 @@ func (a Algo) ExtractTree(net *runtime.Network) (*trees.Tree, error) {
 	return switching.ExtractTree(net)
 }
 
+// BringUpMoves caps the stabilization that brings a campaign-scale
+// substrate up.
+const BringUpMoves = 20_000_000
+
 // BringUp returns a silent network on g whose registers encode a
 // stabilized tree of the given kind, and that tree — the first step of
 // every serving episode. An always-on algorithm stabilizes under sched

@@ -218,10 +218,8 @@ type Network struct {
 	pendingEpoch []uint64
 	epoch        uint64
 	pendingCount int
-	// roundOpen reports that the frontier is still the one Run left:
-	// no register was written and the graph was not reshaped from
-	// outside since, so the next Run resumes the round in progress. A
-	// run split into windows then counts the rounds one run would.
+	// roundOpen: the frontier is the one the last Run left, and nothing
+	// was written or reshaped from outside since; the next Run resumes it.
 	roundOpen bool
 
 	// chosenBuf, nextBuf and idxBuf are reusable per-activation scratch.
@@ -738,11 +736,9 @@ func (net *Network) startRound() {
 // of enabled nodes is recorded; the round completes once every node of X
 // has taken a step or has become disabled by its neighbors' actions.
 // Disabled transitions are observed incrementally by the drain, so round
-// accounting costs O(|chosen|) per activation, not O(n). A Run resumes
-// the round the previous one left open unless the network was written
-// or reshaped from outside in between (SetState, InitArbitrary,
-// PerturbEdgeWeight, AddNode, RemoveNode, AddEdge, RemoveEdge), in which
-// case it starts a fresh one.
+// accounting costs O(|chosen|) per activation, not O(n). Run resumes the
+// round the previous Run left open, unless SetState, InitArbitrary,
+// PerturbEdgeWeight or a structural mutator touched the network since.
 func (net *Network) Run(sched Scheduler, maxMoves int) (Result, error) {
 	if na, ok := sched.(NetworkAware); ok {
 		na.BindNetwork(net)
