@@ -1,6 +1,9 @@
 package graph
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
 // NoNode marks a vacated slot in a dense index space: the identity of a
 // node that has been removed. Real identities are drawn from {1..n^c}
@@ -17,10 +20,13 @@ const NoNode NodeID = -1
 //
 // A Dense passes through three states, in one direction:
 //   - building: before the graph's first Dense() call, each slot owns
-//     one row, edited in place by the Graph mutators;
+//     one row, edited in place by the Graph mutators. A graph the
+//     generators or Clone made in one pass (build) starts out with its
+//     rows already packed as below; its first mutation unpacks them;
 //   - packed: the first Dense() fixes the slot assignment (ascending
 //     identity order, no holes, both epochs 0) and packs the rows into
-//     CSR arrays — one shared arc array per field, sliced per slot;
+//     CSR arrays — one shared arc array per field, sliced per slot —
+//     unless build already laid them out so;
 //   - unpacked: the first structural mutation after that clones every
 //     row out of the CSR, and each slot owns its row again, for good.
 //
@@ -64,9 +70,76 @@ type denseRow struct {
 // read-only.
 func (g *Graph) Dense() *Dense {
 	if !g.d.fixed {
-		g.d.pack(g.nodes)
+		if !g.d.packed {
+			g.d.pack(g.nodes)
+		}
+		g.d.fixed = true
 	}
 	return &g.d
+}
+
+// build returns the graph on nodes (ascending, distinct, non-negative;
+// the graph keeps the slice) with edges (distinct pairs of distinct
+// members), its rows packed straight into CSR arrays by two counting
+// passes in O(n + m): the first buckets every arc by its neighbour's
+// slot, the second moves the buckets, in slot order, into their owners'
+// rows, so each row comes out ascending without a sort. The arrays are
+// the ones pack lays out for the same graph; the first Dense() only
+// fixes them.
+func build(nodes []NodeID, edges []Edge) *Graph {
+	if len(nodes) > 0 && nodes[0] < 0 {
+		panic(fmt.Sprintf("graph: negative node identity %d", nodes[0]))
+	}
+	g := &Graph{nodes: nodes, m: len(edges)}
+	d := &g.d
+	d.ids, d.live, d.packed = slices.Clone(nodes), len(nodes), true
+	n := len(nodes)
+	d.off = make([]int32, n+1)
+	for _, e := range edges {
+		if e.U == e.V {
+			panic(fmt.Sprintf("graph: self-loop at node %d", e.U))
+		}
+		d.off[d.slot(e.U)+1]++
+		d.off[d.slot(e.V)+1]++
+	}
+	for i := 1; i <= n; i++ {
+		d.off[i] += d.off[i-1]
+	}
+	arcs := d.off[n]
+	// Every arc has its reverse, so bucket v collects v's own
+	// neighbours, in edge order.
+	next := slices.Clone(d.off[:n])
+	owner, ownerW := make([]int32, arcs), make([]Weight, arcs)
+	for _, e := range edges {
+		u, v := d.slot(e.U), d.slot(e.V)
+		owner[next[v]], ownerW[next[v]] = u, e.W
+		next[v]++
+		owner[next[u]], ownerW[next[u]] = v, e.W
+		next[u]++
+	}
+	copy(next, d.off)
+	d.nbrIDs, d.nbrIdx, d.wts = make([]NodeID, arcs), make([]int32, arcs), make([]Weight, arcs)
+	for v := range int32(n) {
+		for k := d.off[v]; k < d.off[v+1]; k++ {
+			o := owner[k]
+			a := next[o]
+			if a > d.off[o] && d.nbrIdx[a-1] == v {
+				panic(fmt.Sprintf("graph: edge {%d,%d} listed twice", nodes[o], nodes[v]))
+			}
+			d.nbrIDs[a], d.nbrIdx[a], d.wts[a] = nodes[v], v, ownerW[k]
+			next[o]++
+		}
+	}
+	return g
+}
+
+// slot returns the slot of identity v, which must be a node.
+func (d *Dense) slot(v NodeID) int32 {
+	i, ok := d.IndexOf(v)
+	if !ok {
+		panic(fmt.Sprintf("graph: edge endpoint %d is not a node", v))
+	}
+	return int32(i)
 }
 
 // pack renumbers the slots in ascending identity order with no holes
@@ -104,8 +177,8 @@ func (d *Dense) pack(nodes []NodeID) {
 		}
 		off[k+1] = int32(len(nbrIDs))
 	}
-	*d = Dense{ids: slices.Clone(nodes), live: len(nodes), fixed: true,
-		packed: true, off: off, nbrIDs: nbrIDs, nbrIdx: nbrIdx, wts: wts}
+	*d = Dense{ids: slices.Clone(nodes), live: len(nodes), packed: true,
+		off: off, nbrIDs: nbrIDs, nbrIdx: nbrIdx, wts: wts}
 }
 
 // unpack gives every slot its own row again, ahead of the first

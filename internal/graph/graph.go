@@ -355,17 +355,10 @@ func (g *Graph) BFSDistances(root NodeID) (map[NodeID]int, error) {
 	return out, nil
 }
 
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	out := New()
-	for _, v := range g.nodes {
-		out.AddNode(v)
-	}
-	for _, e := range g.Edges() {
-		out.MustAddEdge(e.U, e.V, e.W)
-	}
-	return out
-}
+// Clone returns a deep copy of g, built in one pass. Its slots are
+// compact, in ascending identity order, whatever holes or reuse churn
+// left in g's.
+func (g *Graph) Clone() *Graph { return build(slices.Clone(g.nodes), g.Edges()) }
 
 // DistinctWeights reports whether all edge weights are pairwise distinct.
 func (g *Graph) DistinctWeights() bool {

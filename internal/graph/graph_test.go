@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -158,6 +159,19 @@ func TestRandomConnected(t *testing.T) {
 		}
 		if g.M() < n-1 {
 			t.Fatalf("M = %d < n-1", g.M())
+		}
+	}
+}
+
+// TestRandomConnectedTinyOrNaNP: a p whose first skip passes every
+// pair — tiny, or NaN — adds no pair to the spanning tree. The skip
+// used to be converted to an int first, overflow, and address a
+// negative node identity.
+func TestRandomConnectedTinyOrNaNP(t *testing.T) {
+	for _, p := range []float64{1e-300, math.SmallestNonzeroFloat64, math.NaN()} {
+		g := RandomConnected(50, p, rand.New(rand.NewSource(1)))
+		if g.N() != 50 || g.M() != 49 || !g.Connected() {
+			t.Errorf("p=%g: n=%d m=%d connected=%v, want a 50-node spanning tree", p, g.N(), g.M(), g.Connected())
 		}
 	}
 }
