@@ -48,6 +48,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -718,6 +719,9 @@ func parseGraph(spec string, seed int64) (*graph.Graph, error) {
 			}
 		} else {
 			p, err = strconv.ParseFloat(parts[1+k], 64)
+			if err == nil && (math.IsNaN(p) || math.IsInf(p, 0)) {
+				err = errors.New("must be finite")
+			}
 		}
 		if ne := (*strconv.NumError)(nil); errors.As(err, &ne) {
 			err = ne.Err // "invalid syntax", without strconv's own prefix

@@ -53,6 +53,29 @@ func TestParseGraph(t *testing.T) {
 	}
 }
 
+// TestParseGraphProbabilities: a non-finite probability is a spec
+// error naming the form, and a tiny one builds the spanning tree alone
+// (its first skip passes every pair; it used to overflow into a
+// negative identity and panic).
+func TestParseGraphProbabilities(t *testing.T) {
+	for _, spec := range []string{"random:50:NaN", "random:50:+Inf", "geometric:50:NaN", "geometric:50:-Inf"} {
+		g, err := parseGraph(spec, 1)
+		if err == nil {
+			t.Errorf("%s: built n=%d m=%d, want an error", spec, g.N(), g.M())
+		} else if !strings.Contains(err.Error(), "must be finite") || !strings.Contains(err.Error(), ":<float>") {
+			t.Errorf("%s: error %q does not say the field must be finite and name the form", spec, err)
+		}
+	}
+	for _, spec := range []string{"random:50:1e-300", "random:50:5e-324"} {
+		g, err := parseGraph(spec, 1)
+		if err != nil {
+			t.Errorf("%s: %v", spec, err)
+		} else if g.N() != 50 || g.M() != 49 || !g.Connected() {
+			t.Errorf("%s: n=%d m=%d connected=%v, want a 50-node spanning tree", spec, g.N(), g.M(), g.Connected())
+		}
+	}
+}
+
 // TestRejectIneffective: a flag set outside the modes it affects is an
 // error in every mode, and the per-mode table names only real flags.
 func TestRejectIneffective(t *testing.T) {
