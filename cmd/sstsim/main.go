@@ -593,8 +593,7 @@ func runRouteInterplay(g *graph.Graph, faults, packets int, seed int64) {
 			sub, rep.PreHeight, rep.PostHeight, rep.PreMaxDegree, rep.PostMaxDegree)
 		fmt.Printf("  pre-fault:  %v\n", rep.Pre)
 		fmt.Printf("  faults: %d registers corrupted under %d in-flight packets\n", faults, rep.InFlight.Sent)
-		fmt.Printf("  reconverge: %d moves over %d windows, %d register writes observed\n",
-			rep.ReconvergeMoves, rep.Windows, rep.TopologyWrites)
+		fmt.Printf("  reconverge: %d moves over %d windows\n", rep.ReconvergeMoves, rep.Windows)
 		fmt.Printf("  in-flight:  delivered %d during repair + %d after, looped %d, dropped %d, stalled windows %d\n",
 			rep.InFlight.DeliveredDuring, rep.InFlight.DeliveredAfter,
 			rep.InFlight.Looped, rep.InFlight.Dropped, rep.InFlight.StallWindows)

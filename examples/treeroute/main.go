@@ -38,8 +38,7 @@ func main() {
 	fmt.Printf("steady-state traffic: %v\n", rep.Pre)
 
 	fmt.Printf("\n>>> corrupting 6 registers under %d in-flight packets <<<\n", rep.InFlight.Sent)
-	fmt.Printf("reconvergence: %d moves over %d windows (%d register writes seen by the routing layer)\n",
-		rep.ReconvergeMoves, rep.Windows, rep.TopologyWrites)
+	fmt.Printf("reconvergence: %d moves over %d windows\n", rep.ReconvergeMoves, rep.Windows)
 	fmt.Printf("in-flight fate: %d delivered during repair, %d after, %d looped, %d dropped, %d stalled windows\n",
 		rep.InFlight.DeliveredDuring, rep.InFlight.DeliveredAfter,
 		rep.InFlight.Looped, rep.InFlight.Dropped, rep.InFlight.StallWindows)

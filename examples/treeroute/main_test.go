@@ -11,7 +11,7 @@ func Example() {
 	// steady-state traffic: sent=256 delivered=256 (100.00%) dropped=0 looped=0 mean-hops=9.02 mean-stretch=1.361 (over 256 sampled)
 	//
 	// >>> corrupting 6 registers under 128 in-flight packets <<<
-	// reconvergence: 2004 moves over 39 windows (2004 register writes seen by the routing layer)
+	// reconvergence: 2004 moves over 39 windows
 	// in-flight fate: 124 delivered during repair, 4 after, 0 looped, 0 dropped, 283 stalled windows
 	//
 	// recovered traffic: sent=256 delivered=256 (100.00%) dropped=0 looped=0 mean-hops=9.05 mean-stretch=1.372 (over 256 sampled)

@@ -75,7 +75,6 @@ type BurstRecord struct {
 	RecoveryMoves  int     `json:"recovery_moves"`
 	RecoveryRounds int     `json:"recovery_rounds"`
 	Windows        int     `json:"windows"`
-	TopologyWrites int     `json:"topology_writes"`
 	Delivered      int     `json:"delivered"`
 	DuringRepair   int     `json:"during_repair"`
 	Looped         int     `json:"looped"`
@@ -180,7 +179,7 @@ func RunChaos(cfg ChaosConfig, logf func(format string, args ...any)) (*Certific
 		if err != nil {
 			return c, fmt.Errorf("cert: burst %d: %w", b, err)
 		}
-		rec.RecoveryMoves, rec.RecoveryRounds, rec.Windows, rec.TopologyWrites = br.Moves, br.Rounds, br.Windows, br.Writes
+		rec.RecoveryMoves, rec.RecoveryRounds, rec.Windows = br.Moves, br.Rounds, br.Windows
 		rec.TreeHeight, rec.TreeMaxDegree = trees.NewIndex(br.Tree).Height(), br.Tree.MaxDegree()
 		rec.Delivered, rec.DuringRepair = br.Cohort.Delivered(), br.Cohort.DeliveredDuring
 		rec.Looped, rec.Dropped, rec.StallWindows = br.Cohort.Looped, br.Cohort.Dropped, br.Cohort.StallWindows

@@ -52,8 +52,8 @@
 // routing.LiveLabeler over the live registers and carrying routed
 // packets hop-by-hop as data frames through the same transport. The
 // cluster's graph is its one topology: Join, Leave, Crash, AddEdge and
-// RemoveEdge validate, change it in place, and hand each applied change
-// to the gateway (Gateway.applyTopo).
+// RemoveEdge validate, change it in place, and have the gateway
+// republish its labeling (Gateway.publish).
 //
 // Locking: Cluster.memMu guards the membership view and nests outside
 // everything else. A Node's mu guards what other goroutines see of it —
@@ -551,7 +551,7 @@ func (c *Cluster) Tick() {
 // last call, and if so refreshes the gateway's labeling. The labeling
 // only moves when some register did, so a quiet cluster never re-reads
 // its n registers; a membership or link change that writes none reaches
-// the labeling through the mutator's own Gateway.applyTopo call. Caller
+// the labeling through the mutator's own Gateway.publish call. Caller
 // holds memMu and is the cluster clock (see seenWrites).
 func (c *Cluster) observeWrites() bool {
 	w := c.regWrites.Load()

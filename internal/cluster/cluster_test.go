@@ -214,7 +214,7 @@ func TestGatewayDeliveryUnderFaults(t *testing.T) {
 
 // TestGatewayLabelingMatchesRegisters: the gateway refreshes only when
 // the write counter moved, and learns of membership and link changes
-// that write no register from the mutators' own applyTopo calls. After
+// that write no register from the mutators' own publish calls. After
 // every Tick of a churned cluster — crashes and joins, rejected joins
 // (a bad edge list, a present id, an id the transport refuses), links
 // toggled with no write in between, registers overwritten between

@@ -7,17 +7,17 @@ import (
 	"silentspan/internal/graph"
 	"silentspan/internal/ops"
 	"silentspan/internal/routing"
-	"silentspan/internal/runtime"
 	"silentspan/internal/wire"
 )
 
 // Gateway is the cluster's serving layer: it maintains a
 // routing.LiveLabeler over the nodes' live registers — refreshed at the
 // end of a cluster-clock pass that saw a register write, incremental per
-// changed parent pointer — and carries
-// routed packets end-to-end over the cluster's own transport: each hop
-// is a wire data frame from one node actor to the next, subject to the
-// same loss, duplication, reordering and corruption as the heartbeats.
+// changed parent pointer, and republished after every membership or
+// link change — and carries routed packets end-to-end over the
+// cluster's own transport: each hop is a wire data frame from one node
+// actor to the next, subject to the same loss, duplication, reordering
+// and corruption as the heartbeats.
 // Forwarding decisions are greedy over the coordinate labeling
 // (Router.NextHop); packets stall in place while the labeling is
 // decayed and resume when it heals, exactly like the simulator's
@@ -103,17 +103,18 @@ func NewGateway(c *Cluster) *Gateway {
 	return gw
 }
 
-// applyTopo folds one applied membership or link change into the
-// labeling — the labeler adds/removes slots or rechecks the endpoints'
-// pointers — and republishes the router. The cluster's mutators call it
-// under memMu, so the lock order is always memMu → labMu. A cluster
-// without a gateway has a nil one, and nothing to fold.
-func (gw *Gateway) applyTopo(ev runtime.TopoEvent) {
+// publish republishes the labeling to the router after a membership or
+// link change; the labeler sees the change through the graph's
+// structural epoch and rebuilds. Every cluster mutator calls it once,
+// under memMu, after its last change to the graph, so the lock order is
+// always memMu → labMu and the labeler is synced again before anyone
+// reads Labeling between ticks. A cluster without a gateway has a nil
+// one, and nothing to publish.
+func (gw *Gateway) publish() {
 	if gw == nil {
 		return
 	}
 	gw.labMu.Lock()
-	gw.lb.ApplyTopo(ev)
 	gw.router.SetLabeling(gw.lb.Labeling())
 	gw.labMu.Unlock()
 }
@@ -164,7 +165,9 @@ func (gw *Gateway) nextHop(cur, dst graph.NodeID) (graph.NodeID, bool) {
 	return next, ok
 }
 
-// Labeling returns the gateway's current labeling (between ticks).
+// Labeling returns the gateway's current labeling. Call it between
+// ticks and membership changes: every mutator has published by then,
+// so the labeler is synced with the graph and the call only reads.
 func (gw *Gateway) Labeling() *routing.Labeling { return gw.lb.Labeling() }
 
 // Launch injects one packet per pair at its source node and wakes that

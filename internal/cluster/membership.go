@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"silentspan/internal/graph"
-	"silentspan/internal/runtime"
 	"silentspan/internal/trace"
 	"silentspan/internal/wire"
 )
@@ -16,8 +15,9 @@ import (
 // topology already granted; see Node.ingest). The moving parts:
 //
 //   - The cluster's graph is its one topology: each mutator validates
-//     before its first change, applies it to c.g, and hands the applied
-//     change to the gateway's labeler (Gateway.applyTopo).
+//     before its first change, applies it to c.g, and has the gateway
+//     republish its labeling (Gateway.publish), which the labeler
+//     rebuilds once it sees the graph's structural epoch move.
 //   - Every live node gets its neighbor row re-derived from the shared
 //     dense layout, synchronously: the mutators hold memMu's write lock,
 //     and every round — a Tick's or a Serve worker's pass — runs under its
@@ -62,11 +62,10 @@ func (c *Cluster) Join(id graph.NodeID, edges []graph.Edge) error {
 		return err
 	}
 	c.g.AddNode(id)
-	c.gw.applyTopo(runtime.TopoEvent{Kind: runtime.TopoAddNode, U: id})
 	for _, e := range edges {
 		c.g.MustAddEdge(e.U, e.V, e.W) // checked above: a new link to a member
-		c.gw.applyTopo(runtime.TopoEvent{Kind: runtime.TopoAddEdge, U: e.U, V: e.V})
 	}
+	c.gw.publish()
 	c.admit(id, ep)
 	return nil
 }
@@ -180,7 +179,7 @@ func (c *Cluster) retire(id graph.NodeID, goodbye bool) error {
 	if err := c.g.RemoveNode(id); err != nil {
 		return err
 	}
-	c.gw.applyTopo(runtime.TopoEvent{Kind: runtime.TopoRemoveNode, U: id})
+	c.gw.publish()
 	c.remapAllLocked()
 	if c.admin != nil {
 		c.admin.remove(id)
@@ -216,7 +215,7 @@ func (c *Cluster) AddEdge(u, v graph.NodeID, w graph.Weight) error {
 	if err := c.g.AddLink(u, v, w); err != nil {
 		return err
 	}
-	c.gw.applyTopo(runtime.TopoEvent{Kind: runtime.TopoAddEdge, U: u, V: v})
+	c.gw.publish()
 	c.remapEndpointsLocked(u, v)
 	return nil
 }
@@ -230,7 +229,7 @@ func (c *Cluster) RemoveEdge(u, v graph.NodeID) error {
 	if err := c.g.RemoveEdge(u, v); err != nil {
 		return err
 	}
-	c.gw.applyTopo(runtime.TopoEvent{Kind: runtime.TopoRemoveEdge, U: u, V: v})
+	c.gw.publish()
 	c.remapEndpointsLocked(u, v)
 	return nil
 }

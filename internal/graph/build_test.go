@@ -189,25 +189,29 @@ func oracleRandomGeometric(n int, radius float64, rng *rand.Rand) *Graph {
 	weightOf := func(i, j int) Weight {
 		return Weight(int64(dist(i, j)*1e9)*int64(n*n) + int64(i*n+j))
 	}
+	// Connectivity from the oracle's own union-find: a g.Connected() here
+	// would fix the slots before the stitch edges land.
+	uf := NewUnionFind(g.Nodes())
 	for i := 1; i <= n; i++ {
 		for j := i + 1; j <= n; j++ {
 			if dist(i, j) <= radius {
 				g.MustAddEdge(NodeID(i), NodeID(j), weightOf(i, j))
+				uf.Union(NodeID(i), NodeID(j))
 			}
 		}
 	}
-	for !g.Connected() {
-		comp := components(g)
+	for uf.Sets() > 1 {
 		bi, bj := -1, -1
 		best := math.Inf(1)
 		for i := 1; i <= n; i++ {
 			for j := i + 1; j <= n; j++ {
-				if comp[NodeID(i)] != comp[NodeID(j)] && dist(i, j) < best {
+				if !uf.Same(NodeID(i), NodeID(j)) && dist(i, j) < best {
 					best, bi, bj = dist(i, j), i, j
 				}
 			}
 		}
 		g.MustAddEdge(NodeID(bi), NodeID(bj), weightOf(bi, bj))
+		uf.Union(NodeID(bi), NodeID(bj))
 	}
 	return g
 }
@@ -368,6 +372,22 @@ func churn(g *Graph, rng *rand.Rand, steps int) {
 				}
 			}
 		}
+	}
+}
+
+// TestRandomGeometricStitchedPacked: a geometric graph whose radius
+// leaves it in pieces comes back stitched, packed in one pass and at
+// epoch 0, like every other generator's.
+func TestRandomGeometricStitchedPacked(t *testing.T) {
+	g := RandomGeometric(200, 0.02, rand.New(rand.NewSource(1)))
+	if !g.d.packed {
+		t.Fatal("stitched RandomGeometric(200, 0.02) came back unpacked")
+	}
+	if e := g.Dense().Epoch(); e != 0 {
+		t.Fatalf("stitched RandomGeometric(200, 0.02) at epoch %d, want 0", e)
+	}
+	if !g.Connected() || g.M() < g.N()-1 {
+		t.Fatalf("not stitched: n=%d m=%d connected=%v", g.N(), g.M(), g.Connected())
 	}
 }
 

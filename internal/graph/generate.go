@@ -1,9 +1,11 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // The generators below produce the graph families used throughout the
@@ -227,6 +229,14 @@ func RandomConnected(n int, p float64, rng *rand.Rand) *Graph {
 // scaled distances made distinct by index perturbation. If the result is
 // disconnected, nearest components are stitched. This family models the
 // sensor networks (802.15.4) motivating the paper's MDST application.
+//
+// The stitch is Kruskal's: the inter-component pairs, in (distance, i,
+// j) order, run through a union-find seeded with the radius edges. At
+// every step the first pair in that order that still joins two
+// components is the shortest inter-component pair, ties going to the
+// smallest (i, j) — the link a nearest-components rescan would pick —
+// so the stitch costs one O(n² log n) sort, not one O(n²) scan per
+// link, and the graph is packed in one pass (build).
 func RandomGeometric(n int, radius float64, rng *rand.Rand) *Graph {
 	type pt struct{ x, y float64 }
 	pts := make([]pt, n+1)
@@ -242,30 +252,46 @@ func RandomGeometric(n int, radius float64, rng *rand.Rand) *Graph {
 	weightOf := func(i, j int) Weight {
 		return Weight(int64(dist(i, j)*1e9)*int64(n*n) + int64(i*n+j))
 	}
+	nodes := make([]NodeID, 0, max(n, 0))
+	for i := 1; i <= n; i++ {
+		nodes = append(nodes, NodeID(i))
+	}
+	uf := NewUnionFind(nodes)
 	var edges []Edge
 	for i := 1; i <= n; i++ {
 		for j := i + 1; j <= n; j++ {
 			if dist(i, j) <= radius {
 				edges = append(edges, Edge{U: NodeID(i), V: NodeID(j), W: weightOf(i, j)})
+				uf.Union(NodeID(i), NodeID(j))
 			}
 		}
 	}
-	g := fromEdges(n, edges)
-	// Stitch components with the shortest available inter-component link.
-	for !g.Connected() {
-		comp := components(g)
-		bi, bj := -1, -1
-		best := math.Inf(1)
+	if uf.Sets() > 1 {
+		type pair struct {
+			d    float64
+			i, j int32
+		}
+		var pairs []pair
 		for i := 1; i <= n; i++ {
 			for j := i + 1; j <= n; j++ {
-				if comp[NodeID(i)] != comp[NodeID(j)] && dist(i, j) < best {
-					best, bi, bj = dist(i, j), i, j
+				if !uf.Same(NodeID(i), NodeID(j)) {
+					pairs = append(pairs, pair{dist(i, j), int32(i), int32(j)})
 				}
 			}
 		}
-		g.MustAddEdge(NodeID(bi), NodeID(bj), weightOf(bi, bj))
+		slices.SortFunc(pairs, func(a, b pair) int {
+			return cmp.Or(cmp.Compare(a.d, b.d), cmp.Compare(a.i, b.i), cmp.Compare(a.j, b.j))
+		})
+		for _, p := range pairs {
+			if uf.Sets() == 1 {
+				break
+			}
+			if uf.Union(NodeID(p.i), NodeID(p.j)) {
+				edges = append(edges, Edge{U: NodeID(p.i), V: NodeID(p.j), W: weightOf(int(p.i), int(p.j))})
+			}
+		}
 	}
-	return g
+	return build(nodes, edges)
 }
 
 // HamiltonianWheel returns a Hamiltonian graph: a ring plus chords. Every
@@ -283,27 +309,4 @@ func HamiltonianWheel(n int, chords int, rng *rand.Rand) *Graph {
 		}
 	}
 	return g
-}
-
-// components labels each node with a component representative.
-func components(g *Graph) map[NodeID]NodeID {
-	comp := make(map[NodeID]NodeID, g.N())
-	for _, start := range g.Nodes() {
-		if _, ok := comp[start]; ok {
-			continue
-		}
-		stack := []NodeID{start}
-		comp[start] = start
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, u := range g.Neighbors(v) {
-				if _, ok := comp[u]; !ok {
-					comp[u] = start
-					stack = append(stack, u)
-				}
-			}
-		}
-	}
-	return comp
 }

@@ -5,17 +5,16 @@ import (
 	"slices"
 
 	"silentspan/internal/graph"
-	"silentspan/internal/runtime"
 	"silentspan/internal/trees"
 )
 
 // LiveLabeler maintains a LiveLabeling incrementally while the network
-// underneath it churns: a parent-pointer write or a topology mutation
-// invalidates and relabels only the subtree below the changed edge
-// (plus the sibling subtrees whose ports shift), instead of rebuilding
-// all n coordinates the way a fresh LiveLabeling call does. On a
-// serving path that refreshes the labeling after every repair window,
-// that turns the per-window cost from O(n) into O(affected).
+// underneath it churns: a parent-pointer write invalidates and relabels
+// only the subtree below the changed edge (plus the sibling subtrees
+// whose ports shift), instead of rebuilding all n coordinates the way a
+// fresh LiveLabeling call does. On a serving path that refreshes the
+// labeling after every repair window, that turns the per-window cost
+// from O(n) into O(affected).
 //
 // The labeler stores the raw parent pointer of every slot (as read out
 // of the live registers, credible or not) and derives the credible
@@ -27,16 +26,28 @@ import (
 // leave exactly the cycle's subtree unlabeled, matching the from-
 // scratch semantics. TestLiveLabelerMatchesRebuild pins that
 // equivalence move for move.
+//
+// Topology needs no notification: the labeler reads it from its own
+// graph. Every entry point first compares the graph's structural epoch
+// (graph.Dense.Epoch, the counter runtime.Network and the router check
+// too) with the one it last saw. On a change it forgets the pointer of
+// every slot whose identity changed — vacated, recycled or new — and
+// rebuilds from scratch: one O(n) pass per structural change, while a
+// register write stays O(affected). A node that leaves and rejoins
+// under the same identity into the same slot with no labeler call in
+// between keeps its last reported pointer until SetParent reports a
+// new one. Neither caller lets that happen: routing.Live folds a
+// removal through RemoveNode's state notification, and the cluster's
+// gateway publishes after every membership change.
 type LiveLabeler struct {
-	g *graph.Graph
-	d *graph.Dense
+	d     *graph.Dense
+	epoch uint64 // the structural epoch of d the fields below agree with
 
 	lab     *Labeling
-	parents []graph.NodeID         // raw parent pointer per slot (NoParent when none)
-	kids    [][]int32              // credible child slots per slot, ascending child identity
-	attach  []int32                // slot of the parent each slot is credibly attached under, -1 if none
-	slotOf  map[graph.NodeID]int32 // identity -> slot, independent of the dense layer
-	visited []uint32               // DFS pass stamps
+	parents []graph.NodeID // raw parent pointer per slot (NoParent when none)
+	kids    [][]int32      // credible child slots per slot, ascending child identity
+	attach  []int32        // slot of the parent each slot is credibly attached under, -1 if none
+	visited []uint32       // DFS pass stamps
 	pass    uint32
 	stack   []portedSlot // reusable DFS scratch
 	tops    []portedSlot // reusable affected-subtree-roots scratch
@@ -54,59 +65,52 @@ type portedSlot struct {
 // space from raw per-slot parent pointers (see ParentOf). The
 // parents slice is copied.
 func NewLiveLabeler(g *graph.Graph, parents []graph.NodeID) *LiveLabeler {
-	d := g.Dense()
 	lb := &LiveLabeler{
-		g:       g,
-		d:       d,
+		d:       g.Dense(),
 		parents: slices.Clone(parents),
 	}
 	lb.rebuild()
 	return lb
 }
 
-// Labeling returns the maintained labeling. The pointer is stable: the
-// labeler updates it in place, so a router holding it must re-run
-// Router.SetLabeling after node churn (edge churn keeps the slot space
-// and therefore the router's alignment intact) — or simply after every
-// refresh, which is what the campaigns do.
-func (lb *LiveLabeler) Labeling() *Labeling { return lb.lab }
+// Labeling returns the maintained labeling, brought up to the graph's
+// current structure first. Register writes update it in place, but a
+// structural change replaces it, so a router holding it must re-run
+// Router.SetLabeling after every topology change — or simply after
+// every refresh, which is what Live and the cluster's gateway do.
+func (lb *LiveLabeler) Labeling() *Labeling {
+	lb.sync()
+	return lb.lab
+}
 
-// rebuild recomputes everything from the raw pointers — the O(n)
-// fallback the incremental paths are measured against.
-func (lb *LiveLabeler) rebuild() {
+// sync catches up with structural mutations of the graph since the
+// last call: it resets to NoParent the pointer of every slot whose
+// identity differs from the one the labeling saw (the slots the space
+// grew by are padded in by rebuild), then rebuilds.
+func (lb *LiveLabeler) sync() {
 	d := lb.d
-	slots := d.Slots()
+	if d.Epoch() == lb.epoch {
+		return
+	}
+	for i, id := range lb.lab.ids {
+		if id != d.ID(i) {
+			lb.parents[i] = NoParent
+		}
+	}
+	lb.rebuild()
+}
+
+// rebuild recomputes everything from the raw pointers with the
+// from-scratch pass of LiveLabeling — the O(n) oracle the incremental
+// path is measured against — keeping the child forest it labeled.
+func (lb *LiveLabeler) rebuild() {
+	slots := lb.d.Slots()
 	for len(lb.parents) < slots {
 		lb.parents = append(lb.parents, NoParent)
 	}
-	lb.lab = LiveLabeling(lb.g, lb.parents)
-	lb.kids = make([][]int32, slots)
-	lb.attach = make([]int32, slots)
+	lb.epoch = lb.d.Epoch()
+	lb.lab, lb.attach, lb.kids = liveForest(lb.d, lb.parents)
 	lb.visited = make([]uint32, slots)
-	lb.slotOf = make(map[graph.NodeID]int32, slots)
-	for i := 0; i < slots; i++ {
-		lb.attach[i] = -1
-		if d.LiveAt(i) {
-			lb.slotOf[d.ID(i)] = int32(i)
-		}
-	}
-	for i := 0; i < slots; i++ {
-		if !d.LiveAt(i) {
-			continue
-		}
-		if pi := lb.credibleParentSlot(int32(i), lb.parents[i]); pi >= 0 {
-			lb.attach[i] = pi
-			lb.kids[pi] = append(lb.kids[pi], int32(i))
-		}
-	}
-	ids := d.IDs()
-	for i := range lb.kids {
-		if len(lb.kids[i]) > 1 {
-			slices.SortFunc(lb.kids[i], func(a, b int32) int {
-				return cmp.Compare(ids[a], ids[b])
-			})
-		}
-	}
 }
 
 // credibleParentSlot resolves raw as a credible child link for slot i:
@@ -126,125 +130,24 @@ func (lb *LiveLabeler) credibleParentSlot(i int32, raw graph.NodeID) int32 {
 // from a StateListener observing a register write) and relabels the
 // affected subtrees. Unknown nodes are ignored.
 func (lb *LiveLabeler) SetParent(v graph.NodeID, raw graph.NodeID) {
-	i, ok := lb.slotOf[v]
+	lb.sync()
+	i, ok := lb.d.IndexOf(v)
 	if !ok {
 		return
 	}
-	lb.apply(i, raw)
-}
-
-// ApplyTopo folds one applied topology change into the labeling:
-//   - edge events recheck the credibility of the two endpoints'
-//     pointers (a downed link orphans the subtree hanging on it; a new
-//     link can legitimize a pointer that was noise before);
-//   - node events grow/vacate the slot and detach its neighborhood.
-//
-// Wire it with net.AddTopologyListener(lb.ApplyTopo) on a simulator; the
-// cluster's gateway calls it from the membership and link mutators.
-func (lb *LiveLabeler) ApplyTopo(ev runtime.TopoEvent) {
-	switch ev.Kind {
-	case runtime.TopoAddEdge, runtime.TopoRemoveEdge:
-		if i, ok := lb.slotOf[ev.U]; ok && lb.parents[i] == ev.V {
-			lb.apply(i, lb.parents[i])
-		}
-		if i, ok := lb.slotOf[ev.V]; ok && lb.parents[i] == ev.U {
-			lb.apply(i, lb.parents[i])
-		}
-	case runtime.TopoAddNode:
-		lb.nodeAdded(ev.U)
-	case runtime.TopoRemoveNode:
-		lb.nodeRemoved(ev.U)
-	}
-}
-
-// nodeAdded registers a joined node: grow the per-slot arrays if the
-// slot space grew, claim the slot, and keep the labeling's identity
-// lookup and epoch stamps in sync so routers stay aligned.
-func (lb *LiveLabeler) nodeAdded(id graph.NodeID) {
-	d := lb.d
-	slot, ok := d.IndexOf(id)
-	if !ok {
-		return
-	}
-	for len(lb.parents) < d.Slots() {
-		lb.parents = append(lb.parents, NoParent)
-		lb.kids = append(lb.kids, nil)
-		lb.attach = append(lb.attach, -1)
-		lb.visited = append(lb.visited, 0)
-		lb.lab.ids = append(lb.lab.ids, graph.NoNode)
-		lb.lab.crds = append(lb.lab.crds, nil)
-		lb.lab.root = append(lb.lab.root, 0)
-		lb.lab.has = append(lb.lab.has, false)
-	}
-	lb.lab.ids[slot] = id // the labeling's owned copy of the slot space
-	lb.lab.setSorted(d.Sorted())
-	lb.lab.nodeEpoch = d.NodeEpoch()
-	lb.slotOf[id] = int32(slot)
-	if lb.lab.idx != nil {
-		lb.lab.idx[id] = int32(slot)
-	}
-	lb.parents[slot] = NoParent
-	lb.attach[slot] = -1
-	lb.kids[slot] = lb.kids[slot][:0]
-	lb.lab.clearAt(slot)
-}
-
-// nodeRemoved vacates a left node's slot: detach it from its parent
-// (relabeling port-shifted siblings), unlabel it, and recheck every
-// child — their pointers now name a dead identity and their subtrees
-// go dark until the protocol re-hangs them.
-func (lb *LiveLabeler) nodeRemoved(id graph.NodeID) {
-	slot, ok := lb.slotOf[id]
-	if !ok {
-		return
-	}
-	delete(lb.slotOf, id)
-	lb.lab.ids[slot] = graph.NoNode
-	lb.lab.setSorted(false)
-	delete(lb.lab.idx, id)
-	lb.lab.nodeEpoch = lb.d.NodeEpoch()
-	// Detach from the parent, relabeling shifted siblings.
-	if pi := lb.attach[slot]; pi >= 0 {
-		lb.detach(slot, pi)
-		lb.attach[slot] = -1
-		lb.flushTops()
-	}
-	lb.parents[slot] = NoParent
-	lb.lab.clearAt(int(slot))
-	// Orphan every child: each detaches from this slot and its subtree
-	// unlabels (the raw pointer now names nothing).
-	for _, c := range slices.Clone(lb.kids[slot]) {
-		lb.apply(c, lb.parents[c])
-	}
-	lb.kids[slot] = lb.kids[slot][:0]
-}
-
-// posIn locates slot i in a kids row. Rows are sorted by identity, so
-// live slots binary-search; a slot whose node was just removed (its
-// identity already reads NoNode) falls back to a linear scan — that
-// only happens once per node removal, on the dead node's own entry.
-func (lb *LiveLabeler) posIn(row []int32, i int32) int {
-	ids := lb.d.IDs()
-	if id := ids[i]; id != graph.NoNode {
-		j, ok := slices.BinarySearchFunc(row, id, func(a int32, target graph.NodeID) int {
-			return cmp.Compare(ids[a], target)
-		})
-		if ok && row[j] == i {
-			return j
-		}
-	}
-	return slices.Index(row, i)
+	lb.apply(int32(i), raw)
 }
 
 // detach removes slot i from kids[pi], queueing the port-shifted
 // siblings (those after i's old position, with their new ports) as
-// relabel tops.
+// relabel tops. Rows are sorted by identity, so i is found by binary
+// search.
 func (lb *LiveLabeler) detach(i, pi int32) {
+	ids := lb.d.IDs()
 	row := lb.kids[pi]
-	j := lb.posIn(row, i)
-	if j < 0 {
-		return
-	}
+	j, _ := slices.BinarySearchFunc(row, ids[i], func(a int32, target graph.NodeID) int {
+		return cmp.Compare(ids[a], target)
+	})
 	lb.kids[pi] = slices.Delete(row, j, j+1)
 	for k := j; k < len(lb.kids[pi]); k++ {
 		lb.tops = append(lb.tops, portedSlot{lb.kids[pi][k], int32(k)})

@@ -80,10 +80,6 @@ type InterplayReport struct {
 	// ReconvergeMoves/Windows: repair cost while traffic was in flight.
 	ReconvergeMoves int
 	Windows         int
-	// TopologyWrites counts register writes observed by the state
-	// listener during reconvergence (the notification hook serving
-	// layers subscribe to).
-	TopologyWrites int
 
 	// Tree shape before corruption and after repair.
 	PreHeight, PostHeight       int
@@ -93,8 +89,8 @@ type InterplayReport struct {
 // RunInterplay executes the serving episode on g: bring the substrate
 // up, attach the rig and measure a traffic batch, then run one
 // Live.Burst whose fault corrupts registers under live traffic. The
-// rig's listeners are what keep the router current, exercising the
-// topology-change notification path end to end.
+// rig's state listener is what keeps the router current, exercising the
+// register-write notification path end to end.
 func RunInterplay(g *graph.Graph, cfg InterplayConfig) (*InterplayReport, error) {
 	cfg.fill()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -121,7 +117,7 @@ func RunInterplay(g *graph.Graph, cfg InterplayConfig) (*InterplayReport, error)
 	// traffic, and measure the recovered service.
 	b, err := live.Burst(cfg.Substrate, sched, rng, cfg.InFlight, interplayMovesPerWindow, cfg.BatchPackets,
 		func() error { runtime.Corrupt(net, cfg.Faults, rng); return nil })
-	rep.Windows, rep.ReconvergeMoves, rep.TopologyWrites = b.Windows, b.Moves, b.Writes
+	rep.Windows, rep.ReconvergeMoves = b.Windows, b.Moves
 	rep.InFlight, rep.Post = b.Cohort, b.Post
 	rep.Restabilized = net.Silent()
 	if b.Tree != nil {

@@ -46,14 +46,14 @@ func TestInterplayRecoversPerSubstrate(t *testing.T) {
 				t.Errorf("in-flight accounting: delivered %d + dropped %d != sent %d",
 					rep.InFlight.Delivered(), rep.InFlight.Dropped, rep.InFlight.Sent)
 			}
-			if rep.TopologyWrites == 0 {
-				t.Error("state listener observed no writes despite corruption + repair")
+			if rep.ReconvergeMoves == 0 {
+				t.Error("no repair moves despite corruption")
 			}
 			t.Logf("%s: pre %v", sub, rep.Pre)
-			t.Logf("%s: in-flight sent=%d during=%d after=%d looped=%d dropped=%d stalls=%d; reconverge %d moves / %d windows, %d writes",
+			t.Logf("%s: in-flight sent=%d during=%d after=%d looped=%d dropped=%d stalls=%d; reconverge %d moves / %d windows",
 				sub, rep.InFlight.Sent, rep.InFlight.DeliveredDuring, rep.InFlight.DeliveredAfter,
 				rep.InFlight.Looped, rep.InFlight.Dropped, rep.InFlight.StallWindows,
-				rep.ReconvergeMoves, rep.Windows, rep.TopologyWrites)
+				rep.ReconvergeMoves, rep.Windows)
 			t.Logf("%s: post %v (height %d->%d, maxdeg %d->%d)",
 				sub, rep.Post, rep.PreHeight, rep.PostHeight, rep.PreMaxDegree, rep.PostMaxDegree)
 		})
@@ -126,7 +126,7 @@ var updatePinned = flag.Bool("update", false, "rewrite testdata/interplay_pinned
 
 // TestInterplayReportsPinned compares the three per-substrate reports of
 // one seeded run field for field against committed values: every rng
-// draw (bring-up, batches, cohort, victims), the write count and the
+// draw (bring-up, batches, cohort, victims), the move count and the
 // window loop are pinned, so a refactor of the episode that moves one
 // of them fails here. Eight faults make every substrate's repair span
 // several windows, so the pin covers routing over a decaying labeling.

@@ -29,14 +29,12 @@ type Labeling struct {
 	has  []bool
 	n    int // labeled nodes
 
-	// sorted: ids is ascending with no holes, so indexOf binary-
-	// searches. After topology churn has recycled dense slots, the
-	// space is unsorted and indexOf goes through the idx map instead.
-	// setSorted builds idx the moment sorted turns false — on the
-	// mutation path, under the writer's lock — so indexOf only ever
-	// reads: concurrent lookups under a shared lock are safe.
-	sorted bool
-	idx    map[graph.NodeID]int32
+	// idx: nil while ids is ascending, so indexOf binary-searches.
+	// After topology churn has recycled dense slots, the space is
+	// unsorted and indexOf goes through idx instead. newLabeling builds
+	// it, so indexOf only ever reads: concurrent lookups under a shared
+	// lock are safe.
+	idx map[graph.NodeID]int32
 
 	// d + nodeEpoch: labelings built over a graph's dense slot space
 	// record which Dense and which slot-assignment epoch they saw, so
@@ -58,28 +56,20 @@ func newLabeling(ids []graph.NodeID) *Labeling {
 		root: make([]graph.NodeID, len(ids)),
 		has:  make([]bool, len(ids)),
 	}
-	l.setSorted(slices.IsSorted(ids))
-	return l
-}
-
-// setSorted records whether ids is ascending with no holes, building
-// the identity index the first time it is not.
-func (l *Labeling) setSorted(sorted bool) {
-	l.sorted = sorted
-	if sorted || l.idx != nil {
-		return
-	}
-	l.idx = make(map[graph.NodeID]int32, len(l.ids))
-	for i, id := range l.ids {
-		if id != graph.NoNode {
-			l.idx[id] = int32(i)
+	if !slices.IsSorted(ids) {
+		l.idx = make(map[graph.NodeID]int32, len(ids))
+		for i, id := range ids {
+			if id != graph.NoNode {
+				l.idx[id] = int32(i)
+			}
 		}
 	}
+	return l
 }
 
 // indexOf returns v's index in the labeling's identity space.
 func (l *Labeling) indexOf(v graph.NodeID) (int, bool) {
-	if l.sorted {
+	if l.idx == nil {
 		return slices.BinarySearch(l.ids, v)
 	}
 	i, ok := l.idx[v]
@@ -147,7 +137,17 @@ func Label(t *trees.Tree) *Labeling {
 // identity — stable across slot recycling, and identical to the port
 // numbering of Label over a validated tree.
 func LiveLabeling(g *graph.Graph, parents []graph.NodeID) *Labeling {
-	d := g.Dense()
+	l, _, _ := liveForest(g.Dense(), parents)
+	return l
+}
+
+// liveForest is LiveLabeling, returning beside the labeling the
+// credible child forest it labeled: each slot's parent slot (-1 when
+// the slot hangs under no credible pointer) and each slot's children
+// in ascending identity. The rows share one backing array, each capped
+// at its own length, so a row that grows moves out rather than
+// overwrite its neighbour's.
+func liveForest(d *graph.Dense, parents []graph.NodeID) (*Labeling, []int32, [][]int32) {
 	n := d.Slots()
 	if len(parents) != n {
 		panic(fmt.Sprintf("routing: %d parent entries for %d slots", len(parents), n))
@@ -156,8 +156,8 @@ func LiveLabeling(g *graph.Graph, parents []graph.NodeID) *Labeling {
 	l.d = d
 	l.nodeEpoch = d.NodeEpoch()
 	// Children lists from the credible pointers only, in increasing
-	// child order (one counting pass, then a fill pass — no per-node
-	// append growth).
+	// child order (one counting pass, then a fill pass into rows carved
+	// out of one array — no per-node append growth).
 	childCount := make([]int32, n+1)
 	childIdx := make([]int32, n) // parent slot of each child, or -1
 	queue := make([]int32, 0, n)
@@ -186,20 +186,20 @@ func LiveLabeling(g *graph.Graph, parents []graph.NodeID) *Labeling {
 		childCount[i] += childCount[i-1]
 	}
 	children := make([]int32, childCount[n])
-	fill := make([]int32, n)
-	copy(fill, childCount[:n])
+	kids := make([][]int32, n)
+	for i := range kids {
+		kids[i] = children[childCount[i]:childCount[i]:childCount[i+1]]
+	}
 	for i := 0; i < n; i++ {
 		if pi := childIdx[i]; pi >= 0 {
-			children[fill[pi]] = int32(i)
-			fill[pi]++
+			kids[pi] = append(kids[pi], int32(i))
 		}
 	}
 	if !d.Sorted() {
 		// Ascending slot order is no longer ascending identity order:
 		// restore the identity-sorted port numbering per parent.
 		ids := d.IDs()
-		for i := 0; i < n; i++ {
-			row := children[childCount[i]:fill[i]]
+		for _, row := range kids {
 			if len(row) > 1 {
 				slices.SortFunc(row, func(a, b int32) int {
 					return cmp.Compare(ids[a], ids[b])
@@ -208,19 +208,28 @@ func LiveLabeling(g *graph.Graph, parents []graph.NodeID) *Labeling {
 		}
 	}
 	// Top-down from each claimed root; unreached nodes stay unlabeled.
+	// Coordinates are carved out of shared chunks, capacity capped, not
+	// allocated one per node: the labeler rebuilds with this pass on
+	// every structural change.
+	var arena []Port
 	for qi := 0; qi < len(queue); qi++ {
 		v := queue[qi]
 		base := l.crds[v]
 		space := l.root[v]
-		for port, c := range children[childCount[v]:fill[v]] {
-			cc := make(Coords, len(base)+1)
+		for port, c := range kids[v] {
+			k := len(base) + 1
+			if len(arena) < k {
+				arena = make([]Port, max(k, 4096))
+			}
+			cc := Coords(arena[:k:k])
+			arena = arena[k:]
 			copy(cc, base)
 			cc[len(base)] = Port(port)
 			l.setAt(int(c), cc, space)
 			queue = append(queue, c)
 		}
 	}
-	return l
+	return l, childIdx, kids
 }
 
 // hasNeighborID reports whether identity p is a neighbor of dense slot

@@ -11,17 +11,16 @@ import (
 
 // Live is the live-router rig of a serving episode: a Router kept
 // current over the registers of a runtime.Network while faults and
-// churn move them. It owns the network's LiveLabeler and the state and
-// topology listeners feeding it, so every register write and every
-// structural mutation — injected or repaired — is folded in
-// incrementally (O(affected subtree), never an O(n) rebuild), and what
-// the router forwards over is exactly what the registers currently
-// support, decayed or healed.
+// churn move them. It owns the network's LiveLabeler and the state
+// listener feeding it, so every register write — injected or repaired —
+// is folded in incrementally (O(affected subtree)), and every
+// structural mutation is one rebuild the labeler detects by the graph's
+// epoch. What the router forwards over is exactly what the registers
+// currently support, decayed or healed.
 type Live struct {
 	net    *runtime.Network
 	lb     *LiveLabeler
 	router *Router
-	writes int
 }
 
 // NewLive attaches a rig to net, reading whatever the registers hold
@@ -35,10 +34,8 @@ func NewLive(net *runtime.Network) *Live {
 	}
 	lv := &Live{net: net, lb: NewLiveLabeler(g, parents)}
 	net.AddStateListener(func(v graph.NodeID, old, new runtime.State) {
-		lv.writes++
 		lv.lb.SetParent(v, ParentOf(new))
 	})
-	net.AddTopologyListener(lv.lb.ApplyTopo)
 	lv.router = NewRouter(g, lv.lb.Labeling(), Options{})
 	return lv
 }
@@ -50,14 +47,8 @@ func (lv *Live) Router() *Router { return lv.router }
 // Labeling returns the incrementally maintained labeling.
 func (lv *Live) Labeling() *Labeling { return lv.lb.Labeling() }
 
-// Writes counts the register writes observed since the rig attached —
-// the topology-change notifications a serving layer subscribes to.
-// Episodes report the difference across their repair phase, so the
-// injection's own writes do not count as repair.
-func (lv *Live) Writes() int { return lv.writes }
-
 // Sync republishes the labeling to the router, re-aligning it with the
-// slot space after node churn.
+// slot space after topology churn.
 func (lv *Live) Sync() { lv.router.SetLabeling(lv.lb.Labeling()) }
 
 // windowSteps is each in-flight packet's hop budget per routing window,
@@ -94,16 +85,15 @@ func (lv *Live) Reconverge(sched runtime.Scheduler, movesPerWindow int, flight *
 	return w, nil
 }
 
-// Recovery is what Burst measured: the repair's windows, and the moves,
-// rounds and register writes it made (the fault's own writes do not
-// count); then, as Settle measures them, the repaired tree, the cohort's
-// fate and the fresh batch. On error it holds what was measured up to
-// the failure.
+// Recovery is what Burst measured: the repair's windows, moves and
+// rounds; then, as Settle measures them, the repaired tree, the
+// cohort's fate and the fresh batch. On error it holds what was
+// measured up to the failure.
 type Recovery struct {
-	Windows, Moves, Rounds, Writes int
-	Tree                           *trees.Tree
-	Cohort                         InFlightStats
-	Post                           Stats
+	Windows, Moves, Rounds int
+	Tree                   *trees.Tree
+	Cohort                 InFlightStats
+	Post                   Stats
 }
 
 // Burst is one fault episode under live traffic: launch a cohort of
@@ -116,7 +106,7 @@ func (lv *Live) Burst(a Algo, sched runtime.Scheduler, rng *rand.Rand, cohort, m
 	if err := fault(); err != nil {
 		return Recovery{Cohort: flight.Stats()}, err
 	}
-	moves, rounds, writes := lv.net.Moves(), lv.net.Rounds(), lv.writes
+	moves, rounds := lv.net.Moves(), lv.net.Rounds()
 	w, err := lv.Reconverge(sched, movesPerWindow, flight)
 	if err == nil && !lv.net.Silent() {
 		err = fmt.Errorf("did not re-stabilize within %d windows", maxWindows)
@@ -125,7 +115,7 @@ func (lv *Live) Burst(a Algo, sched runtime.Scheduler, rng *rand.Rand, cohort, m
 	if err == nil {
 		r, err = lv.Settle(a, rng, flight, batch)
 	}
-	r.Windows, r.Moves, r.Rounds, r.Writes = w, lv.net.Moves()-moves, lv.net.Rounds()-rounds, lv.writes-writes
+	r.Windows, r.Moves, r.Rounds = w, lv.net.Moves()-moves, lv.net.Rounds()-rounds
 	return r, err
 }
 

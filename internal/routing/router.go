@@ -118,11 +118,12 @@ func (r *Router) Labeling() *Labeling { return r.lab }
 // router's own Route loop would.
 func (r *Router) MaxHops() int { return r.opt.MaxHops }
 
-// SetLabeling swaps the labeling — the topology-change path: the
-// runtime's state or topology listener fires, the serving layer
-// re-extracts coordinates, and in-flight packets continue over the new
-// labels. The dense layout is refreshed alongside, so adjacency
-// mutated since the router was built is picked up with the new labels.
+// SetLabeling swaps the labeling — the tree-change path: a register
+// write or a topology change reaches the serving layer's labeler, the
+// serving layer republishes its coordinates, and in-flight packets
+// continue over the new labels. The dense layout is refreshed
+// alongside, so adjacency mutated since the router was built is picked
+// up with the new labels.
 //
 // The slot-aligned path requires a labeling built over this graph's
 // own dense layout at the *current* slot assignment (same Dense, same

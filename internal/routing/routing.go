@@ -36,8 +36,9 @@
 //     campaigns, benches and commands built on them: the algorithm
 //     registry and substrate bring-up (Algo, BringUp), the reader of a
 //     tree claim out of a raw register (ParentOf), and the live-router
-//     rig (Live) — a LiveLabeler fed by the network's state and topology
-//     listeners, so the router forwards over exactly what the registers
+//     rig (Live) — a LiveLabeler fed register writes by the network's
+//     state listener, reading topology from the graph's structural
+//     epoch, so the router forwards over exactly what the registers
 //     currently support while the tree repairs itself underneath it —
 //     with the episode's recovery as two of its methods: Burst (launch
 //     a cohort, let a fault hit, reconverge in repair windows

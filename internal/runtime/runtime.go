@@ -233,17 +233,16 @@ type Network struct {
 	// the network's back before a stale neighbor slot is ever read.
 	syncedEpoch uint64
 
-	monitors      []Monitor
-	listeners     []StateListener
-	topoListeners []TopologyListener
-	moves         int
-	rounds        int
+	monitors  []Monitor
+	listeners []StateListener
+	moves     int
+	rounds    int
 }
 
 // StateListener observes register writes: it is invoked after node v's
 // register changes from old to new — both for algorithm steps applied
 // by Run and for direct SetState writes (fault injection). Serving
-// layers built on top of the trees use it as a topology-change
+// layers built on top of the trees use it as a tree-change
 // notification: a write to a parent pointer means the routing substrate
 // may have changed and derived structures (coordinate labelings,
 // caches) must be refreshed. Listeners must not mutate the network.
@@ -514,8 +513,8 @@ func (net *Network) RoundPending(v graph.NodeID) bool {
 // the register file reads through, then invalidates the cached
 // enabledness of the two endpoints (they are the only nodes whose views
 // contain the edge). Unlike the structural mutators below it does not
-// change the graph's shape, so no slot bookkeeping moves and no
-// TopologyListener fires (weights enter no coordinate labeling).
+// change the graph's shape, so no slot bookkeeping moves and the dense
+// structural epoch stays put (weights enter no coordinate labeling).
 func (net *Network) PerturbEdgeWeight(u, v graph.NodeID, w graph.Weight) error {
 	if err := net.g.UpdateEdgeWeight(u, v, w); err != nil {
 		return fmt.Errorf("runtime: %w", err)
@@ -526,44 +525,6 @@ func (net *Network) PerturbEdgeWeight(u, v graph.NodeID, w graph.Weight) error {
 	net.markDirtyAt(int32(iu))
 	net.markDirtyAt(int32(iv))
 	return nil
-}
-
-// TopoKind classifies one topology mutation for TopologyListener.
-type TopoKind int
-
-// The topology mutation kinds.
-const (
-	TopoAddEdge TopoKind = iota
-	TopoRemoveEdge
-	TopoAddNode
-	TopoRemoveNode
-)
-
-// TopoEvent describes one applied topology mutation: the kind plus the
-// affected node (U for node events) or edge endpoints (U, V).
-type TopoEvent struct {
-	Kind TopoKind
-	U, V graph.NodeID
-}
-
-// TopologyListener observes applied topology mutations. Serving layers
-// use it the way StateListener is used for register writes: as the
-// signal that derived structures (labelings, routers) must refresh —
-// incrementally, since the event names exactly what changed. Listeners
-// must not mutate the network and are invoked after the mutation has
-// fully landed (graph, dense layout, and engine bookkeeping agree).
-type TopologyListener func(TopoEvent)
-
-// AddTopologyListener registers a topology observer (see
-// TopologyListener).
-func (net *Network) AddTopologyListener(l TopologyListener) {
-	net.topoListeners = append(net.topoListeners, l)
-}
-
-func (net *Network) notifyTopology(ev TopoEvent) {
-	for _, l := range net.topoListeners {
-		l(ev)
-	}
 }
 
 // growTo extends the per-slot arrays to cover a grown slot space.
@@ -591,7 +552,6 @@ func (net *Network) AddEdge(u, v graph.NodeID, w graph.Weight) error {
 	iv, _ := net.d.IndexOf(v)
 	net.markDirtyAt(int32(iu))
 	net.markDirtyAt(int32(iv))
-	net.notifyTopology(TopoEvent{Kind: TopoAddEdge, U: u, V: v})
 	return nil
 }
 
@@ -609,7 +569,6 @@ func (net *Network) RemoveEdge(u, v graph.NodeID) error {
 	iv, _ := net.d.IndexOf(v)
 	net.markDirtyAt(int32(iu))
 	net.markDirtyAt(int32(iv))
-	net.notifyTopology(TopoEvent{Kind: TopoRemoveEdge, U: u, V: v})
 	return nil
 }
 
@@ -631,7 +590,6 @@ func (net *Network) AddNode(id graph.NodeID) error {
 	net.pendingEpoch[slot] = 0
 	net.enabled.insertID(slot, id)
 	net.markDirtyAt(int32(slot))
-	net.notifyTopology(TopoEvent{Kind: TopoAddNode, U: id})
 	return nil
 }
 
@@ -666,7 +624,6 @@ func (net *Network) RemoveNode(id graph.NodeID) error {
 	if old != nil {
 		net.notify(id, old, nil)
 	}
-	net.notifyTopology(TopoEvent{Kind: TopoRemoveNode, U: id})
 	return nil
 }
 
