@@ -183,3 +183,83 @@ func TestLiveLabelingIgnoresNonNeighborParents(t *testing.T) {
 		t.Errorf("node 2 coords %v ok=%v, want length-1 path", c, ok)
 	}
 }
+
+// TestLabelRefusesWrappedPorts: ports are 16 bits, so under the hub of
+// Star(65538) the 65 537th child, node 65538, has no port left. It and
+// its subtree get no coordinate — in Label, LiveLabeling and the
+// incremental labeler alike — instead of sharing node 2's wrapped /0,
+// which left the labeling "complete" and Route(65538, 2) a dead end.
+func TestLabelRefusesWrappedPorts(t *testing.T) {
+	const last = graph.NodeID(65538)
+	g := graph.Star(int(last))
+	g.MustAddEdge(last, last+1, 1<<20) // a subtree below the portless child
+	tree, err := trees.BFSTree(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parents := ParentsFromMap(g, tree.ParentMap())
+	for name, lab := range map[string]*Labeling{"Label": Label(tree), "LiveLabeling": LiveLabeling(g, parents)} {
+		for _, v := range []graph.NodeID{last, last + 1} {
+			if c, ok := lab.Coords(v); ok {
+				t.Errorf("%s: node %d past the last port labeled %v", name, v, c)
+			}
+		}
+		if c, ok := lab.Coords(last - 1); !ok || !c.Equal(Coords{Port(maxPort)}) {
+			t.Errorf("%s: node %d labeled %v %v, want /%d", name, last-1, c, ok, maxPort)
+		}
+		if lab.Complete() || lab.Covered() != g.N()-2 {
+			t.Errorf("%s: complete=%v covering %d of %d", name, lab.Complete(), lab.Covered(), g.N())
+		}
+		if err := lab.Verify(tree); err == nil {
+			t.Errorf("%s: Verify accepted a labeling missing the portless subtree", name)
+		}
+		r := NewRouter(g, lab, Options{})
+		if d := r.Route(last, 2); d.Reason != DropNoSourceCoord {
+			t.Errorf("%s: Route(%d, 2) = %v, want %v", name, last, d.Reason, DropNoSourceCoord)
+		}
+		if d := r.Route(last-1, 2); !d.Delivered || d.Hops != 2 {
+			t.Errorf("%s: Route(%d, 2) delivered=%v in %d hops, want 2", name, last-1, d.Delivered, d.Hops)
+		}
+	}
+
+	// Incrementally: leaving the first leaf shifts every port down by
+	// one, so the portless child and its subtree come into range; its
+	// return pushes them out again.
+	lb := NewLiveLabeler(g, parents)
+	lb.SetParent(2, NoParent)
+	if c, ok := lb.Labeling().Coords(last + 1); !ok || !c.Equal(Coords{Port(maxPort), 0}) {
+		t.Fatalf("after node 2 left the hub, node %d labeled %v %v, want /%d/0", last+1, c, ok, maxPort)
+	}
+	lb.SetParent(2, 1)
+	compareToRebuild(t, 0, g, lb)
+	if _, ok := lb.Labeling().Coords(last + 1); ok {
+		t.Fatalf("node %d kept a coordinate after its parent lost its port", last+1)
+	}
+}
+
+// TestLabelAllocsIndependentOfN pins the writers' allocations: Label
+// and a LiveLabeler rebuild make the same small number of allocations
+// at n = 2 000 and n = 20 000, none of them per node — the label
+// records, rows and arena are each one array. A grid's BFS tree from a
+// corner is deep enough to spill into the arena.
+func TestLabelAllocsIndependentOfN(t *testing.T) {
+	var label, rebuild []float64
+	for _, g := range []*graph.Graph{graph.Grid(40, 50), graph.Grid(100, 200)} {
+		tree, err := trees.BFSTree(g, g.MinID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		lb := NewLiveLabeler(g, ParentsFromMap(g, tree.ParentMap()))
+		if len(lb.lab.arena) == 0 {
+			t.Fatal("the grid's BFS tree spills no port into the arena")
+		}
+		label = append(label, testing.AllocsPerRun(3, func() { Label(tree) }))
+		rebuild = append(rebuild, testing.AllocsPerRun(3, lb.rebuild))
+	}
+	t.Logf("allocations at n = 2 000, 20 000: Label %v, rebuild %v", label, rebuild)
+	for _, a := range [][]float64{label, rebuild} {
+		if a[0] != a[1] || a[1] > 16 {
+			t.Errorf("allocations %v: want one count at both sizes, at most 16", a)
+		}
+	}
+}

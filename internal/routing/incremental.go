@@ -113,19 +113,6 @@ func (lb *LiveLabeler) rebuild() {
 	lb.visited = make([]uint32, slots)
 }
 
-// credibleParentSlot resolves raw as a credible child link for slot i:
-// the slot of the named parent if it is a live neighbor, else -1.
-func (lb *LiveLabeler) credibleParentSlot(i int32, raw graph.NodeID) int32 {
-	if raw == NoParent || raw == trees.None {
-		return -1
-	}
-	pi, ok := lb.d.IndexOf(raw)
-	if !ok || !hasNeighborID(lb.d, int(i), raw) {
-		return -1
-	}
-	return int32(pi)
-}
-
 // SetParent records a new raw parent pointer for node v (typically
 // from a StateListener observing a register write) and relabels the
 // affected subtrees. Unknown nodes are ignored.
@@ -173,7 +160,7 @@ func (lb *LiveLabeler) attachAt(i, pi int32) int32 {
 // apply is the core primitive: record raw as slot i's pointer, rewire
 // the credible forest, and relabel exactly the affected subtrees.
 func (lb *LiveLabeler) apply(i int32, raw graph.NodeID) {
-	newPi := lb.credibleParentSlot(i, raw)
+	newPi := credibleParent(lb.d, int(i), raw)
 	oldPi := lb.attach[i]
 	if raw == lb.parents[i] && newPi == oldPi {
 		return // nothing observable changed
@@ -192,7 +179,7 @@ func (lb *LiveLabeler) apply(i int32, raw graph.NodeID) {
 	// subtree — the whole loop is rootless and goes unlabeled, exactly
 	// as a from-scratch labeling would leave it.
 	cycle := false
-	if newPi >= 0 && lb.lab.has[newPi] {
+	if newPi >= 0 && lb.lab.recs[newPi].n >= 0 {
 		for cur, steps := newPi, 0; cur >= 0 && steps <= len(lb.attach); cur, steps = lb.attach[cur], steps+1 {
 			if cur == i {
 				cycle = true
@@ -221,42 +208,41 @@ func (lb *LiveLabeler) flushTops() {
 // relabel is O(subtree), not O(subtree · degree). forceUnlabeled
 // severs top from its parent label (the cycle case). The visited stamp
 // makes the walk terminate even when the child lists contain pointer
-// cycles.
+// cycles. Relabelled coordinates append their spilled ports to the
+// labeling's arena; once dead words outnumber live ones, the arena is
+// compacted.
 func (lb *LiveLabeler) refreshFrom(top portedSlot, forceUnlabeled bool) {
 	lb.pass++
 	lab := lb.lab
-	d := lb.d
 	stack := append(lb.stack[:0], top)
 	for len(stack) > 0 {
 		e := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		x := e.slot
+		x := int(e.slot)
 		if lb.visited[x] == lb.pass {
 			continue
 		}
 		lb.visited[x] = lb.pass
+		pi := int(lb.attach[x])
 		switch {
-		case x == top.slot && forceUnlabeled:
-			lab.clearAt(int(x))
+		case x == int(top.slot) && forceUnlabeled:
+			lab.clearAt(x)
 		case lb.parents[x] == trees.None:
-			lab.setAt(int(x), Coords{}, d.ID(int(x)))
+			lab.setRoot(x, lb.d.ID(x))
+		case pi >= 0 && lab.recs[pi].n >= 0 && int(e.port) <= maxPort:
+			// Parent labeled (freshly, if it is inside this subtree
+			// walk — parents are always popped before their kids).
+			lab.place(x, pi)
+			lab.writePorts(x, pi, Port(e.port))
 		default:
-			pi := lb.attach[x]
-			if pi >= 0 && lab.has[pi] {
-				// Parent labeled (freshly, if it is inside this subtree
-				// walk — parents are always popped before their kids).
-				base := lab.crds[pi]
-				cc := make(Coords, len(base)+1)
-				copy(cc, base)
-				cc[len(base)] = Port(e.port)
-				lab.setAt(int(x), cc, lab.root[pi])
-			} else {
-				lab.clearAt(int(x))
-			}
+			lab.clearAt(x)
 		}
 		for k, c := range lb.kids[x] {
 			stack = append(stack, portedSlot{c, int32(k)})
 		}
 	}
 	lb.stack = stack[:0]
+	if lab.dead > len(lab.arena)-lab.dead {
+		lab.compact()
+	}
 }

@@ -31,19 +31,26 @@ func compareLabelings(t *testing.T, step int, g *graph.Graph, got *Labeling, par
 	}
 	d := g.Dense()
 	for i := 0; i < d.Slots(); i++ {
-		if got.has[i] != full.has[i] {
+		gr, fr := got.recs[i], full.recs[i]
+		if (gr.n >= 0) != (fr.n >= 0) {
 			t.Fatalf("step %d: slot %d (id %d) labeled=%v, rebuild %v",
-				step, i, d.ID(i), got.has[i], full.has[i])
+				step, i, d.ID(i), gr.n >= 0, fr.n >= 0)
 		}
-		if !got.has[i] {
+		if gr.n < 0 {
 			continue
 		}
-		if got.root[i] != full.root[i] {
-			t.Fatalf("step %d: slot %d root %d, rebuild %d", step, i, got.root[i], full.root[i])
+		if gr.root != fr.root {
+			t.Fatalf("step %d: slot %d root %d, rebuild %d", step, i, gr.root, fr.root)
 		}
-		if !slices.Equal(got.crds[i], full.crds[i]) {
-			t.Fatalf("step %d: slot %d coords %v, rebuild %v", step, i, got.crds[i], full.crds[i])
+		if gc, fc := got.coordsAt(i), full.coordsAt(i); !slices.Equal(gc, fc) {
+			t.Fatalf("step %d: slot %d coords %v, rebuild %v", step, i, gc, fc)
 		}
+		if gr.w != fr.w {
+			t.Fatalf("step %d: slot %d inline words %x, rebuild %x", step, i, gr.w, fr.w)
+		}
+	}
+	if live := len(got.arena) - got.dead; got.dead > live {
+		t.Fatalf("step %d: %d dead arena words outnumber %d live ones", step, got.dead, live)
 	}
 }
 

@@ -87,11 +87,10 @@ type Router struct {
 	opt Options
 	// aligned reports that, when SetLabeling ran, the labeling's index
 	// space was exactly the graph's dense slot space, so forwarding can
-	// address coordinates by slot, resolve identities through the
-	// Dense and read neighbors by slot. True for every labeling built
-	// over this graph (Label of a spanning tree, LiveLabeling); false
-	// for labelings of foreign node sets, which go through the
-	// labeling's own identity index.
+	// read a neighbor's slot as its label index. True for every
+	// labeling built over this graph (Label of a spanning tree,
+	// LiveLabeling); false for labelings of foreign node sets, whose
+	// neighbors resolve by identity.
 	aligned bool
 	// epoch is d.NodeEpoch() when SetLabeling ran. The aligned path is
 	// taken only while the Dense still reports it (alignedNow): a join
@@ -140,23 +139,13 @@ func (r *Router) SetLabeling(lab *Labeling) {
 	if lab.d != nil {
 		r.aligned = lab.d == r.d && lab.nodeEpoch == r.epoch
 	} else {
-		r.aligned = sameIDSpace(r.d.IDs(), lab.ids)
+		r.aligned = slices.Equal(r.d.IDs(), lab.ids)
 	}
 }
 
 // alignedNow reports whether a call may take the slot-aligned path:
 // the labeling was aligned when set, and no node joined or left since.
 func (r *Router) alignedNow() bool { return r.aligned && r.d.NodeEpoch() == r.epoch }
-
-// sameIDSpace reports whether the two sorted identity slices are
-// identical (cheap alias check first; labelings built from the graph's
-// own dense snapshot share the slice).
-func sameIDSpace(a, b []graph.NodeID) bool {
-	if len(a) == len(b) && len(a) > 0 && &a[0] == &b[0] {
-		return true
-	}
-	return slices.Equal(a, b)
-}
 
 // NextHop makes one greedy forwarding decision at cur for a packet
 // destined to dst. ok is false when the packet cannot progress, with
@@ -165,7 +154,7 @@ func sameIDSpace(a, b []graph.NodeID) bool {
 // decide whether to stall or drop.
 func (r *Router) NextHop(cur, dst graph.NodeID) (graph.NodeID, DropReason, bool) {
 	aligned := r.alignedNow()
-	ci, di, reason := r.endpoints(cur, dst, aligned)
+	ci, di, reason := r.endpoints(cur, dst)
 	if reason != DropNone {
 		return 0, reason, false
 	}
@@ -176,27 +165,17 @@ func (r *Router) NextHop(cur, dst graph.NodeID) (graph.NodeID, DropReason, bool)
 	return r.lab.ids[next], DropNone, true
 }
 
-// indexOf resolves v to a labeling index: through the Dense on the
-// aligned path (O(1) for the consecutive identities every generator
-// produces), through the labeling's own identity space otherwise.
-func (r *Router) indexOf(v graph.NodeID, aligned bool) (int, bool) {
-	if aligned {
-		return r.d.IndexOf(v)
-	}
-	return r.lab.indexOf(v)
-}
-
 // endpoints resolves a packet's current node and destination to
 // labeling indices, or names why it cannot be forwarded at all: cur
 // carries no coordinate, or dst none in cur's coordinate space.
-func (r *Router) endpoints(cur, dst graph.NodeID, aligned bool) (ci, di int, reason DropReason) {
-	lab := r.lab
-	ci, ok := r.indexOf(cur, aligned)
-	if !ok || !lab.has[ci] {
+func (r *Router) endpoints(cur, dst graph.NodeID) (ci, di int, reason DropReason) {
+	recs := r.lab.recs
+	ci, ok := r.lab.indexOf(cur)
+	if !ok || recs[ci].n < 0 {
 		return 0, 0, DropNoSourceCoord
 	}
-	di, ok = r.indexOf(dst, aligned)
-	if !ok || !lab.has[di] || lab.root[ci] != lab.root[di] {
+	di, ok = r.lab.indexOf(dst)
+	if !ok || recs[di].n < 0 || recs[ci].root != recs[di].root {
 		return 0, 0, DropNoDestCoord
 	}
 	return ci, di, DropNone
@@ -206,38 +185,37 @@ func (r *Router) endpoints(cur, dst graph.NodeID, aligned bool) (ci, di int, rea
 // strictly closest to di in tree distance (the first such in ascending
 // identity order on ties), or -1 at a dead end. ci and di are labeled
 // and share one coordinate space, so every node hop returns does too.
+// The aligned and identity paths differ only in how a neighbor's index
+// is found: on the aligned path the labeling index IS the dense slot.
+// Under TreeOnly a neighbor counts only at tree distance 1 from ci —
+// its parent or a child.
 func (r *Router) hop(ci, di int, aligned bool) int {
 	lab := r.lab
-	cc, cd, space := lab.crds[ci], lab.crds[di], lab.root[ci]
-	best, bestDist := -1, cc.Dist(cd)
+	cur, dst := &lab.recs[ci], &lab.recs[di]
+	best, bestDist := -1, lab.dist(cur, dst)
+	var slots []int32
+	var ids []graph.NodeID
 	if aligned {
-		// The labeling index IS the dense slot, so neighbor coordinates
-		// are addressed directly.
-		for _, ui := range r.d.NeighborIndices(ci) {
-			if !lab.has[ui] || lab.root[ui] != space {
-				continue
-			}
-			uc := lab.crds[ui]
-			if r.opt.TreeOnly && !treeNeighbors(cc, uc) {
-				continue
-			}
-			if d := uc.Dist(cd); d < bestDist {
-				best, bestDist = int(ui), d
-			}
-		}
-		return best
+		slots = r.d.NeighborIndices(ci)
+	} else {
+		ids = r.g.NeighborsShared(lab.ids[ci])
 	}
-	for _, u := range r.g.NeighborsShared(lab.ids[ci]) {
-		ui, ok := lab.indexOf(u)
-		if !ok || !lab.has[ui] || lab.root[ui] != space {
+	for k := range len(slots) + len(ids) {
+		ui, ok := 0, true
+		if aligned {
+			ui = int(slots[k])
+		} else if ui, ok = lab.indexOf(ids[k]); !ok {
 			continue
 		}
-		uc := lab.crds[ui]
-		if r.opt.TreeOnly && !treeNeighbors(cc, uc) {
+		u := &lab.recs[ui]
+		if u.n < 0 || u.root != cur.root || r.opt.TreeOnly && lab.dist(cur, u) != 1 {
 			continue
 		}
-		if d := uc.Dist(cd); d < bestDist {
+		if d := lab.dist(u, dst); d < bestDist {
 			best, bestDist = ui, d
+			if d == 0 {
+				break // u is the destination: no neighbor can be closer
+			}
 		}
 	}
 	return best
@@ -254,7 +232,7 @@ func (r *Router) walk(src, dst graph.NodeID, aligned bool, path *[]graph.NodeID)
 	if r.opt.MaxHops <= 0 {
 		return 0, DropTTL
 	}
-	ci, di, reason := r.endpoints(src, dst, aligned)
+	ci, di, reason := r.endpoints(src, dst)
 	if reason != DropNone {
 		return 0, reason
 	}
@@ -272,18 +250,6 @@ func (r *Router) walk(src, dst graph.NodeID, aligned bool, path *[]graph.NodeID)
 		}
 	}
 	return hops, DropNone
-}
-
-// treeNeighbors reports whether the coordinates a and b label adjacent
-// tree nodes: one is the other's parent, i.e. one path extends the
-// other by exactly one port.
-func treeNeighbors(a, b Coords) bool {
-	if len(a) == len(b)+1 {
-		a, b = b, a
-	} else if len(b) != len(a)+1 {
-		return false
-	}
-	return a.IsAncestorOf(b)
 }
 
 // Delivery is the outcome of routing one packet.

@@ -2,6 +2,8 @@ package routing
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"silentspan/internal/graph"
@@ -221,4 +223,175 @@ func TestHotspotAndAllPairsWorkloads(t *testing.T) {
 	if stats.Delivered != stats.Sent {
 		t.Errorf("all-pairs sample: delivered %d of %d", stats.Delivered, stats.Sent)
 	}
+}
+
+// coordsOracle is the greedy router written out over the public
+// surface only: coordinates decoded by Labeling.Coords, distances by
+// Coords.Dist, tree edges by treeNeighbors, neighbors in ascending
+// identity order, the first strictly closest one taken.
+type coordsOracle struct {
+	g        *graph.Graph
+	lab      *Labeling
+	treeOnly bool
+	maxHops  int
+	memo     map[graph.NodeID]oracleLabel
+}
+
+type oracleLabel struct {
+	c    Coords
+	root graph.NodeID
+	ok   bool
+}
+
+func (o *coordsOracle) label(v graph.NodeID) oracleLabel {
+	if e, ok := o.memo[v]; ok {
+		return e
+	}
+	var e oracleLabel
+	e.c, e.ok = o.lab.Coords(v)
+	e.root, _ = o.lab.RootOf(v)
+	o.memo[v] = e
+	return e
+}
+
+func (o *coordsOracle) nextHop(cur, dst graph.NodeID) (graph.NodeID, DropReason, bool) {
+	c, d := o.label(cur), o.label(dst)
+	if !c.ok {
+		return 0, DropNoSourceCoord, false
+	}
+	if !d.ok || d.root != c.root {
+		return 0, DropNoDestCoord, false
+	}
+	best, bestDist, found := graph.NodeID(0), c.c.Dist(d.c), false
+	for _, u := range o.g.NeighborsShared(cur) {
+		e := o.label(u)
+		if !e.ok || e.root != c.root || o.treeOnly && !treeNeighbors(c.c, e.c) {
+			continue
+		}
+		if dist := e.c.Dist(d.c); dist < bestDist {
+			best, bestDist, found = u, dist, true
+		}
+	}
+	if !found {
+		return 0, DropDeadEnd, false
+	}
+	return best, DropNone, true
+}
+
+func (o *coordsOracle) route(src, dst graph.NodeID) Delivery {
+	d := Delivery{Src: src, Dst: dst, Path: []graph.NodeID{src}}
+	for cur := src; cur != dst; d.Hops++ {
+		if d.Hops >= o.maxHops {
+			d.Reason = DropTTL
+			return d
+		}
+		next, reason, ok := o.nextHop(cur, dst)
+		if !ok {
+			d.Reason = reason
+			return d
+		}
+		d.Path = append(d.Path, next)
+		cur = next
+	}
+	d.Delivered = true
+	return d
+}
+
+// TestRouterMatchesCoordsOracle: NextHop and Route over the packed
+// label records make exactly the decisions of the coordinate oracle,
+// greedy and TreeOnly, on the slot-aligned path and on the identity
+// path (a Dense churned by a leave and a join recycling its slot under
+// a held labeling). The labelings are Label of a BFS tree, Label of a
+// DFS tree (deeper than the eight inline ports, so distances read the
+// arena), and a LiveLabeler over the DFS tree after 200 random pointer
+// writes, which compacts its arena on the way.
+func TestRouterMatchesCoordsOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	const n = 2000
+	g := graph.RandomConnected(n, 8.0/n, rng)
+	bfs, err := trees.BFSTree(g, g.MinID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dfs, err := trees.DFSTree(g, g.MinID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb := NewLiveLabeler(g, ParentsFromMap(g, dfs.ParentMap()))
+	nodes := g.Nodes()
+	compacted := false
+	for k := 0; k < 200; k++ {
+		v := nodes[rng.Intn(len(nodes))]
+		p := graph.NodeID(rng.Intn(2*n) + 1) // often not a neighbor
+		switch nbrs := g.NeighborsShared(v); rng.Intn(8) {
+		case 0:
+			p = trees.None
+		case 1:
+			p = NoParent
+		case 2:
+		default:
+			p = nbrs[rng.Intn(len(nbrs))]
+		}
+		before := len(lb.lab.arena)
+		lb.SetParent(v, p)
+		compacted = compacted || len(lb.lab.arena) < before
+	}
+	if !compacted {
+		t.Fatal("200 pointer writes under a DFS tree never compacted the arena")
+	}
+	compareToRebuild(t, 200, g, lb)
+
+	labs := []struct {
+		name  string
+		lab   *Labeling
+		pairs int
+	}{
+		{"bfs", Label(bfs), 400},
+		{"dfs", Label(dfs), 60},
+		{"live", lb.Labeling(), 60},
+	}
+	if !slices.ContainsFunc(labs[1].lab.recs, func(r label) bool { return r.n > inlinePorts }) {
+		t.Fatal("no DFS-tree coordinate is longer than the inline ports")
+	}
+	check := func(stage string, wantAligned bool, extra ...graph.NodeID) {
+		ids := append(g.Nodes(), extra...)
+		for _, tc := range labs {
+			for _, treeOnly := range []bool{false, true} {
+				r := NewRouter(g, tc.lab, Options{TreeOnly: treeOnly, RecordPaths: true})
+				if r.alignedNow() != wantAligned {
+					t.Fatalf("%s/%s: aligned=%v, want %v", stage, tc.name, r.alignedNow(), wantAligned)
+				}
+				o := &coordsOracle{g: g, lab: tc.lab, treeOnly: treeOnly, maxHops: r.MaxHops(), memo: map[graph.NodeID]oracleLabel{}}
+				for i := 0; i < tc.pairs; i++ {
+					cur, dst := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
+					next, reason, ok := r.NextHop(cur, dst)
+					wn, wr, wok := o.nextHop(cur, dst)
+					if next != wn || reason != wr || ok != wok {
+						t.Fatalf("%s/%s treeOnly=%v: NextHop(%d, %d) = %d %v %v, oracle %d %v %v",
+							stage, tc.name, treeOnly, cur, dst, next, reason, ok, wn, wr, wok)
+					}
+					if got, want := r.Route(cur, dst), o.route(cur, dst); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s/%s treeOnly=%v: Route(%d, %d) = %+v, oracle %+v",
+							stage, tc.name, treeOnly, cur, dst, got, want)
+					}
+				}
+			}
+		}
+	}
+	check("aligned", true)
+
+	victim := nodes[rng.Intn(len(nodes))]
+	slot, _ := g.Dense().IndexOf(victim)
+	if err := g.RemoveNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	joined := graph.NodeID(10 * n)
+	g.AddNode(joined)
+	for _, u := range g.Nodes()[:8] {
+		g.MustAddEdge(joined, u, graph.Weight(1<<20)+graph.Weight(u))
+	}
+	if s, _ := g.Dense().IndexOf(joined); s != slot {
+		t.Fatalf("join took slot %d, want the vacated %d", s, slot)
+	}
+	check("identity", false, victim)
 }

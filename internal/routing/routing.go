@@ -62,8 +62,9 @@ import (
 type Port uint16
 
 // Coords is a node's tree coordinate: the port path from the root to
-// the node. The root's coordinate is the empty path. Coordinates are
-// value-like; callers must not mutate a Coords obtained from a Labeling.
+// the node. The root's coordinate is the empty path. It is the codec
+// and the reference form: a Labeling keeps coordinates packed in label
+// records, and Labeling.Coords decodes one into a fresh Coords.
 type Coords []Port
 
 // Dist returns the tree distance between the nodes labeled c and d:
